@@ -8,12 +8,14 @@ Usage: surrogate_dock.py SMILES [--mode hash|heavy]
 
   hash   score in [-12, -4) from a stable hash of the canonical structure
   heavy  heavier molecules score better (matches the experiment surrogate)
+
+The pipeline starts this script once per uncached molecule, so it imports no
+more than its mode needs (no numpy).
 """
 
 import argparse
 import sys
 
-from molchord.experiment import surrogate_vina
 from molchord.hashutil import stable_hash64
 from molchord.molgraph import canonical_smiles, try_parse
 
@@ -29,6 +31,8 @@ def main() -> int:
         print(f"unparseable molecule: {args.smiles!r}", file=sys.stderr)
         return 1
     if args.mode == "heavy":
+        from molchord.scorers import surrogate_vina
+
         score = surrogate_vina(mol)
     else:
         bucket = stable_hash64("surrogate-dock", canonical_smiles(mol)) % 800

@@ -9,6 +9,10 @@ primary artifacts.
 
 Exit codes: 0 ok, 2 validation/coverage failure, 3 missing upstream artifact,
 4 external command failure, 1 internal error.
+
+Only the four model commands (train-sft, curate, train-dpo, sample) need the
+generator and numpy; they import them when they run, so the other commands
+start without numpy.
 """
 
 from __future__ import annotations
@@ -22,29 +26,14 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__, curation, metrics, scorers
-from .genmodel import (
-    ModelConfig,
-    ModelParams,
-    PocketFeatures,
-    featurize_pocket,
-    load_params,
-    sample_many,
-    save_params,
-)
 from .hashutil import derive_seed
 from .molgraph import canonical_smiles, count_fused_rings, parse_smiles, try_parse
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    build_dpo_examples,
-    build_sft_examples,
-    train_dpo,
-    train_sft,
-)
+
+if TYPE_CHECKING:
+    from .genmodel import ModelConfig, ModelParams, PocketFeatures
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -147,6 +136,8 @@ class RunConfig:
         return self.get_int("model", "seed")
 
     def model_config(self) -> ModelConfig:
+        from .genmodel import ModelConfig
+
         return ModelConfig(
             d=self.get_int("model", "d"),
             d_feat=self.get_int("model", "d_feat"),
@@ -238,6 +229,8 @@ def _load_complexes(cfg: RunConfig, key: str = "complexes") -> list[curation.Com
 def _features_for(
     records: list[curation.ComplexRecord], model_cfg: ModelConfig
 ) -> dict[str, PocketFeatures]:
+    from .genmodel import featurize_pocket
+
     return {
         r.pocket_id: featurize_pocket(
             r.pocket_id,
@@ -251,6 +244,8 @@ def _features_for(
 
 
 def _load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
+    from .genmodel import load_params
+
     try:
         return load_params(path)
     except (ValueError, OSError) as exc:
@@ -310,6 +305,9 @@ def _load_partition(cfg: RunConfig) -> dict:
 
 
 def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .genmodel import save_params
+    from .training import TrainConfig, build_sft_examples, train_sft
+
     started = time.time()
     records = _load_complexes(cfg)
     partition = _load_partition(cfg)
@@ -379,6 +377,8 @@ def _sample_pocket_unique(
 
     Returns (list of (canonical, logprob of first producing sample), capped?).
     """
+    from .genmodel import sample_many
+
     collected: dict[str, float] = {}
     index = 0
     budget = n_wanted * retry_factor
@@ -409,6 +409,8 @@ def _sample_pocket_unique(
 
 
 def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .genmodel import sample_many
+
     started = time.time()
     records = _load_complexes(cfg)
     partition = _load_partition(cfg)
@@ -547,6 +549,11 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .genmodel import save_params
+    from .training import Checkpoint, TrainConfig, build_dpo_examples, train_dpo
+
     started = time.time()
     records = _load_complexes(cfg)
     pairs_path = _require_file(cfg.outdir / "pairs.jsonl", "preference pairs")

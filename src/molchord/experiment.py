@@ -28,7 +28,8 @@ from .genmodel import (
     sample_many,
 )
 from .hashutil import derive_seed
-from .molgraph import Molecule, count_fused_rings, try_parse
+from .molgraph import count_fused_rings, try_parse
+from .scorers import surrogate_vina
 from .synthetic import smiles_corpus
 from .training import (
     Checkpoint,
@@ -39,14 +40,6 @@ from .training import (
     train_dpo,
     train_sft,
 )
-
-SURROGATE_HEAVY_CAP = 15
-
-
-def surrogate_vina(mol: Molecule) -> float:
-    """Deterministic pseudo-binding score: heavier molecules bind better,
-    saturating at the cap. Lower is better, like a docking energy."""
-    return -float(min(mol.heavy_atom_count(), SURROGATE_HEAVY_CAP))
 
 
 def surrogate_reward(smiles: str, fused_penalty: float) -> float | None:

@@ -10,11 +10,13 @@ command) and a cache hit skips execution.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .curation import ComplexRecord, PreferencePair
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
-from .molgraph import canonical_smiles, parse_smiles
+from .molgraph import Molecule, canonical_smiles, parse_smiles
 
 CACHE_DIR_ENV = "MOLCHORD_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".molchord_cache"
@@ -271,6 +273,15 @@ def coverage_check(
     return CoverageReport(covered=tuple(covered), missing=tuple(missing))
 
 
+SURROGATE_HEAVY_CAP = 15
+
+
+def surrogate_vina(mol: Molecule) -> float:
+    """Deterministic pseudo-binding score: heavier molecules bind better,
+    saturating at the cap. Lower is better, like a docking energy."""
+    return -float(min(mol.heavy_atom_count(), SURROGATE_HEAVY_CAP))
+
+
 @dataclass(frozen=True)
 class DockCommand:
     """Shell template with {smiles} plus optional {pocket_file} / {center_source}."""
@@ -321,12 +332,21 @@ def _cache_dir(explicit: str | Path | None) -> Path:
 _cache_lock = threading.Lock()
 
 
-def _cache_key(template: str, pocket_id: str, smiles: str) -> str:
+def _cache_key(command: str, pocket_id: str, smiles: str) -> str:
     digest = hashlib.sha256()
-    for part in (template, pocket_id, smiles):
+    for part in (command, pocket_id, smiles):
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_request(smiles: str) -> str:
+    """Canonical form of a dock request's SMILES, memoized so that
+    ``dock_many`` and the ``external_dock`` it calls canonicalize it once.
+    ``dock_many`` goes through the public ``external_dock`` for every request,
+    so whatever wraps that function sees each dock call."""
+    return canonical_smiles(parse_smiles(smiles))
 
 
 def external_dock(
@@ -343,15 +363,10 @@ def external_dock(
     non-empty stdout line. ``center_source`` is whatever the wrapped tool
     needs to locate the pocket center (typically the reference ligand);
     pockets that cannot provide one are rejected here when the template asks
-    for it.
+    for it. The cache key covers the fully substituted command, so a changed
+    pocket file or reference ligand never reuses another command's score.
     """
-    canon = canonical_smiles(parse_smiles(smiles))
-    directory = _cache_dir(cache_dir)
-    key = _cache_key(cmd.template, pocket_id, canon)
-    cache_file = directory / f"{key}.json"
-    if cache_file.exists():
-        return float(json.loads(cache_file.read_text())["vina"])
-
+    canon = _canonical_request(smiles)
     # Only the known placeholders are substituted; other braces (awk scripts,
     # shell expansions) pass through untouched.
     command = cmd.template.replace("{smiles}", canon)
@@ -365,6 +380,11 @@ def external_dock(
                 f"pocket {pocket_id}: no reference ligand to define the pocket center"
             )
         command = command.replace("{center_source}", center_source)
+
+    directory = _cache_dir(cache_dir)
+    cache_file = directory / f"{_cache_key(command, pocket_id, canon)}.json"
+    if cache_file.exists():
+        return float(json.loads(cache_file.read_text())["vina"])
 
     try:
         proc = subprocess.run(
@@ -398,9 +418,16 @@ def external_dock(
                     f"({pocket_id}, {canon})"
                 )
             return existing
-        tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"pocket_id": pocket_id, "smiles": canon, "vina": score}))
-        tmp.replace(cache_file)
+        # A temp file of this writer's own: processes that share the cache
+        # dir must never rename each other's half-written files.
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=cache_file.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump({"pocket_id": pocket_id, "smiles": canon, "vina": score}, handle)
+            os.replace(tmp, cache_file)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return score
 
 
@@ -430,8 +457,8 @@ def dock_many(
     def run_one(req):
         pocket_id, smiles, pocket_file, center_source = req
         try:
-            canon = canonical_smiles(parse_smiles(smiles))
-            score = external_dock(cmd, pocket_id, canon, pocket_file, center_source, cache_dir)
+            canon = _canonical_request(smiles)
+            score = external_dock(cmd, pocket_id, smiles, pocket_file, center_source, cache_dir)
             return ScoreRecord(pocket_id=pocket_id, smiles=canon, vina=score)
         except (DockError, ValueError) as exc:
             return DockFailure(pocket_id=pocket_id, smiles=smiles, error=str(exc))

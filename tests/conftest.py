@@ -1,9 +1,12 @@
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import molchord
 from molchord.molgraph import SmilesFeatureWarning
 from molchord.synthetic import smiles_corpus
 
@@ -33,3 +36,11 @@ def small_corpus() -> list[str]:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports this checkout's molchord."""
+    src = str(Path(molchord.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,25 @@ def pipeline(tmp_path_factory):
         code = main(["--config", str(config), "--allow-partial", *step])
         assert code == 0, f"step {step} exited {code}"
     return tmp_path, config, outdir
+
+
+@pytest.mark.parametrize(
+    "step", [["partition"], ["dock"], ["evaluate"], ["report", "--fused", "--ood"], ["verify"]]
+)
+def test_numpy_free_commands_run_with_numpy_blocked(pipeline, step, child_env):
+    # commands that neither train nor sample must not need numpy to start or run
+    _, config, _ = pipeline
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from molchord.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--config", str(config), "--allow-partial", *step],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_partition_rule_and_counts(pipeline):

@@ -1,8 +1,12 @@
 import json
+import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+from molchord import scorers
 from molchord.curation import ComplexRecord, PreferencePair
 from molchord.scorers import (
     CACHE_DIR_ENV,
@@ -264,3 +268,64 @@ def test_dock_many_collects_failures(tmp_path):
     assert [s.smiles for s in result.scores] == ["CCO", "CCC"]
     assert len(result.failures) == 1
     assert result.failures[0].smiles == "CCN"
+
+
+def test_external_dock_cache_key_covers_substituted_inputs(tmp_path):
+    # the same template with another pocket file or reference ligand is
+    # another command, so it must not reuse the first command's score
+    cache = tmp_path / "cache"
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("-5.0\n")
+    second.write_text("-7.0\n")
+    by_pocket = _cmd("cat {pocket_file} # {smiles}")
+    assert external_dock(by_pocket, "p1", "CCO", pocket_file=str(first), cache_dir=cache) == -5.0
+    assert external_dock(by_pocket, "p1", "CCO", pocket_file=str(second), cache_dir=cache) == -7.0
+    by_center = _cmd("cat {center_source} # {smiles}")
+    assert external_dock(by_center, "p1", "CCO", center_source=str(first), cache_dir=cache) == -5.0
+    assert external_dock(by_center, "p1", "CCO", center_source=str(second), cache_dir=cache) == -7.0
+
+
+def test_external_dock_concurrent_writers_of_one_key(tmp_path, monkeypatch, child_env):
+    # A second process docks the same (command, pocket, molecule) and writes
+    # its cache entry while this one sits between writing its temp file and
+    # renaming it into place.
+    cache = tmp_path / "cache"
+    template = "echo -4.5 # {smiles}"
+    other_writer = [
+        sys.executable,
+        "-c",
+        "import sys\n"
+        "from molchord.scorers import DockCommand, external_dock\n"
+        f"print(external_dock(DockCommand({template!r}), 'p1', 'CCO', cache_dir=sys.argv[1]))",
+        str(cache),
+    ]
+    real_replace = os.replace
+
+    def replace_after_other_writer(source, target):
+        monkeypatch.setattr(os, "replace", real_replace)
+        proc = subprocess.run(other_writer, env=child_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == -4.5
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace_after_other_writer)
+    assert external_dock(_cmd(template), "p1", "CCO", cache_dir=cache) == -4.5
+    assert os.replace is real_replace  # the other writer did run
+    assert [p.suffix for p in cache.iterdir()] == [".json"]
+    assert json.loads(next(cache.iterdir()).read_text())["vina"] == -4.5
+
+
+def test_dock_many_canonicalizes_each_request_once(tmp_path, monkeypatch):
+    calls = []
+    real = scorers.canonical_smiles
+
+    def counting(mol):
+        calls.append(mol)
+        return real(mol)
+
+    monkeypatch.setattr(scorers, "canonical_smiles", counting)
+    scorers._canonical_request.cache_clear()
+    requests = [("p1", "OCC", None, None), ("p1", "C(C)N", None, None)]
+    result = dock_many(_cmd("echo -3 # {smiles}"), requests, cache_dir=tmp_path / "cache")
+    assert [s.smiles for s in result.scores] == ["CCO", "CCN"]
+    assert len(calls) == 2
