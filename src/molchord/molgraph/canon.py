@@ -1,18 +1,25 @@
 """Canonical atom ordering and the canonical SMILES writer.
 
-Ordering uses iterative invariant refinement; remaining ties are broken by
-branching over every atom of the first tied class and keeping the labeling
-with the lexicographically smallest graph signature. Branch leaves that come
-from genuine symmetries produce equal signatures, so the result is invariant
-under any input atom permutation, and two molecules share a canonical string
-exactly when their labeled graphs are isomorphic.
+Ordering uses iterative invariant refinement. Remaining ties are broken by a
+depth-first search that individualizes each atom of the first tied class in
+turn and keeps the labeling with the lexicographically smallest graph
+signature. Two leaves with equal signatures define an automorphism that maps
+the later leaf's path onto the earlier one's, so the subtree holding the later
+leaf below their common ancestor is an image of one already searched and is
+left. A child in the same orbit as an explored sibling, under the
+automorphisms found so far that fix every atom individualized above it, is
+skipped for the same reason (the orbit pruning of nauty and Traces; McKay &
+Piperno, J. Symb. Comput. 2014). Neither loses a signature, so the minimum is
+the one over all leaves: the result is invariant under any input atom
+permutation, and two molecules share a canonical string exactly when their
+labeled graphs are isomorphic.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 
+from .errors import CanonicalizationLimit
 from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Atom, BondOrder, Molecule
 
 _MAX_LEAVES = 50_000
@@ -23,31 +30,146 @@ def _dense(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-def _refine(colors: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
+def _refine(
+    colors: list[int], adj: list[list[tuple[int, int]]], moved: list[int] | None = None
+) -> list[int]:
+    """Refine dense ``colors`` until no class splits.
+
+    ``adj[a]`` lists ``(neighbor, bond order * n)``. Each round keys every atom
+    by its color and the sorted (bond order, color) pairs of its neighbors and
+    renumbers the distinct keys densely in sorted order. Only an atom next to
+    an atom that changed class in the last round can get a key that differs
+    from its classmates', so a round rekeys those atoms alone; the rest of
+    their class shares one key. The numbering is the same as rekeying all.
+    ``moved`` names the atoms that changed class in a partition that was
+    already refined, or is None when ``colors`` never was.
+    """
     n = len(colors)
-    while True:
-        keys = [
-            (colors[a], tuple(sorted((order, colors[b]) for b, order in adj[a])))
-            for a in range(n)
-        ]
-        new = _dense(keys)
-        if new == colors:
-            return colors
-        colors = new
+    members: list[set[int]] = [set() for _ in range(n)]
+    for atom_idx, color in enumerate(colors):
+        members[color].add(atom_idx)
+    class_of = list(colors)  # class ids stay fixed; pos[id] is the class's color
+    order = list(range(max(colors) + 1))
+    pos = list(range(n))
+    next_id = len(order)
+    if moved is None:
+        touched = {c: members[c] for c in order if len(members[c]) > 1}
+    else:
+        touched = _touched(moved, adj, class_of)
+    while touched:
+        splits = []
+        for c, atoms in touched.items():
+            group = members[c]
+            if len(group) < 2:
+                continue
+            keyed: dict[tuple, set[int]] = {}
+            for a in atoms:
+                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
+                keyed.setdefault(key, set()).add(a)
+            if len(atoms) < len(group):
+                rest = group - atoms
+                a = next(iter(rest))
+                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
+                keyed.setdefault(key, set()).update(rest)
+            if len(keyed) > 1:
+                splits.append((pos[c], c, [keyed[key] for key in sorted(keyed)]))
+        if not splits:
+            break
+        # The largest part keeps the class id, so only the atoms of the other
+        # parts count as moved.
+        splits.sort(reverse=True)  # rewrite from the back so earlier positions hold
+        moved = []
+        for at, c, groups in splits:
+            largest = max(groups, key=len)
+            ids = []
+            for group in groups:
+                if group is largest:
+                    members[c] = group
+                    ids.append(c)
+                    continue
+                members[next_id] = group
+                for a in group:
+                    class_of[a] = next_id
+                moved.extend(group)
+                ids.append(next_id)
+                next_id += 1
+            order[at : at + 1] = ids
+        for i in range(splits[-1][0], len(order)):
+            pos[order[i]] = i
+        touched = _touched(moved, adj, class_of)
+    return [pos[c] for c in class_of]
 
 
-def _signature(mol: Molecule, colors: list[int]) -> tuple:
+def _touched(
+    moved: list[int], adj: list[list[tuple[int, int]]], class_of: list[int]
+) -> dict[int, set[int]]:
+    """The neighbors of ``moved``, grouped by class: the atoms whose keys may
+    now differ from their classmates'."""
+    touched: dict[int, set[int]] = {}
+    for a in moved:
+        for b, _ in adj[a]:
+            touched.setdefault(class_of[b], set()).add(b)
+    return touched
+
+
+def _signature(
+    labels: list[tuple], bonds: list[tuple[int, int, int]], colors: list[int]
+) -> tuple:
     position = [0] * len(colors)
     for atom_idx, color in enumerate(colors):
         position[color] = atom_idx
-    atom_part = tuple(mol.atoms[position[c]].label() for c in range(len(colors)))
-    bond_part = tuple(
-        sorted(
-            (min(colors[b.a], colors[b.b]), max(colors[b.a], colors[b.b]), int(b.order))
-            for b in mol.bonds
-        )
-    )
+    atom_part = tuple([labels[a] for a in position])
+    ends = [(colors[a], colors[b], order) for a, b, order in bonds]
+    bond_part = tuple(sorted([(min(x, y), max(x, y), order) for x, y, order in ends]))
     return (atom_part, bond_part)
+
+
+def _graph(mol: Molecule) -> tuple[list[tuple], list[tuple[int, int, int]]]:
+    return [a.label() for a in mol.atoms], [(b.a, b.b, int(b.order)) for b in mol.bonds]
+
+
+class _Node:
+    """One search-tree node: its refined colors, the tied cell whose atoms are
+    its children, and the automorphisms found so far that fix every atom
+    individualized on the path to it (as {atom: image} over moved atoms)."""
+
+    def __init__(self, colors: list[int], generators: list[dict[int, int]]):
+        self.colors = colors
+        cells: dict[int, list[int]] = {}
+        for atom_idx, color in enumerate(colors):
+            cells.setdefault(color, []).append(atom_idx)
+        self.cell_color = min(c for c, members in cells.items() if len(members) > 1)
+        self.cell = cells[self.cell_color]
+        self.next = 0
+        self.explored: list[int] = []
+        self.generators = generators
+        self.parent: dict[int, int] = {}  # union-find over the generators' orbits
+        self.applied = 0
+
+    def _find(self, atom_idx: int) -> int:
+        parent = self.parent
+        while parent.get(atom_idx, atom_idx) != atom_idx:
+            atom_idx = parent[atom_idx]
+        return atom_idx
+
+    def next_child(self) -> int | None:
+        """The next cell atom not in the orbit of an explored sibling."""
+        while self.next < len(self.cell):
+            atom_idx = self.cell[self.next]
+            self.next += 1
+            if self.explored and self.generators:
+                for gen in self.generators[self.applied :]:
+                    for a, b in gen.items():
+                        ra, rb = self._find(a), self._find(b)
+                        if ra != rb:
+                            self.parent[max(ra, rb)] = min(ra, rb)
+                self.applied = len(self.generators)
+                root = self._find(atom_idx)
+                if any(self._find(u) == root for u in self.explored):
+                    continue
+            self.explored.append(atom_idx)
+            return atom_idx
+        return None
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
@@ -55,38 +177,81 @@ def canonical_ranks(mol: Molecule) -> list[int]:
     n = len(mol.atoms)
     if n == 0:
         return []
-    adj = [[(b, int(order)) for b, order in row] for row in mol.neighbors()]
-    initial = _dense([(a.label(), len(adj[a.index])) for a in mol.atoms])
+    adj = [[(b, int(order) * n) for b, order in row] for row in mol.neighbors()]
+    colors = _refine(_dense([(a.label(), len(adj[a.index])) for a in mol.atoms]), adj)
+    if max(colors) == n - 1:
+        return colors
+    labels, bonds = _graph(mol)
 
-    best_sig: tuple | None = None
-    best_colors: list[int] | None = None
+    # The first leaf and the best leaf so far, as (signature, colors, path).
+    first = best = None
     leaves = 0
-
-    stack = [initial]
+    stack = [_Node(colors, [])]
+    path: list[int] = []  # path[j] is the atom individualized below stack[j]
     while stack:
-        colors = _refine(stack.pop(), adj)
-        cells: dict[int, list[int]] = {}
-        for atom_idx, color in enumerate(colors):
-            cells.setdefault(color, []).append(atom_idx)
-        tied = [c for c, members in cells.items() if len(members) > 1]
-        if not tied:
-            leaves += 1
-            if leaves > _MAX_LEAVES:
-                raise RuntimeError("canonicalization branch limit exceeded")
-            sig = _signature(mol, colors)
-            if best_sig is None or sig < best_sig:
-                best_sig, best_colors = sig, colors
+        node = stack[-1]
+        atom_idx = node.next_child()
+        if atom_idx is None:
+            stack.pop()
+            if path:
+                path.pop()
             continue
-        cell_color = min(tied)
-        for atom_idx in cells[cell_color]:
-            promoted = [
+        cell_color = node.cell_color
+        colors = _refine(
+            [
                 c if c < cell_color else (cell_color if a == atom_idx else c + 1)
-                for a, c in enumerate(colors)
-            ]
-            stack.append(promoted)
+                for a, c in enumerate(node.colors)
+            ],
+            adj,
+            [atom_idx],
+        )
+        path.append(atom_idx)
+        if max(colors) < n - 1:
+            stack.append(_Node(colors, [g for g in node.generators if atom_idx not in g]))
+            continue
 
-    assert best_colors is not None
-    return best_colors
+        leaves += 1
+        if leaves > _MAX_LEAVES:
+            raise CanonicalizationLimit(
+                f"canonical ordering searched over {_MAX_LEAVES} leaves", 0
+            )
+        sig = _signature(labels, bonds, colors)
+        ref = None
+        if first is None:
+            first = best = (sig, colors, path[:])
+        elif sig == first[0]:
+            ref = first
+        elif sig == best[0]:
+            ref = best
+        elif sig < best[0]:
+            best = (sig, colors, path[:])
+        if ref is None:
+            path.pop()
+            continue
+        # Equal signatures give an automorphism that maps this leaf's path onto
+        # ref's. It fixes their common prefix and maps the subtree below it that
+        # holds this leaf onto the one that holds ref, which is fully searched:
+        # record it and return to the common ancestor.
+        depth = 0
+        while path[depth] == ref[2][depth]:
+            depth += 1
+        gen = _automorphism(colors, ref[1])
+        for ancestor in stack[: depth + 1]:
+            ancestor.generators.append(gen)
+        del stack[depth + 1 :]
+        del path[depth:]
+
+    assert best is not None
+    return best[1]
+
+
+def _automorphism(colors: list[int], ref_colors: list[int]) -> dict[int, int]:
+    """The atom map from one discrete coloring onto another, as {atom: image}
+    over the atoms it moves."""
+    at = [0] * len(ref_colors)
+    for atom_idx, color in enumerate(ref_colors):
+        at[color] = atom_idx
+    return {a: at[c] for a, c in enumerate(colors) if at[c] != a}
 
 
 def _needs_bracket(atom: Atom) -> bool:
@@ -202,28 +367,30 @@ def canonical_smiles(mol: Molecule) -> str:
             parts.append(bond + digit_token(digit_for[ci]))
         return "".join(parts)
 
-    limit = max(n * 4 + 100, 2000)
-    old_limit = sys.getrecursionlimit()
-    if old_limit < limit:
-        sys.setrecursionlimit(limit)
-    try:
+    def render(start: int, children: dict[int, list[tuple[int, BondOrder]]]) -> str:
+        # Explicit stack of atoms still to render and literal text, so chain
+        # depth is not bounded by the interpreter's recursion limit.
+        parts: list[str] = []
+        pending: list[int | str] = [start]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(_atom_token(mol.atoms[item]) + closure_tokens(item))
+            kids = children[item]
+            for pos in range(len(kids) - 1, -1, -1):
+                child, order = kids[pos]
+                bond = _bond_token(order, mol.atoms[item], mol.atoms[child])
+                if pos < len(kids) - 1:
+                    pending += [")", child, "(" + bond]
+                else:
+                    pending += [child, bond]
+        return "".join(parts)
 
-        def render(atom_idx: int, children) -> str:
-            parts = [_atom_token(mol.atoms[atom_idx]) + closure_tokens(atom_idx)]
-            kids = children[atom_idx]
-            for pos, (child, order) in enumerate(kids):
-                bond = _bond_token(order, mol.atoms[atom_idx], mol.atoms[child])
-                sub = bond + render(child, children)
-                parts.append(f"({sub})" if pos < len(kids) - 1 else sub)
-            return "".join(parts)
-
-        pieces = [render(start, children) for start, children in components]
-    finally:
-        if old_limit < limit:
-            sys.setrecursionlimit(old_limit)
-    return ".".join(pieces)
+    return ".".join(render(start, children) for start, children in components)
 
 
 def canonical_signature(mol: Molecule) -> tuple:
     """Hashable graph identity: equal exactly for isomorphic labeled graphs."""
-    return _signature(mol, canonical_ranks(mol))
+    return _signature(*_graph(mol), canonical_ranks(mol))

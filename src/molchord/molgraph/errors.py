@@ -60,3 +60,7 @@ class ValenceViolation(SmilesError):
 
 class SmilesFeatureWarning(UserWarning):
     """Accepted-but-discarded input features (stereo marks, isotopes, atom classes)."""
+
+
+class CanonicalizationLimit(SmilesError):
+    """The canonical-ordering search reached its leaf cap."""

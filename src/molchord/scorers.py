@@ -32,14 +32,6 @@ DEFAULT_CACHE_DIR = ".molchord_cache"
 
 SCHEMAS = ("complexes", "scores", "pairs", "generations")
 
-# Shape of the evaluation report's line-delimited records (written by the CLI
-# next to a human-readable table): per-pocket rows tagged kind="pocket" plus
-# one kind="aggregate" row.
-REPORT_ROW_FIELDS = (
-    "kind", "pocket_id", "n", "mean_vina", "high_affinity", "mean_qed",
-    "mean_sa", "diversity", "success_rate", "fused_ring_mean",
-)
-
 
 class MalformedLine(ValueError):
     def __init__(self, line_no: int, detail: str):

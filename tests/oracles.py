@@ -144,3 +144,66 @@ def exact_tanimoto_fraction(a: set[int], b: set[int]) -> Fraction:
     if not union:
         return Fraction(1)
     return Fraction(len(a & b), len(union))
+
+
+def _refine_oracle(colors: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Synchronous color refinement: every round rekeys every atom by its color
+    and its sorted (bond order, neighbor color) pairs and renumbers the
+    distinct keys densely in sorted order, until a round splits nothing."""
+    n = len(colors)
+    while True:
+        keys = [
+            (colors[a], tuple(sorted((order, colors[b]) for b, order in adj[a])))
+            for a in range(n)
+        ]
+        ranked = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [ranked[key] for key in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _signature_oracle(mol, colors: list[int]) -> tuple:
+    position = [0] * len(colors)
+    for atom_idx, color in enumerate(colors):
+        position[color] = atom_idx
+    atom_part = tuple(mol.atoms[position[c]].label() for c in range(len(colors)))
+    bond_part = tuple(
+        sorted(
+            (min(colors[b.a], colors[b.b]), max(colors[b.a], colors[b.b]), int(b.order))
+            for b in mol.bonds
+        )
+    )
+    return (atom_part, bond_part)
+
+
+def exhaustive_canonical_signature(mol) -> tuple:
+    """Smallest graph signature over every leaf of the individualization tree.
+
+    Starts from the (label, degree) coloring, refines, individualizes each
+    atom of the smallest tied color in turn and visits every leaf: the
+    unpruned search whose minimum ``canonical_signature`` must reproduce.
+    """
+    n = len(mol.atoms)
+    if n == 0:
+        return ((), ())
+    adj = [[(b, int(order)) for b, order in row] for row in mol.neighbors()]
+    keys = [(atom.label(), len(adj[atom.index])) for atom in mol.atoms]
+    ranked = {key: i for i, key in enumerate(sorted(set(keys)))}
+    best = None
+    stack = [[ranked[key] for key in keys]]
+    while stack:
+        colors = _refine_oracle(stack.pop(), adj)
+        tied = sorted({c for c in colors if colors.count(c) > 1})
+        if not tied:
+            sig = _signature_oracle(mol, colors)
+            if best is None or sig < best:
+                best = sig
+            continue
+        cell = tied[0]
+        for atom_idx in (a for a in range(n) if colors[a] == cell):
+            promoted = [c if c < cell else c + 1 for c in colors]
+            promoted[atom_idx] = cell
+            stack.append(promoted)
+    return best
+

@@ -1,17 +1,67 @@
 import itertools
+import random
+import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molchord.molgraph import (
+    Atom,
+    Bond,
+    canon,
     canonical_signature,
     canonical_smiles,
     count_fused_rings,
+    make_molecule,
     parse_smiles,
     perceive_rings,
     permute_atoms,
 )
 
-from .oracles import molecules_isomorphic
+from .oracles import _refine_oracle, exhaustive_canonical_signature, molecules_isomorphic
+
+TBU = "C(C)(C)C"
+CUBANE = "C12C3C4C1C5C2C3C45"
+ADAMANTANE = "C1C2CC3CC1CC(C2)C3"
+# Regular graphs whose refinement leaves one class that holds several orbits.
+REGULAR_UNIONS = ("C1CC1.C1CC1.C1CCCCC1", "C1CCC1.C1CCCCCC1", CUBANE + ".C12C3C1C1C2C31")
+
+
+def tbu_chain(groups: int, tail: int = 1) -> str:
+    """Alkane chain with ``groups`` consecutive tert-butyl branches."""
+    return "C" * tail + "C" + f"C({TBU})" * groups + "C"
+
+
+def star(arms: int, arm: str) -> str:
+    return "C" + f"({arm})" * (arms - 1) + arm
+
+
+def dendron(depth: int) -> str:
+    if depth == 0:
+        return "C"
+    sub = dendron(depth - 1)
+    return f"C({sub}){sub}"
+
+
+def dendrimer(core: str, arms: int, depth: int) -> str:
+    return core + f"({dendron(depth)})" * (arms - 1) + dendron(depth)
+
+
+# Highly symmetric graphs, each small enough for the unpruned oracle search.
+symmetric_graphs = st.one_of(
+    st.builds(tbu_chain, st.integers(1, 4), st.integers(1, 3)),
+    st.builds(star, st.integers(2, 3), st.sampled_from([TBU, "C" + TBU])),  # tBu, neopentyl
+    st.sampled_from([CUBANE, ADAMANTANE, *REGULAR_UNIONS]),
+    st.builds(dendrimer, st.sampled_from(["C", "N"]), st.integers(2, 3), st.integers(1, 2)),
+)
+
+
+def _assert_permutation_invariant(mol, reference: str, rng, times: int) -> None:
+    for _ in range(times):
+        perm = [int(i) for i in rng.permutation(len(mol.atoms))]
+        assert canonical_smiles(perceive_rings(permute_atoms(mol, perm))) == reference
 
 
 def test_same_graph_same_string():
@@ -165,3 +215,59 @@ def test_symmetric_molecules():
         for _ in range(20):
             perm = list(rng.permutation(len(mol.atoms)))
             assert canonical_smiles(perceive_rings(permute_atoms(mol, perm))) == reference
+
+
+@settings(max_examples=40)
+@given(symmetric_graphs, st.integers(0, 2**32 - 1))
+def test_symmetric_graphs_match_exhaustive_search(smiles, seed):
+    mol = parse_smiles(smiles)
+    assert canonical_signature(mol) == exhaustive_canonical_signature(mol)
+    _assert_permutation_invariant(mol, canonical_smiles(mol), np.random.default_rng(seed), 20)
+
+
+@pytest.mark.parametrize("groups", [6, 8])
+def test_long_tert_butyl_chains(groups):
+    mol = parse_smiles(tbu_chain(groups))
+    reference = canonical_smiles(mol)
+    assert molecules_isomorphic(parse_smiles(reference), mol)
+    _assert_permutation_invariant(mol, reference, np.random.default_rng(groups), 20)
+
+
+def test_writer_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"recursion limit set to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert canonical_smiles(parse_smiles("C" * 3000)) == "C" * 3000
+    # A 1500-carbon backbone with a chlorine on every carbon but one end is
+    # written from that end as 1498 nested branches.
+    k = 1500
+    atoms = [Atom("C")] * k + [Atom("Cl")] * (k - 1)
+    bonds = [Bond(i, i + 1) for i in range(k - 1)] + [Bond(i, k + i) for i in range(k - 1)]
+    expected = "C" + "C(" * (k - 2) + "C" + "Cl)" * (k - 2) + "Cl"
+    assert canonical_smiles(make_molecule(atoms, bonds)) == expected
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_refine_numbers_classes_like_synchronous_rounds(seed):
+    """The dense numbering decides which leaf is minimal, so it must match
+    rekeying every atom each round, also after individualizing one atom."""
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 24)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edges = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(rnd.randint(0, 2 * n)) if n > 1}
+    for a, b in edges:
+        order = rnd.choice([1, 1, 2, 3, 4])
+        adj[a].append((b, order))
+        adj[b].append((a, order))
+    weighted = [[(b, order * n) for b, order in row] for row in adj]
+    colors = canon._dense([rnd.randrange(rnd.randint(1, n)) for _ in range(n)])
+    refined = _refine_oracle(colors, adj)
+    assert canon._refine(colors, weighted) == refined
+    tied = sorted({c for c in refined if refined.count(c) > 1})
+    if tied:
+        atom_idx = rnd.choice([a for a in range(n) if refined[a] == tied[0]])
+        promoted = [c if c < tied[0] else c + 1 for c in refined]
+        promoted[atom_idx] = tied[0]
+        assert canon._refine(promoted, weighted, [atom_idx]) == _refine_oracle(promoted, adj)
+

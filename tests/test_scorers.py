@@ -62,6 +62,19 @@ def test_load_rejects_bad_vina(tmp_path):
     assert excinfo.value.field == "vina"
 
 
+def test_load_reports_canonicalization_limit_as_schema_violation(tmp_path, monkeypatch):
+    from molchord.molgraph import CanonicalizationLimit, canon
+
+    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    path = tmp_path / "scores.jsonl"
+    _write(path, [{"pocket_id": "p1", "smiles": "CC(C)(C)C", "vina": -5.0}])
+    with pytest.raises(SchemaViolation) as excinfo:
+        load_records(path, "scores")
+    assert excinfo.value.line_no == 1
+    assert excinfo.value.field == "smiles"
+    assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"pocket_id": "p1"\nnot json\n')
