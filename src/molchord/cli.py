@@ -24,13 +24,13 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, curation, metrics, scorers
 from .hashutil import derive_seed
-from .molgraph import canonical_smiles, count_fused_rings, parse_smiles, try_parse
+from .molgraph import canonical_smiles, try_parse
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures
@@ -426,94 +426,55 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
     top_p = cfg.get_float("sample", "top_p")
     max_len = cfg.get_int("sample", "max_len")
     filter_samples = cfg.get_int("curate", "filter_samples")
-    threshold = cfg.get_float("curate", "diversity_threshold")
-    lam = cfg.get_float("curate", "lambda")
     flow = cfg.get("curate", "flow")
     if flow not in ("online", "offline"):
         raise ValidationFailure(f"unknown curate flow {flow!r}")
+    dock_cmd = _dock_command(cfg)
+    cache_dir = _dock_cache_dir(cfg)
 
-    def sampler(pocket_id: str, n: int) -> list[str]:
-        results = sample_many(
-            params,
-            feats[pocket_id],
-            vocab,
-            n,
-            base_seed=derive_seed("curate-filter", cfg.seed),
-            temperature=temperature,
-            top_p=top_p,
-            max_len=max_len,
-        )
-        return [r.text for r in results]
+    def sampler_for(label: str):
+        base_seed = derive_seed(label, cfg.seed)
+
+        def sampler(pocket_id: str, n: int) -> list[str]:
+            results = sample_many(
+                params,
+                feats[pocket_id],
+                vocab,
+                n,
+                base_seed=base_seed,
+                temperature=temperature,
+                top_p=top_p,
+                max_len=max_len,
+            )
+            return [r.text for r in results]
+
+        return sampler
+
+    def scorer(pocket_id: str, smiles: list[str]):
+        ligands = by_id[pocket_id].ligand_smiles
+        center = ligands[0] if ligands else None
+        requests = [(pocket_id, s, _pocket_file(cfg, pocket_id), center) for s in smiles]
+        result = scorers.dock_many(dock_cmd, requests, jobs=cfg.jobs, cache_dir=cache_dir)
+        return [(s.smiles, s.vina) for s in result.scores], [f.error for f in result.failures]
 
     result = curation.curate_dpo_set(
         dpo_ids,
-        sampler,
+        sampler_for("curate-filter"),
         n_samples=filter_samples,
-        threshold=threshold,
+        threshold=cfg.get_float("curate", "diversity_threshold"),
         radius=cfg.get_int("metrics", "radius"),
         nbits=cfg.get_int("metrics", "nbits"),
     )
-
-    dock_cmd = _dock_command(cfg)
-    cache_dir = _dock_cache_dir(cfg)
-    pairs: list[curation.PreferencePair] = []
-    pair_log: list[dict] = []
-    n_candidates = (
-        cfg.get_int("curate", "pair_candidates") if flow == "online" else filter_samples
+    online = flow == "online"
+    n_candidates = cfg.get_int("curate", "pair_candidates") if online else filter_samples
+    pairs, pair_log = curation.build_pair_set(
+        result.selected,
+        sampler_for("curate-pairs"),
+        scorer,
+        n_candidates=n_candidates,
+        n_scored=cfg.get_int("curate", "pair_docked") if online else n_candidates,
+        lam=cfg.get_float("curate", "lambda"),
     )
-    n_docked = cfg.get_int("curate", "pair_docked") if flow == "online" else n_candidates
-
-    for pocket_id in result.selected:
-        record = by_id[pocket_id]
-        samples = sample_many(
-            params,
-            feats[pocket_id],
-            vocab,
-            n_candidates,
-            base_seed=derive_seed("curate-pairs", cfg.seed),
-            temperature=temperature,
-            top_p=top_p,
-            max_len=max_len,
-        )
-        chosen_for_dock: list[str] = []
-        for res in samples:  # first valid candidates in sampling order
-            mol = try_parse(res.text)
-            if mol is None:
-                continue
-            chosen_for_dock.append(canonical_smiles(mol))
-            if len(chosen_for_dock) >= n_docked:
-                break
-        if len(set(chosen_for_dock)) < 2:
-            pair_log.append({"pocket_id": pocket_id, "status": "too few valid candidates"})
-            continue
-        center = record.ligand_smiles[0] if record.ligand_smiles else None
-        requests = [
-            (pocket_id, smiles, _pocket_file(cfg, pocket_id), center)
-            for smiles in chosen_for_dock
-        ]
-        dock_result = scorers.dock_many(dock_cmd, requests, jobs=cfg.jobs, cache_dir=cache_dir)
-        for failure in dock_result.failures:
-            pair_log.append(
-                {"pocket_id": pocket_id, "status": f"dock failure: {failure.error}"}
-            )
-        scored = [
-            curation.ScoredMolecule(
-                smiles=s.smiles,
-                vina=s.vina,
-                fused_count=count_fused_rings(parse_smiles(s.smiles)),
-            )
-            for s in dock_result.scores
-        ]
-        if len({s.smiles for s in scored}) < 2:
-            pair_log.append({"pocket_id": pocket_id, "status": "fewer than 2 scored molecules"})
-            continue
-        try:
-            pair = curation.build_preference_pairs(pocket_id, scored, lam=lam)
-        except curation.DegeneratePool as exc:
-            pair_log.append({"pocket_id": pocket_id, "status": f"degenerate: {exc}"})
-            continue
-        pairs.append(pair)
-        pair_log.append({"pocket_id": pocket_id, "status": "paired"})
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     pairs_path = cfg.outdir / "pairs.jsonl"
@@ -521,16 +482,7 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
     audit_path = cfg.outdir / "d_dpo.json"
     audit_payload = {
         "selected": list(result.selected),
-        "audit": [
-            {
-                "pocket_id": row.pocket_id,
-                "kept": row.kept,
-                "diversity": row.diversity,
-                "n_valid": row.n_valid,
-                "reason": row.reason,
-            }
-            for row in result.audit
-        ],
+        "audit": [asdict(row) for row in result.audit],
         "pairs": pair_log,
     }
     audit_path.write_text(json.dumps(audit_payload, sort_keys=True, indent=1) + "\n")
@@ -705,10 +657,7 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
         started,
         extra={
             "scored": len(result.scores),
-            "failures": [
-                {"pocket_id": f.pocket_id, "smiles": f.smiles, "error": f.error}
-                for f in result.failures
-            ],
+            "failures": [asdict(f) for f in result.failures],
         },
     )
     print(f"dock: scored {len(result.scores)}, {len(result.failures)} failures")
@@ -795,38 +744,9 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report_path = cfg.outdir / "report.jsonl"
     with open(report_path, "w") as handle:
         for row in report.per_pocket:
-            payload = {
-                "kind": "pocket",
-                "pocket_id": row.pocket_id,
-                "n": row.n,
-                "mean_vina": row.mean_vina,
-                "high_affinity": row.high_affinity,
-                "mean_qed": row.mean_qed,
-                "mean_sa": row.mean_sa,
-                "diversity": row.diversity,
-                "success_rate": row.success_rate,
-                "fused_ring_mean": row.fused_ring_mean,
-            }
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        aggregate = {
-            "kind": "aggregate",
-            "mean_vina": report.mean_vina,
-            "high_affinity": report.high_affinity,
-            "mean_qed": report.mean_qed,
-            "mean_sa": report.mean_sa,
-            "diversity": report.diversity,
-            "success_rate": report.success_rate,
-            "fused_ring_mean": report.fused_ring_mean,
-            "ood": (
-                {
-                    "homologous_mean": report.ood.homologous_mean,
-                    "non_homologous_mean": report.ood.non_homologous_mean,
-                    "delta": report.ood.delta,
-                }
-                if report.ood
-                else None
-            ),
-        }
+            handle.write(json.dumps({"kind": "pocket", **asdict(row)}, sort_keys=True) + "\n")
+        aggregate = {"kind": "aggregate", **asdict(report)}
+        del aggregate["per_pocket"]
         handle.write(json.dumps(aggregate, sort_keys=True) + "\n")
 
     lines = [
@@ -901,18 +821,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         except (metrics.UnlabeledPocket, metrics.EmptyGroup) as exc:
             raise ValidationFailure(str(exc)) from exc
         ood_path = cfg.outdir / "ood_report.json"
-        ood_path.write_text(
-            json.dumps(
-                {
-                    "homologous_mean": ood.homologous_mean,
-                    "non_homologous_mean": ood.non_homologous_mean,
-                    "delta": ood.delta,
-                },
-                sort_keys=True,
-                indent=1,
-            )
-            + "\n"
-        )
+        ood_path.write_text(json.dumps(asdict(ood), sort_keys=True, indent=1) + "\n")
         outputs.append(ood_path)
         print(
             f"ood: homologous {ood.homologous_mean:.3f}, "

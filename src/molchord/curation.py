@@ -3,7 +3,9 @@
 Pockets with more than two distinct ligands go to the supervised pool, the
 rest to the preference pool. Preference pockets are kept only when the model's
 own candidates are diverse enough, and each kept pocket contributes one
-best-vs-worst pair under the fused-ring-penalized reward.
+best-vs-worst pair under the fused-ring-penalized reward. ``build_pair_set``
+is the one sample -> score -> pair loop; the CLI docks through it and the
+preference experiment scores through it with a surrogate.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .metrics import TooFewItems, diversity
+from .metrics import diversity
 from .molgraph import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
     canonical_smiles,
+    count_fused_rings,
     morgan_fingerprint,
     parse_smiles,
     try_parse,
@@ -26,6 +29,11 @@ DEFAULT_DIVERSITY_THRESHOLD = 0.8
 DEFAULT_FUSED_PENALTY_WEIGHT = 0.5
 DEFAULT_FILTER_SAMPLES = 100
 SFT_LIGAND_THRESHOLD = 2  # strictly more than this many distinct ligands
+
+Sampler = Callable[[str, int], Sequence[str]]
+# scorer(pocket_id, smiles) -> ((smiles, score) rows in request order, one
+# error message per molecule that could not be scored)
+Scorer = Callable[[str, Sequence[str]], tuple[Sequence[tuple[str, float]], Sequence[str]]]
 
 
 class DuplicatePocketId(ValueError):
@@ -172,7 +180,7 @@ def build_preference_pairs(
 
 def curate_dpo_set(
     pockets: Sequence[str],
-    sampler: Callable[[str, int], Sequence[str]],
+    sampler: Sampler,
     n_samples: int = DEFAULT_FILTER_SAMPLES,
     threshold: float = DEFAULT_DIVERSITY_THRESHOLD,
     radius: int = DEFAULT_RADIUS,
@@ -198,15 +206,54 @@ def curate_dpo_set(
                 CurationAudit(pocket_id, False, None, len(valid), "fewer than 2 valid molecules")
             )
             continue
-        fps = [morgan_fingerprint(parse_smiles(s), radius, nbits) for s in valid]
-        try:
-            measured = diversity(fps)
-        except TooFewItems:
-            audit.append(CurationAudit(pocket_id, False, None, len(valid), "too few fingerprints"))
-            continue
-        kept = measured > threshold
-        reason = "kept" if kept else f"diversity {measured:.4f} <= {threshold}"
-        audit.append(CurationAudit(pocket_id, kept, measured, len(valid), reason))
-        if kept:
+        decision = diversity_filter(valid, threshold, radius, nbits)
+        measured = decision.diversity
+        reason = "kept" if decision.keep else f"diversity {measured:.4f} <= {threshold}"
+        audit.append(CurationAudit(pocket_id, decision.keep, measured, len(valid), reason))
+        if decision.keep:
             selected.append(pocket_id)
     return CurationResult(selected=tuple(selected), audit=tuple(audit))
+
+
+def build_pair_set(
+    pockets: Sequence[str],
+    sampler: Sampler,
+    scorer: Scorer,
+    n_candidates: int,
+    n_scored: int,
+    lam: float = DEFAULT_FUSED_PENALTY_WEIGHT,
+) -> tuple[list[PreferencePair], list[dict]]:
+    """Sample, score and pair each pocket: one best-vs-worst pair per pocket.
+
+    Of ``n_candidates`` draws, the first ``n_scored`` valid ones in sampling
+    order go to the scorer as canonical SMILES, duplicates included. Every
+    pocket gets status rows: ``too few valid candidates``, one ``dock
+    failure: <error>`` per failed molecule, ``fewer than 2 scored molecules``
+    or ``paired``.
+    """
+    pairs: list[PreferencePair] = []
+    log: list[dict] = []
+    for pocket_id in pockets:
+        candidates: list[str] = []
+        for text in sampler(pocket_id, n_candidates):
+            mol = try_parse(text)
+            if mol is None:
+                continue
+            candidates.append(canonical_smiles(mol))
+            if len(candidates) >= n_scored:
+                break
+        if len(set(candidates)) < 2:
+            log.append({"pocket_id": pocket_id, "status": "too few valid candidates"})
+            continue
+        rows, errors = scorer(pocket_id, candidates)
+        log.extend({"pocket_id": pocket_id, "status": f"dock failure: {e}"} for e in errors)
+        scored = [
+            ScoredMolecule(smiles, score, count_fused_rings(parse_smiles(smiles)))
+            for smiles, score in rows
+        ]
+        if len({s.smiles for s in scored}) < 2:
+            log.append({"pocket_id": pocket_id, "status": "fewer than 2 scored molecules"})
+            continue
+        pairs.append(build_preference_pairs(pocket_id, scored, lam=lam))
+        log.append({"pocket_id": pocket_id, "status": "paired"})
+    return pairs, log

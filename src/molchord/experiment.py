@@ -5,7 +5,9 @@ more heavy atoms (up to a cap) get better pseudo-binding scores, penalized
 through the usual fused-ring reward. The flow mirrors the real pipeline --
 supervised training on synthetic pocket/ligand data, diversity-filtered
 curation, best-vs-worst pair construction, one preference epoch -- and then
-measures whether sampled molecules actually got better rewards.
+measures whether sampled molecules actually got better rewards. Pairs come
+from ``curation.build_pair_set``, the same sample -> score -> pair loop that
+``molchord curate`` runs, with the surrogate in place of the dock command.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curation import (
-    PreferencePair,
-    ScoredMolecule,
-    build_preference_pairs,
-    curate_dpo_set,
-    reward,
-)
+from .curation import build_pair_set, curate_dpo_set, reward
 from .genmodel import (
     ModelConfig,
     PocketFeatures,
@@ -28,7 +24,7 @@ from .genmodel import (
     sample_many,
 )
 from .hashutil import derive_seed
-from .molgraph import count_fused_rings, try_parse
+from .molgraph import count_fused_rings, parse_smiles, try_parse
 from .scorers import surrogate_vina
 from .synthetic import smiles_corpus
 from .training import (
@@ -48,6 +44,11 @@ def surrogate_reward(smiles: str, fused_penalty: float) -> float | None:
     if mol is None:
         return None
     return reward(surrogate_vina(mol), count_fused_rings(mol), fused_penalty)
+
+
+def surrogate_scores(pocket_id: str, smiles: list[str]) -> tuple[list[tuple[str, float]], list]:
+    """``build_pair_set`` scorer: the surrogate score of every molecule, no failures."""
+    return [(s, surrogate_vina(parse_smiles(s))) for s in smiles], []
 
 
 @dataclass(frozen=True)
@@ -176,23 +177,14 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
     # --- pair construction under the surrogate score -------------------------
-    pairs: list[PreferencePair] = []
-    for pocket_id in curated.selected:
-        scored: list[ScoredMolecule] = []
-        for smiles in sampler(pocket_id, cfg.filter_samples):
-            mol = try_parse(smiles)
-            if mol is None:
-                continue
-            scored.append(
-                ScoredMolecule(
-                    smiles=smiles,
-                    vina=surrogate_vina(mol),
-                    fused_count=count_fused_rings(mol),
-                )
-            )
-        if len({s.smiles for s in scored}) < 2:
-            continue
-        pairs.append(build_preference_pairs(pocket_id, scored, lam=cfg.fused_penalty))
+    pairs, _ = build_pair_set(
+        curated.selected,
+        sampler,
+        surrogate_scores,
+        n_candidates=cfg.filter_samples,
+        n_scored=cfg.filter_samples,
+        lam=cfg.fused_penalty,
+    )
 
     order = np.random.default_rng(derive_seed("experiment-split", cfg.seed)).permutation(len(pairs))
     held_out = [pairs[i] for i in order[: cfg.held_out_pairs]]

@@ -153,57 +153,3 @@ def sample_many(
         )
     return results
 
-
-def sample(
-    params: ModelParams,
-    features: PocketFeatures,
-    vocab: Vocabulary,
-    temperature: float = 1.5,
-    top_p: float = 0.95,
-    max_len: int = 256,
-    rng: np.random.Generator | None = None,
-    base_seed: int | None = None,
-    index: int = 0,
-    epsilon: np.ndarray | None = None,
-) -> SampleResult:
-    """One draw. Pass either an rng or (base_seed, index) for the stream key.
-
-    ``epsilon`` fixes the conditioning noise instead of drawing it.
-    """
-    if rng is None:
-        if base_seed is None:
-            raise ValueError("sample needs an rng or a base_seed")
-        rng = np.random.default_rng(sample_seed(base_seed, features.pocket_id, index))
-    cfg = params.config
-    k, d = cfg.window, cfg.d
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-
-    eps = vae_forward(None, params, mode="infer", rng=rng, z=epsilon)
-    u_cond = adapter_forward(features.pooled + eps.sample, params)
-    u_ctx = adapter_forward(features.vectors, params)
-    window = _initial_window(u_ctx, params.token_embedding[vocab.pad_id], k)
-
-    ids: list[int] = []
-    logprob = 0.0
-    hit_cap = True
-    for _ in range(max_len):
-        x = np.concatenate([window.ravel(), u_cond])[None, :]
-        dist = _step_distributions(params, x, temperature, top_p)[0]
-        u = rng.random()
-        csum = np.cumsum(dist)
-        token = int(np.searchsorted(csum, u, side="right"))
-        token = min(token, len(csum) - 1)
-        logprob += float(np.log(dist[token]))
-        ids.append(token)
-        if token == vocab.eos_id:
-            hit_cap = False
-            break
-        window = np.vstack([window[1:], params.token_embedding[token]])
-    return SampleResult(
-        text=vocab.decode(ids),
-        logprob=logprob,
-        token_ids=tuple(ids),
-        hit_max_len=hit_cap,
-        conditioning_noise=tuple(eps.sample.tolist()),
-    )

@@ -19,7 +19,7 @@ import subprocess
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -205,44 +205,13 @@ def load_records(path: str | Path, schema: str) -> list:
     return records
 
 
-def _record_to_dict(record) -> dict:
-    if isinstance(record, ComplexRecord):
-        out = {"pocket_id": record.pocket_id, "ligand_smiles": list(record.ligand_smiles)}
-        if record.reference_vina is not None:
-            out["reference_vina"] = record.reference_vina
-        if record.pocket_sequence is not None:
-            out["pocket_sequence"] = record.pocket_sequence
-        if record.homology is not None:
-            out["homology"] = record.homology
-        return out
-    if isinstance(record, ScoreRecord):
-        out = {"pocket_id": record.pocket_id, "smiles": record.smiles, "vina": record.vina}
-        if record.qed is not None:
-            out["qed"] = record.qed
-        if record.sa_origin is not None:
-            out["sa_origin"] = record.sa_origin
-        return out
-    if isinstance(record, PreferencePair):
-        return {
-            "pocket_id": record.pocket_id,
-            "chosen": record.chosen,
-            "rejected": record.rejected,
-            "reward_chosen": record.reward_chosen,
-            "reward_rejected": record.reward_rejected,
-        }
-    if isinstance(record, GenerationRecord):
-        out = {"pocket_id": record.pocket_id, "smiles": record.smiles}
-        if record.logprob is not None:
-            out["logprob"] = record.logprob
-        return out
-    raise TypeError(f"cannot serialize {type(record).__name__}")
-
-
 def dump_records(path: str | Path, records: Iterable) -> None:
-    """Write records as sorted-key JSON lines (stable bytes for fixed input)."""
+    """Write records as sorted-key JSON lines (stable bytes for fixed input).
+    Unset optional fields and the load-only ``raw_smiles`` are left out."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(_record_to_dict(record), sort_keys=True) + "\n")
+            row = {k: v for k, v in asdict(record).items() if v is not None and k != "raw_smiles"}
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -207,3 +207,44 @@ def exhaustive_canonical_signature(mol) -> tuple:
             stack.append(promoted)
     return best
 
+
+
+def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_len: int,
+                     temperature: float = 1.5, top_p: float = 0.95):
+    """One draw stepped on its own, a single row per model call.
+
+    The reference for ``sample_many``'s batch bookkeeping: it shares the model
+    step (``_lm_layers`` and nucleus truncation) but keeps its own window,
+    stream and stopping rule, so a batched draw must reproduce it exactly.
+    """
+    import numpy as np
+
+    from molchord.genmodel import SampleResult, adapter_forward, sample_seed, vae_forward
+    from molchord.genmodel.sampling import _initial_window, _step_distributions
+
+    rng = np.random.default_rng(sample_seed(base_seed, features.pocket_id, index))
+    eps = vae_forward(None, params, mode="infer", rng=rng)
+    u_cond = adapter_forward(features.pooled + eps.sample, params)
+    u_ctx = adapter_forward(features.vectors, params)
+    window = _initial_window(u_ctx, params.token_embedding[vocab.pad_id], params.config.window)
+    ids: list[int] = []
+    logprob = 0.0
+    hit_cap = True
+    for _ in range(max_len):
+        x = np.concatenate([window.ravel(), u_cond])[None, :]
+        dist = _step_distributions(params, x, temperature, top_p)[0]
+        csum = np.cumsum(dist)
+        token = min(int(np.searchsorted(csum, rng.random(), side="right")), len(csum) - 1)
+        logprob += float(np.log(dist[token]))
+        ids.append(token)
+        if token == vocab.eos_id:
+            hit_cap = False
+            break
+        window = np.vstack([window[1:], params.token_embedding[token]])
+    return SampleResult(
+        text=vocab.decode(ids),
+        logprob=logprob,
+        token_ids=tuple(ids),
+        hit_max_len=hit_cap,
+        conditioning_noise=tuple(eps.sample.tolist()),
+    )

@@ -10,6 +10,7 @@ from molchord.curation import (
     PreferencePair,
     ScoredMolecule,
     TooFewCandidates,
+    build_pair_set,
     build_preference_pairs,
     curate_dpo_set,
     diversity_filter,
@@ -219,3 +220,112 @@ def test_curate_too_few_valid_dropped():
     result = curate_dpo_set(["p1"], lambda pid, n: ["not-a-molecule"] * n)
     assert result.selected == ()
     assert "valid" in result.audit[0].reason
+
+
+# --- the shared sample -> score -> pair loop ------------------------------------
+
+
+def _fixed_sampler(texts_by_pocket, requests=None):
+    def sampler(pocket_id, n):
+        if requests is not None:
+            requests.append((pocket_id, n))
+        return texts_by_pocket[pocket_id]
+
+    return sampler
+
+
+def _fake_scorer(calls, failing=()):
+    """Scores by molecule length (longer scores better); fails the listed SMILES."""
+
+    def scorer(pocket_id, smiles):
+        calls.append((pocket_id, list(smiles)))
+        rows = [(s, -float(len(s))) for s in smiles if s not in failing]
+        errors = [f"dock command exited 3: {s}" for s in smiles if s in failing]
+        return rows, errors
+
+    return scorer
+
+
+def test_pair_set_status_rows():
+    texts = {
+        "few": ["not-a-molecule", "CCO", "(("],
+        "failed": ["CCO", "CCN", "CCCC"],
+        "ok": ["CCO", "CCCC"],
+    }
+    calls = []
+    pairs, log = build_pair_set(
+        ["few", "failed", "ok"], _fixed_sampler(texts), _fake_scorer(calls, {"CCN", "CCCC"}),
+        n_candidates=10, n_scored=5,
+    )
+    assert log == [
+        {"pocket_id": "few", "status": "too few valid candidates"},
+        {"pocket_id": "failed", "status": "dock failure: dock command exited 3: CCN"},
+        {"pocket_id": "failed", "status": "dock failure: dock command exited 3: CCCC"},
+        {"pocket_id": "failed", "status": "fewer than 2 scored molecules"},
+        {"pocket_id": "ok", "status": "dock failure: dock command exited 3: CCCC"},
+        {"pocket_id": "ok", "status": "fewer than 2 scored molecules"},
+    ]
+    assert pairs == []
+    assert [pocket for pocket, _ in calls] == ["failed", "ok"]  # "few" never reaches the scorer
+
+    pairs, log = build_pair_set(
+        ["ok"], _fixed_sampler(texts), _fake_scorer([]), n_candidates=10, n_scored=5
+    )
+    assert log == [{"pocket_id": "ok", "status": "paired"}]
+    assert pairs == [PreferencePair("ok", "CCCC", "CCO", 4.0, 3.0)]
+
+
+def test_pair_set_pairs_despite_a_dock_failure():
+    pairs, log = build_pair_set(
+        ["p"], _fixed_sampler({"p": ["CCO", "CCN", "CCCC"]}), _fake_scorer([], {"CCN"}),
+        n_candidates=3, n_scored=3,
+    )
+    assert log == [
+        {"pocket_id": "p", "status": "dock failure: dock command exited 3: CCN"},
+        {"pocket_id": "p", "status": "paired"},
+    ]
+    assert pairs == [PreferencePair("p", "CCCC", "CCO", 4.0, 3.0)]
+
+
+def test_pair_set_scores_first_valid_canonical_in_order():
+    texts = ["bad((", "OCC", "C1CC1", "OCC", "NCC", "CCCC"]
+    requests, calls = [], []
+    build_pair_set(
+        ["p"], _fixed_sampler({"p": texts}, requests), _fake_scorer(calls),
+        n_candidates=32, n_scored=3,
+    )
+    assert requests == [("p", 32)]
+    assert calls == [("p", ["CCO", "C1CC1", "CCO"])]  # duplicates kept, "NCC" not reached
+
+
+def test_pair_set_two_spellings_are_one_candidate():
+    calls = []
+    pairs, log = build_pair_set(
+        ["p"], _fixed_sampler({"p": ["OCC", "CCO"]}), _fake_scorer(calls),
+        n_candidates=2, n_scored=2,
+    )
+    assert pairs == []
+    assert log == [{"pocket_id": "p", "status": "too few valid candidates"}]
+    assert calls == []
+
+
+def test_pair_set_with_the_experiment_scorer_pairs_canonical_smiles():
+    from molchord.experiment import surrogate_scores
+    from molchord.molgraph import canonical_smiles, count_fused_rings, parse_smiles
+    from molchord.scorers import surrogate_vina
+
+    # every molecule has 3 heavy atoms, so the surrogate ties them all and
+    # the pair is decided by the canonical strings alone
+    texts = ["OCC", "NCC", "SCC", "C(C)C", "invalid(", "C1CC1", "OC=C"]
+    pairs, log = build_pair_set(
+        ["p"], _fixed_sampler({"p": texts}), surrogate_scores,
+        n_candidates=len(texts), n_scored=len(texts), lam=0.5,
+    )
+    canon = [canonical_smiles(parse_smiles(t)) for t in texts if t != "invalid("]
+    scored = [
+        ScoredMolecule(c, surrogate_vina(parse_smiles(c)), count_fused_rings(parse_smiles(c)))
+        for c in canon
+    ]
+    assert log == [{"pocket_id": "p", "status": "paired"}]
+    assert pairs == [build_preference_pairs("p", scored, lam=0.5)]
+    assert {pairs[0].chosen, pairs[0].rejected} <= set(canon)

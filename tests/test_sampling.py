@@ -10,10 +10,11 @@ from molchord.genmodel import (
     featurize_pocket,
     init_params,
     nucleus_distribution,
-    sample,
     sample_many,
     sequence_forward,
 )
+
+from .oracles import unbatched_sample
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,8 @@ def test_nucleus_validates_top_p():
 
 def test_same_seed_identical_output(setup):
     params, vocab, feats = setup
-    a = sample(params, feats, vocab, base_seed=9, index=4, max_len=30)
-    b = sample(params, feats, vocab, base_seed=9, index=4, max_len=30)
+    a = sample_many(params, feats, vocab, 1, base_seed=9, start_index=4, max_len=30)
+    b = sample_many(params, feats, vocab, 1, base_seed=9, start_index=4, max_len=30)
     assert a == b
 
 
@@ -86,7 +87,8 @@ def test_batch_matches_single_draws(setup):
     params, vocab, feats = setup
     batch = sample_many(params, feats, vocab, 6, base_seed=9, max_len=30)
     singles = [
-        sample(params, feats, vocab, base_seed=9, index=i, max_len=30) for i in range(6)
+        unbatched_sample(params, feats, vocab, base_seed=9, index=i, max_len=30)
+        for i in range(6)
     ]
     for b, s in zip(batch, singles):
         assert b.token_ids == s.token_ids
@@ -115,8 +117,8 @@ def test_greedy_limit_deterministic(setup):
     params, vocab, feats = setup
     fixed_eps = np.zeros(params.config.d_feat)
     outs = {
-        sample(params, feats, vocab, top_p=1e-9, base_seed=s, index=0, max_len=30,
-               epsilon=fixed_eps).text
+        sample_many(params, feats, vocab, 1, top_p=1e-9, base_seed=s, max_len=30,
+                    epsilon=fixed_eps)[0].text
         for s in range(5)
     }
     assert len(outs) == 1  # with conditioning fixed, argmax ignores the stream
@@ -127,9 +129,8 @@ def test_logprob_replay_equivalence(setup):
     the model log-probability of the sampled sequence under the same noise."""
     params, vocab, feats = setup
     matched = 0
-    for i in range(10):
-        res = sample(params, feats, vocab, temperature=1.0, top_p=1.0, base_seed=33,
-                     index=i, max_len=40)
+    for res in sample_many(params, feats, vocab, 10, temperature=1.0, top_p=1.0,
+                           base_seed=33, max_len=40):
         if res.hit_max_len:
             continue
         assert res.token_ids[-1] == vocab.eos_id
@@ -147,7 +148,7 @@ def test_logprob_replay_equivalence(setup):
 
 def test_truncated_logprob_sums_only_kept_mass(setup):
     params, vocab, feats = setup
-    res = sample(params, feats, vocab, temperature=1.0, top_p=0.5, base_seed=3,
-                 index=0, max_len=20)
+    (res,) = sample_many(params, feats, vocab, 1, temperature=1.0, top_p=0.5, base_seed=3,
+                         max_len=20)
     assert res.logprob <= 0.0
     assert np.isfinite(res.logprob)

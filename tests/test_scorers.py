@@ -157,6 +157,47 @@ def test_round_trip_all_schemas(tmp_path):
         assert reloaded == loaded
 
 
+def test_dump_records_golden_bytes(tmp_path):
+    """Exact bytes per schema: unset optional fields are left out and the
+    load-only raw_smiles is never written, even when it differs from smiles."""
+    datasets = {
+        "complexes": (
+            [
+                ComplexRecord("p1", ("CCO", "CCN"), -8.0, "GAV", "homologous"),
+                ComplexRecord("p2", ("c1ccccc1",)),
+            ],
+            '{"homology": "homologous", "ligand_smiles": ["CCO", "CCN"], "pocket_id": "p1", '
+            '"pocket_sequence": "GAV", "reference_vina": -8.0}\n'
+            '{"ligand_smiles": ["c1ccccc1"], "pocket_id": "p2"}\n',
+        ),
+        "scores": (
+            [
+                ScoreRecord("p1", "CCO", -8.0, 0.4, 3.0, raw_smiles="OCC"),
+                ScoreRecord("p1", "CCN", -7.0, raw_smiles="NCC"),
+            ],
+            '{"pocket_id": "p1", "qed": 0.4, "sa_origin": 3.0, "smiles": "CCO", "vina": -8.0}\n'
+            '{"pocket_id": "p1", "smiles": "CCN", "vina": -7.0}\n',
+        ),
+        "pairs": (
+            [PreferencePair("p1", "CCO", "CCN", 8.0, 7.0)],
+            '{"chosen": "CCO", "pocket_id": "p1", "rejected": "CCN", "reward_chosen": 8.0, '
+            '"reward_rejected": 7.0}\n',
+        ),
+        "generations": (
+            [
+                GenerationRecord("p1", "CCO", -3.5, raw_smiles="OCC"),
+                GenerationRecord("p1", "CCN", raw_smiles="NCC"),
+            ],
+            '{"logprob": -3.5, "pocket_id": "p1", "smiles": "CCO"}\n'
+            '{"pocket_id": "p1", "smiles": "CCN"}\n',
+        ),
+    }
+    for schema, (records, expected) in datasets.items():
+        path = tmp_path / f"{schema}.jsonl"
+        dump_records(path, records)
+        assert path.read_bytes() == expected.encode("utf-8"), schema
+
+
 # --- coverage -------------------------------------------------------------------
 
 
