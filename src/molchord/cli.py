@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, curation, metrics, scorers
 from .hashutil import derive_seed
-from .molgraph import canonical_smiles, try_parse
+from .molgraph import try_canonicalize
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures
@@ -147,7 +147,12 @@ class RunConfig:
         )
 
     def digest(self) -> str:
-        payload = json.dumps(self.values, sort_keys=True)
+        """Hash of every value that can change a computed result. ``[paths]``
+        and ``[dock] cache_dir`` are locations and are left out, so the same
+        run in another directory embeds the same digest in its checkpoints."""
+        values = {k: v for k, v in self.values.items() if k != "paths"}
+        values["dock"] = {k: v for k, v in values["dock"].items() if k != "cache_dir"}
+        payload = json.dumps(values, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -399,11 +404,8 @@ def _sample_pocket_unique(
         for res in results:
             if len(collected) >= n_wanted:
                 break
-            mol = try_parse(res.text)
-            if mol is None:
-                continue
-            canon = canonical_smiles(mol)
-            if canon not in collected:
+            canon = try_canonicalize(res.text)
+            if canon is not None and canon not in collected:
                 collected[canon] = res.logprob
     return list(collected.items()), len(collected) < n_wanted
 

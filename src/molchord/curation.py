@@ -18,10 +18,11 @@ from .metrics import diversity
 from .molgraph import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
-    canonical_smiles,
+    canonicalize,
     count_fused_rings,
     morgan_fingerprint,
     parse_smiles,
+    try_canonicalize,
     try_parse,
 )
 
@@ -114,16 +115,11 @@ def partition_dataset(records: Sequence[ComplexRecord]) -> Partition:
     seen: set[str] = set()
     sft: list[str] = []
     dpo: list[str] = []
-    cache: dict[str, str] = {}
     for record in records:
         if record.pocket_id in seen:
             raise DuplicatePocketId(record.pocket_id)
         seen.add(record.pocket_id)
-        distinct = set()
-        for smiles in record.ligand_smiles:
-            if smiles not in cache:
-                cache[smiles] = canonical_smiles(parse_smiles(smiles))
-            distinct.add(cache[smiles])
+        distinct = {canonicalize(smiles) for smiles in record.ligand_smiles}
         (sft if len(distinct) > SFT_LIGAND_THRESHOLD else dpo).append(record.pocket_id)
     return Partition(sft_pool=tuple(sorted(sft)), dpo_pool=tuple(sorted(dpo)))
 
@@ -226,7 +222,8 @@ def build_pair_set(
     """Sample, score and pair each pocket: one best-vs-worst pair per pocket.
 
     Of ``n_candidates`` draws, the first ``n_scored`` valid ones in sampling
-    order go to the scorer as canonical SMILES, duplicates included. Every
+    order go to the scorer as canonical SMILES, duplicates included; a draw
+    that does not parse or canonicalize counts as invalid. Every
     pocket gets status rows: ``too few valid candidates``, one ``dock
     failure: <error>`` per failed molecule, ``fewer than 2 scored molecules``
     or ``paired``.
@@ -236,10 +233,10 @@ def build_pair_set(
     for pocket_id in pockets:
         candidates: list[str] = []
         for text in sampler(pocket_id, n_candidates):
-            mol = try_parse(text)
-            if mol is None:
+            canon = try_canonicalize(text)
+            if canon is None:
                 continue
-            candidates.append(canonical_smiles(mol))
+            candidates.append(canon)
             if len(candidates) >= n_scored:
                 break
         if len(set(candidates)) < 2:

@@ -156,18 +156,24 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for i in range(cfg.n_pockets)
     }
 
+    # Curation and pair construction ask for the same draws (same seed and
+    # count), so each (pocket, n) is sampled once and handed to both.
+    drawn: dict[tuple[str, int], list[str]] = {}
+
     def sampler(pocket_id: str, n: int) -> list[str]:
-        results = sample_many(
-            sft_checkpoint.params,
-            pref_features[pocket_id],
-            vocab,
-            n,
-            base_seed=derive_seed("experiment-curate", cfg.seed),
-            temperature=cfg.eval_temperature,
-            top_p=cfg.eval_top_p,
-            max_len=cfg.max_len,
-        )
-        return [r.text for r in results]
+        if (pocket_id, n) not in drawn:
+            results = sample_many(
+                sft_checkpoint.params,
+                pref_features[pocket_id],
+                vocab,
+                n,
+                base_seed=derive_seed("experiment-curate", cfg.seed),
+                temperature=cfg.eval_temperature,
+                top_p=cfg.eval_top_p,
+                max_len=cfg.max_len,
+            )
+            drawn[pocket_id, n] = [r.text for r in results]
+        return drawn[pocket_id, n]
 
     curated = curate_dpo_set(
         sorted(pref_features),

@@ -10,23 +10,29 @@ from __future__ import annotations
 import hashlib
 
 
+def encode_part(part: int | str | bytes) -> bytes:
+    """The bytes ``stable_hash64`` feeds the hash for one part; a digest over
+    several parts is ``digest64`` of their encodings joined."""
+    if isinstance(part, bool):  # bool is an int subclass; keep it distinct
+        return b"?" + bytes([part])
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    if isinstance(part, str):
+        raw = part.encode("utf-8")
+        return b"s" + len(raw).to_bytes(4, "little") + raw
+    if isinstance(part, bytes):
+        return b"b" + len(part).to_bytes(4, "little") + part
+    raise TypeError(f"unhashable part type: {type(part).__name__}")
+
+
+def digest64(data: bytes) -> int:
+    """64-bit blake2b digest of ``data`` as a little-endian integer."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
 def stable_hash64(*parts: int | str | bytes) -> int:
     """64-bit digest of a heterogeneous tuple, stable across runs and platforms."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, bool):  # bool is an int subclass; keep it distinct
-            data = b"?" + bytes([part])
-        elif isinstance(part, int):
-            data = b"i" + part.to_bytes(16, "little", signed=True)
-        elif isinstance(part, str):
-            raw = part.encode("utf-8")
-            data = b"s" + len(raw).to_bytes(4, "little") + raw
-        elif isinstance(part, bytes):
-            data = b"b" + len(part).to_bytes(4, "little") + part
-        else:
-            raise TypeError(f"unhashable part type: {type(part).__name__}")
-        h.update(data)
-    return int.from_bytes(h.digest(), "little")
+    return digest64(b"".join([encode_part(part) for part in parts]))
 
 
 def derive_seed(*parts: int | str | bytes) -> int:

@@ -17,12 +17,18 @@ labeled graphs are isomorphic.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import warnings
 
-from .errors import CanonicalizationLimit
+from .errors import CanonicalizationLimit, SmilesError, SmilesFeatureWarning
 from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Atom, BondOrder, Molecule
+from .parser import parse_smiles
 
 _MAX_LEAVES = 50_000
+# More entries than the rows of a production-size record file, so a file and
+# every later file that repeats its strings parse each string once.
+_MEMO_SIZE = 65_536
 
 
 def _dense(keys: list) -> list[int]:
@@ -394,3 +400,28 @@ def canonical_smiles(mol: Molecule) -> str:
 def canonical_signature(mol: Molecule) -> tuple:
     """Hashable graph identity: equal exactly for isomorphic labeled graphs."""
     return _signature(*_graph(mol), canonical_ranks(mol))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def canonicalize(text: str) -> str:
+    """Canonical SMILES of ``text``, memoized per process.
+
+    Every raw -> canonical conversion goes through here, so record files that
+    share strings, dock requests and sampled candidates parse and
+    canonicalize each distinct string once. Only results are kept: an
+    invalid string raises its ``SmilesError`` on every call, and a
+    ``SmilesFeatureWarning`` is emitted by the first call only.
+    """
+    return canonical_smiles(parse_smiles(text))
+
+
+def try_canonicalize(text: str) -> str | None:
+    """``canonicalize`` for screening sampled strings, quiet as ``try_parse``:
+    None on any ``SmilesError`` (the leaf cap included), feature warnings
+    muted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmilesFeatureWarning)
+        try:
+            return canonicalize(text)
+        except SmilesError:
+            return None

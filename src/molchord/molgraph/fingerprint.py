@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from ..hashutil import stable_hash64
-from .model import Molecule
+from ..hashutil import digest64, encode_part, stable_hash64
+from .model import BondOrder, Molecule
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 2048
@@ -46,6 +47,18 @@ def fingerprint_from_bits(on: set[int] | tuple[int, ...], nbits: int = DEFAULT_N
     return Fingerprint(bits=value, nbits=nbits, radius=0)
 
 
+@functools.lru_cache(maxsize=4096, typed=True)  # True and 1 hash apart, as in stable_hash64
+def _atom_invariant(
+    element: str, aromatic: bool, charge: int, explicit_h: int, degree: int
+) -> int:
+    """Radius-0 invariant of an atom label plus degree."""
+    return stable_hash64("atom", element, aromatic, charge, explicit_h, degree)
+
+
+_ENV_TAG = encode_part("env")
+_ORDER_PART = {int(order): encode_part(int(order)) for order in BondOrder}
+
+
 def morgan_fingerprint(
     mol: Molecule, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 ) -> Fingerprint:
@@ -53,31 +66,33 @@ def morgan_fingerprint(
 
     Atom invariants are built from the atom label plus degree and refined by
     the sorted multiset of (bond order, neighbor invariant) pairs, so the
-    result only depends on the graph, never on atom input order.
+    result only depends on the graph, never on atom input order. Each refined
+    invariant is ``stable_hash64("env", r, own, order1, inv1, ...)``, hashed
+    here in one call over the parts' pre-encoded bytes.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if nbits < 64 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 64")
 
-    adj = mol.neighbors()
+    adj = [[(nbr, int(order)) for nbr, order in row] for row in mol.neighbors()]
     invariants = [
-        stable_hash64(
-            "atom", a.element, a.aromatic, a.charge, a.explicit_h, len(adj[a.index])
-        )
-        for a in mol.atoms
+        _atom_invariant(a.element, a.aromatic, a.charge, a.explicit_h, len(adj[i]))
+        for i, a in enumerate(mol.atoms)
     ]
     bits = 0
     for inv in invariants:
         bits |= 1 << (inv % nbits)
     for r in range(1, radius + 1):
+        head = _ENV_TAG + encode_part(r)
+        encoded = [encode_part(inv) for inv in invariants]
         refreshed = []
-        for atom in mol.atoms:
-            env = sorted((int(order), invariants[nbr]) for nbr, order in adj[atom.index])
-            parts: list[int | str] = ["env", r, invariants[atom.index]]
-            for order, nbr_inv in env:
-                parts.extend((order, nbr_inv))
-            refreshed.append(stable_hash64(*parts))
+        for i, row in enumerate(adj):
+            env = sorted((order, invariants[nbr], nbr) for nbr, order in row)
+            parts = [head, encoded[i]]
+            for order, _, nbr in env:
+                parts += (_ORDER_PART[order], encoded[nbr])
+            refreshed.append(digest64(b"".join(parts)))
         invariants = refreshed
         for inv in invariants:
             bits |= 1 << (inv % nbits)

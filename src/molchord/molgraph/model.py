@@ -111,7 +111,9 @@ class Molecule:
 
 
 def make_molecule(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Molecule:
-    """Build a Molecule, enforcing distinct endpoints and no duplicate bonds."""
+    """Build a Molecule, enforcing distinct endpoints and no duplicate bonds.
+    Each atom gets its list position as ``index``; an atom that already has
+    it is kept as is."""
     seen: set[tuple[int, int]] = set()
     n = len(atoms)
     for bond in bonds:
@@ -122,7 +124,7 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Mol
         if bond.key() in seen:
             raise ValueError(f"duplicate bond between atoms {bond.key()}")
         seen.add(bond.key())
-    fixed = [replace(a, index=i) for i, a in enumerate(atoms)]
+    fixed = [a if a.index == i else replace(a, index=i) for i, a in enumerate(atoms)]
     return Molecule(atoms=fixed, bonds=list(bonds), source=source)
 
 

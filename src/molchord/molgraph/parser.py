@@ -122,16 +122,16 @@ def parse_smiles(text: str, validate: bool = True) -> Molecule:
         ch = text[i]
         two = text[i : i + 2]
         if two in ("Cl", "Br"):
-            attach_atom(Atom(element=two, offset=i), i)
+            attach_atom(Atom(element=two, index=len(atoms), offset=i), i)
             i += 2
         elif ch in "BCNOPSFI":
-            attach_atom(Atom(element=ch, offset=i), i)
+            attach_atom(Atom(element=ch, index=len(atoms), offset=i), i)
             i += 1
         elif ch in "bcnops":
-            attach_atom(Atom(element=ch.upper(), aromatic=True, offset=i), i)
+            attach_atom(Atom(element=ch.upper(), aromatic=True, index=len(atoms), offset=i), i)
             i += 1
         elif ch == "[":
-            atom, i = _parse_bracket(text, i)
+            atom, i = _parse_bracket(text, i, len(atoms))
             attach_atom(atom, atom.offset)
         elif ch in _BOND_SYMBOLS:
             if pending_order is not None:
@@ -212,8 +212,9 @@ def try_parse(text: str) -> Molecule | None:
             return None
 
 
-def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
-    """Parse one bracket atom starting at ``text[start] == '['``."""
+def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
+    """Parse one bracket atom starting at ``text[start] == '['``; it becomes
+    atom ``index``."""
     end = text.find("]", start)
     if end < 0:
         raise SmilesSyntaxError("unterminated bracket atom", start)
@@ -301,6 +302,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
         aromatic=aromatic,
         charge=charge,
         explicit_h=explicit_h,
+        index=index,
         offset=start,
     )
     return atom, end + 1

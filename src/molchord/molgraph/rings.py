@@ -3,8 +3,12 @@
 The ring set is a smallest-set-of-smallest-rings: candidate cycles are the
 shortest cycles through every bond, sorted by (length, atom tuple), and
 greedily accepted while linearly independent over GF(2) until the cyclomatic
-count is reached. A ring counts as fused when it shares at least one bond
-with another perceived ring; sharing only an atom (spiro) does not count.
+count is reached. Bridges lie on no cycle, so the shortest-cycle search skips
+them and walks the ring subgraph (the graph without its bridges) only; every
+shortest cycle through a ring bond lies in that subgraph, so the candidates
+are the ones a search over the whole graph finds. A ring counts as fused when
+it shares at least one bond with another perceived ring; sharing only an atom
+(spiro) does not count.
 """
 
 from __future__ import annotations
@@ -34,25 +38,31 @@ def cycle_edges(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     return frozenset(edges)
 
 
-def _all_shortest_paths(adj: list[list[int]], src: int, dst: int, banned: tuple[int, int]):
-    """All shortest src->dst paths avoiding the banned edge, capped for safety."""
+def _all_shortest_paths(adj: list[list[int]], src: int, dst: int):
+    """All shortest src->dst paths avoiding the src-dst bond, capped for safety.
+
+    Only the first step could take that bond: the search stops after the
+    level that reaches dst, and the bond seen from dst leads back to src at
+    distance 0, which no level adds again.
+    """
     n = len(adj)
     dist = [-1] * n
     parents: list[list[int]] = [[] for _ in range(n)]
     dist[src] = 0
-    frontier = [src]
+    frontier = [v for v in adj[src] if v != dst]
+    for v in frontier:
+        dist[v] = 1
+        parents[v].append(src)
     while frontier and dist[dst] < 0:
         nxt = []
         for u in frontier:
+            step = dist[u] + 1
             for v in adj[u]:
-                key = (u, v) if u < v else (v, u)
-                if key == banned:
-                    continue
                 if dist[v] < 0:
-                    dist[v] = dist[u] + 1
+                    dist[v] = step
                     parents[v].append(u)
                     nxt.append(v)
-                elif dist[v] == dist[u] + 1:
+                elif dist[v] == step:
                     parents[v].append(u)
         frontier = nxt
     if dist[dst] < 0:
@@ -67,6 +77,42 @@ def _all_shortest_paths(adj: list[list[int]], src: int, dst: int, banned: tuple[
         for p in parents[node]:
             stack.append((p, path + [p]))
     return paths
+
+
+def _bridges(adj: list[list[int]]) -> set[tuple[int, int]]:
+    """Bonds whose removal disconnects their component (Tarjan's low-link,
+    one iterative depth-first search)."""
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[tuple[int, int]] = set()
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
+                if v == parent:
+                    continue
+                if disc[v] < 0:
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, u, iter(adj[v])))
+                    break
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > disc[parent]:
+                        bridges.add((parent, u) if parent < u else (u, parent))
+    return bridges
 
 
 def _fundamental_cycles(mol: Molecule) -> list[tuple[int, ...]]:
@@ -120,9 +166,16 @@ def perceive_rings(mol: Molecule) -> Molecule:
         return replace(mol, rings=[])
 
     adj = [[nbr for nbr, _ in row] for row in mol.neighbors()]
+    bridges = _bridges(adj)
+    ring_adj = [
+        [v for v in row if ((u, v) if u < v else (v, u)) not in bridges]
+        for u, row in enumerate(adj)
+    ]
     candidates: set[tuple[int, ...]] = set()
     for bond in mol.bonds:
-        for path in _all_shortest_paths(adj, bond.a, bond.b, bond.key()):
+        if bond.key() in bridges:
+            continue
+        for path in _all_shortest_paths(ring_adj, bond.a, bond.b):
             if len(path) >= 3:
                 candidates.add(normalize_cycle(path))
 

@@ -2,7 +2,9 @@
 
 All datasets are line-delimited JSON, one object per line, UTF-8. SMILES keys
 are canonicalized at load time (the original string is preserved in
-``raw_smiles``) so joins between files are exact. The docking adapter shells
+``raw_smiles``) so joins between files are exact; the conversion goes through
+the per-process ``molgraph.canonicalize`` memo, so files that share strings
+parse each of them once. The docking adapter shells
 out to a user-supplied command that must print one finite number as the last
 non-empty line of its stdout; results are cached by (pocket, molecule,
 command) and a cache hit skips execution.
@@ -10,7 +12,6 @@ command) and a cache hit skips execution.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .curation import ComplexRecord, PreferencePair
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
-from .molgraph import Molecule, canonical_smiles, parse_smiles
+from .molgraph import Molecule, canonicalize
 
 CACHE_DIR_ENV = "MOLCHORD_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".molchord_cache"
@@ -103,19 +104,17 @@ def _bounded(value: float | None, line_no: int, field: str, lo: float, hi: float
     return value
 
 
-def _canonical(smiles: str, line_no: int, field: str, cache: dict[str, str]) -> str:
-    if smiles not in cache:
-        try:
-            cache[smiles] = canonical_smiles(parse_smiles(smiles))
-        except ValueError as exc:
-            raise SchemaViolation(line_no, field, f"bad SMILES {smiles!r}: {exc}") from exc
-    return cache[smiles]
+def _canonical(smiles: str, line_no: int, field: str) -> str:
+    try:
+        return canonicalize(smiles)
+    except ValueError as exc:
+        raise SchemaViolation(line_no, field, f"bad SMILES {smiles!r}: {exc}") from exc
 
 
-def _parse_complexes(obj: dict, line_no: int, cache: dict[str, str]) -> ComplexRecord:
+def _parse_complexes(obj: dict, line_no: int) -> ComplexRecord:
     pocket_id = _require(obj, line_no, "pocket_id", str)
     ligands = _require(obj, line_no, "ligand_smiles", list)
-    canon = tuple(_canonical(s, line_no, "ligand_smiles", cache) for s in ligands)
+    canon = tuple(_canonical(s, line_no, "ligand_smiles") for s in ligands)
     homology = _optional(obj, line_no, "homology", str)
     if homology is not None and homology not in (HOMOLOGOUS, NON_HOMOLOGOUS):
         raise SchemaViolation(line_no, "homology", f"unknown label {homology!r}")
@@ -128,11 +127,11 @@ def _parse_complexes(obj: dict, line_no: int, cache: dict[str, str]) -> ComplexR
     )
 
 
-def _parse_scores(obj: dict, line_no: int, cache: dict[str, str]) -> ScoreRecord:
+def _parse_scores(obj: dict, line_no: int) -> ScoreRecord:
     raw = _require(obj, line_no, "smiles", str)
     return ScoreRecord(
         pocket_id=_require(obj, line_no, "pocket_id", str),
-        smiles=_canonical(raw, line_no, "smiles", cache),
+        smiles=_canonical(raw, line_no, "smiles"),
         vina=_require(obj, line_no, "vina", float),
         qed=_bounded(_optional(obj, line_no, "qed", float), line_no, "qed", 0.0, 1.0),
         sa_origin=_bounded(
@@ -142,14 +141,12 @@ def _parse_scores(obj: dict, line_no: int, cache: dict[str, str]) -> ScoreRecord
     )
 
 
-def _parse_pairs(obj: dict, line_no: int, cache: dict[str, str]) -> PreferencePair:
+def _parse_pairs(obj: dict, line_no: int) -> PreferencePair:
     try:
         return PreferencePair(
             pocket_id=_require(obj, line_no, "pocket_id", str),
-            chosen=_canonical(_require(obj, line_no, "chosen", str), line_no, "chosen", cache),
-            rejected=_canonical(
-                _require(obj, line_no, "rejected", str), line_no, "rejected", cache
-            ),
+            chosen=_canonical(_require(obj, line_no, "chosen", str), line_no, "chosen"),
+            rejected=_canonical(_require(obj, line_no, "rejected", str), line_no, "rejected"),
             reward_chosen=_require(obj, line_no, "reward_chosen", float),
             reward_rejected=_require(obj, line_no, "reward_rejected", float),
         )
@@ -159,11 +156,11 @@ def _parse_pairs(obj: dict, line_no: int, cache: dict[str, str]) -> PreferencePa
         raise SchemaViolation(line_no, "chosen", str(exc)) from exc
 
 
-def _parse_generations(obj: dict, line_no: int, cache: dict[str, str]) -> GenerationRecord:
+def _parse_generations(obj: dict, line_no: int) -> GenerationRecord:
     raw = _require(obj, line_no, "smiles", str)
     return GenerationRecord(
         pocket_id=_require(obj, line_no, "pocket_id", str),
-        smiles=_canonical(raw, line_no, "smiles", cache),
+        smiles=_canonical(raw, line_no, "smiles"),
         logprob=_optional(obj, line_no, "logprob", float),
         raw_smiles=raw,
     )
@@ -184,7 +181,6 @@ def load_records(path: str | Path, schema: str) -> list:
     parser, key_fn = _PARSERS[schema]
     records = []
     seen = set()
-    cache: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -196,7 +192,7 @@ def load_records(path: str | Path, schema: str) -> list:
                 raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise MalformedLine(line_no, "record must be a JSON object")
-            record = parser(obj, line_no, cache)
+            record = parser(obj, line_no)
             key = key_fn(record)
             if key in seen:
                 raise DuplicateKey(line_no, key)
@@ -301,15 +297,6 @@ def _cache_key(command: str, pocket_id: str, smiles: str) -> str:
     return digest.hexdigest()
 
 
-@functools.lru_cache(maxsize=4096)
-def _canonical_request(smiles: str) -> str:
-    """Canonical form of a dock request's SMILES, memoized so that
-    ``dock_many`` and the ``external_dock`` it calls canonicalize it once.
-    ``dock_many`` goes through the public ``external_dock`` for every request,
-    so whatever wraps that function sees each dock call."""
-    return canonical_smiles(parse_smiles(smiles))
-
-
 def external_dock(
     cmd: DockCommand,
     pocket_id: str,
@@ -327,7 +314,7 @@ def external_dock(
     for it. The cache key covers the fully substituted command, so a changed
     pocket file or reference ligand never reuses another command's score.
     """
-    canon = _canonical_request(smiles)
+    canon = canonicalize(smiles)
     # Only the known placeholders are substituted; other braces (awk scripts,
     # shell expansions) pass through untouched.
     command = cmd.template.replace("{smiles}", canon)
@@ -412,13 +399,16 @@ def dock_many(
     cache_dir: str | Path | None = None,
 ) -> DockRunResult:
     """Dock (pocket_id, smiles, pocket_file, center_source) requests, bounding
-    parallelism; results come back in request order regardless of scheduling."""
+    parallelism; results come back in request order regardless of scheduling.
+    Each request goes through the public ``external_dock``, so whatever wraps
+    that function sees every dock call; the ``canonicalize`` memo keeps the
+    SMILES from being canonicalized twice."""
     workers = max(1, min(jobs, cmd.max_parallel))
 
     def run_one(req):
         pocket_id, smiles, pocket_file, center_source = req
         try:
-            canon = _canonical_request(smiles)
+            canon = canonicalize(smiles)
             score = external_dock(cmd, pocket_id, smiles, pocket_file, center_source, cache_dir)
             return ScoreRecord(pocket_id=pocket_id, smiles=canon, vina=score)
         except (DockError, ValueError) as exc:

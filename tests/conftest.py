@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import molchord
-from molchord.molgraph import SmilesFeatureWarning
+from molchord.molgraph import SmilesFeatureWarning, canonicalize
 from molchord.synthetic import smiles_corpus
 
 settings.register_profile(
@@ -25,6 +25,16 @@ def _quiet_feature_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmilesFeatureWarning)
         yield
+
+
+@pytest.fixture(autouse=True)
+def _fresh_canonicalize_memo():
+    """Start every test with an empty ``canonicalize`` memo, so a test that
+    patches the leaf cap or ``canonical_smiles`` sees its patch whatever ran
+    before it."""
+    canonicalize.cache_clear()
+    yield
+    canonicalize.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -248,3 +248,160 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
         hit_max_len=hit_cap,
         conditioning_noise=tuple(eps.sample.tolist()),
     )
+
+
+# --- ring perception and Morgan fingerprints as first written --------------
+# The package's versions skip bridges and pre-encode hash input; these are the
+# straightforward forms they must reproduce exactly.
+
+_MAX_PATHS_PER_BOND_ORACLE = 64
+
+
+def _cycle_edges_oracle(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    return frozenset(
+        tuple(sorted((cycle[j], cycle[(j + 1) % len(cycle)]))) for j in range(len(cycle))
+    )
+
+
+def _all_shortest_paths_oracle(adj, src: int, dst: int, banned: tuple[int, int]):
+    """All shortest src->dst paths avoiding the banned edge, capped at 64."""
+    n = len(adj)
+    dist = [-1] * n
+    parents: list[list[int]] = [[] for _ in range(n)]
+    dist[src] = 0
+    frontier = [src]
+    while frontier and dist[dst] < 0:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                key = (u, v) if u < v else (v, u)
+                if key == banned:
+                    continue
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    parents[v].append(u)
+                    nxt.append(v)
+                elif dist[v] == dist[u] + 1:
+                    parents[v].append(u)
+        frontier = nxt
+    if dist[dst] < 0:
+        return []
+    paths: list[list[int]] = []
+    stack = [(dst, [dst])]
+    while stack and len(paths) < _MAX_PATHS_PER_BOND_ORACLE:
+        node, path = stack.pop()
+        if node == src:
+            paths.append(path[::-1])
+            continue
+        for p in parents[node]:
+            stack.append((p, path + [p]))
+    return paths
+
+
+def _fundamental_cycles_oracle(mol, adj) -> list[tuple[int, ...]]:
+    n = len(mol.atoms)
+    parent = [-1] * n
+    depth = [0] * n
+    seen = [False] * n
+    tree_edges: set[tuple[int, int]] = set()
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    tree_edges.add((u, v) if u < v else (v, u))
+                    stack.append(v)
+    cycles = []
+    for bond in mol.bonds:
+        if bond.key() in tree_edges:
+            continue
+        x, y = bond.a, bond.b
+        pa, pb = [x], [y]
+        while depth[x] > depth[y]:
+            x = parent[x]
+            pa.append(x)
+        while depth[y] > depth[x]:
+            y = parent[y]
+            pb.append(y)
+        while x != y:
+            x, y = parent[x], parent[y]
+            pa.append(x)
+            pb.append(y)
+        cycles.append(normalize_cycle_oracle(pa + pb[-2::-1]))
+    return cycles
+
+
+def perceive_rings_oracle(mol) -> list[tuple[int, ...]]:
+    """Ring list from a shortest-path search through every bond, bridges
+    included, over the whole graph: the sorted greedy GF(2)-independent
+    selection ``perceive_rings`` must return."""
+    target = len(mol.bonds) - len(mol.atoms) + mol.component_count()
+    if target <= 0:
+        return []
+    adj = [[nbr for nbr, _ in row] for row in mol.neighbors()]
+    candidates = set()
+    for bond in mol.bonds:
+        for path in _all_shortest_paths_oracle(adj, bond.a, bond.b, bond.key()):
+            if len(path) >= 3:
+                candidates.add(normalize_cycle_oracle(path))
+    bond_index = {b.key(): i for i, b in enumerate(mol.bonds)}
+    rings: list[tuple[int, ...]] = []
+    basis: dict[int, int] = {}
+
+    def try_add(cycle) -> None:
+        vec = 0
+        for edge in _cycle_edges_oracle(cycle):
+            vec |= 1 << bond_index[edge]
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = vec
+                rings.append(cycle)
+                return
+            vec ^= basis[pivot]
+
+    for cycle in sorted(candidates, key=lambda c: (len(c), c)):
+        if len(rings) == target:
+            break
+        try_add(cycle)
+    if len(rings) < target:
+        extras = set(_fundamental_cycles_oracle(mol, adj)) - set(rings)
+        for cycle in sorted(extras, key=lambda c: (len(c), c)):
+            if len(rings) == target:
+                break
+            try_add(cycle)
+    assert len(rings) == target
+    return sorted(rings, key=lambda c: (len(c), c))
+
+
+def morgan_bits_oracle(mol, radius: int = 2, nbits: int = 2048) -> int:
+    """Morgan bitset with every invariant hashed part by part through
+    ``stable_hash64``: the value ``morgan_fingerprint(...).bits`` must equal."""
+    from molchord.hashutil import stable_hash64
+
+    adj = mol.neighbors()
+    invariants = [
+        stable_hash64("atom", a.element, a.aromatic, a.charge, a.explicit_h, len(adj[i]))
+        for i, a in enumerate(mol.atoms)
+    ]
+    bits = 0
+    for inv in invariants:
+        bits |= 1 << (inv % nbits)
+    for r in range(1, radius + 1):
+        refreshed = []
+        for i in range(len(mol.atoms)):
+            parts: list = ["env", r, invariants[i]]
+            for order, nbr_inv in sorted((int(o), invariants[j]) for j, o in adj[i]):
+                parts.extend((order, nbr_inv))
+            refreshed.append(stable_hash64(*parts))
+        invariants = refreshed
+        for inv in invariants:
+            bits |= 1 << (inv % nbits)
+    return bits

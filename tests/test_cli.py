@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from molchord.cli import main
+from molchord.molgraph import parse_smiles
 from molchord.scorers import dump_records, load_records
 from molchord.synthetic import synthetic_complexes
 
@@ -234,3 +235,42 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert main(["--config", str(config), "--seed", "7", "partition"]) == 0
     manifest = json.loads((tmp_path / "out" / "partition.manifest.json").read_text())
     assert manifest["config"]["model"]["seed"] == "7"
+
+
+def test_sample_counts_strings_over_the_leaf_cap_as_invalid(pipeline, tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from molchord.molgraph import canon, canonicalize
+
+    src_tmp, _, outdir = pipeline
+    complexes = src_tmp / "complexes.jsonl"
+    # ligands without ties, so that only sampled strings meet the leaf cap
+    eval_complexes = tmp_path / "eval_complexes.jsonl"
+    dump_records(eval_complexes, [
+        replace(r, ligand_smiles=("CCO",)) for r in load_records(complexes, "complexes")
+    ])
+    config = _write_config(tmp_path, complexes, {"paths": {"eval_complexes": str(eval_complexes)}})
+    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    canonicalize.cache_clear()
+    code = main([
+        "--config", str(config), "sample", "--checkpoint", str(outdir / "dpo_checkpoint.json"),
+    ])
+    assert code == 0
+    rows = load_records(tmp_path / "out" / "generations.jsonl", "generations")
+    assert rows and all(canon.canonical_smiles(parse_smiles(r.smiles)) == r.smiles for r in rows)
+
+
+def test_checkpoints_do_not_depend_on_the_output_directory(pipeline, tmp_path):
+    src_tmp, _, _ = pipeline
+    complexes = src_tmp / "complexes.jsonl"
+    checkpoints = []
+    for name in ("a", "b"):
+        run = tmp_path / name
+        run.mkdir()
+        config = _write_config(run, complexes, {"train_sft": {"steps": "40"}})
+        assert main(["--config", str(config), "partition"]) == 0
+        assert main(["--config", str(config), "train-sft"]) == 0
+        checkpoints.append((run / "out" / "sft_checkpoint.json").read_bytes())
+        manifest = json.loads((run / "out" / "train-sft.manifest.json").read_text())
+        assert manifest["config"]["paths"]["outdir"] == str(run / "out")
+    assert checkpoints[0] == checkpoints[1]

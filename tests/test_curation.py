@@ -329,3 +329,46 @@ def test_pair_set_with_the_experiment_scorer_pairs_canonical_smiles():
     assert log == [{"pocket_id": "p", "status": "paired"}]
     assert pairs == [build_preference_pairs("p", scored, lam=0.5)]
     assert {pairs[0].chosen, pairs[0].rejected} <= set(canon)
+
+
+def test_pair_set_counts_a_string_over_the_leaf_cap_as_invalid(monkeypatch):
+    from molchord.molgraph import canon
+
+    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    calls = []
+    pairs, log = build_pair_set(
+        ["p", "q"],
+        _fixed_sampler({"p": ["CC(C)(C)C", "CCO", "CCCN"], "q": ["CC(C)(C)C", "CCO"]}),
+        _fake_scorer(calls),
+        n_candidates=3, n_scored=3,
+    )
+    assert log == [
+        {"pocket_id": "p", "status": "paired"},
+        {"pocket_id": "q", "status": "too few valid candidates"},
+    ]
+    assert calls == [("p", ["CCO", "CCCN"])]
+    assert pairs == [PreferencePair("p", "CCCN", "CCO", 4.0, 3.0)]
+
+
+def test_preference_experiment_samples_each_pocket_once(monkeypatch):
+    from molchord import experiment
+
+    real = experiment.sample_many
+    draws = []
+
+    def counting(params, feats, vocab, n, **kwargs):
+        draws.append((feats.pocket_id, n, kwargs["base_seed"]))
+        return real(params, feats, vocab, n, **kwargs)
+
+    monkeypatch.setattr(experiment, "sample_many", counting)
+    cfg = experiment.ExperimentConfig(
+        n_pockets=6, corpus_size=60, sft_pockets=6, held_out_pairs=1, eval_samples=4,
+        filter_samples=24, sft_steps=200, d=8, d_feat=8, window=4, n_struct=2, max_len=24,
+        diversity_threshold=0.0,
+    )
+    result = experiment.run_preference_experiment(cfg)
+    curate_seed = experiment.derive_seed("experiment-curate", cfg.seed)
+    curate_draws = [d for d in draws if d[2] == curate_seed]
+    # curation draws every pocket; pair construction reuses those draws
+    assert result.n_selected_pockets >= 2
+    assert sorted(curate_draws) == [(f"pref{i:05d}", 24, curate_seed) for i in range(6)]

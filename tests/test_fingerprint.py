@@ -12,7 +12,8 @@ from molchord.molgraph import (
     tanimoto,
 )
 
-from .oracles import brute_tanimoto
+from .oracles import brute_tanimoto, morgan_bits_oracle
+from .strategies import ring_assemblies
 
 bit_sets = st.sets(st.integers(min_value=0, max_value=255), max_size=40)
 
@@ -99,3 +100,23 @@ def test_on_bits_round_trip():
     fp = fingerprint_from_bits(bits, 256)
     assert set(fp.on_bits()) == bits
     assert fp.popcount == len(bits)
+
+
+@given(ring_assemblies(), st.integers(0, 3), st.sampled_from([64, 2048]))
+def test_bits_match_part_by_part_hashing(mol, radius, nbits):
+    assert morgan_fingerprint(mol, radius, nbits).bits == morgan_bits_oracle(mol, radius, nbits)
+
+
+def test_bits_match_part_by_part_hashing_on_corpus():
+    from molchord.synthetic import smiles_corpus
+
+    for smiles in smiles_corpus(3000, seed=5, min_heavy=3, max_heavy=40):
+        mol = parse_smiles(smiles)
+        assert morgan_fingerprint(mol).bits == morgan_bits_oracle(mol), smiles
+
+
+def test_charged_and_hydrogen_bracket_atoms_match_oracle():
+    # charges and explicit hydrogens reach the cached radius-0 invariants
+    for smiles in ("C[NH3+]", "c1ccncc1[NH3+]", "[O-]C(=O)C", "C[N+](C)(C)C"):
+        mol = parse_smiles(smiles)
+        assert morgan_fingerprint(mol).bits == morgan_bits_oracle(mol), smiles

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from molchord.molgraph import (
     count_fused_rings,
@@ -8,7 +9,13 @@ from molchord.molgraph import (
     permute_atoms,
 )
 
-from .oracles import all_simple_cycles, fused_ring_count_oracle, greedy_min_cycle_basis
+from .oracles import (
+    all_simple_cycles,
+    fused_ring_count_oracle,
+    greedy_min_cycle_basis,
+    perceive_rings_oracle,
+)
+from .strategies import ring_assemblies
 
 
 def _edges(mol):
@@ -103,3 +110,17 @@ def test_cycle_oracle_self_check():
     assert len(all_simple_cycles(6, _edges(benzene))) == 1
     naphthalene = parse_smiles("c1ccc2ccccc2c1")
     assert len(all_simple_cycles(10, _edges(naphthalene))) == 3
+
+
+@given(ring_assemblies())
+def test_ring_lists_match_whole_graph_search(mol):
+    # skipping bridges and searching the ring subgraph keeps every ring
+    assert mol.rings == perceive_rings_oracle(mol)
+
+
+def test_ring_lists_match_whole_graph_search_on_corpus():
+    from molchord.synthetic import smiles_corpus
+
+    for smiles in smiles_corpus(3000, seed=5, min_heavy=3, max_heavy=40):
+        mol = parse_smiles(smiles)
+        assert mol.rings == perceive_rings_oracle(mol), smiles

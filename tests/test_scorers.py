@@ -75,6 +75,45 @@ def test_load_reports_canonicalization_limit_as_schema_violation(tmp_path, monke
     assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
 
 
+def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
+    from molchord.molgraph import parser
+
+    # one ring perception per parse, whichever module calls parse_smiles
+    parsed = []
+    real = parser.perceive_rings
+
+    def counting(mol):
+        parsed.append(mol.source)
+        return real(mol)
+
+    monkeypatch.setattr(parser, "perceive_rings", counting)
+    raws = ["OCC", "C(C)N", "c1ccccc1O"]
+    gen_path, score_path = tmp_path / "generations.jsonl", tmp_path / "scores.jsonl"
+    _write(gen_path, [{"pocket_id": p, "smiles": s} for p in ("p1", "p2") for s in raws])
+    _write(score_path, [
+        {"pocket_id": p, "smiles": s, "vina": -5.0} for p in ("p1", "p2") for s in raws
+    ])
+    generations = load_records(gen_path, "generations")
+    scores = load_records(score_path, "scores")
+    assert [g.smiles for g in generations] == [s.smiles for s in scores]
+    assert sorted(parsed) == sorted(raws)
+
+
+def test_bad_smiles_fails_with_its_own_line_in_every_file(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write(first, [{"pocket_id": "p1", "smiles": "C1CC", "vina": -5.0}])
+    _write(second, [
+        {"pocket_id": "p1", "smiles": "CCO", "vina": -5.0},
+        {"pocket_id": "p2", "smiles": "CCO", "vina": -5.0},
+        {"pocket_id": "p3", "smiles": "C1CC", "vina": -5.0},
+    ])
+    for path, line_no in ((first, 1), (second, 3)):
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_records(path, "scores")
+        assert excinfo.value.line_no == line_no
+        assert excinfo.value.field == "smiles"
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"pocket_id": "p1"\nnot json\n')
@@ -370,15 +409,17 @@ def test_external_dock_concurrent_writers_of_one_key(tmp_path, monkeypatch, chil
 
 
 def test_dock_many_canonicalizes_each_request_once(tmp_path, monkeypatch):
+    from molchord.molgraph import canon, canonicalize
+
     calls = []
-    real = scorers.canonical_smiles
+    real = canon.canonical_smiles
 
     def counting(mol):
         calls.append(mol)
         return real(mol)
 
-    monkeypatch.setattr(scorers, "canonical_smiles", counting)
-    scorers._canonical_request.cache_clear()
+    monkeypatch.setattr(canon, "canonical_smiles", counting)
+    canonicalize.cache_clear()
     requests = [("p1", "OCC", None, None), ("p1", "C(C)N", None, None)]
     result = dock_many(_cmd("echo -3 # {smiles}"), requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO", "CCN"]
