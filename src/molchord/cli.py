@@ -10,6 +10,9 @@ primary artifacts.
 Exit codes: 0 ok, 2 validation/coverage failure, 3 missing upstream artifact,
 4 external command failure, 1 internal error.
 
+Each command is load -> library stage -> dump -> manifest; the stages live in
+the library modules that own them (``curation.curate``,
+``genmodel.text_sampler``/``sample_unique``, ``training.train_sft``/``train_dpo``).
 Only the four model commands (train-sft, curate, train-dpo, sample) need the
 generator and numpy; they import them when they run, so the other commands
 start without numpy.
@@ -26,7 +29,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__, curation, metrics, scorers
 from .hashutil import derive_seed
@@ -34,6 +37,7 @@ from .molgraph import try_canonicalize
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures
+    from .training import TrainConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -108,6 +112,15 @@ _FLAG_TARGETS = {
 }
 
 
+def _checked(build, *args, **kwargs):
+    """Build a library value from config settings; the ValueError that a
+    library type or check raises for a bad setting is a validation failure."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationFailure(f"invalid config: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     values: dict[str, dict[str, str]]
@@ -117,15 +130,20 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.values[section][key]
 
+    def _parse(self, kind, section: str, key: str):
+        raw = self.values[section][key]
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValidationFailure(
+                f"invalid config: [{section}] {key} = {raw!r} is not {kind.__name__}"
+            ) from None
+
     def get_int(self, section: str, key: str) -> int:
-        return int(self.values[section][key])
+        return self._parse(int, section, key)
 
     def get_float(self, section: str, key: str) -> float:
-        return float(self.values[section][key])
-
-    def path(self, section: str, key: str) -> Path | None:
-        raw = self.values[section][key]
-        return Path(raw) if raw else None
+        return self._parse(float, section, key)
 
     @property
     def outdir(self) -> Path:
@@ -145,6 +163,34 @@ class RunConfig:
             n_struct_tokens=self.get_int("model", "n_struct"),
             seed=self.seed,
         )
+
+    def train_config(self, section: str) -> TrainConfig:
+        from .training import TrainConfig
+
+        return _checked(TrainConfig.from_section, self.values[section], seed=self.seed)
+
+    def curate_config(self) -> curation.CurateConfig:
+        return _checked(
+            curation.CurateConfig,
+            filter_samples=self.get_int("curate", "filter_samples"),
+            pair_candidates=self.get_int("curate", "pair_candidates"),
+            pair_docked=self.get_int("curate", "pair_docked"),
+            diversity_threshold=self.get_float("curate", "diversity_threshold"),
+            lam=self.get_float("curate", "lambda"),
+            flow=self.get("curate", "flow"),
+        )
+
+    def sampling(self) -> dict:
+        """The ``[sample]`` temperature, top-p and length cap, checked once."""
+        from .genmodel import check_sampling
+
+        settings = dict(
+            temperature=self.get_float("sample", "temperature"),
+            top_p=self.get_float("sample", "top_p"),
+            max_len=self.get_int("sample", "max_len"),
+        )
+        _checked(check_sampling, **settings)
+        return settings
 
     def digest(self) -> str:
         """Hash of every value that can change a computed result. ``[paths]``
@@ -191,6 +237,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, payload) -> Path:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    return path
+
+
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> Path:
+    with open(path, "w") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    return path
+
+
 def write_manifest(
     cfg: RunConfig,
     command: str,
@@ -211,9 +269,7 @@ def write_manifest(
     }
     if extra:
         manifest["extra"] = extra
-    path = cfg.outdir / f"{command}.manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    return path
+    return _write_json(cfg.outdir / f"{command}.manifest.json", manifest)
 
 
 def _require_file(path: Path | None, what: str) -> Path:
@@ -222,60 +278,73 @@ def _require_file(path: Path | None, what: str) -> Path:
     return path
 
 
-def _load_complexes(cfg: RunConfig, key: str = "complexes") -> list[curation.ComplexRecord]:
-    raw = cfg.values["paths"][key] or cfg.values["paths"]["complexes"]
-    path = _require_file(Path(raw) if raw else None, f"{key} file")
+def _load(path: Path | None, schema: str, what: str) -> list:
+    """Records of an input file: missing exits 3, malformed exits 2."""
     try:
-        return scorers.load_records(path, "complexes")
+        return scorers.load_records(_require_file(path, what), schema)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _features_for(
-    records: list[curation.ComplexRecord], model_cfg: ModelConfig
-) -> dict[str, PocketFeatures]:
-    from .genmodel import featurize_pocket
-
-    return {
-        r.pocket_id: featurize_pocket(
-            r.pocket_id,
-            model_cfg.d_feat,
-            model_cfg.seed,
-            pocket_sequence=r.pocket_sequence,
-            n_struct_tokens=model_cfg.n_struct_tokens,
-        )
-        for r in records
-    }
+def _load_complexes(
+    cfg: RunConfig, key: str = "complexes"
+) -> tuple[Path, list[curation.ComplexRecord]]:
+    """The ``[paths] complexes`` records, or ``eval_complexes`` falling back
+    to them, with the path they came from."""
+    raw = cfg.values["paths"][key] or cfg.values["paths"]["complexes"]
+    path = Path(raw) if raw else None
+    return path, _load(path, "complexes", f"{key} file")
 
 
-def _load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
+def _load_partition(cfg: RunConfig) -> dict:
+    path = _require_file(cfg.outdir / "partition.json", "partition artifact")
+    return json.loads(path.read_text())
+
+
+def _load_checkpoint(path: Path) -> ModelParams:
     from .genmodel import load_params
 
     try:
-        return load_params(path)
+        return load_params(path)[0]
     except (ValueError, OSError) as exc:
         raise MissingArtifact(f"cannot load checkpoint {path}: {exc}") from exc
+
+
+def _features_for(
+    records: Iterable[curation.ComplexRecord], model_cfg: ModelConfig
+) -> dict[str, PocketFeatures]:
+    return {r.pocket_id: model_cfg.featurize(r.pocket_id, r.pocket_sequence) for r in records}
 
 
 def _dock_command(cfg: RunConfig) -> scorers.DockCommand:
     template = cfg.get("dock", "command").strip()
     if not template:
         raise ValidationFailure("no dock command configured ([dock] command)")
-    return scorers.DockCommand(
+    return _checked(
+        scorers.DockCommand,
         template=template,
         timeout=cfg.get_float("dock", "timeout"),
         max_parallel=cfg.get_int("dock", "max_parallel"),
     )
 
 
-def _dock_cache_dir(cfg: RunConfig) -> Path | None:
-    raw = cfg.get("dock", "cache_dir").strip()
-    return Path(raw) if raw else None
-
-
-def _pocket_file(cfg: RunConfig, pocket_id: str) -> str | None:
-    pattern = cfg.values["paths"]["pocket_file_pattern"].strip()
-    return pattern.format(pocket_id=pocket_id) if pattern else None
+def _dock(
+    cfg: RunConfig,
+    command: scorers.DockCommand,
+    by_id: dict[str, curation.ComplexRecord],
+    molecules: Iterable[tuple[str, str]],
+) -> scorers.DockRunResult:
+    """Dock (pocket_id, smiles) molecules; a pocket's first ligand is its
+    center source and ``[paths] pocket_file_pattern`` names its file."""
+    pattern = cfg.get("paths", "pocket_file_pattern").strip()
+    requests = []
+    for pocket_id, smiles in molecules:
+        record = by_id.get(pocket_id)
+        center = record.ligand_smiles[0] if record and record.ligand_smiles else None
+        pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
+        requests.append((pocket_id, smiles, pocket_file, center))
+    cache_dir = cfg.get("dock", "cache_dir").strip() or None
+    return scorers.dock_many(command, requests, jobs=cfg.jobs, cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -285,55 +354,38 @@ def _pocket_file(cfg: RunConfig, pocket_id: str) -> str | None:
 
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
-    records = _load_complexes(cfg)
+    complexes_path, records = _load_complexes(cfg)
     try:
         partition = curation.partition_dataset(records)
     except curation.DuplicatePocketId as exc:
         raise ValidationFailure(f"duplicate pocket_id: {exc}") from exc
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.outdir / "partition.json"
-    payload = {
+    out_path = _write_json(cfg.outdir / "partition.json", {
         "sft_pool": list(partition.sft_pool),
         "dpo_pool": list(partition.dpo_pool),
         "counts": {"sft": len(partition.sft_pool), "dpo": len(partition.dpo_pool)},
-    }
-    out_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    complexes_path = Path(cfg.values["paths"]["complexes"])
+    })
     write_manifest(cfg, "partition", [complexes_path], [out_path], started)
     print(f"partition: {len(partition.sft_pool)} supervised, {len(partition.dpo_pool)} preference")
     return EXIT_OK
 
 
-def _load_partition(cfg: RunConfig) -> dict:
-    path = _require_file(cfg.outdir / "partition.json", "partition artifact")
-    return json.loads(path.read_text())
-
-
 def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .genmodel import save_params
-    from .training import TrainConfig, build_sft_examples, train_sft
+    from .training import build_sft_examples, train_sft
 
     started = time.time()
-    records = _load_complexes(cfg)
+    complexes_path, records = _load_complexes(cfg)
     partition = _load_partition(cfg)
     model_cfg = cfg.model_config()
-    vocab = model_cfg.vocabulary()
+    train_cfg = cfg.train_config("train_sft")
     sft_ids = set(partition["sft_pool"])
     pool = [r for r in records if r.pocket_id in sft_ids]
     if not pool:
         raise ValidationFailure("supervised pool is empty")
-    feats = _features_for(pool, model_cfg)
     ligands = {r.pocket_id: sorted(set(r.ligand_smiles)) for r in pool}
-    examples = build_sft_examples(feats, ligands, vocab, seed=cfg.seed)
-
-    train_cfg = TrainConfig(
-        learning_rate=cfg.get_float("train_sft", "learning_rate"),
-        batch_size=cfg.get_int("train_sft", "batch_size"),
-        steps=cfg.get_int("train_sft", "steps"),
-        beta_vae=cfg.get_float("train_sft", "beta_vae"),
-        eval_interval=cfg.get_int("train_sft", "eval_interval"),
-        clip_norm=cfg.get_float("train_sft", "clip_norm") or None,
-        seed=cfg.seed,
+    examples = build_sft_examples(
+        _features_for(pool, model_cfg), ligands, model_cfg.vocabulary(), seed=cfg.seed
     )
     checkpoint, curve = train_sft(examples, model_cfg, train_cfg)
 
@@ -349,14 +401,11 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
             "config_digest": cfg.digest(),
         },
     )
-    curve_path = cfg.outdir / "sft_curve.jsonl"
-    with open(curve_path, "w") as handle:
-        for row in curve:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    curve_path = _write_jsonl(cfg.outdir / "sft_curve.jsonl", curve)
     write_manifest(
         cfg,
         "train-sft",
-        [Path(cfg.values["paths"]["complexes"]), cfg.outdir / "partition.json"],
+        [complexes_path, cfg.outdir / "partition.json"],
         [ckpt_path, curve_path],
         started,
         extra={"examples": len(examples), "best_step": checkpoint.step,
@@ -367,184 +416,84 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_pocket_unique(
-    params: ModelParams,
-    feats: PocketFeatures,
-    vocab,
-    n_wanted: int,
-    base_seed: int,
-    temperature: float,
-    top_p: float,
-    max_len: int,
-    retry_factor: int,
-) -> tuple[list[tuple[str, float]], bool]:
-    """Collect unique valid canonical molecules, resampling up to the retry cap.
-
-    Returns (list of (canonical, logprob of first producing sample), capped?).
-    """
-    from .genmodel import sample_many
-
-    collected: dict[str, float] = {}
-    index = 0
-    budget = n_wanted * retry_factor
-    while len(collected) < n_wanted and index < budget:
-        chunk = min(max(n_wanted - len(collected), 8), budget - index)
-        results = sample_many(
-            params,
-            feats,
-            vocab,
-            chunk,
-            base_seed=base_seed,
-            temperature=temperature,
-            top_p=top_p,
-            max_len=max_len,
-            start_index=index,
-        )
-        index += chunk
-        for res in results:
-            if len(collected) >= n_wanted:
-                break
-            canon = try_canonicalize(res.text)
-            if canon is not None and canon not in collected:
-                collected[canon] = res.logprob
-    return list(collected.items()), len(collected) < n_wanted
-
-
 def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .genmodel import sample_many
+    from .genmodel import text_sampler
 
     started = time.time()
-    records = _load_complexes(cfg)
+    complexes_path, records = _load_complexes(cfg)
     partition = _load_partition(cfg)
     ckpt_path = _require_file(cfg.outdir / "sft_checkpoint.json", "supervised checkpoint")
-    params, _ = _load_checkpoint(ckpt_path)
-    vocab = params.config.vocabulary()
+    params = _load_checkpoint(ckpt_path)
+    curate_cfg = cfg.curate_config()
+    sampling = cfg.sampling()
+    dock_cmd = _dock_command(cfg)
 
     by_id = {r.pocket_id: r for r in records}
     dpo_ids = [pid for pid in partition["dpo_pool"] if pid in by_id]
-    feats = _features_for([by_id[pid] for pid in dpo_ids], params.config)
+    feats = _features_for((by_id[pid] for pid in dpo_ids), params.config)
 
-    temperature = cfg.get_float("sample", "temperature")
-    top_p = cfg.get_float("sample", "top_p")
-    max_len = cfg.get_int("sample", "max_len")
-    filter_samples = cfg.get_int("curate", "filter_samples")
-    flow = cfg.get("curate", "flow")
-    if flow not in ("online", "offline"):
-        raise ValidationFailure(f"unknown curate flow {flow!r}")
-    dock_cmd = _dock_command(cfg)
-    cache_dir = _dock_cache_dir(cfg)
-
-    def sampler_for(label: str):
-        base_seed = derive_seed(label, cfg.seed)
-
-        def sampler(pocket_id: str, n: int) -> list[str]:
-            results = sample_many(
-                params,
-                feats[pocket_id],
-                vocab,
-                n,
-                base_seed=base_seed,
-                temperature=temperature,
-                top_p=top_p,
-                max_len=max_len,
-            )
-            return [r.text for r in results]
-
-        return sampler
+    def sampler(label: str):
+        return text_sampler(params, feats, derive_seed(label, cfg.seed), **sampling)
 
     def scorer(pocket_id: str, smiles: list[str]):
-        ligands = by_id[pocket_id].ligand_smiles
-        center = ligands[0] if ligands else None
-        requests = [(pocket_id, s, _pocket_file(cfg, pocket_id), center) for s in smiles]
-        result = scorers.dock_many(dock_cmd, requests, jobs=cfg.jobs, cache_dir=cache_dir)
+        result = _dock(cfg, dock_cmd, by_id, ((pocket_id, s) for s in smiles))
         return [(s.smiles, s.vina) for s in result.scores], [f.error for f in result.failures]
 
-    result = curation.curate_dpo_set(
+    filtered, pairs, pair_log = curation.curate(
         dpo_ids,
-        sampler_for("curate-filter"),
-        n_samples=filter_samples,
-        threshold=cfg.get_float("curate", "diversity_threshold"),
+        sampler("curate-filter"),
+        sampler("curate-pairs"),
+        scorer,
+        curate_cfg,
         radius=cfg.get_int("metrics", "radius"),
         nbits=cfg.get_int("metrics", "nbits"),
-    )
-    online = flow == "online"
-    n_candidates = cfg.get_int("curate", "pair_candidates") if online else filter_samples
-    pairs, pair_log = curation.build_pair_set(
-        result.selected,
-        sampler_for("curate-pairs"),
-        scorer,
-        n_candidates=n_candidates,
-        n_scored=cfg.get_int("curate", "pair_docked") if online else n_candidates,
-        lam=cfg.get_float("curate", "lambda"),
     )
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     pairs_path = cfg.outdir / "pairs.jsonl"
     scorers.dump_records(pairs_path, pairs)
-    audit_path = cfg.outdir / "d_dpo.json"
-    audit_payload = {
-        "selected": list(result.selected),
-        "audit": [asdict(row) for row in result.audit],
+    audit_path = _write_json(cfg.outdir / "d_dpo.json", {
+        "selected": list(filtered.selected),
+        "audit": [asdict(row) for row in filtered.audit],
         "pairs": pair_log,
-    }
-    audit_path.write_text(json.dumps(audit_payload, sort_keys=True, indent=1) + "\n")
+    })
     write_manifest(
         cfg,
         "curate",
-        [Path(cfg.values["paths"]["complexes"]), cfg.outdir / "partition.json", ckpt_path],
+        [complexes_path, cfg.outdir / "partition.json", ckpt_path],
         [pairs_path, audit_path],
         started,
-        extra={"selected": len(result.selected), "pairs": len(pairs)},
+        extra={"selected": len(filtered.selected), "pairs": len(pairs)},
     )
-    print(f"curate: kept {len(result.selected)}/{len(dpo_ids)} pockets, built {len(pairs)} pairs")
+    print(f"curate: kept {len(filtered.selected)}/{len(dpo_ids)} pockets, built {len(pairs)} pairs")
     if not pairs:
-        raise ExternalCommandFailure("no preference pairs could be built")
+        if any(row["status"].startswith("dock failure") for row in pair_log):
+            raise ExternalCommandFailure("no preference pairs could be built (dock failures)")
+        raise ValidationFailure(f"no preference pairs could be built (see {audit_path})")
     return EXIT_OK
 
 
 def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .genmodel import save_params
-    from .training import Checkpoint, TrainConfig, build_dpo_examples, train_dpo
+    from .training import build_dpo_examples, train_dpo
 
     started = time.time()
-    records = _load_complexes(cfg)
-    pairs_path = _require_file(cfg.outdir / "pairs.jsonl", "preference pairs")
+    complexes_path, records = _load_complexes(cfg)
+    pairs_path = cfg.outdir / "pairs.jsonl"
+    pairs = _load(pairs_path, "pairs", "preference pairs")
     ckpt_path = _require_file(cfg.outdir / "sft_checkpoint.json", "supervised checkpoint")
-    try:
-        pairs = scorers.load_records(pairs_path, "pairs")
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
     if not pairs:
         raise ValidationFailure("pairs file is empty")
-    params, extra = _load_checkpoint(ckpt_path)
-    vocab = params.config.vocabulary()
+    train_cfg = cfg.train_config("train_dpo")
+    params = _load_checkpoint(ckpt_path)
 
     by_id = {r.pocket_id: r for r in records}
     missing = [p.pocket_id for p in pairs if p.pocket_id not in by_id]
     if missing:
         raise ValidationFailure(f"pairs reference unknown pockets: {missing[:5]}")
-    feats = _features_for([by_id[p.pocket_id] for p in pairs], params.config)
-
-    sft_checkpoint = Checkpoint(
-        params=params,
-        step=int(extra.get("step", 0)),
-        val_loss=float(extra.get("val_loss", 0.0)),
-        stage="sft",
-        config_digest=str(extra.get("config_digest", "")),
-    )
-    examples = build_dpo_examples(pairs, feats, params, vocab, seed=cfg.seed)
-    train_cfg = TrainConfig(
-        learning_rate=cfg.get_float("train_dpo", "learning_rate"),
-        batch_size=cfg.get_int("train_dpo", "batch_size"),
-        epochs=cfg.get_int("train_dpo", "epochs"),
-        beta_dpo=cfg.get_float("train_dpo", "beta_dpo"),
-        beta_vae=cfg.get_float("train_dpo", "beta_vae"),
-        clip_norm=cfg.get_float("train_dpo", "clip_norm") or None,
-        seed=cfg.seed,
-    )
-    checkpoint, curve = train_dpo(examples, sft_checkpoint, train_cfg)
+    feats = _features_for((by_id[p.pocket_id] for p in pairs), params.config)
+    examples = build_dpo_examples(pairs, feats, params, params.config.vocabulary(), seed=cfg.seed)
+    checkpoint, curve = train_dpo(examples, params, train_cfg)
 
     ckpt_out = cfg.outdir / "dpo_checkpoint.json"
     save_params(
@@ -552,24 +501,23 @@ def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
         checkpoint.params,
         extra={"stage": "dpo", "step": checkpoint.step, "config_digest": cfg.digest()},
     )
-    curve_path = cfg.outdir / "dpo_curve.jsonl"
-    with open(curve_path, "w") as handle:
-        for row in curve:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    curve_path = _write_jsonl(cfg.outdir / "dpo_curve.jsonl", curve)
     write_manifest(
         cfg,
         "train-dpo",
-        [pairs_path, ckpt_path, Path(cfg.values["paths"]["complexes"])],
+        [pairs_path, ckpt_path, complexes_path],
         [ckpt_out, curve_path],
         started,
         extra={"pairs": len(pairs)},
     )
-    mean_margin = float(np.mean([row["margin"] for row in curve])) if curve else 0.0
+    mean_margin = sum(row["margin"] for row in curve) / len(curve) if curve else 0.0
     print(f"train-dpo: {len(pairs)} pairs, {checkpoint.step} steps, mean margin {mean_margin:.4f}")
     return EXIT_OK
 
 
 def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .genmodel import sample_unique
+
     started = time.time()
     if args.checkpoint:
         ckpt_path = _require_file(Path(args.checkpoint), "checkpoint")
@@ -578,25 +526,20 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
         sft = cfg.outdir / "sft_checkpoint.json"
         ckpt_path = dpo if dpo.exists() else sft
         ckpt_path = _require_file(ckpt_path, "checkpoint (run train-sft or pass --checkpoint)")
-    params, _ = _load_checkpoint(ckpt_path)
-    vocab = params.config.vocabulary()
-    records = _load_complexes(cfg, "eval_complexes")
+    params = _load_checkpoint(ckpt_path)
+    sampling = cfg.sampling()
+    n_eval = cfg.get_int("sample", "n_eval")
+    retry_factor = cfg.get_int("sample", "retry_factor")
+    complexes_path, records = _load_complexes(cfg, "eval_complexes")
     feats = _features_for(records, params.config)
 
-    n_eval = cfg.get_int("sample", "n_eval")
+    base_seed = derive_seed("sample-cmd", cfg.seed)
     flagged: list[str] = []
     rows: list[scorers.GenerationRecord] = []
     for record in sorted(records, key=lambda r: r.pocket_id):
-        molecules, capped = _sample_pocket_unique(
-            params,
-            feats[record.pocket_id],
-            vocab,
-            n_eval,
-            base_seed=derive_seed("sample-cmd", cfg.seed),
-            temperature=cfg.get_float("sample", "temperature"),
-            top_p=cfg.get_float("sample", "top_p"),
-            max_len=cfg.get_int("sample", "max_len"),
-            retry_factor=cfg.get_int("sample", "retry_factor"),
+        molecules, capped = sample_unique(
+            params, feats[record.pocket_id], n_eval, base_seed,
+            retry_factor=retry_factor, **sampling,
         )
         if capped:
             flagged.append(record.pocket_id)
@@ -614,11 +557,10 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.outdir / "generations.jsonl"
     scorers.dump_records(out_path, rows)
-    eval_path = cfg.values["paths"]["eval_complexes"] or cfg.values["paths"]["complexes"]
     write_manifest(
         cfg,
         "sample",
-        [Path(eval_path), ckpt_path],
+        [complexes_path, ckpt_path],
         [out_path],
         started,
         extra={"n_eval": n_eval, "flagged_pockets": flagged},
@@ -630,31 +572,19 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
-    gen_path = _require_file(cfg.outdir / "generations.jsonl", "generations")
-    records = _load_complexes(cfg, "eval_complexes")
-    try:
-        generations = scorers.load_records(gen_path, "generations")
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    gen_path = cfg.outdir / "generations.jsonl"
+    generations = _load(gen_path, "generations", "generations")
+    complexes_path, records = _load_complexes(cfg, "eval_complexes")
     by_id = {r.pocket_id: r for r in records}
-    dock_cmd = _dock_command(cfg)
-    requests = []
-    for gen in generations:
-        record = by_id.get(gen.pocket_id)
-        center = record.ligand_smiles[0] if record and record.ligand_smiles else None
-        requests.append((gen.pocket_id, gen.smiles, _pocket_file(cfg, gen.pocket_id), center))
-    result = scorers.dock_many(
-        dock_cmd, requests, jobs=cfg.jobs, cache_dir=_dock_cache_dir(cfg)
-    )
+    result = _dock(cfg, _dock_command(cfg), by_id, ((g.pocket_id, g.smiles) for g in generations))
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.outdir / "scores.jsonl"
     scorers.dump_records(out_path, result.scores)
-    eval_path = cfg.values["paths"]["eval_complexes"] or cfg.values["paths"]["complexes"]
     write_manifest(
         cfg,
         "dock",
-        [gen_path, Path(eval_path)],
+        [gen_path, complexes_path],
         [out_path],
         started,
         extra={
@@ -671,32 +601,16 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _assemble_pockets(cfg: RunConfig) -> list[metrics.PocketEval]:
-    records = _load_complexes(cfg, "eval_complexes")
-    gen_path = _require_file(cfg.outdir / "generations.jsonl", "generations")
-    scores_path = _require_file(cfg.outdir / "scores.jsonl", "scores")
-    try:
-        generations = scorers.load_records(gen_path, "generations")
-        scores = scorers.load_records(scores_path, "scores")
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    _, records = _load_complexes(cfg, "eval_complexes")
+    generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations")
+    scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores")
 
     coverage = scorers.coverage_check(generations, scores)
     if coverage.missing:
-        report_path = cfg.outdir / "coverage_report.json"
-        report_path.write_text(
-            json.dumps(
-                {
-                    "missing": [
-                        {"pocket_id": g.pocket_id, "smiles": g.smiles}
-                        for g in coverage.missing
-                    ],
-                    "covered": len(coverage.covered),
-                },
-                sort_keys=True,
-                indent=1,
-            )
-            + "\n"
-        )
+        report_path = _write_json(cfg.outdir / "coverage_report.json", {
+            "missing": [{"pocket_id": g.pocket_id, "smiles": g.smiles} for g in coverage.missing],
+            "covered": len(coverage.covered),
+        })
         if not cfg.allow_partial:
             raise ValidationFailure(
                 f"{len(coverage.missing)} generations lack scores "
@@ -743,13 +657,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         pockets, radius=cfg.get_int("metrics", "radius"), nbits=cfg.get_int("metrics", "nbits")
     )
 
-    report_path = cfg.outdir / "report.jsonl"
-    with open(report_path, "w") as handle:
-        for row in report.per_pocket:
-            handle.write(json.dumps({"kind": "pocket", **asdict(row)}, sort_keys=True) + "\n")
-        aggregate = {"kind": "aggregate", **asdict(report)}
-        del aggregate["per_pocket"]
-        handle.write(json.dumps(aggregate, sort_keys=True) + "\n")
+    rows = [{"kind": "pocket", **asdict(row)} for row in report.per_pocket]
+    aggregate = {"kind": "aggregate", **asdict(report)}
+    del aggregate["per_pocket"]
+    report_path = _write_jsonl(cfg.outdir / "report.jsonl", [*rows, aggregate])
 
     lines = [
         f"{'pocket':<14}{'n':>5}{'vina':>9}{'high_aff':>9}{'qed':>9}"
@@ -797,22 +708,13 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             summary = metrics.fused_ring_report(eligible, top_k=top_k)
         except metrics.TooFewGenerations as exc:
             raise ValidationFailure(str(exc)) from exc
-        fused_path = cfg.outdir / "fused_report.json"
-        fused_path.write_text(
-            json.dumps(
-                {
-                    "top_k": top_k,
-                    "mean": summary.mean,
-                    "histogram": {str(k): v for k, v in summary.histogram.items()},
-                    "n_compounds": summary.n_compounds,
-                    "skipped_pockets": skipped,
-                },
-                sort_keys=True,
-                indent=1,
-            )
-            + "\n"
-        )
-        outputs.append(fused_path)
+        outputs.append(_write_json(cfg.outdir / "fused_report.json", {
+            "top_k": top_k,
+            "mean": summary.mean,
+            "histogram": {str(k): v for k, v in summary.histogram.items()},
+            "n_compounds": summary.n_compounds,
+            "skipped_pockets": skipped,
+        }))
         print(f"fused rings (top {top_k} per pocket): mean {summary.mean:.3f} "
               f"over {summary.n_compounds} compounds")
         for count, freq in summary.histogram.items():
@@ -822,9 +724,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             ood = metrics.ood_report(pockets)
         except (metrics.UnlabeledPocket, metrics.EmptyGroup) as exc:
             raise ValidationFailure(str(exc)) from exc
-        ood_path = cfg.outdir / "ood_report.json"
-        ood_path.write_text(json.dumps(asdict(ood), sort_keys=True, indent=1) + "\n")
-        outputs.append(ood_path)
+        outputs.append(_write_json(cfg.outdir / "ood_report.json", asdict(ood)))
         print(
             f"ood: homologous {ood.homologous_mean:.3f}, "
             f"non-homologous {ood.non_homologous_mean:.3f}, delta {ood.delta:+.3f}"

@@ -3,9 +3,10 @@
 Pockets with more than two distinct ligands go to the supervised pool, the
 rest to the preference pool. Preference pockets are kept only when the model's
 own candidates are diverse enough, and each kept pocket contributes one
-best-vs-worst pair under the fused-ring-penalized reward. ``build_pair_set``
-is the one sample -> score -> pair loop; the CLI docks through it and the
-preference experiment scores through it with a surrogate.
+best-vs-worst pair under the fused-ring-penalized reward. ``curate`` runs
+the filter and then ``build_pair_set``, the one sample -> score -> pair loop;
+the CLI docks through it and the preference experiment scores through it with
+a surrogate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .molgraph import (
 DEFAULT_DIVERSITY_THRESHOLD = 0.8
 DEFAULT_FUSED_PENALTY_WEIGHT = 0.5
 DEFAULT_FILTER_SAMPLES = 100
+FLOWS = ("online", "offline")
 SFT_LIGAND_THRESHOLD = 2  # strictly more than this many distinct ligands
 
 Sampler = Callable[[str, int], Sequence[str]]
@@ -110,6 +112,33 @@ class CurationResult:
     audit: tuple[CurationAudit, ...]
 
 
+def _check_penalty_weight(lam: float) -> None:
+    if not 0 <= lam < math.inf:  # rejects NaN as well
+        raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
+
+
+@dataclass(frozen=True)
+class CurateConfig:
+    """The ``[curate]`` settings (``lam`` is the ``lambda`` key).
+
+    The ``online`` flow scores the first ``pair_docked`` valid molecules of
+    ``pair_candidates`` fresh draws per kept pocket; ``offline`` scores every
+    valid molecule of ``filter_samples`` draws.
+    """
+
+    filter_samples: int = DEFAULT_FILTER_SAMPLES
+    pair_candidates: int = 32
+    pair_docked: int = 5
+    diversity_threshold: float = DEFAULT_DIVERSITY_THRESHOLD
+    lam: float = DEFAULT_FUSED_PENALTY_WEIGHT
+    flow: str = "online"
+
+    def __post_init__(self):
+        if self.flow not in FLOWS:
+            raise ValueError(f"unknown curate flow {self.flow!r}")
+        _check_penalty_weight(self.lam)
+
+
 def partition_dataset(records: Sequence[ComplexRecord]) -> Partition:
     """Split pockets by distinct-ligand multiplicity (duplicates collapse)."""
     seen: set[str] = set()
@@ -144,8 +173,7 @@ def reward(vina: float, fused_count: int, lam: float = DEFAULT_FUSED_PENALTY_WEI
         raise ValueError(f"non-finite binding score {vina}")
     if fused_count < 0:
         raise ValueError("fused ring count must be >= 0")
-    if lam < 0:
-        raise ValueError("penalty weight must be >= 0")
+    _check_penalty_weight(lam)
     return -(vina + lam * max(0, fused_count - 2))
 
 
@@ -254,3 +282,37 @@ def build_pair_set(
         pairs.append(build_preference_pairs(pocket_id, scored, lam=lam))
         log.append({"pocket_id": pocket_id, "status": "paired"})
     return pairs, log
+
+
+def curate(
+    pockets: Sequence[str],
+    filter_sampler: Sampler,
+    pair_sampler: Sampler,
+    scorer: Scorer,
+    config: CurateConfig,
+    radius: int = DEFAULT_RADIUS,
+    nbits: int = DEFAULT_NBITS,
+) -> tuple[CurationResult, list[PreferencePair], list[dict]]:
+    """Diversity-filter the pockets, then pair each kept one under the
+    config's flow. Returns the filter result, the pairs and the pair log."""
+    filtered = curate_dpo_set(
+        pockets,
+        filter_sampler,
+        n_samples=config.filter_samples,
+        threshold=config.diversity_threshold,
+        radius=radius,
+        nbits=nbits,
+    )
+    if config.flow == "online":
+        n_candidates, n_scored = config.pair_candidates, config.pair_docked
+    else:
+        n_candidates = n_scored = config.filter_samples
+    pairs, log = build_pair_set(
+        filtered.selected,
+        pair_sampler,
+        scorer,
+        n_candidates=n_candidates,
+        n_scored=n_scored,
+        lam=config.lam,
+    )
+    return filtered, pairs, log

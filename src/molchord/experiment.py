@@ -6,8 +6,8 @@ through the usual fused-ring reward. The flow mirrors the real pipeline --
 supervised training on synthetic pocket/ligand data, diversity-filtered
 curation, best-vs-worst pair construction, one preference epoch -- and then
 measures whether sampled molecules actually got better rewards. Pairs come
-from ``curation.build_pair_set``, the same sample -> score -> pair loop that
-``molchord curate`` runs, with the surrogate in place of the dock command.
+from ``curation.curate`` in its offline flow, the stage that ``molchord
+curate`` runs, with the surrogate in place of the dock command.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curation import build_pair_set, curate_dpo_set, reward
-from .genmodel import (
-    ModelConfig,
-    PocketFeatures,
-    featurize_pocket,
-    sample_many,
-)
+from .curation import CurateConfig, curate, reward
+from .genmodel import ModelConfig, PocketFeatures, text_sampler
 from .hashutil import derive_seed
 from .molgraph import count_fused_rings, parse_smiles, try_parse
 from .scorers import surrogate_vina
@@ -95,23 +90,8 @@ class ExperimentResult:
     dpo_checkpoint: Checkpoint = field(repr=False)
 
 
-def _mean_sample_reward(
-    params, feats: PocketFeatures, vocab, cfg: ExperimentConfig, base_seed: int
-) -> float | None:
-    results = sample_many(
-        params,
-        feats,
-        vocab,
-        cfg.eval_samples,
-        base_seed=base_seed,
-        temperature=cfg.eval_temperature,
-        top_p=cfg.eval_top_p,
-        max_len=cfg.max_len,
-    )
-    rewards = [
-        r for r in (surrogate_reward(res.text, cfg.fused_penalty) for res in results)
-        if r is not None
-    ]
+def _mean_reward(texts: list[str], fused_penalty: float) -> float | None:
+    rewards = [r for r in (surrogate_reward(t, fused_penalty) for t in texts) if r is not None]
     return float(np.mean(rewards)) if rewards else None
 
 
@@ -124,6 +104,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed=cfg.seed,
     )
     vocab = model_cfg.vocabulary()
+    sampling = dict(temperature=cfg.eval_temperature, top_p=cfg.eval_top_p, max_len=cfg.max_len)
 
     # --- supervised stage on synthetic pocket/ligand pairs ------------------
     corpus = smiles_corpus(cfg.corpus_size, seed=cfg.seed, min_heavy=cfg.min_heavy,
@@ -133,9 +114,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sft_ligands: dict[str, list[str]] = {}
     for i in range(cfg.sft_pockets):
         pocket_id = f"sft{i:05d}"
-        sft_features[pocket_id] = featurize_pocket(
-            pocket_id, cfg.d_feat, cfg.seed, n_struct_tokens=cfg.n_struct
-        )
+        sft_features[pocket_id] = model_cfg.featurize(pocket_id)
         sft_ligands[pocket_id] = corpus[i * per_pocket : (i + 1) * per_pocket]
     examples = build_sft_examples(sft_features, sft_ligands, vocab, seed=cfg.seed)
     sft_config = TrainConfig(
@@ -148,48 +127,28 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
     sft_checkpoint, sft_curve = train_sft(examples, model_cfg, sft_config)
 
-    # --- curation on fresh preference pockets -------------------------------
+    # --- curation and pairs under the surrogate score on fresh pockets ------
     pref_features = {
-        f"pref{i:05d}": featurize_pocket(
-            f"pref{i:05d}", cfg.d_feat, cfg.seed, n_struct_tokens=cfg.n_struct
-        )
-        for i in range(cfg.n_pockets)
+        pocket_id: model_cfg.featurize(pocket_id)
+        for pocket_id in (f"pref{i:05d}" for i in range(cfg.n_pockets))
     }
-
-    # Curation and pair construction ask for the same draws (same seed and
-    # count), so each (pocket, n) is sampled once and handed to both.
-    drawn: dict[tuple[str, int], list[str]] = {}
-
-    def sampler(pocket_id: str, n: int) -> list[str]:
-        if (pocket_id, n) not in drawn:
-            results = sample_many(
-                sft_checkpoint.params,
-                pref_features[pocket_id],
-                vocab,
-                n,
-                base_seed=derive_seed("experiment-curate", cfg.seed),
-                temperature=cfg.eval_temperature,
-                top_p=cfg.eval_top_p,
-                max_len=cfg.max_len,
-            )
-            drawn[pocket_id, n] = [r.text for r in results]
-        return drawn[pocket_id, n]
-
-    curated = curate_dpo_set(
+    # The offline flow pairs the very draws that the diversity filter saw, so
+    # one sampler serves both and each pocket is sampled once.
+    sampler = text_sampler(
+        sft_checkpoint.params, pref_features, derive_seed("experiment-curate", cfg.seed),
+        **sampling,
+    )
+    curated, pairs, _ = curate(
         sorted(pref_features),
         sampler,
-        n_samples=cfg.filter_samples,
-        threshold=cfg.diversity_threshold,
-    )
-
-    # --- pair construction under the surrogate score -------------------------
-    pairs, _ = build_pair_set(
-        curated.selected,
         sampler,
         surrogate_scores,
-        n_candidates=cfg.filter_samples,
-        n_scored=cfg.filter_samples,
-        lam=cfg.fused_penalty,
+        CurateConfig(
+            filter_samples=cfg.filter_samples,
+            diversity_threshold=cfg.diversity_threshold,
+            lam=cfg.fused_penalty,
+            flow="offline",
+        ),
     )
 
     order = np.random.default_rng(derive_seed("experiment-split", cfg.seed)).permutation(len(pairs))
@@ -207,7 +166,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         beta_vae=cfg.beta_vae,
         seed=cfg.seed,
     )
-    dpo_checkpoint, _ = train_dpo(dpo_examples, sft_checkpoint, dpo_config)
+    dpo_checkpoint, _ = train_dpo(dpo_examples, sft_checkpoint.params, dpo_config)
 
     # --- measurement ----------------------------------------------------------
     held_examples = build_dpo_examples(
@@ -230,13 +189,11 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     improved = 0
     counted = 0
     eval_seed = derive_seed("experiment-eval", cfg.seed)
+    draw_before = text_sampler(sft_checkpoint.params, pref_features, eval_seed, **sampling)
+    draw_after = text_sampler(dpo_checkpoint.params, pref_features, eval_seed, **sampling)
     for pocket_id in sorted(pref_features):
-        before = _mean_sample_reward(
-            sft_checkpoint.params, pref_features[pocket_id], vocab, cfg, eval_seed
-        )
-        after = _mean_sample_reward(
-            dpo_checkpoint.params, pref_features[pocket_id], vocab, cfg, eval_seed
-        )
+        before = _mean_reward(draw_before(pocket_id, cfg.eval_samples), cfg.fused_penalty)
+        after = _mean_reward(draw_after(pocket_id, cfg.eval_samples), cfg.fused_penalty)
         counted += 1
         if before is None or after is None:
             continue  # counts as not improved

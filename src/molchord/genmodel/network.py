@@ -148,21 +148,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def lm_logits(window_embs: np.ndarray, u_cond: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Next-token distribution for one window; probabilities sum to one."""
-    window_embs = np.asarray(window_embs, dtype=np.float64)
-    u_cond = np.asarray(u_cond, dtype=np.float64)
-    k, d = params.config.window, params.config.d
-    if window_embs.shape != (k, d) or u_cond.shape != (d,):
-        raise ShapeMismatch(
-            f"expected window ({k}, {d}) and conditioning ({d},), "
-            f"got {window_embs.shape} and {u_cond.shape}"
-        )
-    x = np.concatenate([window_embs.ravel(), u_cond])[None, :]
-    _, _, logits = _lm_layers(params, x)
-    return np.exp(_log_softmax(logits))[0]
-
-
 @dataclass(eq=False)
 class SequenceCache:
     seq: InterleavedSequence

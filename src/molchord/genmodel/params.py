@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import PocketFeatures, featurize_pocket
 from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
 
 CHECKPOINT_VERSION = 1
@@ -47,11 +48,15 @@ class ModelConfig:
     def lm_input_dim(self) -> int:
         return (self.window + 1) * self.d
 
-    def digest(self) -> str:
-        payload = json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True
+    def featurize(self, pocket_id: str, pocket_sequence: str | None = None) -> PocketFeatures:
+        """A pocket's conditioning features at this model's width and seed."""
+        return featurize_pocket(
+            pocket_id,
+            self.d_feat,
+            self.seed,
+            pocket_sequence=pocket_sequence,
+            n_struct_tokens=self.n_struct_tokens,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -88,13 +93,6 @@ class ModelParams:
     def zero_grads(self, names: frozenset[str] | None = None) -> dict[str, np.ndarray]:
         names = names or frozenset(self.array_fields())
         return {name: np.zeros_like(getattr(self, name)) for name in sorted(names)}
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for name in self.array_fields():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(getattr(self, name), dtype=np.float64).tobytes())
-        return h.hexdigest()[:16]
 
 
 def init_params(config: ModelConfig) -> ModelParams:

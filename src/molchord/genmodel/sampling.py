@@ -3,15 +3,19 @@
 Each sample owns an rng stream seeded from (base seed, pocket id, sample
 index), so results do not depend on batching or scheduling. The conditioning
 noise is drawn from the standard normal once per sample before any token.
+``text_sampler`` and ``sample_unique`` are the pipeline's two ways of drawing:
+raw texts for curation, and unique valid canonical molecules for evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..hashutil import derive_seed
+from ..molgraph import try_canonicalize
 from .features import PocketFeatures
 from .network import _lm_layers, _log_softmax, adapter_forward, vae_forward
 from .params import ModelParams
@@ -30,6 +34,16 @@ class SampleResult:
 
 def sample_seed(base_seed: int, pocket_id: str, index: int) -> int:
     return derive_seed("sample", base_seed, pocket_id, index)
+
+
+def check_sampling(temperature: float, top_p: float, max_len: int) -> None:
+    """Raise ValueError for settings that ``sample_many`` cannot draw with."""
+    if not temperature > 0:
+        raise ValueError("temperature must be > 0")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must be in (0, 1]")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
 
 
 def nucleus_distribution(probs: np.ndarray, top_p: float) -> np.ndarray:
@@ -86,10 +100,7 @@ def sample_many(
     a run (resampling duplicates) without repeating earlier draws; ``epsilon``
     fixes one shared conditioning noise instead of drawing one per sample.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    check_sampling(temperature, top_p, max_len)
     cfg = params.config
     k, d = cfg.window, cfg.d
 
@@ -153,3 +164,82 @@ def sample_many(
         )
     return results
 
+
+
+def text_sampler(
+    params: ModelParams,
+    features: Mapping[str, PocketFeatures],
+    base_seed: int,
+    *,
+    temperature: float,
+    top_p: float,
+    max_len: int,
+) -> Callable[[str, int], list[str]]:
+    """Curation sampler: the decoded texts of ``n`` draws for one pocket.
+
+    Each (pocket, n) is drawn once; a repeated request (pair construction
+    asking for the draws that the diversity filter already saw) gets the same
+    list back.
+    """
+    vocab = params.config.vocabulary()
+    drawn: dict[tuple[str, int], list[str]] = {}
+
+    def sampler(pocket_id: str, n: int) -> list[str]:
+        if (pocket_id, n) not in drawn:
+            results = sample_many(
+                params,
+                features[pocket_id],
+                vocab,
+                n,
+                base_seed=base_seed,
+                temperature=temperature,
+                top_p=top_p,
+                max_len=max_len,
+            )
+            drawn[pocket_id, n] = [r.text for r in results]
+        return drawn[pocket_id, n]
+
+    return sampler
+
+
+def sample_unique(
+    params: ModelParams,
+    features: PocketFeatures,
+    n_wanted: int,
+    base_seed: int,
+    *,
+    temperature: float,
+    top_p: float,
+    max_len: int,
+    retry_factor: int,
+) -> tuple[list[tuple[str, float]], bool]:
+    """Collect unique valid canonical molecules, resampling up to the retry cap
+    of ``n_wanted * retry_factor`` draws.
+
+    Returns (list of (canonical, logprob of first producing sample), capped?).
+    """
+    vocab = params.config.vocabulary()
+    collected: dict[str, float] = {}
+    index = 0
+    budget = n_wanted * retry_factor
+    while len(collected) < n_wanted and index < budget:
+        chunk = min(max(n_wanted - len(collected), 8), budget - index)
+        results = sample_many(
+            params,
+            features,
+            vocab,
+            chunk,
+            base_seed=base_seed,
+            temperature=temperature,
+            top_p=top_p,
+            max_len=max_len,
+            start_index=index,
+        )
+        index += chunk
+        for res in results:
+            if len(collected) >= n_wanted:
+                break
+            canon = try_canonicalize(res.text)
+            if canon is not None and canon not in collected:
+                collected[canon] = res.logprob
+    return list(collected.items()), len(collected) < n_wanted

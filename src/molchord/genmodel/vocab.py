@@ -94,12 +94,3 @@ class Vocabulary:
 def make_vocabulary(tokens: tuple[str, ...] | list[str]) -> Vocabulary:
     tokens = tuple(tokens)
     return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
-
-
-def smiles_vocabulary(extra_text: str = "") -> Vocabulary:
-    """Default vocabulary; ``extra_text``'s novel characters are appended."""
-    tokens: list[str] = [PAD, BOS, EOS, *SMILES_CHARS]
-    for ch in extra_text:
-        if ch not in tokens:
-            tokens.append(ch)
-    return make_vocabulary(tokens)

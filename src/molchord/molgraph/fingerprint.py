@@ -38,15 +38,6 @@ class Fingerprint:
         return tuple(out)
 
 
-def fingerprint_from_bits(on: set[int] | tuple[int, ...], nbits: int = DEFAULT_NBITS) -> Fingerprint:
-    value = 0
-    for bit in on:
-        if not 0 <= bit < nbits:
-            raise ValueError(f"bit {bit} outside width {nbits}")
-        value |= 1 << bit
-    return Fingerprint(bits=value, nbits=nbits, radius=0)
-
-
 @functools.lru_cache(maxsize=4096, typed=True)  # True and 1 hash apart, as in stable_hash64
 def _atom_invariant(
     element: str, aromatic: bool, charge: int, explicit_h: int, degree: int

@@ -21,12 +21,11 @@ from .loops import (
     TrainConfig,
     build_dpo_examples,
     build_sft_examples,
-    dpo_defaults,
     is_validation_pocket,
     train_dpo,
     train_sft,
 )
-from .optim import AdamState, adam_step, clip_gradients, global_norm, sgd_step
+from .optim import AdamState, adam_step, clip_gradients, global_norm
 
 __all__ = [
     "AdamState",
@@ -46,7 +45,6 @@ __all__ = [
     "build_dpo_examples",
     "build_sft_examples",
     "clip_gradients",
-    "dpo_defaults",
     "dpo_loss",
     "global_norm",
     "grad_check",
@@ -54,7 +52,6 @@ __all__ = [
     "kl_gaussian",
     "kl_gaussian_grads",
     "sft_loss",
-    "sgd_step",
     "train_dpo",
     "train_sft",
 ]

@@ -7,7 +7,8 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -25,41 +26,39 @@ from ..genmodel import (
 )
 from ..hashutil import derive_seed, stable_hash64
 from .losses import DpoExample, EmptyBatch, SftExample, dpo_loss, sft_loss
-from .optim import AdamState, adam_step, clip_gradients, sgd_step
+from .optim import AdamState, adam_step, clip_gradients
 
 DEFAULT_VAL_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training stage's settings; field names equal the keys of the
+    ``[train_sft]`` / ``[train_dpo]`` config sections."""
+
     learning_rate: float = 1e-3
     batch_size: int = 16
     steps: int = 500
     epochs: int = 1  # preference stage: passes over the pair set
     beta_vae: float = 0.1
     beta_dpo: float = 0.1
-    lambda_fused: float = 0.5
     seed: int = 0
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float | None = 5.0
+    clip_norm: float = 5.0  # global gradient norm cap; 0 disables clipping
     eval_interval: int = 50
-    val_fraction: float = DEFAULT_VAL_FRACTION
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        # written as "not >= 0" so that NaN is rejected too
+        if not self.learning_rate >= 0:
             raise ValueError("learning rate must be >= 0")
-        if self.beta_vae < 0 or self.beta_dpo < 0:
+        if not (self.beta_vae >= 0 and self.beta_dpo >= 0):
             raise ValueError("loss weights must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
-
-def dpo_defaults(**overrides) -> TrainConfig:
-    base = TrainConfig(learning_rate=1e-4, batch_size=8, epochs=1)
-    return replace(base, **overrides)
+    @classmethod
+    def from_section(cls, values: Mapping[str, str], seed: int) -> TrainConfig:
+        """Parse a config section of field-name keys; absent fields keep their
+        defaults. Raises ValueError for a value of the wrong type or range."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        return cls(seed=seed, **{key: kinds[key](value) for key, value in values.items()})
 
 
 @dataclass(eq=False)
@@ -67,16 +66,12 @@ class Checkpoint:
     params: ModelParams
     step: int
     val_loss: float
-    stage: str
-    config_digest: str
-
-    def digest(self) -> str:
-        return self.params.digest()
 
 
-def is_validation_pocket(pocket_id: str, fraction: float = DEFAULT_VAL_FRACTION) -> bool:
+def is_validation_pocket(pocket_id: str) -> bool:
     """Stable hash split so the holdout never changes across runs."""
-    return stable_hash64("validation-split", pocket_id) % 10_000 < int(fraction * 10_000)
+    bucket = stable_hash64("validation-split", pocket_id) % 10_000
+    return bucket < int(DEFAULT_VAL_FRACTION * 10_000)
 
 
 def build_sft_examples(
@@ -134,18 +129,11 @@ def build_dpo_examples(
 
 
 def _make_stepper(config: TrainConfig):
-    if config.optimizer == "adam":
-        state = AdamState(beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
+    state = AdamState()
 
-        def step(params, grads):
-            clip_gradients(grads, config.clip_norm)
-            adam_step(params, grads, state, config.learning_rate)
-
-    else:
-
-        def step(params, grads):
-            clip_gradients(grads, config.clip_norm)
-            sgd_step(params, grads, config.learning_rate)
+    def step(params, grads):
+        clip_gradients(grads, config.clip_norm)
+        adam_step(params, grads, state, config.learning_rate)
 
     return step
 
@@ -172,8 +160,8 @@ def train_sft(
     vocab = model_config.vocabulary()
     params = params if params is not None else init_params(model_config)
 
-    val = [ex for ex in examples if is_validation_pocket(ex.pocket_id, config.val_fraction)]
-    train = [ex for ex in examples if not is_validation_pocket(ex.pocket_id, config.val_fraction)]
+    val = [ex for ex in examples if is_validation_pocket(ex.pocket_id)]
+    train = [ex for ex in examples if not is_validation_pocket(ex.pocket_id)]
     if not train:
         train, val = val, []
     if not val:  # tiny datasets: reuse a slice of train as a watch set
@@ -202,26 +190,19 @@ def train_sft(
                 best_params = params.copy()
                 best_step = step_idx
 
-    checkpoint = Checkpoint(
-        params=best_params,
-        step=best_step,
-        val_loss=best_val,
-        stage="sft",
-        config_digest=model_config.digest(),
-    )
-    return checkpoint, curve
+    return Checkpoint(params=best_params, step=best_step, val_loss=best_val), curve
 
 
 def train_dpo(
     examples: list[DpoExample],
-    sft_checkpoint: Checkpoint,
+    ref_params: ModelParams,
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Preference stage: by default a single pass so each pair is seen once."""
+    """Preference stage from the frozen reference (the supervised parameters):
+    by default a single pass so each pair is seen once."""
     if not examples:
         raise EmptyBatch("no preference pairs")
-    ref_params = sft_checkpoint.params.copy()
-    params = sft_checkpoint.params.copy()
+    params = ref_params.copy()
     vocab = params.config.vocabulary()
 
     stepper = _make_stepper(config)
@@ -266,11 +247,4 @@ def train_dpo(
                 }
             )
 
-    checkpoint = Checkpoint(
-        params=params,
-        step=step_idx,
-        val_loss=last_loss,
-        stage="dpo",
-        config_digest=params.config.digest(),
-    )
-    return checkpoint, curve
+    return Checkpoint(params=params, step=step_idx, val_loss=last_loss), curve

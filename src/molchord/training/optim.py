@@ -27,11 +27,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> floa
     return norm
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> None:
-    for name in sorted(grads):
-        getattr(params, name)[...] -= lr * grads[name]
-
-
 @dataclass
 class AdamState:
     beta1: float = 0.9

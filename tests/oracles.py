@@ -405,3 +405,46 @@ def morgan_bits_oracle(mol, radius: int = 2, nbits: int = 2048) -> int:
         for inv in invariants:
             bits |= 1 << (inv % nbits)
     return bits
+
+
+# --- model-step, optimizer and fingerprint references -----------------------
+
+
+def lm_logits(window_embs, u_cond, params):
+    """Next-token distribution for one window and conditioning vector at
+    temperature 1 without truncation, one row at a time: the distribution
+    that ancestral sampling must reproduce."""
+    import numpy as np
+
+    from molchord.genmodel import ShapeMismatch
+    from molchord.genmodel.network import _lm_layers, _log_softmax
+
+    window_embs = np.asarray(window_embs, dtype=np.float64)
+    u_cond = np.asarray(u_cond, dtype=np.float64)
+    k, d = params.config.window, params.config.d
+    if window_embs.shape != (k, d) or u_cond.shape != (d,):
+        raise ShapeMismatch(
+            f"expected window ({k}, {d}) and conditioning ({d},), "
+            f"got {window_embs.shape} and {u_cond.shape}"
+        )
+    x = np.concatenate([window_embs.ravel(), u_cond])[None, :]
+    _, _, logits = _lm_layers(params, x)
+    return np.exp(_log_softmax(logits))[0]
+
+
+def sgd_step(params, grads, lr: float) -> None:
+    """Plain gradient descent in place: p <- p - lr * g."""
+    for name in sorted(grads):
+        getattr(params, name)[...] -= lr * grads[name]
+
+
+def fingerprint_from_bits(on, nbits: int = 2048):
+    """A package ``Fingerprint`` with exactly the given bits set."""
+    from molchord.molgraph import Fingerprint
+
+    value = 0
+    for bit in on:
+        if not 0 <= bit < nbits:
+            raise ValueError(f"bit {bit} outside width {nbits}")
+        value |= 1 << bit
+    return Fingerprint(bits=value, nbits=nbits, radius=0)

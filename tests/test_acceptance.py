@@ -20,13 +20,11 @@ from molchord.genmodel import (
     complex_feature_vector,
     featurize_pocket,
     init_params,
-    lm_logits,
     sample_many,
 )
 from molchord.molgraph import (
     canonical_smiles,
     count_fused_rings,
-    fingerprint_from_bits,
     morgan_fingerprint,
     parse_smiles,
     perceive_rings,
@@ -44,7 +42,7 @@ from molchord.training import (
     sft_loss,
 )
 
-from .oracles import brute_diversity, fused_ring_count_oracle
+from .oracles import brute_diversity, fingerprint_from_bits, fused_ring_count_oracle, lm_logits
 
 DOCK_STUB = (
     "printf '%s' '{smiles}' | cksum | "

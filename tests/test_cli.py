@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,3 +275,121 @@ def test_checkpoints_do_not_depend_on_the_output_directory(pipeline, tmp_path):
         manifest = json.loads((run / "out" / "train-sft.manifest.json").read_text())
         assert manifest["config"]["paths"]["outdir"] == str(run / "out")
     assert checkpoints[0] == checkpoints[1]
+
+
+def _run_after(pipeline, tmp_path, copied, overrides=None):
+    """Config for a fresh output directory seeded with upstream artifacts of
+    the shared pipeline run."""
+    src_tmp, _, outdir = pipeline
+    config = _write_config(tmp_path, src_tmp / "complexes.jsonl", overrides)
+    (tmp_path / "out").mkdir()
+    for name in copied:
+        (tmp_path / "out" / name).write_bytes((outdir / name).read_bytes())
+    return config, tmp_path / "out"
+
+
+_CURATE_INPUTS = ("partition.json", "sft_checkpoint.json")
+
+
+@pytest.mark.parametrize("threshold, expected", [("1.5", 2), ("0.8", 4)])
+def test_curate_without_pairs_exits_four_only_after_dock_failures(
+    pipeline, tmp_path, threshold, expected
+):
+    # A threshold above any diversity keeps no pocket, so nothing is docked
+    # and the empty pair set is a validation outcome, not a dock failure.
+    config, _ = _run_after(pipeline, tmp_path, _CURATE_INPUTS, {
+        "curate": {"diversity_threshold": threshold},
+        "dock": {"command": "false # {smiles}"},
+    })
+    assert main(["--config", str(config), "curate"]) == expected
+
+
+@pytest.mark.parametrize(
+    "how", [["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "-1"], "config-nan"],
+    ids=["nan", "inf", "negative", "config-nan"],
+)
+def test_bad_lambda_exits_two_before_any_artifact(pipeline, tmp_path, how):
+    overrides = {"curate": {"lambda": "nan"}} if how == "config-nan" else None
+    flags = [] if how == "config-nan" else how
+    config, out = _run_after(pipeline, tmp_path, _CURATE_INPUTS, overrides)
+    assert main(["--config", str(config), *flags, "curate"]) == 2
+    assert not (out / "pairs.jsonl").exists()
+    assert not (out / "d_dpo.json").exists()
+
+
+def test_zero_temperature_exits_two(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, ("sft_checkpoint.json",))
+    assert main(["--config", str(config), "--temperature", "0", "sample"]) == 2
+    assert not (out / "generations.jsonl").exists()
+
+
+def test_negative_preference_weight_exits_two(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, ("sft_checkpoint.json", "pairs.jsonl"))
+    assert main(["--config", str(config), "--beta-dpo", "-5", "train-dpo"]) == 2
+    assert not (out / "dpo_checkpoint.json").exists()
+
+
+def test_unknown_curate_flow_exits_two_without_artifacts(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, _CURATE_INPUTS, {"curate": {"flow": "batch"}})
+    assert main(["--config", str(config), "curate"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(_CURATE_INPUTS)
+
+
+def test_offline_flow_scores_every_valid_filter_candidate(pipeline, tmp_path, monkeypatch):
+    from molchord import scorers
+    from molchord.genmodel import sampling
+    from molchord.hashutil import derive_seed
+    from molchord.molgraph import try_canonicalize
+
+    draws: dict[tuple[str, int], list[str]] = {}
+    real_sample = sampling.sample_many
+
+    def recording_sample(params, feats, vocab, n, **kwargs):
+        results = real_sample(params, feats, vocab, n, **kwargs)
+        draws[feats.pocket_id, kwargs["base_seed"]] = [r.text for r in results]
+        return results
+
+    monkeypatch.setattr(sampling, "sample_many", recording_sample)
+    docked: dict[str, list[str]] = {}
+    real_dock = scorers.dock_many
+
+    def recording_dock(cmd, requests, **kwargs):
+        for pocket_id, smiles, _, _ in requests:
+            docked.setdefault(pocket_id, []).append(smiles)
+        return real_dock(cmd, requests, **kwargs)
+
+    monkeypatch.setattr(scorers, "dock_many", recording_dock)
+    config, out = _run_after(pipeline, tmp_path, _CURATE_INPUTS, {"curate": {"flow": "offline"}})
+    assert main(["--config", str(config), "curate"]) == 0
+
+    selected = json.loads((out / "d_dpo.json").read_text())["selected"]
+    pair_seed = derive_seed("curate-pairs", 0)
+    assert set(docked) <= set(selected)
+    for pocket_id in selected:
+        texts = draws[pocket_id, pair_seed]
+        assert len(texts) == 24  # filter_samples draws, not pair_candidates
+        valid = [c for c in map(try_canonicalize, texts) if c is not None]
+        assert docked.get(pocket_id, []) == (valid if len(set(valid)) >= 2 else [])
+    # more than pair_docked molecules per pocket: the online cap is off
+    assert max(map(len, docked.values())) > 4
+
+
+def _readme_config_reference() -> dict[str, dict[str, str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Config reference", 1)[1].split("\n\n")[1]
+    sections: dict[str, dict[str, str]] = {}
+    for line in table.splitlines()[2:]:
+        _, section, keys, _ = (cell.strip() for cell in line.split("|"))
+        entries = sections.setdefault(section.strip("`"), {})
+        for key, default in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys):
+            # "(= complexes)" falls back to another key; "(`a`/`b`)" lists
+            # the choices, the first being the default
+            value = "" if default.startswith("=") else default.split("/")[0].strip("`")
+            entries[key] = value
+    return sections
+
+
+def test_readme_config_reference_matches_cli_defaults():
+    from molchord.cli import _DEFAULTS
+
+    assert _readme_config_reference() == _DEFAULTS

@@ -105,6 +105,9 @@ def test_reward_values():
     assert reward(-8.0, 2, 0.5) == 8.0
     assert reward(-8.0, 4, 0.5) == 7.0
     assert reward(0.0, 0, 0.5) == 0.0
+    for lam in (-0.5, float("nan"), float("inf")):  # NaN and inf would reach the pairs
+        with pytest.raises(ValueError):
+            reward(-8.0, 4, lam)
 
 
 @given(
@@ -352,15 +355,16 @@ def test_pair_set_counts_a_string_over_the_leaf_cap_as_invalid(monkeypatch):
 
 def test_preference_experiment_samples_each_pocket_once(monkeypatch):
     from molchord import experiment
+    from molchord.genmodel import sampling
 
-    real = experiment.sample_many
+    real = sampling.sample_many
     draws = []
 
     def counting(params, feats, vocab, n, **kwargs):
         draws.append((feats.pocket_id, n, kwargs["base_seed"]))
         return real(params, feats, vocab, n, **kwargs)
 
-    monkeypatch.setattr(experiment, "sample_many", counting)
+    monkeypatch.setattr(sampling, "sample_many", counting)
     cfg = experiment.ExperimentConfig(
         n_pockets=6, corpus_size=60, sft_pockets=6, held_out_pairs=1, eval_samples=4,
         filter_samples=24, sft_steps=200, d=8, d_feat=8, window=4, n_struct=2, max_len=24,

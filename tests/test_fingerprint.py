@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from molchord.molgraph import (
     WidthMismatch,
-    fingerprint_from_bits,
     morgan_fingerprint,
     parse_smiles,
     perceive_rings,
@@ -12,7 +11,7 @@ from molchord.molgraph import (
     tanimoto,
 )
 
-from .oracles import brute_tanimoto, morgan_bits_oracle
+from .oracles import brute_tanimoto, fingerprint_from_bits, morgan_bits_oracle
 from .strategies import ring_assemblies
 
 bit_sets = st.sets(st.integers(min_value=0, max_value=255), max_size=40)

@@ -16,13 +16,23 @@ from molchord.genmodel import (
     featurize_pocket,
     init_params,
     ligand_feature_vector,
-    lm_logits,
     load_params,
     save_params,
     sequence_forward,
-    smiles_vocabulary,
     vae_forward,
 )
+from molchord.genmodel.vocab import BOS, EOS, PAD, SMILES_CHARS, make_vocabulary
+
+from .oracles import lm_logits
+
+
+def smiles_vocabulary(extra_text: str = ""):
+    """The default vocabulary with ``extra_text``'s novel characters appended."""
+    tokens = [PAD, BOS, EOS, *SMILES_CHARS]
+    for ch in extra_text:
+        if ch not in tokens:
+            tokens.append(ch)
+    return make_vocabulary(tokens)
 
 
 @pytest.fixture(scope="module")

@@ -22,9 +22,9 @@ from molchord.metrics import (
     sa_normalize,
     success_gate,
 )
-from molchord.molgraph import fingerprint_from_bits, parse_smiles
+from molchord.molgraph import parse_smiles
 
-from .oracles import brute_diversity
+from .oracles import brute_diversity, fingerprint_from_bits
 
 
 def _fp(bits):

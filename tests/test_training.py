@@ -16,15 +16,15 @@ from molchord.training import (
     build_dpo_examples,
     build_sft_examples,
     clip_gradients,
-    dpo_defaults,
     dpo_loss,
     global_norm,
     is_validation_pocket,
-    sgd_step,
     train_dpo,
     train_sft,
 )
 from molchord.synthetic import smiles_corpus
+
+from .oracles import sgd_step
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,19 @@ def test_clip_gradients():
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
     clip_gradients(grads, None)  # disabled
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+    grads = {"a": np.array([3.0, 4.0])}
+    clip_gradients(grads, 0.0)  # a clip_norm of 0 disables clipping too
+    np.testing.assert_allclose(grads["a"], [3.0, 4.0])
+
+
+def test_train_config_from_section():
+    section = {"learning_rate": "1e-4", "batch_size": "8", "epochs": "2", "clip_norm": "0"}
+    assert TrainConfig.from_section(section, seed=3) == TrainConfig(
+        learning_rate=1e-4, batch_size=8, epochs=2, clip_norm=0.0, seed=3
+    )
+    for bad in ({"steps": "1.5"}, {"beta_dpo": "-5"}, {"learning_rate": "nan"}):
+        with pytest.raises(ValueError):
+            TrainConfig.from_section(bad, seed=0)
 
 
 def test_sgd_and_adam_move_parameters(cfg):
@@ -105,7 +118,7 @@ def test_train_sft_reduces_validation_loss(cfg, vocab):
     checkpoint, curve = train_sft(examples, cfg, config)
     assert curve[0]["step"] == 0
     assert checkpoint.val_loss < curve[0]["val_loss"]
-    assert checkpoint.stage == "sft"
+    assert checkpoint.step == min(curve[1:], key=lambda row: row["val_loss"])["step"]
 
 
 def test_train_sft_deterministic_checkpoints(tmp_path, cfg, vocab):
@@ -158,8 +171,8 @@ def _pairs_setup(cfg, vocab):
 
 def test_train_dpo_zero_lr_keeps_checkpoint(cfg, vocab, tmp_path):
     sft_ckpt, dpo_examples = _pairs_setup(cfg, vocab)
-    config = dpo_defaults(learning_rate=0.0, seed=1)
-    dpo_ckpt, _ = train_dpo(dpo_examples, sft_ckpt, config)
+    config = TrainConfig(learning_rate=0.0, batch_size=8, seed=1)
+    dpo_ckpt, _ = train_dpo(dpo_examples, sft_ckpt.params, config)
     save_params(tmp_path / "sft.json", sft_ckpt.params)
     save_params(tmp_path / "dpo.json", dpo_ckpt.params)
     assert (tmp_path / "sft.json").read_bytes() == (tmp_path / "dpo.json").read_bytes()
@@ -167,16 +180,16 @@ def test_train_dpo_zero_lr_keeps_checkpoint(cfg, vocab, tmp_path):
 
 def test_train_dpo_single_pass_step_count(cfg, vocab):
     sft_ckpt, dpo_examples = _pairs_setup(cfg, vocab)
-    config = dpo_defaults(learning_rate=1e-4, batch_size=4, seed=2)
-    dpo_ckpt, curve = train_dpo(dpo_examples, sft_ckpt, config)
+    config = TrainConfig(learning_rate=1e-4, batch_size=4, seed=2)
+    dpo_ckpt, curve = train_dpo(dpo_examples, sft_ckpt.params, config)
     assert dpo_ckpt.step == len(curve) == (len(dpo_examples) + 3) // 4
     assert all(row["margin"] is not None for row in curve)
 
 
 def test_train_dpo_raises_margin_on_training_pairs(cfg, vocab):
     sft_ckpt, dpo_examples = _pairs_setup(cfg, vocab)
-    config = dpo_defaults(learning_rate=5e-3, batch_size=4, epochs=3, seed=3)
-    dpo_ckpt, _ = train_dpo(dpo_examples, sft_ckpt, config)
+    config = TrainConfig(learning_rate=5e-3, batch_size=4, epochs=3, seed=3)
+    dpo_ckpt, _ = train_dpo(dpo_examples, sft_ckpt.params, config)
     margins = [
         dpo_loss(dpo_ckpt.params, sft_ckpt.params, ex, vocab)[2] for ex in dpo_examples
     ]
@@ -203,4 +216,4 @@ def test_single_pair_loss_strictly_decreases(cfg, vocab):
 def test_train_dpo_empty(cfg, vocab):
     sft_ckpt, _ = _pairs_setup(cfg, vocab)
     with pytest.raises(EmptyBatch):
-        train_dpo([], sft_ckpt, dpo_defaults())
+        train_dpo([], sft_ckpt.params, TrainConfig(learning_rate=1e-4, batch_size=8))
