@@ -24,12 +24,13 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import __version__, curation, metrics, scorers
 from .hashutil import derive_seed
@@ -62,135 +63,139 @@ class ExternalCommandFailure(CliError):
     exit_code = EXIT_EXTERNAL
 
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {"complexes": "", "outdir": "out", "eval_complexes": "", "pocket_file_pattern": ""},
-    "model": {"d": "64", "d_feat": "64", "window": "8", "n_struct": "8", "seed": "0"},
-    "sample": {
-        "temperature": "1.5",
-        "top_p": "0.95",
-        "max_len": "256",
-        "n_eval": "100",
-        "retry_factor": "20",
-    },
-    "train_sft": {
-        "learning_rate": "1e-3",
-        "batch_size": "16",
-        "steps": "500",
-        "beta_vae": "0.1",
-        "eval_interval": "50",
-        "clip_norm": "5.0",
-    },
-    "train_dpo": {
-        "learning_rate": "1e-4",
-        "batch_size": "8",
-        "epochs": "1",
-        "beta_dpo": "0.1",
-        "beta_vae": "0.1",
-        "clip_norm": "5.0",
-    },
-    "curate": {
-        "filter_samples": "100",
-        "pair_candidates": "32",
-        "pair_docked": "5",
-        "diversity_threshold": "0.8",
-        "lambda": "0.5",
-        "flow": "online",
-    },
-    "metrics": {"top_k": "10", "radius": "2", "nbits": "2048"},
-    "dock": {"command": "", "timeout": "300", "max_parallel": "4", "cache_dir": ""},
-}
+class Rule(NamedTuple):
+    """The range a config value must lie in."""
 
-_FLAG_TARGETS = {
-    "seed": ("model", "seed"),
-    "top_k": ("metrics", "top_k"),
-    "temperature": ("sample", "temperature"),
-    "top_p": ("sample", "top_p"),
-    "max_len": ("sample", "max_len"),
-    "beta_dpo": ("train_dpo", "beta_dpo"),
-    "beta_vae": ("train_dpo", "beta_vae"),
-    "lambda_fused": ("curate", "lambda"),
-}
+    test: Callable[[Any], bool]
+    text: str
 
 
-def _checked(build, *args, **kwargs):
-    """Build a library value from config settings; the ValueError that a
-    library type or check raises for a bad setting is a validation failure."""
+def _formats_with_pocket_id(pattern: str) -> bool:
     try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ValidationFailure(f"invalid config: {exc}") from exc
+        pattern.format(pocket_id="pocket")
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+_COUNT = Rule(lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = Rule(lambda v: v >= 0, ">= 0")
+_POSITIVE = Rule(lambda v: v > 0, "> 0")
+_FRACTION = Rule(lambda v: 0 < v <= 1, "in (0, 1]")
+_NBITS = Rule(lambda v: v >= 64 and not v & (v - 1), "a power of two >= 64")
+_FLOW = Rule(lambda v: v in curation.FLOWS, " or ".join(curation.FLOWS))
+# an empty command is fine for the commands that do not dock; dock and curate exit 2
+_DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template with {smiles}")
+_POCKET_FILE = Rule(_formats_with_pocket_id, "a pattern of {pocket_id} alone")
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: where it lives, its type, its default (the INI
+    string), the range of its value, and the flag that overrides it."""
+
+    section: str
+    name: str
+    kind: type
+    default: str
+    rule: Rule = Rule(lambda v: True, "any value")
+    flag: str | None = None
+
+    def parse(self, raw: str) -> Any:
+        """The typed value of ``raw``; a value of another type, a float that
+        is not finite or a value out of range is a validation failure."""
+        setting = f"invalid config: [{self.section}] {self.name} = {raw!r}"
+        try:
+            value = self.kind(raw.strip())
+        except ValueError:
+            raise ValidationFailure(f"{setting} is not {self.kind.__name__}") from None
+        if self.kind is float and not abs(value) < math.inf:  # NaN too
+            raise ValidationFailure(f"{setting} is not finite")
+        if not self.rule.test(value):
+            raise ValidationFailure(f"{setting} must be {self.rule.text}")
+        return value
+
+
+SCHEMA = (
+    Key("paths", "complexes", str, ""),
+    Key("paths", "outdir", str, "out"),
+    Key("paths", "eval_complexes", str, ""),
+    Key("paths", "pocket_file_pattern", str, "", _POCKET_FILE),
+    Key("model", "d", int, "64", _COUNT),
+    Key("model", "d_feat", int, "64", _COUNT),
+    Key("model", "window", int, "8", _NON_NEGATIVE),
+    Key("model", "n_struct", int, "8", _COUNT),
+    Key("model", "seed", int, "0", _NON_NEGATIVE, "--seed"),
+    Key("sample", "temperature", float, "1.5", _POSITIVE, "--temperature"),
+    Key("sample", "top_p", float, "0.95", _FRACTION, "--top-p"),
+    Key("sample", "max_len", int, "256", _COUNT, "--max-len"),
+    Key("sample", "n_eval", int, "100", _COUNT),
+    Key("sample", "retry_factor", int, "20", _COUNT),
+    Key("train_sft", "learning_rate", float, "1e-3", _NON_NEGATIVE),
+    Key("train_sft", "batch_size", int, "16", _COUNT),
+    Key("train_sft", "steps", int, "500", _NON_NEGATIVE),
+    Key("train_sft", "beta_vae", float, "0.1", _NON_NEGATIVE, "--beta-vae"),
+    Key("train_sft", "eval_interval", int, "50", _COUNT),
+    Key("train_sft", "clip_norm", float, "5.0", _NON_NEGATIVE),
+    Key("train_dpo", "learning_rate", float, "1e-4", _NON_NEGATIVE),
+    Key("train_dpo", "batch_size", int, "8", _COUNT),
+    Key("train_dpo", "epochs", int, "1", _NON_NEGATIVE),
+    Key("train_dpo", "beta_dpo", float, "0.1", _NON_NEGATIVE, "--beta-dpo"),
+    Key("train_dpo", "beta_vae", float, "0.1", _NON_NEGATIVE, "--beta-vae"),
+    Key("train_dpo", "clip_norm", float, "5.0", _NON_NEGATIVE),
+    Key("curate", "filter_samples", int, "100", _COUNT),
+    Key("curate", "pair_candidates", int, "32", _COUNT),
+    Key("curate", "pair_docked", int, "5", _COUNT),
+    # not capped at 1: a threshold above any diversity keeps no pocket
+    Key("curate", "diversity_threshold", float, "0.8"),
+    Key("curate", "lambda", float, "0.5", _NON_NEGATIVE, "--lambda"),
+    Key("curate", "flow", str, "online", _FLOW),
+    Key("metrics", "top_k", int, "10", _COUNT, "--top-k"),
+    Key("metrics", "radius", int, "2", _NON_NEGATIVE),
+    Key("metrics", "nbits", int, "2048", _NBITS),
+    Key("dock", "command", str, "", _DOCK_COMMAND),
+    Key("dock", "timeout", float, "300", _POSITIVE),
+    Key("dock", "max_parallel", int, "4", _COUNT),
+    Key("dock", "cache_dir", str, ""),
+)
 
 
 @dataclass
 class RunConfig:
+    """Checked settings. ``values`` holds each key's INI string, which the
+    digest hashes and manifests record; ``typed`` holds the parsed values."""
+
     values: dict[str, dict[str, str]]
+    typed: dict[str, dict[str, Any]]
     jobs: int = 1
     allow_partial: bool = False
 
-    def get(self, section: str, key: str) -> str:
-        return self.values[section][key]
-
-    def _parse(self, kind, section: str, key: str):
-        raw = self.values[section][key]
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ValidationFailure(
-                f"invalid config: [{section}] {key} = {raw!r} is not {kind.__name__}"
-            ) from None
-
-    def get_int(self, section: str, key: str) -> int:
-        return self._parse(int, section, key)
-
-    def get_float(self, section: str, key: str) -> float:
-        return self._parse(float, section, key)
-
     @property
     def outdir(self) -> Path:
-        return Path(self.values["paths"]["outdir"])
+        return Path(self.typed["paths"]["outdir"])
 
     @property
     def seed(self) -> int:
-        return self.get_int("model", "seed")
+        return self.typed["model"]["seed"]
 
     def model_config(self) -> ModelConfig:
         from .genmodel import ModelConfig
 
-        return ModelConfig(
-            d=self.get_int("model", "d"),
-            d_feat=self.get_int("model", "d_feat"),
-            window=self.get_int("model", "window"),
-            n_struct_tokens=self.get_int("model", "n_struct"),
-            seed=self.seed,
-        )
+        settings = dict(self.typed["model"])
+        return ModelConfig(n_struct_tokens=settings.pop("n_struct"), **settings)
 
     def train_config(self, section: str) -> TrainConfig:
         from .training import TrainConfig
 
-        return _checked(TrainConfig.from_section, self.values[section], seed=self.seed)
+        return TrainConfig(seed=self.seed, **self.typed[section])
 
     def curate_config(self) -> curation.CurateConfig:
-        return _checked(
-            curation.CurateConfig,
-            filter_samples=self.get_int("curate", "filter_samples"),
-            pair_candidates=self.get_int("curate", "pair_candidates"),
-            pair_docked=self.get_int("curate", "pair_docked"),
-            diversity_threshold=self.get_float("curate", "diversity_threshold"),
-            lam=self.get_float("curate", "lambda"),
-            flow=self.get("curate", "flow"),
-        )
+        settings = dict(self.typed["curate"])
+        return curation.CurateConfig(lam=settings.pop("lambda"), **settings)
 
     def sampling(self) -> dict:
-        """The ``[sample]`` temperature, top-p and length cap, checked once."""
-        from .genmodel import check_sampling
-
-        settings = dict(
-            temperature=self.get_float("sample", "temperature"),
-            top_p=self.get_float("sample", "top_p"),
-            max_len=self.get_int("sample", "max_len"),
-        )
-        _checked(check_sampling, **settings)
-        return settings
+        """The ``[sample]`` temperature, top-p and length cap."""
+        return {k: self.typed["sample"][k] for k in ("temperature", "top_p", "max_len")}
 
     def digest(self) -> str:
         """Hash of every value that can change a computed result. ``[paths]``
@@ -203,30 +208,34 @@ class RunConfig:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    values = {section: dict(keys) for section, keys in _DEFAULTS.items()}
+    """Defaults, then the config file, then the override flags; every value
+    is parsed and range-checked here, before any command runs."""
+    values: dict[str, dict[str, str]] = {}
+    for key in SCHEMA:
+        values.setdefault(key.section, {})[key.name] = key.default
     if args.config:
         config_path = Path(args.config)
         if not config_path.exists():
             raise MissingArtifact(f"config file not found: {config_path}")
         parser = configparser.ConfigParser(interpolation=None)
-        parser.read(config_path)
+        try:
+            parser.read(config_path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationFailure(f"malformed config file {config_path}: {exc}") from exc
         for section in parser.sections():
             if section not in values:
                 raise ValidationFailure(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in values[section]:
-                    raise ValidationFailure(f"unknown config key {key!r} in [{section}]")
-                values[section][key] = value
-    for flag, (section, key) in _FLAG_TARGETS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[section][key] = str(value)
-    if getattr(args, "beta_vae", None) is not None:
-        values["train_sft"]["beta_vae"] = str(args.beta_vae)
-    cfg = RunConfig(values=values)
-    cfg.jobs = args.jobs
-    cfg.allow_partial = args.allow_partial
-    return cfg
+            for name, value in parser.items(section):
+                if name not in values[section]:
+                    raise ValidationFailure(f"unknown config key {name!r} in [{section}]")
+                values[section][name] = value
+    typed: dict[str, dict[str, Any]] = {section: {} for section in values}
+    for key in SCHEMA:
+        override = getattr(args, key.flag[2:].replace("-", "_")) if key.flag else None
+        if override is not None:
+            values[key.section][key.name] = str(override)
+        typed[key.section][key.name] = key.parse(values[key.section][key.name])
+    return RunConfig(values, typed, jobs=args.jobs, allow_partial=args.allow_partial)
 
 
 def _sha256_file(path: Path) -> str:
@@ -291,7 +300,7 @@ def _load_complexes(
 ) -> tuple[Path, list[curation.ComplexRecord]]:
     """The ``[paths] complexes`` records, or ``eval_complexes`` falling back
     to them, with the path they came from."""
-    raw = cfg.values["paths"][key] or cfg.values["paths"]["complexes"]
+    raw = cfg.typed["paths"][key] or cfg.typed["paths"]["complexes"]
     path = Path(raw) if raw else None
     return path, _load(path, "complexes", f"{key} file")
 
@@ -317,14 +326,11 @@ def _features_for(
 
 
 def _dock_command(cfg: RunConfig) -> scorers.DockCommand:
-    template = cfg.get("dock", "command").strip()
-    if not template:
+    dock = cfg.typed["dock"]
+    if not dock["command"]:
         raise ValidationFailure("no dock command configured ([dock] command)")
-    return _checked(
-        scorers.DockCommand,
-        template=template,
-        timeout=cfg.get_float("dock", "timeout"),
-        max_parallel=cfg.get_int("dock", "max_parallel"),
+    return scorers.DockCommand(
+        template=dock["command"], timeout=dock["timeout"], max_parallel=dock["max_parallel"]
     )
 
 
@@ -336,14 +342,14 @@ def _dock(
 ) -> scorers.DockRunResult:
     """Dock (pocket_id, smiles) molecules; a pocket's first ligand is its
     center source and ``[paths] pocket_file_pattern`` names its file."""
-    pattern = cfg.get("paths", "pocket_file_pattern").strip()
+    pattern = cfg.typed["paths"]["pocket_file_pattern"]
     requests = []
     for pocket_id, smiles in molecules:
         record = by_id.get(pocket_id)
         center = record.ligand_smiles[0] if record and record.ligand_smiles else None
         pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
         requests.append((pocket_id, smiles, pocket_file, center))
-    cache_dir = cfg.get("dock", "cache_dir").strip() or None
+    cache_dir = cfg.typed["dock"]["cache_dir"] or None
     return scorers.dock_many(command, requests, jobs=cfg.jobs, cache_dir=cache_dir)
 
 
@@ -445,8 +451,8 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
         sampler("curate-pairs"),
         scorer,
         curate_cfg,
-        radius=cfg.get_int("metrics", "radius"),
-        nbits=cfg.get_int("metrics", "nbits"),
+        radius=cfg.typed["metrics"]["radius"],
+        nbits=cfg.typed["metrics"]["nbits"],
     )
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -527,9 +533,8 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
         ckpt_path = dpo if dpo.exists() else sft
         ckpt_path = _require_file(ckpt_path, "checkpoint (run train-sft or pass --checkpoint)")
     params = _load_checkpoint(ckpt_path)
-    sampling = cfg.sampling()
-    n_eval = cfg.get_int("sample", "n_eval")
-    retry_factor = cfg.get_int("sample", "retry_factor")
+    sampling = dict(cfg.typed["sample"])  # with retry_factor, which sample_unique takes too
+    n_eval = sampling.pop("n_eval")
     complexes_path, records = _load_complexes(cfg, "eval_complexes")
     feats = _features_for(records, params.config)
 
@@ -538,8 +543,7 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows: list[scorers.GenerationRecord] = []
     for record in sorted(records, key=lambda r: r.pocket_id):
         molecules, capped = sample_unique(
-            params, feats[record.pocket_id], n_eval, base_seed,
-            retry_factor=retry_factor, **sampling,
+            params, feats[record.pocket_id], n_eval, base_seed, **sampling
         )
         if capped:
             flagged.append(record.pocket_id)
@@ -654,7 +658,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     pockets = _assemble_pockets(cfg)
     report = metrics.evaluate(
-        pockets, radius=cfg.get_int("metrics", "radius"), nbits=cfg.get_int("metrics", "nbits")
+        pockets, radius=cfg.typed["metrics"]["radius"], nbits=cfg.typed["metrics"]["nbits"]
     )
 
     rows = [{"kind": "pocket", **asdict(row)} for row in report.per_pocket]
@@ -696,7 +700,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     pockets = _assemble_pockets(cfg)
     outputs: list[Path] = []
     if args.fused:
-        top_k = cfg.get_int("metrics", "top_k")
+        top_k = cfg.typed["metrics"]["top_k"]
         eligible = pockets
         skipped: list[str] = []
         if cfg.allow_partial:
@@ -776,18 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="molchord", description="pocket-conditioned molecule generation pipeline"
     )
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="override [model] seed")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for docking")
     parser.add_argument(
         "--allow-partial", action="store_true", help="continue despite missing scores/failures"
     )
-    parser.add_argument("--top-k", dest="top_k", type=int, default=None)
-    parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--top-p", dest="top_p", type=float, default=None)
-    parser.add_argument("--max-len", dest="max_len", type=int, default=None)
-    parser.add_argument("--beta-dpo", dest="beta_dpo", type=float, default=None)
-    parser.add_argument("--beta-vae", dest="beta_vae", type=float, default=None)
-    parser.add_argument("--lambda", dest="lambda_fused", type=float, default=None)
+    for flag, kind in {key.flag: key.kind for key in SCHEMA if key.flag}.items():
+        targets = ", ".join(f"[{k.section}] {k.name}" for k in SCHEMA if k.flag == flag)
+        parser.add_argument(flag, type=kind, help=f"override {targets}")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("partition", help="split pockets into supervised/preference pools")

@@ -87,9 +87,6 @@ class ModelParams:
         kwargs = {name: getattr(self, name).copy() for name in self.array_fields()}
         return ModelParams(config=self.config, **kwargs)
 
-    def n_parameters(self) -> int:
-        return sum(getattr(self, name).size for name in self.array_fields())
-
     def zero_grads(self, names: frozenset[str] | None = None) -> dict[str, np.ndarray]:
         names = names or frozenset(self.array_fields())
         return {name: np.zeros_like(getattr(self, name)) for name in sorted(names)}

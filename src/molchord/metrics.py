@@ -272,6 +272,8 @@ def evaluate(
 
 def fused_ring_report(pockets: Sequence[PocketEval], top_k: int = 10) -> FusedRingSummary:
     """Fused-ring statistics over each pocket's top_k best-scoring compounds."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not pockets:
         raise EmptyInput("no pockets")
     histogram: dict[int, int] = {}

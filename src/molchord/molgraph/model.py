@@ -59,9 +59,6 @@ class Bond:
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
 
 @dataclass
 class Molecule:
@@ -78,9 +75,6 @@ class Molecule:
             adj[bond.a].append((bond.b, bond.order))
             adj[bond.b].append((bond.a, bond.order))
         return adj
-
-    def bond_keys(self) -> set[tuple[int, int]]:
-        return {b.key() for b in self.bonds}
 
     def component_count(self) -> int:
         n = len(self.atoms)

@@ -250,8 +250,8 @@ class DockCommand:
     def __post_init__(self):
         if "{smiles}" not in self.template:
             raise ValueError("dock command template must contain {smiles}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:  # rejects NaN as well
+            raise ValueError("timeout must be finite and > 0")
 
 
 class DockError(RuntimeError):

@@ -7,8 +7,7 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +51,6 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if not (self.beta_vae >= 0 and self.beta_dpo >= 0):
             raise ValueError("loss weights must be >= 0")
-
-    @classmethod
-    def from_section(cls, values: Mapping[str, str], seed: int) -> TrainConfig:
-        """Parse a config section of field-name keys; absent fields keep their
-        defaults. Raises ValueError for a value of the wrong type or range."""
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        return cls(seed=seed, **{key: kinds[key](value) for key, value in values.items()})
 
 
 @dataclass(eq=False)

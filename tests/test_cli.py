@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from molchord.cli import main
+from molchord.cli import SCHEMA, ValidationFailure, build_parser, load_config, main
 from molchord.molgraph import parse_smiles
 from molchord.scorers import dump_records, load_records
 from molchord.synthetic import synthetic_complexes
@@ -335,6 +337,141 @@ def test_unknown_curate_flow_exits_two_without_artifacts(pipeline, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(_CURATE_INPUTS)
 
 
+# The upstream artifacts each command reads, copied from the shared run.
+_UPSTREAM = {
+    "partition": (),
+    "train-sft": ("partition.json",),
+    "curate": _CURATE_INPUTS,
+    "train-dpo": ("sft_checkpoint.json", "pairs.jsonl"),
+    "sample": ("sft_checkpoint.json",),
+    "dock": ("generations.jsonl",),
+    "evaluate": ("generations.jsonl", "scores.jsonl"),
+    "report": ("generations.jsonl", "scores.jsonl"),
+}
+
+
+@pytest.mark.parametrize("section, key, value, step", [
+    # these ended in exit 1 "internal error" before values were range-checked at load
+    ("train_sft", "batch_size", "0", ["train-sft"]),
+    ("train_dpo", "batch_size", "0", ["train-dpo"]),
+    ("train_sft", "eval_interval", "0", ["train-sft"]),
+    ("model", "n_struct", "-1", ["train-sft"]),
+    ("model", "seed", "-4", ["train-sft"]),
+    ("metrics", "nbits", "0", ["curate"]),
+    ("metrics", "radius", "-1", ["curate"]),
+    ("metrics", "nbits", "0", ["evaluate"]),
+    ("metrics", "radius", "-1", ["evaluate"]),
+    ("metrics", "top_k", "0", ["report", "--fused"]),
+    ("dock", "timeout", "inf", ["dock"]),
+    ("paths", "pocket_file_pattern", "x/{pocket}.pdb", ["dock"]),
+    # and these in exit 0 with meaningless artifacts
+    ("model", "d", "0", ["train-sft"]),
+    ("model", "d_feat", "0", ["train-sft"]),
+    ("train_sft", "steps", "-1", ["train-sft"]),
+    ("train_sft", "clip_norm", "-1", ["train-sft"]),
+    ("train_sft", "learning_rate", "inf", ["train-sft"]),
+    ("sample", "n_eval", "-3", ["sample"]),
+    ("sample", "retry_factor", "0", ["sample"]),
+    ("sample", "temperature", "inf", ["sample"]),
+    ("train_dpo", "beta_dpo", "inf", ["train-dpo"]),
+    ("metrics", "top_k", "-2", ["report", "--fused"]),
+    # and this in exit 4, every uncached dock call failing on the NaN
+    ("dock", "timeout", "nan", ["dock"]),
+])
+def test_out_of_range_config_value_exits_two_before_any_artifact(
+    pipeline, tmp_path, section, key, value, step
+):
+    copied = _UPSTREAM[step[0]]
+    config, out = _run_after(pipeline, tmp_path, copied, {section: {key: value}})
+    assert main(["--config", str(config), *step]) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(copied)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text + "[model]\nd = 8\n",
+    lambda text: text.replace("[model]\n", "[model]\nd = 8\n"),
+    lambda text: "d = 8\n" + text,
+    lambda text: text.replace("[metrics]", "[metrics"),
+    lambda text: "\udcff" + text,
+], ids=["duplicate-section", "duplicate-key", "no-section-header", "unterminated-header",
+        "not-utf8"])
+def test_malformed_config_file_exits_two(pipeline, tmp_path, edit):
+    config, out = _run_after(pipeline, tmp_path, ())
+    config.write_bytes(edit(config.read_text()).encode("utf-8", "surrogateescape"))
+    assert main(["--config", str(config), "partition"]) == 2
+    assert not any(out.iterdir())
+
+
+# each key's boundary cases, and strings for the string keys
+_EDGE_VALUES = [
+    "0", "-1", "1", "0.5", "1.5", "63", "64", "nan", "inf", "-inf", "", "x", "online",
+    "echo {smiles}", "x/{pocket}.pdb", "x/{pocket_id}.pdb",
+]
+
+
+def _load_with(tmp_dir: Path, settings: dict, flags=()):
+    """Load a config of ``settings`` (key -> INI string) over a docking
+    command, plus (key, value) flag overrides; None if it is rejected."""
+    values = {("dock", "command"): "echo {smiles}"}
+    values.update({(key.section, key.name): value for key, value in settings.items()})
+    lines: dict[str, list[str]] = {}
+    for (section, name), value in values.items():
+        lines.setdefault(section, []).append(f"{name} = {value}")
+    config = tmp_dir / "fuzzed.ini"
+    config.write_text("".join(f"[{s}]\n" + "\n".join(rows) + "\n" for s, rows in lines.items()))
+    argv = ["--config", str(config), *(f"{key.flag}={value}" for key, value in flags), "verify"]
+    try:
+        return load_config(build_parser().parse_args(argv))
+    except ValidationFailure:
+        return None
+
+
+def _assert_library_accepts(cfg) -> None:
+    from molchord.cli import _dock_command
+    from molchord.genmodel import check_sampling
+    from molchord.molgraph import morgan_fingerprint
+
+    cfg.model_config()
+    cfg.train_config("train_sft")
+    cfg.train_config("train_dpo")
+    cfg.curate_config()
+    check_sampling(**cfg.sampling())
+    if cfg.typed["dock"]["command"]:
+        _dock_command(cfg)
+    metrics = cfg.typed["metrics"]
+    morgan_fingerprint(parse_smiles("c1ccccc1O"), metrics["radius"], metrics["nbits"])
+    cfg.typed["paths"]["pocket_file_pattern"].format(pocket_id="pocket00001")
+
+
+def test_every_edge_value_the_config_accepts_passes_the_library_checks(tmp_path):
+    for key in SCHEMA:
+        for value in _EDGE_VALUES:
+            cfg = _load_with(tmp_path, {key: value})
+            if cfg is not None:
+                _assert_library_accepts(cfg)
+
+
+@given(
+    settings=st.dictionaries(st.sampled_from(SCHEMA), st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.text(max_size=12),
+        st.integers(-3, 4096).map(str),
+        st.floats().map(str),
+    ), max_size=4),
+    flags=st.lists(
+        st.sampled_from([key for key in SCHEMA if key.flag]).flatmap(lambda key: st.tuples(
+            st.just(key), st.integers(-3, 4096) if key.kind is int else st.floats()
+        )),
+        max_size=2,
+    ),
+)
+def test_load_config_accepts_only_what_the_library_accepts(tmp_path_factory, settings, flags):
+    # load_config either returns or exits 2; never another exception
+    cfg = _load_with(tmp_path_factory.getbasetemp(), settings, flags)
+    if cfg is not None:
+        _assert_library_accepts(cfg)
+
+
 def test_offline_flow_scores_every_valid_filter_candidate(pipeline, tmp_path, monkeypatch):
     from molchord import scorers
     from molchord.genmodel import sampling
@@ -390,6 +527,7 @@ def _readme_config_reference() -> dict[str, dict[str, str]]:
 
 
 def test_readme_config_reference_matches_cli_defaults():
-    from molchord.cli import _DEFAULTS
-
-    assert _readme_config_reference() == _DEFAULTS
+    defaults: dict[str, dict[str, str]] = {}
+    for key in SCHEMA:
+        defaults.setdefault(key.section, {})[key.name] = key.default
+    assert _readme_config_reference() == defaults

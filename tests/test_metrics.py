@@ -211,6 +211,13 @@ def test_fused_ring_report_too_few():
         fused_ring_report([_pocket()], top_k=10)
 
 
+@pytest.mark.parametrize("top_k", [0, -2])
+def test_fused_ring_report_rejects_top_k_below_one(top_k):
+    # 0 divided by zero; -2 reported every compound but each pocket's two worst
+    with pytest.raises(ValueError, match="top_k"):
+        fused_ring_report([_pocket()], top_k=top_k)
+
+
 def test_ood_report_reproduces_published_row():
     homologous = PocketEval(
         "h", (Generation("CCO", vina=-8.49),), homology="homologous"

@@ -283,6 +283,13 @@ def test_dock_command_requires_smiles_placeholder():
         DockCommand(template="echo -8.5 # no placeholder")
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_dock_command_requires_finite_positive_timeout(timeout):
+    # NaN never timed out and inf overflowed inside subprocess.run
+    with pytest.raises(ValueError, match="timeout"):
+        DockCommand(template="echo -8.5 # {smiles}", timeout=timeout)
+
+
 def _cmd(template, **kw):
     return DockCommand(template=template, **kw)
 

@@ -66,14 +66,29 @@ def test_clip_gradients():
     np.testing.assert_allclose(grads["a"], [3.0, 4.0])
 
 
-def test_train_config_from_section():
-    section = {"learning_rate": "1e-4", "batch_size": "8", "epochs": "2", "clip_norm": "0"}
-    assert TrainConfig.from_section(section, seed=3) == TrainConfig(
+def _run_config(tmp_path, text):
+    from molchord.cli import build_parser, load_config
+
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return load_config(build_parser().parse_args(["--config", str(path), "verify"]))
+
+
+def test_train_config_from_section(tmp_path):
+    from molchord.cli import ValidationFailure
+
+    cfg = _run_config(tmp_path, (
+        "[model]\nseed = 3\n"
+        "[train_dpo]\nlearning_rate = 1e-4\nbatch_size = 8\nepochs = 2\nclip_norm = 0\n"
+    ))
+    assert cfg.train_config("train_dpo") == TrainConfig(
         learning_rate=1e-4, batch_size=8, epochs=2, clip_norm=0.0, seed=3
     )
-    for bad in ({"steps": "1.5"}, {"beta_dpo": "-5"}, {"learning_rate": "nan"}):
-        with pytest.raises(ValueError):
-            TrainConfig.from_section(bad, seed=0)
+    for bad in (
+        "[train_sft]\nsteps = 1.5", "[train_dpo]\nbeta_dpo = -5", "[train_sft]\nlearning_rate = nan"
+    ):
+        with pytest.raises(ValidationFailure):
+            _run_config(tmp_path, bad + "\n")
 
 
 def test_sgd_and_adam_move_parameters(cfg):
