@@ -82,7 +82,9 @@ _COUNT = Rule(lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = Rule(lambda v: v >= 0, ">= 0")
 _POSITIVE = Rule(lambda v: v > 0, "> 0")
 _FRACTION = Rule(lambda v: 0 < v <= 1, "in (0, 1]")
-_NBITS = Rule(lambda v: v >= 64 and not v & (v - 1), "a power of two >= 64")
+# A fingerprint is an nbits-bit integer refined radius times: cap both.
+_NBITS = Rule(lambda v: 64 <= v <= 65536 and not v & (v - 1), "a power of two in [64, 65536]")
+_RADIUS = Rule(lambda v: 0 <= v <= 8, "in [0, 8]")
 _FLOW = Rule(lambda v: v in curation.FLOWS, " or ".join(curation.FLOWS))
 # an empty command is fine for the commands that do not dock; dock and curate exit 2
 _DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template with {smiles}")
@@ -151,11 +153,11 @@ SCHEMA = (
     Key("curate", "lambda", float, "0.5", _NON_NEGATIVE, "--lambda"),
     Key("curate", "flow", str, "online", _FLOW),
     Key("metrics", "top_k", int, "10", _COUNT, "--top-k"),
-    Key("metrics", "radius", int, "2", _NON_NEGATIVE),
+    Key("metrics", "radius", int, "2", _RADIUS),
     Key("metrics", "nbits", int, "2048", _NBITS),
     Key("dock", "command", str, "", _DOCK_COMMAND),
     Key("dock", "timeout", float, "300", _POSITIVE),
-    Key("dock", "max_parallel", int, "4", _COUNT),
+    Key("dock", "max_parallel", int, "4", _COUNT, "--jobs"),
     Key("dock", "cache_dir", str, ""),
 )
 
@@ -167,7 +169,6 @@ class RunConfig:
 
     values: dict[str, dict[str, str]]
     typed: dict[str, dict[str, Any]]
-    jobs: int = 1
     allow_partial: bool = False
 
     @property
@@ -199,10 +200,13 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hash of every value that can change a computed result. ``[paths]``
-        and ``[dock] cache_dir`` are locations and are left out, so the same
-        run in another directory embeds the same digest in its checkpoints."""
+        and ``[dock] cache_dir`` are locations and ``[dock] max_parallel`` is
+        concurrency; they are left out, so the same run in another directory
+        or with more dock workers embeds the same digest in its checkpoints."""
         values = {k: v for k, v in self.values.items() if k != "paths"}
-        values["dock"] = {k: v for k, v in values["dock"].items() if k != "cache_dir"}
+        values["dock"] = {
+            k: v for k, v in values["dock"].items() if k not in ("cache_dir", "max_parallel")
+        }
         payload = json.dumps(values, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -215,11 +219,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         values.setdefault(key.section, {})[key.name] = key.default
     if args.config:
         config_path = Path(args.config)
-        if not config_path.exists():
-            raise MissingArtifact(f"config file not found: {config_path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(config_path)
+            # opened here: ConfigParser.read skips a file it cannot open
+            with open(config_path, encoding="utf-8") as handle:
+                parser.read_file(handle)
+        except OSError as exc:
+            raise MissingArtifact(f"cannot read config file {config_path}: {exc.strerror}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ValidationFailure(f"malformed config file {config_path}: {exc}") from exc
         for section in parser.sections():
@@ -235,7 +241,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if override is not None:
             values[key.section][key.name] = str(override)
         typed[key.section][key.name] = key.parse(values[key.section][key.name])
-    return RunConfig(values, typed, jobs=args.jobs, allow_partial=args.allow_partial)
+    return RunConfig(values, typed, allow_partial=args.allow_partial)
 
 
 def _sha256_file(path: Path) -> str:
@@ -350,7 +356,7 @@ def _dock(
         pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
         requests.append((pocket_id, smiles, pocket_file, center))
     cache_dir = cfg.typed["dock"]["cache_dir"] or None
-    return scorers.dock_many(command, requests, jobs=cfg.jobs, cache_dir=cache_dir)
+    return scorers.dock_many(command, requests, cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="molchord", description="pocket-conditioned molecule generation pipeline"
     )
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for docking")
     parser.add_argument(
         "--allow-partial", action="store_true", help="continue despite missing scores/failures"
     )

@@ -63,4 +63,4 @@ class SmilesFeatureWarning(UserWarning):
 
 
 class CanonicalizationLimit(SmilesError):
-    """The canonical-ordering search reached its leaf cap."""
+    """The canonical-ordering search reached its leaf cap or its work cap."""

@@ -241,17 +241,20 @@ def surrogate_vina(mol: Molecule) -> float:
 
 @dataclass(frozen=True)
 class DockCommand:
-    """Shell template with {smiles} plus optional {pocket_file} / {center_source}."""
+    """Shell template with {smiles} plus optional {pocket_file} / {center_source};
+    ``max_parallel`` bounds how many copies ``dock_many`` runs at once."""
 
     template: str
     timeout: float = 300.0
-    max_parallel: int = 1
+    max_parallel: int = 4
 
     def __post_init__(self):
         if "{smiles}" not in self.template:
             raise ValueError("dock command template must contain {smiles}")
         if not 0 < self.timeout < math.inf:  # rejects NaN as well
             raise ValueError("timeout must be finite and > 0")
+        if self.max_parallel < 1:
+            raise ValueError("max_parallel must be >= 1")
 
 
 class DockError(RuntimeError):
@@ -395,31 +398,49 @@ class DockRunResult:
 def dock_many(
     cmd: DockCommand,
     requests: Sequence[tuple[str, str, str | None, str | None]],
-    jobs: int = 1,
     cache_dir: str | Path | None = None,
 ) -> DockRunResult:
-    """Dock (pocket_id, smiles, pocket_file, center_source) requests, bounding
-    parallelism; results come back in request order regardless of scheduling.
-    Each request goes through the public ``external_dock``, so whatever wraps
-    that function sees every dock call; the ``canonicalize`` memo keeps the
-    SMILES from being canonicalized twice."""
-    workers = max(1, min(jobs, cmd.max_parallel))
+    """Dock (pocket_id, smiles, pocket_file, center_source) requests.
 
-    def run_one(req):
-        pocket_id, smiles, pocket_file, center_source = req
+    Requests that share the pocket, the canonical molecule and both inputs
+    share one call of the public ``external_dock`` (so whatever wraps that
+    function sees every call, and two threads never race to fill one cache
+    entry); up to ``cmd.max_parallel`` distinct calls run at once. Every
+    request gets its key's outcome, in request order; a failure carries the
+    request's own SMILES. A SMILES that does not canonicalize fails alone
+    and is never docked."""
+    keys: list[tuple | ValueError] = []  # per request: its key, or why it has none
+    first_raw: dict[tuple, str] = {}  # key -> the SMILES its call is made with
+    for pocket_id, smiles, pocket_file, center_source in requests:
         try:
-            canon = canonicalize(smiles)
-            score = external_dock(cmd, pocket_id, smiles, pocket_file, center_source, cache_dir)
-            return ScoreRecord(pocket_id=pocket_id, smiles=canon, vina=score)
-        except (DockError, ValueError) as exc:
-            return DockFailure(pocket_id=pocket_id, smiles=smiles, error=str(exc))
+            key = (pocket_id, canonicalize(smiles), pocket_file, center_source)
+        except ValueError as exc:
+            keys.append(exc)
+            continue
+        first_raw.setdefault(key, smiles)
+        keys.append(key)
 
-    if workers == 1:
-        outcomes = [run_one(req) for req in requests]
+    def run_one(key):
+        pocket_id, _, pocket_file, center_source = key
+        try:
+            return external_dock(
+                cmd, pocket_id, first_raw[key], pocket_file, center_source, cache_dir
+            )
+        except (DockError, ValueError) as exc:
+            return exc
+
+    workers = min(cmd.max_parallel, len(first_raw))
+    if workers <= 1:
+        outcome = {key: run_one(key) for key in first_raw}
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, requests))
+            outcome = dict(zip(first_raw, pool.map(run_one, first_raw)))
 
-    scores = tuple(o for o in outcomes if isinstance(o, ScoreRecord))
-    failures = tuple(o for o in outcomes if isinstance(o, DockFailure))
-    return DockRunResult(scores=scores, failures=failures)
+    scores, failures = [], []
+    for (pocket_id, smiles, _, _), key in zip(requests, keys):
+        result = outcome[key] if isinstance(key, tuple) else key
+        if isinstance(result, Exception):
+            failures.append(DockFailure(pocket_id=pocket_id, smiles=smiles, error=str(result)))
+        else:
+            scores.append(ScoreRecord(pocket_id=pocket_id, smiles=key[1], vina=result))
+    return DockRunResult(scores=tuple(scores), failures=tuple(failures))

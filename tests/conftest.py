@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import warnings
 from pathlib import Path
 
@@ -54,3 +56,24 @@ def child_env() -> dict[str, str]:
     src = str(Path(molchord.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` raises ``TimeoutError`` inside the block
+    once ``seconds`` of wall time pass, so a stalled call fails fast."""
+
+    @contextlib.contextmanager
+    def within(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

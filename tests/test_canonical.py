@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from molchord.molgraph import (
     Atom,
     Bond,
+    CanonicalizationLimit,
     canon,
     canonical_signature,
     canonical_smiles,
@@ -231,6 +232,20 @@ def test_long_tert_butyl_chains(groups):
     reference = canonical_smiles(mol)
     assert molecules_isomorphic(parse_smiles(reference), mol)
     _assert_permutation_invariant(mol, reference, np.random.default_rng(groups), 20)
+
+
+def test_tert_butyl_chain_of_twenty_groups_stays_under_the_work_cap():
+    mol = parse_smiles(tbu_chain(20, tail=9))
+    reference = canonical_smiles(mol)
+    assert molecules_isomorphic(parse_smiles(reference), mol)
+    _assert_permutation_invariant(mol, reference, np.random.default_rng(20), 1)
+
+
+def test_many_identical_components_reach_the_work_cap(deadline):
+    # k identical components cost about k**2 / 2 search nodes and only a few
+    # leaves: 400 methanes took about 20 s before the work cap
+    with deadline(1.0), pytest.raises(CanonicalizationLimit, match="400 atoms"):
+        canonical_smiles(parse_smiles(".".join(["C"] * 400)))
 
 
 def test_writer_leaves_recursion_limit_alone(monkeypatch):

@@ -174,6 +174,15 @@ def test_missing_config_file(tmp_path):
     assert main(["--config", str(tmp_path / "nope.ini"), "partition"]) == 3
 
 
+def test_config_that_is_not_a_readable_file_exits_three(tmp_path, capsys):
+    # ConfigParser.read skipped it, so the run went on with the defaults and
+    # failed later on "complexes file not found: None"
+    folder = tmp_path / "run.ini"
+    folder.mkdir()
+    assert main(["--config", str(folder), "partition"]) == 3
+    assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
 def test_evaluate_coverage_gap_exits_two(pipeline, tmp_path):
     src_tmp, config, outdir = pipeline
     scores_path = outdir / "scores.jsonl"
@@ -231,6 +240,12 @@ def test_sample_with_explicit_checkpoint(pipeline):
         generations_path.write_bytes(backup)
 
 
+def test_jobs_zero_exits_two_before_any_artifact(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, _UPSTREAM["dock"])
+    assert main(["--config", str(config), "--jobs", "0", "dock"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(_UPSTREAM["dock"])
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     complexes = tmp_path / "complexes.jsonl"
     dump_records(complexes, synthetic_complexes(4, seed=6))
@@ -276,6 +291,20 @@ def test_checkpoints_do_not_depend_on_the_output_directory(pipeline, tmp_path):
         checkpoints.append((run / "out" / "sft_checkpoint.json").read_bytes())
         manifest = json.loads((run / "out" / "train-sft.manifest.json").read_text())
         assert manifest["config"]["paths"]["outdir"] == str(run / "out")
+    assert checkpoints[0] == checkpoints[1]
+
+
+def test_checkpoint_does_not_depend_on_dock_workers(pipeline, tmp_path):
+    # --jobs writes [dock] max_parallel, which the config digest leaves out
+    checkpoints = []
+    for jobs in ("1", "3"):
+        run = tmp_path / jobs
+        run.mkdir()
+        config, out = _run_after(pipeline, run, ("partition.json",), {"train_sft": {"steps": "40"}})
+        assert main(["--config", str(config), "--jobs", jobs, "train-sft"]) == 0
+        manifest = json.loads((out / "train-sft.manifest.json").read_text())
+        assert manifest["config"]["dock"]["max_parallel"] == jobs
+        checkpoints.append((out / "sft_checkpoint.json").read_bytes())
     assert checkpoints[0] == checkpoints[1]
 
 
@@ -377,6 +406,10 @@ _UPSTREAM = {
     ("metrics", "top_k", "-2", ["report", "--fused"]),
     # and this in exit 4, every uncached dock call failing on the NaN
     ("dock", "timeout", "nan", ["dock"]),
+    # accepted before the upper bounds: a 2**40-bit fingerprint integer per
+    # molecule, and a million refinement rounds
+    ("metrics", "nbits", "1099511627776", ["curate"]),
+    ("metrics", "radius", "1000000", ["curate"]),
 ])
 def test_out_of_range_config_value_exits_two_before_any_artifact(
     pipeline, tmp_path, section, key, value, step

@@ -75,6 +75,18 @@ def test_load_reports_canonicalization_limit_as_schema_violation(tmp_path, monke
     assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
 
 
+def test_load_stops_a_stalling_canonicalization_within_a_second(tmp_path, deadline):
+    # one ligand of a 400-carbon chain plus 300 methanes made partition take 49 s
+    from molchord.molgraph import CanonicalizationLimit
+
+    path = tmp_path / "complexes.jsonl"
+    _write(path, [{"pocket_id": "p1", "ligand_smiles": ["C" * 400 + ".C" * 300]}])
+    with deadline(1.0), pytest.raises(SchemaViolation) as excinfo:
+        load_records(path, "complexes")
+    assert excinfo.value.field == "ligand_smiles"
+    assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
+
+
 def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
     from molchord.molgraph import parser
 
@@ -357,17 +369,123 @@ def test_external_dock_center_source_required(tmp_path):
     assert score == -5.0
 
 
+def _script(path, body):
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return path
+
+
+def test_dock_command_requires_at_least_one_worker():
+    with pytest.raises(ValueError, match="max_parallel"):
+        DockCommand(template="echo -8.5 # {smiles}", max_parallel=0)
+
+
 def test_dock_many_collects_failures(tmp_path):
-    script = tmp_path / "dock.sh"
-    script.write_text("#!/bin/sh\ncase \"$1\" in *N*) exit 3;; esac\necho -6.5\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    cmd = _cmd(f"{script} {{smiles}}", max_parallel=4)
+    script = _script(tmp_path / "dock.sh", 'case "$1" in *N*) exit 3;; esac\necho -6.5\n')
+    cmd = _cmd(f"{script} {{smiles}}", max_parallel=3)
     requests = [("p1", "CCO", None, None), ("p1", "CCN", None, None),
                 ("p2", "CCC", None, None)]
-    result = dock_many(cmd, requests, jobs=3, cache_dir=tmp_path / "cache")
+    result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO", "CCC"]
     assert len(result.failures) == 1
     assert result.failures[0].smiles == "CCN"
+
+
+def _barrier_dock(tmp_path, count):
+    """A dock command that logs its molecule, then waits up to 5 s until
+    ``count`` runs have logged theirs; it fails if they never do, so it
+    succeeds only when ``count`` runs overlap. The score is minus the line
+    number of its log entry, so a repeated run answers differently."""
+    log = tmp_path / "runs.log"
+    body = (
+        f'echo "$1 $$" >> {log}\n'
+        f'entry=$(grep -n -x "$1 $$" {log} | cut -d: -f1)\n'
+        "for i in $(seq 50); do\n"
+        f'  [ "$(wc -l < {log})" -ge {count} ] && {{ echo "-$entry"; exit 0; }}\n'
+        "  sleep 0.1\n"
+        "done\n"
+        "exit 1\n"
+    )
+    return _script(tmp_path / "dock.sh", body), log
+
+
+def test_dock_many_runs_distinct_requests_at_once(tmp_path):
+    script, log = _barrier_dock(tmp_path, 2)
+    cmd = _cmd(f"{script} {{smiles}}", max_parallel=2)
+    requests = [("p1", "CCO", None, None), ("p1", "CCN", None, None)]
+    result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
+    assert result.failures == ()
+    assert [s.smiles for s in result.scores] == ["CCO", "CCN"]
+    assert sorted(line.split()[0] for line in log.read_text().splitlines()) == ["CCN", "CCO"]
+
+
+def test_dock_many_docks_each_distinct_request_once(tmp_path):
+    # duplicates running side by side would each miss the cache and start
+    # the command, and with this command's changing answers also conflict
+    script, log = _barrier_dock(tmp_path, 3)
+    cmd = _cmd(f"{script} {{smiles}}", max_parallel=4)
+    requests = [("p1", "CCO", None, None), ("p1", "OCC", None, None),
+                ("p2", "CCO", None, None), ("p1", "C(O)C", None, None),
+                ("p2", "OCC", None, None), ("p1", "CCN", None, None)]
+    result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
+    assert result.failures == ()
+    assert len(log.read_text().splitlines()) == 3
+    scores = result.scores
+    assert [(s.pocket_id, s.smiles) for s in scores] == [
+        ("p1", "CCO"), ("p1", "CCO"), ("p2", "CCO"), ("p1", "CCO"), ("p2", "CCO"), ("p1", "CCN"),
+    ]
+    assert scores[0].vina == scores[1].vina == scores[3].vina
+    assert scores[2].vina == scores[4].vina
+    assert len({scores[0].vina, scores[2].vina, scores[5].vina}) == 3
+
+
+def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
+    log = tmp_path / "runs.log"
+    script = _script(
+        tmp_path / "dock.sh", f'echo "$1" >> {log}\ncase "$1" in *N*) exit 3;; esac\necho -6.5\n'
+    )
+    cmd = _cmd(f"{script} {{smiles}}", max_parallel=2)
+    requests = [("p1", "CCN", None, None), ("p1", "CCO", None, None),
+                ("p1", "NCC", None, None)]
+    result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
+    assert [s.smiles for s in result.scores] == ["CCO"]
+    assert [f.smiles for f in result.failures] == ["CCN", "NCC"]
+    assert result.failures[0].error == result.failures[1].error
+    assert "exited 3" in result.failures[0].error
+    assert sorted(log.read_text().split()) == ["CCN", "CCO"]  # one run per molecule
+
+
+def test_dock_many_fails_an_invalid_smiles_alone(tmp_path):
+    log = tmp_path / "runs.log"
+    script = _script(tmp_path / "dock.sh", f'echo "$1" >> {log}\necho -6.5\n')
+    requests = [("p1", "C1CC", None, None), ("p1", "CCO", None, None)]
+    result = dock_many(_cmd(f"{script} {{smiles}}"), requests, cache_dir=tmp_path / "cache")
+    assert [s.smiles for s in result.scores] == ["CCO"]
+    assert [f.smiles for f in result.failures] == ["C1CC"]
+    assert log.read_text().split() == ["CCO"]
+
+
+def test_dock_many_under_thread_pressure_starts_one_run_per_key(tmp_path):
+    # more workers than cores and a short switch interval: a lost update of
+    # the grouping or the cache would start a second run of some key
+    log = tmp_path / "runs.log"
+    script = _script(tmp_path / "dock.sh", f'echo "$1" >> {log}\nwc -l < {log}\n')
+    molecules = ["C" * k for k in range(1, 9)]
+    requests = [(f"p{i % 2}", smiles, None, None) for i in range(5) for smiles in molecules]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = dock_many(
+            _cmd(f"{script} {{smiles}}", max_parallel=8), requests, cache_dir=tmp_path / "cache"
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.failures == ()
+    assert len(log.read_text().splitlines()) == 16
+    by_key: dict[tuple[str, str], set[float]] = {}
+    for score in result.scores:
+        by_key.setdefault((score.pocket_id, score.smiles), set()).add(score.vina)
+    assert len(by_key) == 16 and all(len(v) == 1 for v in by_key.values())
 
 
 def test_external_dock_cache_key_covers_substituted_inputs(tmp_path):
