@@ -294,11 +294,13 @@ def _require_file(path: Path | None, what: str) -> Path:
 
 
 def _load(path: Path | None, schema: str, what: str) -> list:
-    """Records of an input file: missing exits 3, malformed exits 2."""
+    """Records of an input file: missing or unreadable exits 3, malformed exits 2."""
     try:
         return scorers.load_records(_require_file(path, what), schema)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+    except OSError as exc:
+        raise MissingArtifact(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
 def _load_complexes(
@@ -312,8 +314,18 @@ def _load_complexes(
 
 
 def _load_partition(cfg: RunConfig) -> dict:
+    """``partition.json``; unreadable, or without its two lists of pocket ids, exits 3."""
     path = _require_file(cfg.outdir / "partition.json", "partition artifact")
-    return json.loads(path.read_text())
+    try:
+        partition = json.loads(path.read_text())
+    except (ValueError, OSError, RecursionError) as exc:
+        raise MissingArtifact(f"cannot load partition {path}: {exc}") from exc
+    if not isinstance(partition, dict) or not all(
+        isinstance(partition.get(name), list) and all(isinstance(p, str) for p in partition[name])
+        for name in ("sft_pool", "dpo_pool")
+    ):
+        raise MissingArtifact(f"cannot load partition {path}: no sft_pool and dpo_pool id lists")
+    return partition
 
 
 def _load_checkpoint(path: Path) -> ModelParams:
@@ -321,7 +333,7 @@ def _load_checkpoint(path: Path) -> ModelParams:
 
     try:
         return load_params(path)[0]
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         raise MissingArtifact(f"cannot load checkpoint {path}: {exc}") from exc
 
 
@@ -751,27 +763,48 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path: Path) -> tuple[str, list[tuple[str, Path, str]]] | None:
+    """A manifest's command and its (role, file, sha256) entries; None when
+    the file is not JSON in the shape ``write_manifest`` writes."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (ValueError, OSError, RecursionError):
+        return None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("command"), str):
+        return None
+    entries = []
+    for role in ("inputs", "outputs"):
+        files = manifest.get(role, {})
+        if not isinstance(files, dict) or not all(isinstance(h, str) for h in files.values()):
+            return None
+        entries += [(role[:-1], Path(name), digest) for name, digest in files.items()]
+    return manifest["command"], entries
+
+
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     manifests = sorted(cfg.outdir.glob("*.manifest.json"))
     if not manifests:
         raise MissingArtifact(f"no manifests under {cfg.outdir}")
     bad = 0
     for manifest_path in manifests:
-        manifest = json.loads(manifest_path.read_text())
-        for role in ("inputs", "outputs"):
-            for path_str, expected in manifest.get(role, {}).items():
-                path = Path(path_str)
-                if not path.exists():
-                    print(f"MISSING  {manifest['command']:<12} {role[:-1]:<7} {path}")
-                    bad += 1
-                    continue
-                actual = _sha256_file(path)
-                status = "ok" if actual == expected else "CHANGED"
-                if status != "ok":
-                    bad += 1
-                print(f"{status:<8} {manifest['command']:<12} {role[:-1]:<7} {path}")
+        read = _read_manifest(manifest_path)
+        if read is None:
+            print(f"BROKEN   {manifest_path}")
+            bad += 1
+            continue
+        command, entries = read
+        for role, path, expected in entries:
+            if not path.exists():
+                print(f"MISSING  {command:<12} {role:<7} {path}")
+                bad += 1
+                continue
+            actual = _sha256_file(path)
+            status = "ok" if actual == expected else "CHANGED"
+            if status != "ok":
+                bad += 1
+            print(f"{status:<8} {command:<12} {role:<7} {path}")
     if bad:
-        raise ValidationFailure(f"{bad} artifacts differ from their manifests")
+        raise ValidationFailure(f"{bad} artifacts or manifests failed the check")
     print(f"verify: {len(manifests)} manifests consistent")
     return EXIT_OK
 

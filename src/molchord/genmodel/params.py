@@ -160,6 +160,8 @@ def save_params(path: str | Path, params: ModelParams, extra: dict | None = None
 
 def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     stored_hash = payload.pop("content_hash", None)

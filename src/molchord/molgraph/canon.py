@@ -366,7 +366,7 @@ def canonical_smiles(mol: Molecule) -> str:
             heapq.heappush(free_digits, digit_for[ci])
         for ci in opens_at.get(atom_idx, ()):
             if not free_digits:
-                raise ValueError("more than 99 simultaneously open ring closures")
+                raise CanonicalizationLimit("more than 99 simultaneously open ring closures", 0)
             digit_for[ci] = heapq.heappop(free_digits)
 
     def digit_token(digit: int) -> str:

@@ -34,7 +34,7 @@ class UnknownElement(SmilesError):
 
 
 class AromaticityError(SmilesError):
-    """Aromatic atom or bond that is not part of any perceived ring."""
+    """Aromatic atom or bond that lies on no ring (no cycle of bonds)."""
 
 
 @dataclass(frozen=True)
@@ -63,4 +63,5 @@ class SmilesFeatureWarning(UserWarning):
 
 
 class CanonicalizationLimit(SmilesError):
-    """The canonical-ordering search reached its leaf cap or its work cap."""
+    """The canonical-ordering search reached its leaf cap or its work cap, or
+    the canonical string would need more than 99 ring-closure digits open at once."""

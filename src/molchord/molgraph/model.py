@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_ORGANIC = ("b", "c", "n", "o", "p", "s")
@@ -62,11 +62,10 @@ class Bond:
 
 @dataclass
 class Molecule:
-    """Parsed molecular graph. ``rings`` is filled by ring perception."""
+    """Parsed molecular graph."""
 
     atoms: list[Atom]
     bonds: list[Bond]
-    rings: list[tuple[int, ...]] = field(default_factory=list)
     source: str = ""
 
     def neighbors(self) -> list[list[tuple[int, BondOrder]]]:
@@ -123,7 +122,7 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Mol
 
 
 def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
-    """Relabel atoms so old index i becomes perm[i]. Rings are not carried over."""
+    """Relabel atoms so old index i becomes perm[i]."""
     n = len(mol.atoms)
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of atom indices")

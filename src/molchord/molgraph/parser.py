@@ -4,7 +4,7 @@ Supports the organic subset, bracket atoms with charge and explicit hydrogen
 counts, branches, ring-closure digits (including %nn), dot disconnection and
 explicit bond symbols. Stereo marks, isotopes and atom classes are parsed and
 dropped with a warning. Aromaticity is syntactic: lowercase atoms and ':'
-bonds are accepted and must sit on a perceived ring.
+bonds are accepted and must lie on a ring (a cycle of bonds).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .model import (
     make_molecule,
     max_valence,
 )
-from .rings import perceive_rings
+from .rings import ring_bonds
 
 MAX_INPUT_LENGTH = 4096
 
@@ -54,7 +54,7 @@ class _PendingRing:
 
 
 def parse_smiles(text: str, validate: bool = True) -> Molecule:
-    """Parse ``text`` into a Molecule with rings perceived and valence checked."""
+    """Parse ``text`` into a Molecule with aromatic ring membership and valence checked."""
     if text == "":
         raise EmptyInput("empty SMILES", 0)
     if len(text) > MAX_INPUT_LENGTH:
@@ -189,7 +189,6 @@ def parse_smiles(text: str, validate: bool = True) -> Molecule:
         raise EmptyInput("no atoms in input", 0)
 
     mol = make_molecule(atoms, bonds, source=text)
-    mol = perceive_rings(mol)
     _check_aromatic_membership(mol)
     if validate:
         issues = validate_valence(mol)
@@ -309,20 +308,22 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
 
 
 def _check_aromatic_membership(mol: Molecule) -> None:
+    if not any(atom.aromatic for atom in mol.atoms) and not any(
+        bond.order == BondOrder.AROMATIC for bond in mol.bonds
+    ):
+        return
+    on_ring = ring_bonds(mol)
     ring_atoms: set[int] = set()
-    ring_bonds: set[tuple[int, int]] = set()
-    for ring in mol.rings:
-        ring_atoms.update(ring)
-        for j in range(len(ring)):
-            a, b = ring[j], ring[(j + 1) % len(ring)]
-            ring_bonds.add((a, b) if a < b else (b, a))
+    for bond, flag in zip(mol.bonds, on_ring):
+        if flag:
+            ring_atoms.update((bond.a, bond.b))
     for atom in mol.atoms:
         if atom.aromatic and atom.index not in ring_atoms:
             raise AromaticityError(
                 f"aromatic atom {atom.index} is not in any ring", atom.offset
             )
-    for bond in mol.bonds:
-        if bond.order == BondOrder.AROMATIC and bond.key() not in ring_bonds:
+    for bond, flag in zip(mol.bonds, on_ring):
+        if bond.order == BondOrder.AROMATIC and not flag:
             a = mol.atoms[bond.a]
             raise AromaticityError(
                 f"aromatic bond {bond.key()} is not in any ring", a.offset

@@ -83,7 +83,10 @@ def _typed(obj: dict, line_no: int, field: str, kind) -> object:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaViolation(line_no, field, f"expected a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise SchemaViolation(line_no, field, "must be finite")
         return value
@@ -114,6 +117,9 @@ def _canonical(smiles: str, line_no: int, field: str) -> str:
 def _parse_complexes(obj: dict, line_no: int) -> ComplexRecord:
     pocket_id = _require(obj, line_no, "pocket_id", str)
     ligands = _require(obj, line_no, "ligand_smiles", list)
+    for s in ligands:
+        if not isinstance(s, str):
+            raise SchemaViolation(line_no, "ligand_smiles", f"expected str items, got {s!r}")
     canon = tuple(_canonical(s, line_no, "ligand_smiles") for s in ligands)
     homology = _optional(obj, line_no, "homology", str)
     if homology is not None and homology not in (HOMOLOGOUS, NON_HOMOLOGOUS):
@@ -190,6 +196,8 @@ def load_records(path: str | Path, schema: str) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise MalformedLine(line_no, "invalid JSON: nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise MalformedLine(line_no, "record must be a JSON object")
             record = parser(obj, line_no)

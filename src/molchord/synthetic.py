@@ -19,7 +19,6 @@ from .molgraph import (
     Molecule,
     canonical_smiles,
     make_molecule,
-    perceive_rings,
 )
 
 _AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
@@ -47,7 +46,7 @@ class _Builder:
         return [i for i, f in enumerate(self.free) if f > 0]
 
     def finish(self) -> Molecule:
-        return perceive_rings(make_molecule(self.atoms, self.bonds))
+        return make_molecule(self.atoms, self.bonds)
 
 
 def _aromatic_ring(b: _Builder, rng: np.random.Generator, allow_hetero: bool = True) -> list[int]:

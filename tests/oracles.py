@@ -88,18 +88,23 @@ def greedy_min_cycle_basis(
 
 def fused_ring_count_oracle(n_atoms: int, edges: list[tuple[int, int]]) -> int:
     """Rings of the greedy minimum basis sharing at least one edge with another."""
-    rings = greedy_min_cycle_basis(n_atoms, edges)
-    edge_sets = []
-    for cycle in rings:
-        cycle_edges = set()
-        for i in range(len(cycle)):
-            a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-            cycle_edges.add((a, b) if a < b else (b, a))
-        edge_sets.append(cycle_edges)
+    return fused_among(greedy_min_cycle_basis(n_atoms, edges))
+
+
+def fused_among(rings: list[tuple[int, ...]]) -> int:
+    """Rings of ``rings`` that share at least one edge with another of them."""
+    edge_sets = [ring_edges(cycle) for cycle in rings]
     return sum(
         1
         for i, mine in enumerate(edge_sets)
         if any(i != j and mine & other for j, other in enumerate(edge_sets))
+    )
+
+
+def ring_edges(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The edges of a cycle given as its atom sequence, each as (low, high)."""
+    return frozenset(
+        tuple(sorted((cycle[j], cycle[(j + 1) % len(cycle)]))) for j in range(len(cycle))
     )
 
 
@@ -251,16 +256,11 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
 
 
 # --- ring perception and Morgan fingerprints as first written --------------
-# The package's versions skip bridges and pre-encode hash input; these are the
-# straightforward forms they must reproduce exactly.
+# The package counts fused rings and finds ring bonds from biconnected blocks,
+# without a ring list, and pre-encodes hash input; these are the
+# straightforward forms whose results it must reproduce exactly.
 
 _MAX_PATHS_PER_BOND_ORACLE = 64
-
-
-def _cycle_edges_oracle(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        tuple(sorted((cycle[j], cycle[(j + 1) % len(cycle)]))) for j in range(len(cycle))
-    )
 
 
 def _all_shortest_paths_oracle(adj, src: int, dst: int, banned: tuple[int, int]):
@@ -339,9 +339,9 @@ def _fundamental_cycles_oracle(mol, adj) -> list[tuple[int, ...]]:
 
 
 def perceive_rings_oracle(mol) -> list[tuple[int, ...]]:
-    """Ring list from a shortest-path search through every bond, bridges
-    included, over the whole graph: the sorted greedy GF(2)-independent
-    selection ``perceive_rings`` must return."""
+    """Smallest set of smallest rings: from a shortest-path search through
+    every bond, bridges included, over the whole graph, the sorted greedy
+    GF(2)-independent selection, completed by fundamental cycles."""
     target = len(mol.bonds) - len(mol.atoms) + mol.component_count()
     if target <= 0:
         return []
@@ -357,7 +357,7 @@ def perceive_rings_oracle(mol) -> list[tuple[int, ...]]:
 
     def try_add(cycle) -> None:
         vec = 0
-        for edge in _cycle_edges_oracle(cycle):
+        for edge in ring_edges(cycle):
             vec |= 1 << bond_index[edge]
         while vec:
             pivot = vec.bit_length() - 1

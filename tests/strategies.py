@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from molchord.molgraph import Atom, Bond, make_molecule, parse_smiles, perceive_rings
+from molchord.molgraph import Atom, Bond, make_molecule, parse_smiles
 
 NAMED_RING_SYSTEMS = (
     "C12C3C4C1C5C2C3C45",  # cubane
@@ -60,4 +60,4 @@ def ring_assemblies(draw):
             else:
                 path(a, None, draw(st.integers(1, 3)))
     atoms = [Atom(element=e) for e in elements]
-    return perceive_rings(make_molecule(atoms, [Bond(a, b) for a, b in sorted(bonds)]))
+    return make_molecule(atoms, [Bond(a, b) for a, b in sorted(bonds)])

@@ -27,7 +27,6 @@ from molchord.molgraph import (
     count_fused_rings,
     morgan_fingerprint,
     parse_smiles,
-    perceive_rings,
     permute_atoms,
 )
 from molchord.scorers import dump_records
@@ -138,12 +137,12 @@ def test_acceptance_3_canonicalization():
             canonicals.add(reference)
             for _ in range(100):
                 perm = list(rng.permutation(len(mol.atoms)))
-                permuted = perceive_rings(permute_atoms(mol, perm))
+                permuted = permute_atoms(mol, perm)
                 assert canonical_smiles(permuted) == reference, smiles
             back = parse_smiles(reference)
             assert len(back.atoms) == len(mol.atoms)
             assert len(back.bonds) == len(mol.bonds)
-            assert len(back.rings) == len(mol.rings)
+            assert back.cyclomatic_number() == mol.cyclomatic_number()
             assert count_fused_rings(back) == count_fused_rings(mol)
         assert len(canonicals) == 1000  # distinct molecules stay distinct
 

@@ -17,8 +17,8 @@ from molchord.molgraph import (
     count_fused_rings,
     make_molecule,
     parse_smiles,
-    perceive_rings,
     permute_atoms,
+    try_canonicalize,
 )
 
 from .oracles import _refine_oracle, exhaustive_canonical_signature, molecules_isomorphic
@@ -62,7 +62,7 @@ symmetric_graphs = st.one_of(
 def _assert_permutation_invariant(mol, reference: str, rng, times: int) -> None:
     for _ in range(times):
         perm = [int(i) for i in rng.permutation(len(mol.atoms))]
-        assert canonical_smiles(perceive_rings(permute_atoms(mol, perm))) == reference
+        assert canonical_smiles(permute_atoms(mol, perm)) == reference
 
 
 def test_same_graph_same_string():
@@ -84,7 +84,7 @@ def test_permutation_invariance_twenty_atom_fixture(rng):
     seen = set()
     for _ in range(100):
         perm = list(rng.permutation(len(mol.atoms)))
-        permuted = perceive_rings(permute_atoms(mol, perm))
+        permuted = permute_atoms(mol, perm)
         seen.add(canonical_smiles(permuted))
     assert seen == {reference}
 
@@ -95,7 +95,7 @@ def test_round_trip_preserves_counts(small_corpus):
         back = parse_smiles(canonical_smiles(mol))
         assert len(back.atoms) == len(mol.atoms)
         assert len(back.bonds) == len(mol.bonds)
-        assert len(back.rings) == len(mol.rings)
+        assert back.cyclomatic_number() == mol.cyclomatic_number()
         assert count_fused_rings(back) == count_fused_rings(mol)
         assert molecules_isomorphic(mol, back)
 
@@ -130,7 +130,7 @@ def test_biphenyl_single_bond_survives():
     out = canonical_smiles(parse_smiles("c1ccc(-c2ccccc2)cc1"))
     mol = parse_smiles(out)
     assert count_fused_rings(mol) == 0
-    assert len(mol.rings) == 2
+    assert mol.cyclomatic_number() == 2
 
 
 def test_disconnected_components_sorted():
@@ -144,7 +144,7 @@ def test_ring_closure_digit_reuse():
     # three separate rings reuse digit 1 after it closes
     out = canonical_smiles(parse_smiles("C1CC1C1CC1C1CC1"))
     back = parse_smiles(out)
-    assert len(back.rings) == 3
+    assert back.cyclomatic_number() == 3
 
 
 def test_class_function_on_adversarial_graphs():
@@ -169,27 +169,27 @@ def test_class_function_on_adversarial_graphs():
             if a != b:
                 edges.add((min(a, b), max(a, b)))
         bonds = [Bond(a, b, BondOrder(int(rng.choice([1, 1, 1, 2])))) for a, b in sorted(edges)]
-        return perceive_rings(make_molecule(atoms, bonds))
+        return make_molecule(atoms, bonds)
 
     mols = [random_graph(int(rng.integers(2, 9)), int(rng.integers(0, 4))) for _ in range(150)]
     carbons = lambda n: [Atom(element="C") for _ in range(n)]
     for n in range(3, 8):  # plain cycles
-        mols.append(perceive_rings(make_molecule(carbons(n), [Bond(i, (i + 1) % n) for i in range(n)])))
+        mols.append(make_molecule(carbons(n), [Bond(i, (i + 1) % n) for i in range(n)]))
     # complete graph, 3-cube, and the K3,3 / prism pair (3-regular near-twins)
-    mols.append(perceive_rings(make_molecule(carbons(4), [Bond(i, j) for i in range(4) for j in range(i + 1, 4)])))
+    mols.append(make_molecule(carbons(4), [Bond(i, j) for i in range(4) for j in range(i + 1, 4)]))
     cube = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)]
-    mols.append(perceive_rings(make_molecule(carbons(8), [Bond(a, b) for a, b in cube])))
+    mols.append(make_molecule(carbons(8), [Bond(a, b) for a, b in cube]))
     k33 = [Bond(i, j) for i in range(3) for j in range(3, 6)]
     prism = [Bond(*e) for e in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]]
-    mols.append(perceive_rings(make_molecule(carbons(6), k33)))
-    mols.append(perceive_rings(make_molecule(carbons(6), prism)))
+    mols.append(make_molecule(carbons(6), k33))
+    mols.append(make_molecule(carbons(6), prism))
 
     canon = [canonical_smiles(m) for m in mols]
     assert canon[-2] != canon[-1]  # K3,3 vs prism
     for mol, reference in zip(mols, canon):
         for _ in range(5):
             perm = list(rng.permutation(len(mol.atoms)))
-            assert canonical_smiles(perceive_rings(permute_atoms(mol, perm))) == reference
+            assert canonical_smiles(permute_atoms(mol, perm)) == reference
 
     from collections import defaultdict
 
@@ -215,7 +215,7 @@ def test_symmetric_molecules():
         rng = np.random.default_rng(7)
         for _ in range(20):
             perm = list(rng.permutation(len(mol.atoms)))
-            assert canonical_smiles(perceive_rings(permute_atoms(mol, perm))) == reference
+            assert canonical_smiles(permute_atoms(mol, perm)) == reference
 
 
 @settings(max_examples=40)
@@ -246,6 +246,18 @@ def test_many_identical_components_reach_the_work_cap(deadline):
     # leaves: 400 methanes took about 20 s before the work cap
     with deadline(1.0), pytest.raises(CanonicalizationLimit, match="400 atoms"):
         canonical_smiles(parse_smiles(".".join(["C"] * 400)))
+
+
+# 120 fused rings whose canonical string keeps more than 99 closures open
+TOO_MANY_OPEN_CLOSURES = "C0CCC1C(C0)" + "CC0C(C1)CC1C(C0)" * 59 + "CCCC1"
+
+
+def test_too_many_open_ring_closures_is_a_canonicalization_limit():
+    mol = parse_smiles(TOO_MANY_OPEN_CLOSURES)
+    assert count_fused_rings(mol) == 120
+    with pytest.raises(CanonicalizationLimit, match="99 simultaneously open"):
+        canonical_smiles(mol)
+    assert try_canonicalize(TOO_MANY_OPEN_CLOSURES) is None
 
 
 def test_writer_leaves_recursion_limit_alone(monkeypatch):

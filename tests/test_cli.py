@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molchord.cli import SCHEMA, ValidationFailure, build_parser, load_config, main
@@ -181,6 +181,74 @@ def test_config_that_is_not_a_readable_file_exits_three(tmp_path, capsys):
     folder.mkdir()
     assert main(["--config", str(folder), "partition"]) == 3
     assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
+def test_complexes_path_that_is_a_directory_exits_three(tmp_path, capsys):
+    # open() raised IsADirectoryError, which ended in exit 1
+    folder = tmp_path / "complexes.jsonl"
+    folder.mkdir()
+    assert main(["--config", str(_write_config(tmp_path, folder)), "partition"]) == 3
+    assert f"cannot read complexes file {folder}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '{"pocket_id": "p1", "ligand_smiles": ["CCO"], "reference_vina": 1%s}' % ("0" * 400),
+    '{"pocket_id": "p1", "ligand_smiles": [5]}',
+    '{"pocket_id": "p1", "ligand_smiles": [["CCO"]]}',
+    "[" * 100_000,
+], ids=["huge-integer", "number-ligand", "nested-ligand", "deep-nesting"])
+def test_complexes_lines_that_crashed_partition_exit_two(tmp_path, line):
+    complexes = tmp_path / "complexes.jsonl"
+    complexes.write_text(line + "\n")
+    assert main(["--config", str(_write_config(tmp_path, complexes)), "partition"]) == 2
+    assert not (tmp_path / "out" / "partition.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "garbage", '{"sft_pool": 3}', "[]", '{"sft_pool": [1], "dpo_pool": []}', "[" * 100_000,
+], ids=["not-json", "number-pool", "list", "number-id", "deep-nesting"])
+def test_unloadable_partition_exits_three(tmp_path, capsys, text):
+    complexes = tmp_path / "complexes.jsonl"
+    dump_records(complexes, synthetic_complexes(3, seed=2))
+    config = _write_config(tmp_path, complexes)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "partition.json").write_text(text)
+    assert main(["--config", str(config), "train-sft"]) == 3
+    assert "cannot load partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "garbage", "{}", "[" * 100_000],
+                         ids=["list", "not-json", "empty", "deep-nesting"])
+def test_unloadable_supervised_checkpoint_exits_three(tmp_path, capsys, text):
+    complexes = tmp_path / "complexes.jsonl"
+    records = synthetic_complexes(3, seed=2)
+    dump_records(complexes, records)
+    config = _write_config(tmp_path, complexes)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    pair = {"pocket_id": records[0].pocket_id, "chosen": "CCO", "rejected": "CCN",
+            "reward_chosen": 1.0, "reward_rejected": 0.0}
+    (outdir / "pairs.jsonl").write_text(json.dumps(pair) + "\n")
+    (outdir / "sft_checkpoint.json").write_text(text)
+    assert main(["--config", str(config), "train-dpo"]) == 3
+    assert "cannot load checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "garbage", "[]", '{"command": "dock", "inputs": []}', "[" * 100_000,
+], ids=["not-json", "list", "list-of-inputs", "deep-nesting"])
+def test_verify_reports_an_unreadable_manifest_and_exits_two(pipeline, tmp_path, capsys, text):
+    _, config, outdir = pipeline
+    broken = outdir / "broken.manifest.json"
+    broken.write_text(text)
+    try:
+        assert main(["--config", str(config), "verify"]) == 2
+    finally:
+        broken.unlink()
+    out = capsys.readouterr().out
+    assert f"BROKEN   {broken}" in out
+    assert out.count("CHANGED") == out.count("MISSING") == 0
+    assert main(["--config", str(config), "verify"]) == 0
 
 
 def test_evaluate_coverage_gap_exits_two(pipeline, tmp_path):
@@ -564,3 +632,80 @@ def test_readme_config_reference_matches_cli_defaults():
     for key in SCHEMA:
         defaults.setdefault(key.section, {})[key.name] = key.default
     assert _readme_config_reference() == defaults
+
+
+# --- contract: any record line ends in a documented exit code -----------------
+
+_CONTRACT_RECORDS = {
+    "complexes": [
+        {"pocket_id": "p0", "ligand_smiles": ["CCO", "c1ccccc1", "CC(=O)O"],
+         "reference_vina": -7.0, "pocket_sequence": "ACDE", "homology": "homologous"},
+        {"pocket_id": "p1", "ligand_smiles": ["CCN"], "reference_vina": -6.0,
+         "homology": "non_homologous"},
+    ],
+    "generations": [
+        {"pocket_id": "p0", "smiles": "CCO", "logprob": -3.0},
+        {"pocket_id": "p0", "smiles": "c1ccccc1O", "logprob": -9.5},
+        {"pocket_id": "p1", "smiles": "CCCN"},
+    ],
+    "scores": [
+        {"pocket_id": "p0", "smiles": "CCO", "vina": -6.5, "qed": 0.4, "sa_origin": 2.0},
+        {"pocket_id": "p0", "smiles": "c1ccccc1O", "vina": -7.5, "qed": 0.6, "sa_origin": 1.5},
+        {"pocket_id": "p1", "smiles": "CCCN", "vina": -5.0},
+    ],
+}
+_SMILES_VALUES = st.sampled_from([
+    "C1CC", "C((", "Xx", "cc", "[C", "C" * 5000, ".".join(["C"] * 60), ".".join(["C"] * 2000),
+    ".".join(["c1ccccc1"] * 450),
+])
+_VALUES = st.one_of(
+    st.text(alphabet="Cc1(=O.N%", max_size=8),
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(10**400),
+    st.just(-(10**400)),
+    st.none(),
+    st.booleans(),
+    st.recursive(st.lists(st.integers(), max_size=2), lambda inner: st.lists(inner, max_size=2)),
+    st.just([[[["CCO"]]]]),
+    _SMILES_VALUES,
+    st.lists(_SMILES_VALUES, min_size=1, max_size=2),
+)
+
+
+@st.composite
+def _mutated_record_files(draw):
+    """The contract records with one line mutated: a field dropped or given
+    another value (a string, number, huge integer, NaN, infinity, null, bool,
+    nested array or a bad SMILES), or the whole line replaced."""
+    files = {name: [json.dumps(row) for row in rows] for name, rows in _CONTRACT_RECORDS.items()}
+    name = draw(st.sampled_from(sorted(files)))
+    index = draw(st.integers(0, len(files[name]) - 1))
+    row = dict(_CONTRACT_RECORDS[name][index])
+    field = draw(st.sampled_from(sorted(row)))
+    kind = draw(st.sampled_from(["drop", "set", "set", "set", "line"]))
+    if kind == "drop":
+        del row[field]
+    elif kind == "set":
+        row[field] = draw(_VALUES)
+    files[name][index] = json.dumps(row) if kind != "line" else draw(st.one_of(
+        _VALUES.map(json.dumps), st.sampled_from(["[" * 100_000, "{", "garbage"])
+    ))
+    return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
+
+
+@given(_mutated_record_files(), st.sampled_from(["partition", "evaluate"]))
+@settings(max_examples=40, suppress_health_check=list(HealthCheck))
+def test_any_mutated_record_line_ends_in_a_documented_exit_code(
+    tmp_path_factory, deadline, texts, command
+):
+    tmp_path = tmp_path_factory.mktemp("contract")
+    complexes = tmp_path / "complexes.jsonl"
+    complexes.write_text(texts["complexes"])
+    config = _write_config(tmp_path, complexes)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "generations.jsonl").write_text(texts["generations"])
+    (outdir / "scores.jsonl").write_text(texts["scores"])
+    with deadline(10.0):
+        assert main(["--config", str(config), command]) in (0, 2, 3, 4)

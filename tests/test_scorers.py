@@ -87,18 +87,31 @@ def test_load_stops_a_stalling_canonicalization_within_a_second(tmp_path, deadli
     assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
 
 
+def test_load_reports_too_many_open_ring_closures_as_schema_violation(tmp_path):
+    # valid, but its canonical string would keep more than 99 closures open
+    from molchord.molgraph import CanonicalizationLimit
+
+    smiles = "C0CCC1C(C0)" + "CC0C(C1)CC1C(C0)" * 59 + "CCCC1"
+    path = tmp_path / "scores.jsonl"
+    _write(path, [{"pocket_id": "p1", "smiles": smiles, "vina": -5.0}])
+    with pytest.raises(SchemaViolation) as excinfo:
+        load_records(path, "scores")
+    assert excinfo.value.field == "smiles"
+    assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
+
+
 def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
     from molchord.molgraph import parser
 
-    # one ring perception per parse, whichever module calls parse_smiles
+    # one molecule built per parse, whichever module calls parse_smiles
     parsed = []
-    real = parser.perceive_rings
+    real = parser.make_molecule
 
-    def counting(mol):
-        parsed.append(mol.source)
-        return real(mol)
+    def counting(atoms, bonds, source=""):
+        parsed.append(source)
+        return real(atoms, bonds, source=source)
 
-    monkeypatch.setattr(parser, "perceive_rings", counting)
+    monkeypatch.setattr(parser, "make_molecule", counting)
     raws = ["OCC", "C(C)N", "c1ccccc1O"]
     gen_path, score_path = tmp_path / "generations.jsonl", tmp_path / "scores.jsonl"
     _write(gen_path, [{"pocket_id": p, "smiles": s} for p in ("p1", "p2") for s in raws])
@@ -129,6 +142,32 @@ def test_bad_smiles_fails_with_its_own_line_in_every_file(tmp_path):
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"pocket_id": "p1"\nnot json\n')
+    with pytest.raises(MalformedLine) as excinfo:
+        load_records(path, "scores")
+    assert excinfo.value.line_no == 1
+
+
+@pytest.mark.parametrize("schema, line, field", [
+    ("complexes", '{"pocket_id": "p1", "ligand_smiles": ["CCO"], "reference_vina": 1%s}' % ("0" * 400),
+     "reference_vina"),
+    ("scores", '{"pocket_id": "p1", "smiles": "CCO", "vina": -1%s}' % ("0" * 400), "vina"),
+    ("complexes", '{"pocket_id": "p1", "ligand_smiles": [5]}', "ligand_smiles"),
+    ("complexes", '{"pocket_id": "p1", "ligand_smiles": [["CCO"]]}', "ligand_smiles"),
+], ids=["huge-reference-vina", "huge-vina", "number-ligand", "nested-ligand"])
+def test_load_rejects_values_that_raised_outside_the_schema(tmp_path, schema, line, field):
+    # an integer beyond the float range raised OverflowError, a ligand that
+    # is not a string TypeError
+    path = tmp_path / "records.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(SchemaViolation) as excinfo:
+        load_records(path, schema)
+    assert (excinfo.value.line_no, excinfo.value.field) == (1, field)
+
+
+def test_load_rejects_deeply_nested_json_as_malformed(tmp_path):
+    # json.loads raised RecursionError
+    path = tmp_path / "scores.jsonl"
+    path.write_text("[" * 100_000 + "\n")
     with pytest.raises(MalformedLine) as excinfo:
         load_records(path, "scores")
     assert excinfo.value.line_no == 1

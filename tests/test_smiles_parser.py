@@ -16,12 +16,14 @@ from molchord.molgraph import (
     validate_valence,
 )
 
+from .oracles import greedy_min_cycle_basis
+
 
 def test_benzene_counts():
     mol = parse_smiles("c1ccccc1")
     assert len(mol.atoms) == 6
     assert len(mol.bonds) == 6
-    assert len(mol.rings) == 1
+    assert mol.cyclomatic_number() == 1
     assert all(a.aromatic for a in mol.atoms)
     assert all(b.order == BondOrder.AROMATIC for b in mol.bonds)
 
@@ -30,7 +32,7 @@ def test_naphthalene_counts():
     mol = parse_smiles("c1ccc2ccccc2c1")
     assert len(mol.atoms) == 10
     assert len(mol.bonds) == 11
-    assert len(mol.rings) == 2
+    assert mol.cyclomatic_number() == 2
 
 
 def test_branches_and_bonds():
@@ -57,8 +59,9 @@ def test_two_letter_elements_vs_aromatic_pair():
 
 def test_percent_ring_closure():
     mol = parse_smiles("C%10CCCC%10")
-    assert len(mol.rings) == 1
-    assert len(mol.rings[0]) == 5
+    rings = greedy_min_cycle_basis(len(mol.atoms), [b.key() for b in mol.bonds])
+    assert mol.cyclomatic_number() == 1
+    assert [len(r) for r in rings] == [5]
 
 
 def test_explicit_ring_bond_order():
@@ -118,6 +121,31 @@ def test_error_offsets(text, exc, offset):
 def test_aromatic_atom_requires_ring():
     with pytest.raises(AromaticityError):
         parse_smiles("cc")
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("cc", "aromatic atom 0 is not in any ring", 0),
+        ("c1ccccc1.c", "aromatic atom 6 is not in any ring", 9),
+        ("CC1CC1c", "aromatic atom 4 is not in any ring", 6),
+        ("C1CC1[nH]C", "aromatic atom 3 is not in any ring", 5),
+        ("c1cc2ccccc2cc1-c(C)C", "aromatic atom 10 is not in any ring", 15),
+        ("c1ccccc1c1ccccc1", "aromatic bond (5, 6) is not in any ring", 6),
+        ("c1ccccc1:C", "aromatic bond (5, 6) is not in any ring", 6),
+        ("C:C", "aromatic bond (0, 1) is not in any ring", 0),
+    ],
+)
+def test_aromatic_error_messages_and_offsets(text, message, offset):
+    # atoms are checked in index order before bonds in bond order
+    with pytest.raises(AromaticityError) as excinfo:
+        parse_smiles(text)
+    assert str(excinfo.value) == f"{message} (offset {offset})"
+    assert excinfo.value.offset == offset
+
+
+def test_aromatic_bond_on_a_ring_of_plain_atoms_accepted():
+    assert parse_smiles("C1CC:C1").cyclomatic_number() == 1
 
 
 def test_aromatic_bond_between_rings_rejected():
