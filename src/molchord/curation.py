@@ -19,6 +19,7 @@ from .metrics import diversity
 from .molgraph import (
     DEFAULT_NBITS,
     DEFAULT_RADIUS,
+    Molecule,
     canonicalize,
     count_fused_rings,
     morgan_fingerprint,
@@ -154,15 +155,16 @@ def partition_dataset(records: Sequence[ComplexRecord]) -> Partition:
 
 
 def diversity_filter(
-    candidates: Sequence[str],
+    candidates: Sequence[Molecule],
     threshold: float = DEFAULT_DIVERSITY_THRESHOLD,
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> FilterDecision:
-    """Keep a candidate set only when its diversity strictly exceeds the threshold."""
+    """Keep a set of parsed candidates only when its diversity strictly
+    exceeds the threshold."""
     if len(candidates) < 2:
         raise TooFewCandidates(f"{len(candidates)} candidates, need at least 2")
-    fps = [morgan_fingerprint(parse_smiles(s), radius, nbits) for s in candidates]
+    fps = [morgan_fingerprint(mol, radius, nbits) for mol in candidates]
     measured = diversity(fps)
     return FilterDecision(keep=measured > threshold, diversity=measured, n_candidates=len(candidates))
 
@@ -224,7 +226,7 @@ def curate_dpo_set(
         except Exception as exc:  # sampler errors are per-pocket, not fatal
             audit.append(CurationAudit(pocket_id, False, None, 0, f"sampler error: {exc}"))
             continue
-        valid = [s for s in candidates if try_parse(s) is not None]
+        valid = [mol for mol in map(try_parse, candidates) if mol is not None]
         if len(valid) < 2:
             audit.append(
                 CurationAudit(pocket_id, False, None, len(valid), "fewer than 2 valid molecules")

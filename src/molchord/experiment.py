@@ -173,14 +173,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         held_out, pref_features, sft_checkpoint.params, vocab, seed=cfg.seed
     )
     margins = [
-        dpo_loss(
-            dpo_checkpoint.params,
-            sft_checkpoint.params,
-            ex,
-            vocab,
-            beta_dpo=cfg.beta_dpo,
-            beta_vae=cfg.beta_vae,
-        )[2]
+        dpo_loss(dpo_checkpoint.params, ex, vocab, beta_dpo=cfg.beta_dpo, beta_vae=cfg.beta_vae)[2]
         for ex in held_examples
     ]
 

@@ -103,26 +103,14 @@ class Epsilon:
 
 
 def vae_forward(
-    complex_vec: np.ndarray | None,
+    complex_vec: np.ndarray,
     params: ModelParams,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
     z: np.ndarray | None = None,
 ) -> Epsilon:
-    """Train mode reparameterizes around the predicted posterior; inference
-    draws straight from the standard normal."""
-    d = params.vae_mu_b.shape[0]
-    if mode == "infer":
-        if z is None:
-            if rng is None:
-                raise ValueError("inference draw needs an rng or a recorded z")
-            z = rng.standard_normal(d)
-        zero = np.zeros(d)
-        return Epsilon(mu=zero, log_var=zero.copy(), z=z, sample=z.copy())
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-    if complex_vec is None:
-        raise ValueError("train mode needs complex features")
+    """Reparameterize around the posterior predicted from the complex
+    features. At inference the noise is a plain standard-normal draw, which
+    the sampler takes from its own stream without this head."""
     complex_vec = np.asarray(complex_vec, dtype=np.float64)
     if complex_vec.shape != (params.vae_mu_w.shape[1],):
         raise ShapeMismatch(f"complex features must have shape ({params.vae_mu_w.shape[1]},)")
@@ -130,8 +118,8 @@ def vae_forward(
     log_var = params.vae_logvar_w @ complex_vec + params.vae_logvar_b
     if z is None:
         if rng is None:
-            raise ValueError("train mode needs an rng or a recorded z")
-        z = rng.standard_normal(d)
+            raise ValueError("vae_forward needs an rng or a recorded z")
+        z = rng.standard_normal(params.vae_mu_b.shape[0])
     sample = mu + np.exp(0.5 * log_var) * z
     return Epsilon(mu=mu, log_var=log_var, z=z, sample=sample)
 

@@ -29,7 +29,6 @@ LM_FIELDS = frozenset({"lm_w1", "lm_b1", "lm_w2", "lm_b2", "lm_out_w", "lm_out_b
 # Token embeddings stay frozen at their seeded initialization in every stage;
 # the first dense layer can absorb any linear re-encoding of them.
 SFT_TRAINABLE = ADAPTER_FIELDS | VAE_FIELDS | LM_FIELDS
-DPO_TRAINABLE = SFT_TRAINABLE
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,8 @@ class ModelParams:
         return ModelParams(config=self.config, **kwargs)
 
     def zero_grads(self, names: frozenset[str] | None = None) -> dict[str, np.ndarray]:
-        names = names or frozenset(self.array_fields())
+        """Zero gradients for ``names``; None means every array field."""
+        names = self.array_fields() if names is None else names
         return {name: np.zeros_like(getattr(self, name)) for name in sorted(names)}
 
 

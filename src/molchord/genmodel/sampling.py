@@ -17,7 +17,7 @@ import numpy as np
 from ..hashutil import derive_seed
 from ..molgraph import try_canonicalize
 from .features import PocketFeatures
-from .network import _lm_layers, _log_softmax, adapter_forward, vae_forward
+from .network import _lm_layers, _log_softmax, adapter_forward
 from .params import ModelParams
 from .vocab import Vocabulary
 
@@ -120,9 +120,9 @@ def sample_many(
         noises = [tuple(np.asarray(epsilon).tolist())] * n
     else:
         for i, rng in enumerate(rngs):
-            eps = vae_forward(None, params, mode="infer", rng=rng)
-            noises.append(tuple(eps.sample.tolist()))
-            u_cond[i] = adapter_forward(features.pooled + eps.sample, params)
+            z = rng.standard_normal(cfg.d_feat)
+            noises.append(tuple(z.tolist()))
+            u_cond[i] = adapter_forward(features.pooled + z, params)
 
     windows = np.tile(base_window[None, :, :], (n, 1, 1))
     alive = np.ones(n, dtype=bool)

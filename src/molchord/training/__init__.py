@@ -7,7 +7,6 @@ from .losses import (
     DpoExample,
     EmptyBatch,
     MalformedSequence,
-    MissingReference,
     SftAux,
     SftExample,
     alignment_loss,
@@ -35,7 +34,6 @@ __all__ = [
     "DpoExample",
     "EmptyBatch",
     "MalformedSequence",
-    "MissingReference",
     "NonDeterministicLoss",
     "SftAux",
     "SftExample",

@@ -17,10 +17,12 @@ from ..genmodel import (
     ModelParams,
     PIPELINE_TEMPLATE,
     PocketFeatures,
+    SFT_TRAINABLE,
     Vocabulary,
     build_interleaved,
     complex_feature_vector,
     init_params,
+    sequence_forward,
     vae_forward,
 )
 from ..hashutil import derive_seed, stable_hash64
@@ -92,29 +94,33 @@ def build_dpo_examples(
     vocab: Vocabulary,
     seed: int,
 ) -> list[DpoExample]:
-    """Attach features and one recorded noise draw per pair.
+    """Attach features, one recorded noise draw and the reference's
+    log-probabilities per pair.
 
     The noise is reparameterized through the frozen reference's variational
     head with a per-pocket seeded standard-normal draw, then treated as a
-    constant input by the preference loss.
+    constant input by the preference loss; the reference scores each side
+    under that noise once, here, and the loss reads the two constants.
     """
     examples: list[DpoExample] = []
     for pair in pairs:
         feats = pocket_features[pair.pocket_id]
         complex_vec = complex_feature_vector(feats, pair.chosen, seed)
         rng = np.random.default_rng(derive_seed("dpo-noise", seed, pair.pocket_id))
-        eps = vae_forward(complex_vec, ref_params, mode="train", rng=rng)
+        eps = vae_forward(complex_vec, ref_params, rng=rng).sample
+        chosen_seq, rejected_seq = (
+            build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(smiles), vocab)
+            for smiles in (pair.chosen, pair.rejected)
+        )
         examples.append(
             DpoExample(
                 pocket_id=pair.pocket_id,
-                chosen_seq=build_interleaved(
-                    PIPELINE_TEMPLATE, feats, vocab.encode(pair.chosen), vocab
-                ),
-                rejected_seq=build_interleaved(
-                    PIPELINE_TEMPLATE, feats, vocab.encode(pair.rejected), vocab
-                ),
+                chosen_seq=chosen_seq,
+                rejected_seq=rejected_seq,
                 complex_vec=complex_vec,
-                epsilon=eps.sample,
+                epsilon=eps,
+                ref_chosen=sequence_forward(ref_params, chosen_seq, vocab, epsilon=eps)[0],
+                ref_rejected=sequence_forward(ref_params, rejected_seq, vocab, epsilon=eps)[0],
             )
         )
     return examples
@@ -136,7 +142,9 @@ def _validation_loss(
     """Deterministic validation objective: noise at the posterior mean (z = 0)."""
     d = params.vae_mu_b.shape[0]
     zeros = tuple(np.zeros(d) for _ in examples)
-    loss, _, _ = sft_loss(params, examples, vocab, beta_vae=beta_vae, noises=zeros)
+    loss, _, _ = sft_loss(
+        params, examples, vocab, beta_vae=beta_vae, noises=zeros, compute_grads=False
+    )
     return loss
 
 
@@ -190,8 +198,9 @@ def train_dpo(
     ref_params: ModelParams,
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Preference stage from the frozen reference (the supervised parameters):
-    by default a single pass so each pair is seen once."""
+    """Preference stage from the frozen reference (the supervised parameters),
+    whose log-probabilities the examples already carry: by default a single
+    pass so each pair is seen once."""
     if not examples:
         raise EmptyBatch("no preference pairs")
     params = ref_params.copy()
@@ -206,25 +215,17 @@ def train_dpo(
         order = rng.permutation(len(examples))
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start : start + config.batch_size]]
-            grads = params.zero_grads(frozenset())
+            grads = params.zero_grads(SFT_TRAINABLE)
             total_loss = 0.0
             margins = []
             for ex in batch:
                 loss, ex_grads, margin = dpo_loss(
-                    params,
-                    ref_params,
-                    ex,
-                    vocab,
-                    beta_dpo=config.beta_dpo,
-                    beta_vae=config.beta_vae,
+                    params, ex, vocab, beta_dpo=config.beta_dpo, beta_vae=config.beta_vae
                 )
                 total_loss += loss
                 margins.append(margin)
                 for name, g in ex_grads.items():
-                    if name in grads:
-                        grads[name] += g
-                    else:
-                        grads[name] = g.copy()
+                    grads[name] += g
             for name in grads:
                 grads[name] /= len(batch)
             stepper(params, grads)

@@ -8,9 +8,10 @@ Three losses share the sequence forward/backward core:
     variational head, and predictor;
   * preference: -log sigmoid(beta * margin) on policy/reference log-ratio
     margins between a chosen and a rejected molecule, plus the same weighted
-    KL. The conditioning noise is a recorded input shared by all four
-    sequence evaluations, so the margin carries no sampling noise and the
-    loss stays a deterministic function of the policy parameters.
+    KL. The conditioning noise is a recorded input of each pair, and the
+    frozen reference's two log-probabilities under it are recorded with it
+    when the pair is built, so the loss runs only the two policy sequence
+    evaluations and stays a deterministic function of the policy parameters.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class MalformedSequence(ValueError):
     pass
 
 
-class MissingReference(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class SftExample:
     seq: InterleavedSequence
@@ -64,6 +61,8 @@ class DpoExample:
     rejected_seq: InterleavedSequence
     complex_vec: np.ndarray
     epsilon: np.ndarray  # recorded conditioning noise, shared policy/reference
+    ref_chosen: float  # reference log-probabilities under ``epsilon``
+    ref_rejected: float
 
 
 def kl_gaussian(mu: np.ndarray, log_var: np.ndarray) -> float:
@@ -143,7 +142,7 @@ def sft_loss(
     nll_total = 0.0
     kl_total = 0.0
     for ex, z in zip(batch, noises):
-        eps = vae_forward(ex.complex_vec, params, mode="train", z=z)
+        eps = vae_forward(ex.complex_vec, params, z=z)
         logprob, cache = sequence_forward(params, ex.seq, vocab, epsilon=eps.sample)
         nll_total -= logprob
         kl_total += kl_gaussian(eps.mu, eps.log_var)
@@ -173,7 +172,6 @@ def _log_sigmoid(x: float) -> float:
 
 def dpo_loss(
     params: ModelParams,
-    ref_params: ModelParams | None,
     example: DpoExample,
     vocab: Vocabulary,
     beta_dpo: float = DEFAULT_BETA_DPO,
@@ -182,18 +180,15 @@ def dpo_loss(
 ) -> tuple[float, dict[str, np.ndarray], float]:
     """Preference loss for one pair; returns (loss, grads, implied margin).
 
-    The reference model is evaluated with the same recorded noise and
-    contributes constants; gradients flow through the two policy evaluations
-    and, via the KL term, the variational head.
+    The reference log-probabilities are the example's recorded constants;
+    gradients flow through the two policy evaluations and, via the KL term,
+    the variational head.
     """
-    if ref_params is None:
-        raise MissingReference("preference loss needs the frozen reference parameters")
     eps = example.epsilon
+    ref_chosen, ref_rejected = example.ref_chosen, example.ref_rejected
 
     lp_chosen, cache_chosen = sequence_forward(params, example.chosen_seq, vocab, epsilon=eps)
     lp_rejected, cache_rejected = sequence_forward(params, example.rejected_seq, vocab, epsilon=eps)
-    ref_chosen, _ = sequence_forward(ref_params, example.chosen_seq, vocab, epsilon=eps)
-    ref_rejected, _ = sequence_forward(ref_params, example.rejected_seq, vocab, epsilon=eps)
 
     margin = beta_dpo * ((lp_chosen - ref_chosen) - (lp_rejected - ref_rejected))
     pref_loss = -_log_sigmoid(margin)

@@ -224,12 +224,12 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
     """
     import numpy as np
 
-    from molchord.genmodel import SampleResult, adapter_forward, sample_seed, vae_forward
+    from molchord.genmodel import SampleResult, adapter_forward, sample_seed
     from molchord.genmodel.sampling import _initial_window, _step_distributions
 
     rng = np.random.default_rng(sample_seed(base_seed, features.pocket_id, index))
-    eps = vae_forward(None, params, mode="infer", rng=rng)
-    u_cond = adapter_forward(features.pooled + eps.sample, params)
+    noise = rng.standard_normal(params.config.d_feat)
+    u_cond = adapter_forward(features.pooled + noise, params)
     u_ctx = adapter_forward(features.vectors, params)
     window = _initial_window(u_ctx, params.token_embedding[vocab.pad_id], params.config.window)
     ids: list[int] = []
@@ -251,7 +251,7 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
         logprob=logprob,
         token_ids=tuple(ids),
         hit_max_len=hit_cap,
-        conditioning_noise=tuple(eps.sample.tolist()),
+        conditioning_noise=tuple(noise.tolist()),
     )
 
 
@@ -407,7 +407,7 @@ def morgan_bits_oracle(mol, radius: int = 2, nbits: int = 2048) -> int:
     return bits
 
 
-# --- model-step, optimizer and fingerprint references -----------------------
+# --- model-step, loss, optimizer and fingerprint references -----------------
 
 
 def lm_logits(window_embs, u_cond, params):
@@ -430,6 +430,28 @@ def lm_logits(window_embs, u_cond, params):
     x = np.concatenate([window_embs.ravel(), u_cond])[None, :]
     _, _, logits = _lm_layers(params, x)
     return np.exp(_log_softmax(logits))[0]
+
+
+def dpo_margin_oracle(params, ref_params, example, vocab, beta: float):
+    """The preference margin as first written, from four sequence forwards:
+    policy and reference each score both sides under the example's recorded
+    noise. Returns (margin, -log sigmoid(margin)), the loss without its KL
+    term."""
+    import math
+
+    from molchord.genmodel import sequence_forward
+
+    def logprob(p, seq):
+        return sequence_forward(p, seq, vocab, epsilon=example.epsilon)[0]
+
+    lp_chosen = logprob(params, example.chosen_seq)
+    lp_rejected = logprob(params, example.rejected_seq)
+    ref_chosen = logprob(ref_params, example.chosen_seq)
+    ref_rejected = logprob(ref_params, example.rejected_seq)
+    margin = beta * ((lp_chosen - ref_chosen) - (lp_rejected - ref_rejected))
+    if margin >= 0:
+        return margin, math.log1p(math.exp(-margin))
+    return margin, -(margin - math.log1p(math.exp(margin)))
 
 
 def sgd_step(params, grads, lr: float) -> None:

@@ -89,7 +89,7 @@ def test_acceptance_1_published_constants():
         example = build_dpo_examples(
             [PreferencePair("p", "CCO", "CCN", 2.0, 1.0)], {"p": feats}, params, vocab, 0
         )[0]
-        loss, _, margin = dpo_loss(params, params, example, vocab)
+        loss, _, margin = dpo_loss(params, example, vocab)
         assert margin == 0.0
         assert abs(loss - math.log(2.0)) < tol
 
@@ -166,7 +166,7 @@ def test_acceptance_4_diversity_oracle():
         for trial in range(200):
             n = int(rng.integers(2, 30))
             candidates = [pool[i] for i in rng.integers(0, len(pool), size=n)]
-            decision = diversity_filter(candidates, threshold=0.8)
+            decision = diversity_filter([parse_smiles(s) for s in candidates], threshold=0.8)
             oracle_sets = [
                 set(morgan_fingerprint(parse_smiles(s)).on_bits()) for s in candidates
             ]
@@ -230,10 +230,10 @@ def test_acceptance_5_gradient_checks():
                     seed=point,
                 ),
                 grad_check(
-                    lambda p: dpo_loss(p, ref, example, vocab)[:2],
+                    lambda p: dpo_loss(p, example, vocab)[:2],
                     params,
                     loss_fn=lambda p: dpo_loss(
-                        p, ref, example, vocab, compute_grads=False
+                        p, example, vocab, compute_grads=False
                     )[0],
                     max_coords_per_field=20,
                     seed=point,

@@ -17,7 +17,12 @@ from molchord.curation import (
     partition_dataset,
     reward,
 )
+from molchord.molgraph import parse_smiles
 from molchord.synthetic import smiles_corpus
+
+
+def _mols(smiles):
+    return [parse_smiles(s) for s in smiles]
 
 
 def _record(pocket_id, ligands):
@@ -68,37 +73,37 @@ def test_partition_order_invariant():
 
 
 def test_diversity_filter_identical_dropped():
-    decision = diversity_filter(["CCO"] * 100)
+    decision = diversity_filter(_mols(["CCO"] * 100))
     assert decision.keep is False
     assert decision.diversity == 0.0
 
 
 def test_diversity_filter_diverse_kept():
     candidates = smiles_corpus(40, seed=5, min_heavy=3, max_heavy=10, unique=True)
-    decision = diversity_filter(candidates)
+    decision = diversity_filter(_mols(candidates))
     assert decision.diversity > 0.8
     assert decision.keep is True
 
 
 def test_diversity_filter_strict_at_threshold():
     pair = ["CCO", "CCN"]
-    measured = diversity_filter(pair, threshold=0.0).diversity
+    measured = diversity_filter(_mols(pair), threshold=0.0).diversity
     # a measured value exactly equal to the threshold must drop
-    assert diversity_filter(pair, threshold=measured).keep is False
-    assert diversity_filter(["CCO", "CCO"], threshold=0.0).keep is False  # 0 > 0 fails
+    assert diversity_filter(_mols(pair), threshold=measured).keep is False
+    assert diversity_filter(_mols(["CCO", "CCO"]), threshold=0.0).keep is False  # 0 > 0 fails
 
 
 def test_diversity_filter_too_few():
     with pytest.raises(TooFewCandidates):
-        diversity_filter(["CCO"])
+        diversity_filter(_mols(["CCO"]))
 
 
 def test_diversity_filter_permutation_invariant(rng):
     candidates = smiles_corpus(30, seed=9, min_heavy=3, max_heavy=8)
-    base = diversity_filter(candidates)
+    base = diversity_filter(_mols(candidates))
     for _ in range(3):
         shuffled = [candidates[i] for i in rng.permutation(len(candidates))]
-        assert diversity_filter(shuffled) == base
+        assert diversity_filter(_mols(shuffled)) == base
 
 
 def test_reward_values():
@@ -223,6 +228,32 @@ def test_curate_too_few_valid_dropped():
     result = curate_dpo_set(["p1"], lambda pid, n: ["not-a-molecule"] * n)
     assert result.selected == ()
     assert "valid" in result.audit[0].reason
+
+
+def test_curate_parses_each_candidate_once_and_quietly(monkeypatch):
+    """The filter fingerprints the molecules that validity screening parsed:
+    one parse per candidate, and no feature warning for a stereo mark."""
+    import warnings
+
+    from molchord import curation
+    from molchord.molgraph import SmilesFeatureWarning, parser
+
+    parsed = []
+    real_parse = parser.parse_smiles
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return real_parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_smiles", counting_parse)
+    monkeypatch.setattr(curation, "parse_smiles", counting_parse)
+    candidates = ["C/C=C/CO", "N[C@@H](C)C(=O)O", "c1ccccc1O", "not-a-molecule"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = curate_dpo_set(["p1"], lambda pid, n: candidates, n_samples=4)
+    assert result.audit[0].n_valid == 3
+    assert sorted(parsed) == sorted(candidates)
+    assert not [w for w in caught if issubclass(w.category, SmilesFeatureWarning)]
 
 
 # --- the shared sample -> score -> pair loop ------------------------------------

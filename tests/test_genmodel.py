@@ -7,6 +7,7 @@ from molchord.genmodel import (
     DEFAULT_TEMPLATES,
     ModelConfig,
     PIPELINE_TEMPLATE,
+    SFT_TRAINABLE,
     ShapeMismatch,
     TokenOutOfVocab,
     UnknownTemplate,
@@ -152,16 +153,8 @@ def test_adapter_shape_mismatch(params):
 # --- variational head -------------------------------------------------------
 
 
-def test_vae_infer_reproducible(params):
-    a = vae_forward(None, params, mode="infer", rng=np.random.default_rng(5))
-    b = vae_forward(None, params, mode="infer", rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a.sample, b.sample)
-    assert not a.mu.any() and not a.log_var.any()
-
-
 def test_vae_zero_projections_give_zero_kl(params, cfg):
-    eps = vae_forward(np.ones(cfg.d_feat), params, mode="train",
-                      rng=np.random.default_rng(0))
+    eps = vae_forward(np.ones(cfg.d_feat), params, rng=np.random.default_rng(0))
     assert not eps.mu.any() and not eps.log_var.any()
     np.testing.assert_array_equal(eps.sample, eps.z)
 
@@ -171,7 +164,7 @@ def test_vae_reparameterization_identity(cfg):
     rng = np.random.default_rng(2)
     params.vae_mu_w[:] = rng.standard_normal(params.vae_mu_w.shape) * 0.3
     params.vae_logvar_w[:] = rng.standard_normal(params.vae_logvar_w.shape) * 0.2
-    eps = vae_forward(rng.standard_normal(cfg.d_feat), params, mode="train", rng=rng)
+    eps = vae_forward(rng.standard_normal(cfg.d_feat), params, rng=rng)
     np.testing.assert_allclose(
         eps.sample - eps.mu, np.exp(0.5 * eps.log_var) * eps.z, atol=1e-12
     )
@@ -336,6 +329,17 @@ def test_mask_boundary_context_vs_targets(cfg, vocab):
     # prefix positions are never read as targets; with the window too short to
     # reach them from any suffix position they cannot influence the loss at all
     assert lp_prefix == lp_base
+
+
+# --- parameters -------------------------------------------------------------
+
+
+def test_zero_grads_covers_exactly_the_named_fields(params):
+    assert params.zero_grads(frozenset()) == {}
+    assert list(params.zero_grads(SFT_TRAINABLE)) == sorted(SFT_TRAINABLE)
+    every = params.zero_grads()
+    assert list(every) == sorted(params.array_fields())
+    assert all(not g.any() and g.shape == getattr(params, name).shape for name, g in every.items())
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -12,12 +12,12 @@ from molchord.genmodel import (
     featurize_pocket,
     init_params,
     make_vocabulary,
+    sequence_forward,
 )
 from molchord.training import (
     DpoExample,
     EmptyBatch,
     MalformedSequence,
-    MissingReference,
     SftExample,
     alignment_loss,
     build_dpo_examples,
@@ -28,6 +28,8 @@ from molchord.training import (
     sft_loss,
 )
 from molchord.training.gradcheck import NonDeterministicLoss
+
+from .oracles import dpo_margin_oracle
 
 
 def _randomized_params(cfg, seed=0, scale=0.4):
@@ -234,7 +236,7 @@ def test_dpo_policy_equals_reference_gives_log2(cfg, vocab, dpo_example):
     zero_vae = ref.copy()
     for name in ("vae_mu_w", "vae_mu_b", "vae_logvar_w", "vae_logvar_b"):
         getattr(zero_vae, name)[:] = 0.0
-    loss, _, margin = dpo_loss(zero_vae, zero_vae, example, vocab)
+    loss, _, margin = dpo_loss(zero_vae, example, vocab)
     assert margin == 0.0
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -252,9 +254,11 @@ def test_dpo_margin_saturates_to_kl_term(cfg, vocab, dpo_example):
         rejected_seq=example.rejected_seq,
         complex_vec=example.complex_vec,
         epsilon=example.epsilon,
+        ref_chosen=example.ref_chosen,
+        ref_rejected=example.ref_rejected,
     )
     # emulate the limit by scaling beta: the loss tends to the KL contribution
-    loss, _, margin = dpo_loss(ref, ref, boosted, vocab, beta_dpo=0.1, beta_vae=0.0)
+    loss, _, margin = dpo_loss(ref, boosted, vocab, beta_dpo=0.1, beta_vae=0.0)
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)  # margin 0 baseline
     big = 1e4
     import molchord.training.losses as losses_mod
@@ -262,27 +266,39 @@ def test_dpo_margin_saturates_to_kl_term(cfg, vocab, dpo_example):
     assert losses_mod._log_sigmoid(big) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_dpo_requires_reference(cfg, vocab, dpo_example):
+def test_dpo_example_records_reference_logprobs(vocab, dpo_example):
     example, ref = dpo_example
-    with pytest.raises(MissingReference):
-        dpo_loss(ref, None, example, vocab)
+    for seq, recorded in (
+        (example.chosen_seq, example.ref_chosen),
+        (example.rejected_seq, example.ref_rejected),
+    ):
+        assert recorded == sequence_forward(ref, seq, vocab, epsilon=example.epsilon)[0]
+
+
+def test_dpo_matches_four_forward_oracle(cfg, vocab, dpo_example):
+    """The recorded reference constants give exactly the margin and loss of
+    evaluating policy and reference on every call."""
+    example, ref = dpo_example
+    for seed, beta in ((12, 0.1), (13, 0.5), (14, 2.0)):
+        policy = _randomized_params(cfg, seed=seed)
+        loss, _, margin = dpo_loss(policy, example, vocab, beta_dpo=beta, beta_vae=0.0)
+        assert (margin, loss) == dpo_margin_oracle(policy, ref, example, vocab, beta)
+        assert dpo_loss(policy, example, vocab, beta_dpo=beta)[2] == margin
 
 
 def test_dpo_grad_check(cfg, vocab, dpo_example):
-    example, ref = dpo_example
+    example, _ = dpo_example
     policy = _randomized_params(cfg, seed=10)
-    thunk = lambda p: dpo_loss(p, ref, example, vocab)[:2]
+    thunk = lambda p: dpo_loss(p, example, vocab)[:2]
     assert grad_check(thunk, policy) < 1e-3
 
 
 def test_dpo_monotone_in_logprob_gap(cfg, vocab, dpo_example):
     """Raising the chosen sequence's log-probability lowers the loss; raising
     the rejected one raises it."""
-    example, ref = dpo_example
+    example, _ = dpo_example
     policy = _randomized_params(cfg, seed=11)
-    base_margin = dpo_loss(policy, ref, example, vocab)[2]
-
-    from molchord.genmodel import sequence_forward
+    base_margin = dpo_loss(policy, example, vocab)[2]
 
     margins = {}
     for which in ("chosen", "rejected"):
@@ -291,7 +307,7 @@ def test_dpo_monotone_in_logprob_gap(cfg, vocab, dpo_example):
         margins[which] = base_lp
     # margin = beta * ((lp_c - ref_c) - (lp_r - ref_r)) is linear in both
     beta = 0.1
-    assert dpo_loss(policy, ref, example, vocab, beta_dpo=beta)[2] == pytest.approx(
+    assert dpo_loss(policy, example, vocab, beta_dpo=beta)[2] == pytest.approx(
         base_margin
     )
     # analytic monotonicity of -log sigmoid

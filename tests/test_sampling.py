@@ -11,6 +11,7 @@ from molchord.genmodel import (
     init_params,
     nucleus_distribution,
     sample_many,
+    sample_seed,
     sequence_forward,
 )
 
@@ -97,6 +98,16 @@ def test_batch_matches_single_draws(setup):
         assert b.conditioning_noise == s.conditioning_noise
         # batched and single-row matmuls may round the last bit differently
         assert b.logprob == pytest.approx(s.logprob, abs=1e-9)
+
+
+def test_conditioning_noise_is_first_stream_draw(setup):
+    """Each sample's conditioning noise is the first standard-normal draw of
+    its own stream, before any token."""
+    params, vocab, feats = setup
+    results = sample_many(params, feats, vocab, 3, base_seed=9, start_index=2, max_len=10)
+    for i, res in enumerate(results, start=2):
+        rng = np.random.default_rng(sample_seed(9, feats.pocket_id, i))
+        assert res.conditioning_noise == tuple(rng.standard_normal(params.config.d_feat).tolist())
 
 
 def test_start_index_extends_stream(setup):

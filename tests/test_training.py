@@ -167,6 +167,28 @@ def test_checkpoint_reload_reproduces_val_loss(tmp_path, cfg, vocab):
     assert reproduced == extra["val_loss"]
 
 
+def test_validation_loss_runs_no_backward(monkeypatch, cfg, vocab):
+    from molchord.genmodel import init_params
+    from molchord.training import losses
+    from molchord.training.loops import _validation_loss
+
+    backward_calls = []
+    real_backward = losses.sequence_backward
+
+    def counting_backward(*args, **kwargs):
+        backward_calls.append(1)
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "sequence_backward", counting_backward)
+    examples, _ = _dataset(cfg, vocab, n_pockets=4, per_pocket=2)
+    params = init_params(cfg)
+    loss = _validation_loss(params, examples, vocab, beta_vae=0.1)
+    assert backward_calls == []
+    zeros = tuple(np.zeros(cfg.d_feat) for _ in examples)
+    assert loss == losses.sft_loss(params, examples, vocab, beta_vae=0.1, noises=zeros)[0]
+    assert len(backward_calls) == len(examples)  # the counter does see a backward pass
+
+
 # --- preference loop -------------------------------------------------------------
 
 
@@ -206,7 +228,7 @@ def test_train_dpo_raises_margin_on_training_pairs(cfg, vocab):
     config = TrainConfig(learning_rate=5e-3, batch_size=4, epochs=3, seed=3)
     dpo_ckpt, _ = train_dpo(dpo_examples, sft_ckpt.params, config)
     margins = [
-        dpo_loss(dpo_ckpt.params, sft_ckpt.params, ex, vocab)[2] for ex in dpo_examples
+        dpo_loss(dpo_ckpt.params, ex, vocab)[2] for ex in dpo_examples
     ]
     assert np.mean(margins) > 0.0
 
@@ -217,13 +239,12 @@ def test_single_pair_loss_strictly_decreases(cfg, vocab):
     sft_ckpt, dpo_examples = _pairs_setup(cfg, vocab)
     example = dpo_examples[0]
     params = sft_ckpt.params.copy()
-    ref = sft_ckpt.params
     losses = []
     for _ in range(10):
-        loss, grads, _ = dpo_loss(params, ref, example, vocab, beta_vae=0.0)
+        loss, grads, _ = dpo_loss(params, example, vocab, beta_vae=0.0)
         losses.append(loss)
         sgd_step(params, grads, lr=1e-3)
-    final, _, _ = dpo_loss(params, ref, example, vocab, beta_vae=0.0)
+    final, _, _ = dpo_loss(params, example, vocab, beta_vae=0.0)
     losses.append(final)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
