@@ -252,13 +252,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _write_text(path: Path, text: str) -> Path:
+    with scorers.atomic_write(path) as handle:
+        handle.write(text)
     return path
 
 
+def _write_json(path: Path, payload) -> Path:
+    return _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> Path:
-    with open(path, "w") as handle:
+    with scorers.atomic_write(path) as handle:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
     return path
@@ -559,10 +564,11 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     base_seed = derive_seed("sample-cmd", cfg.seed)
     flagged: list[str] = []
     rows: list[scorers.GenerationRecord] = []
-    for record in sorted(records, key=lambda r: r.pocket_id):
-        molecules, capped = sample_unique(
-            params, feats[record.pocket_id], n_eval, base_seed, **sampling
-        )
+    ordered = sorted(records, key=lambda r: r.pocket_id)
+    drawn = sample_unique(
+        params, [feats[r.pocket_id] for r in ordered], n_eval, base_seed, **sampling
+    )
+    for record, (molecules, capped) in zip(ordered, drawn):
         if capped:
             flagged.append(record.pocket_id)
             warnings.warn(
@@ -699,8 +705,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"{_fmt(report.high_affinity)}{_fmt(report.mean_qed)}{_fmt(report.mean_sa)}"
         f"{_fmt(report.diversity)}{_fmt(report.success_rate)}{_fmt(report.fused_ring_mean)}"
     )
-    table_path = cfg.outdir / "report.txt"
-    table_path.write_text("\n".join(lines) + "\n")
+    table_path = _write_text(cfg.outdir / "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
 
     write_manifest(

@@ -260,6 +260,7 @@ def build_pair_set(
     """
     pairs: list[PreferencePair] = []
     log: list[dict] = []
+    fused: dict[str, int] = {}  # fused-ring count of each distinct scored string
     for pocket_id in pockets:
         candidates: list[str] = []
         for text in sampler(pocket_id, n_candidates):
@@ -274,10 +275,10 @@ def build_pair_set(
             continue
         rows, errors = scorer(pocket_id, candidates)
         log.extend({"pocket_id": pocket_id, "status": f"dock failure: {e}"} for e in errors)
-        scored = [
-            ScoredMolecule(smiles, score, count_fused_rings(parse_smiles(smiles)))
-            for smiles, score in rows
-        ]
+        for smiles, _ in rows:
+            if smiles not in fused:
+                fused[smiles] = count_fused_rings(parse_smiles(smiles))
+        scored = [ScoredMolecule(smiles, score, fused[smiles]) for smiles, score in rows]
         if len({s.smiles for s in scored}) < 2:
             log.append({"pocket_id": pocket_id, "status": "fewer than 2 scored molecules"})
             continue

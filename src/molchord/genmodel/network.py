@@ -9,7 +9,9 @@ embeddings and per-residue adapter outputs alike) and are PAD-padded before
 the sequence start.
 
 All gradients here are exact and finite-difference checkable; backward
-passes accumulate into plain dicts keyed by parameter field name.
+passes accumulate into plain dicts keyed by parameter field name. The
+sequence pass is packed: the target rows of every sequence in a batch go
+through each layer together, in blocks of at most ``ROW_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,28 @@ from .vocab import Vocabulary
 
 class ShapeMismatch(ValueError):
     pass
+
+
+# Rows enter every matrix product in fixed blocks of at most this many,
+# accumulated in block order. OpenBLAS rounds a product over more rows
+# differently with one thread than with two; at this size it does not, so
+# checkpoints do not depend on the BLAS thread count. It also caps the
+# memory of one block's intermediates.
+ROW_BLOCK = 256
+
+
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, one block of a's rows at a time."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for s in range(0, a.shape[0], ROW_BLOCK):
+        np.matmul(a[s : s + ROW_BLOCK], b, out=out[s : s + ROW_BLOCK])
+    return out
+
+
+def _accumulate(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """target += a.T @ b, summed over blocks of rows in block order."""
+    for s in range(0, a.shape[0], ROW_BLOCK):
+        target += a[s : s + ROW_BLOCK].T @ b[s : s + ROW_BLOCK]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -54,10 +78,10 @@ def adapter_forward(
         raise ShapeMismatch(
             f"adapter expects dim {params.adapter_gate_w.shape[1]}, got {rows.shape[1]}"
         )
-    gate = rows @ params.adapter_gate_w.T + params.adapter_gate_b
-    up = rows @ params.adapter_up_w.T + params.adapter_up_b
+    gate = _rowwise(rows, params.adapter_gate_w.T) + params.adapter_gate_b
+    up = _rowwise(rows, params.adapter_up_w.T) + params.adapter_up_b
     sig = _sigmoid(gate)
-    out = (sig * up) @ params.adapter_down_w.T + params.adapter_down_b
+    out = _rowwise(sig * up, params.adapter_down_w.T) + params.adapter_down_b
     if squeeze:
         out = out[0]
     if want_cache:
@@ -74,20 +98,20 @@ def adapter_backward(
     """Returns the gradient w.r.t. the adapter input rows."""
     d_rows = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
     mid = cache.sig * cache.up
-    d_mid = d_rows @ params.adapter_down_w
+    d_mid = _rowwise(d_rows, params.adapter_down_w)
     d_up = d_mid * cache.sig
     d_gate = d_mid * cache.up * cache.sig * (1.0 - cache.sig)
     if grads is not None:
         if "adapter_down_w" in grads:
-            grads["adapter_down_w"] += d_rows.T @ mid
+            _accumulate(grads["adapter_down_w"], d_rows, mid)
             grads["adapter_down_b"] += d_rows.sum(axis=0)
         if "adapter_gate_w" in grads:
-            grads["adapter_gate_w"] += d_gate.T @ cache.x
+            _accumulate(grads["adapter_gate_w"], d_gate, cache.x)
             grads["adapter_gate_b"] += d_gate.sum(axis=0)
         if "adapter_up_w" in grads:
-            grads["adapter_up_w"] += d_up.T @ cache.x
+            _accumulate(grads["adapter_up_w"], d_up, cache.x)
             grads["adapter_up_b"] += d_up.sum(axis=0)
-    d_x = d_gate @ params.adapter_gate_w + d_up @ params.adapter_up_w
+    d_x = _rowwise(d_gate, params.adapter_gate_w) + _rowwise(d_up, params.adapter_up_w)
     return d_x if np.asarray(d_out).ndim > 1 else d_x[0]
 
 
@@ -109,19 +133,38 @@ def vae_forward(
     z: np.ndarray | None = None,
 ) -> Epsilon:
     """Reparameterize around the posterior predicted from the complex
-    features. At inference the noise is a plain standard-normal draw, which
-    the sampler takes from its own stream without this head."""
+    features: one vector, or one row per example. At inference the noise is
+    a plain standard-normal draw, which the sampler takes from its own
+    stream without this head."""
     complex_vec = np.asarray(complex_vec, dtype=np.float64)
-    if complex_vec.shape != (params.vae_mu_w.shape[1],):
-        raise ShapeMismatch(f"complex features must have shape ({params.vae_mu_w.shape[1]},)")
-    mu = params.vae_mu_w @ complex_vec + params.vae_mu_b
-    log_var = params.vae_logvar_w @ complex_vec + params.vae_logvar_b
+    d_feat = params.vae_mu_w.shape[1]
+    if complex_vec.ndim not in (1, 2) or complex_vec.shape[-1] != d_feat:
+        raise ShapeMismatch(f"complex features must have shape ({d_feat},) or (n, {d_feat})")
+    rows = np.atleast_2d(complex_vec)
+    mu = (_rowwise(rows, params.vae_mu_w.T) + params.vae_mu_b).reshape(complex_vec.shape)
+    log_var = (_rowwise(rows, params.vae_logvar_w.T) + params.vae_logvar_b).reshape(
+        complex_vec.shape
+    )
     if z is None:
         if rng is None:
             raise ValueError("vae_forward needs an rng or a recorded z")
-        z = rng.standard_normal(params.vae_mu_b.shape[0])
+        z = rng.standard_normal(complex_vec.shape)
     sample = mu + np.exp(0.5 * log_var) * z
     return Epsilon(mu=mu, log_var=log_var, z=z, sample=sample)
+
+
+def vae_backward(
+    d_mu: np.ndarray,
+    d_log_var: np.ndarray,
+    complex_rows: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Accumulate the variational head's gradients from d(loss)/d(mu) and
+    d(loss)/d(log_var), one row per example."""
+    _accumulate(grads["vae_mu_w"], d_mu, complex_rows)
+    grads["vae_mu_b"] += d_mu.sum(axis=0)
+    _accumulate(grads["vae_logvar_w"], d_log_var, complex_rows)
+    grads["vae_logvar_b"] += d_log_var.sum(axis=0)
 
 
 def _lm_layers(params: ModelParams, x: np.ndarray):
@@ -136,18 +179,131 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+
+
 @dataclass(eq=False)
-class SequenceCache:
-    seq: InterleavedSequence
-    embeddings: np.ndarray  # (L, d) flattened interleaved embeddings
-    window_idx: np.ndarray  # (T, k) indices into embeddings, -1 for PAD
-    x: np.ndarray  # (T, (k+1) d)
+class PackedCache:
+    """A packed forward pass, kept for its backward pass.
+
+    Every sequence's target rows are stacked in sequence order. A window
+    holds rows of ``source``: the token embeddings, then each sequence's
+    adapter outputs; PAD before a sequence start is the PAD embedding row.
+    """
+
+    source: np.ndarray  # (V + total structural rows, d)
+    window_idx: np.ndarray  # (T, k)
+    row_seq: np.ndarray  # (T,) sequence of each target row, ascending
+    targets: np.ndarray  # (T,)
+    u_cond: np.ndarray  # (B, d)
     h1: np.ndarray
     h2: np.ndarray
     log_probs: np.ndarray  # (T, V)
     ctx_cache: AdapterCache
     cond_cache: AdapterCache
-    logprob: float
+
+
+def _layout(seqs: list[InterleavedSequence], n_tokens: int, pad_id: int, window: int):
+    """For the packed target rows: each row's window (rows of the forward's
+    source table, PAD before its sequence starts), its sequence, the first
+    row of each sequence, and each row's target."""
+    sources, positions, bases = [], [], []
+    n_ctx = offset = 0
+    for seq in seqs:
+        source = np.concatenate([
+            np.asarray(seq.prefix_ids, dtype=np.intp),
+            n_tokens + n_ctx + np.arange(seq.n_struct),
+            np.asarray(seq.suffix_ids, dtype=np.intp),
+        ])
+        first_target = len(seq.prefix_ids) + seq.n_struct
+        positions.append(offset + np.arange(first_target, len(source)))
+        bases.append(np.full(len(seq.suffix_ids), offset))
+        sources.append(source)
+        offset += len(source)
+        n_ctx += seq.n_struct
+    source_idx = np.concatenate(sources)
+    position = np.concatenate(positions)
+    slots = position[:, None] - window + np.arange(window)
+    inside = slots >= np.concatenate(bases)[:, None]
+    window_idx = np.where(inside, source_idx[np.maximum(slots, 0)], pad_id)
+    counts = [len(seq.suffix_ids) for seq in seqs]
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+    return window_idx, np.repeat(np.arange(len(seqs)), counts), starts, source_idx[position]
+
+
+def _window_rows(
+    source: np.ndarray, window_idx: np.ndarray, u_cond_rows: np.ndarray
+) -> np.ndarray:
+    """Predictor input rows: [k window embeddings || conditioning vector]."""
+    n, k = window_idx.shape
+    d = source.shape[1]
+    x = np.empty((n, (k + 1) * d))
+    for j in range(k):  # slot by slot: no (n, k, d) temporary
+        x[:, j * d : (j + 1) * d] = source[window_idx[:, j]]
+    x[:, k * d :] = u_cond_rows
+    return x
+
+
+def sequences_forward(
+    params: ModelParams,
+    seqs: list[InterleavedSequence],
+    vocab: Vocabulary,
+    epsilons: np.ndarray | None = None,
+    want_cache: bool = True,
+) -> tuple[np.ndarray, PackedCache | None]:
+    """Sum of masked next-token log-probabilities of each sequence, in one
+    packed pass over all of their target rows.
+
+    ``epsilons`` (one row per sequence) perturbs the pooled features before
+    the conditioning adapter; None means no perturbation (the
+    pre-variational alignment path).
+    """
+    cfg = params.config
+    if not seqs:
+        raise ValueError("no sequences")
+    for seq in seqs:
+        vocab.check_ids(seq.prefix_ids)
+        vocab.check_ids(seq.suffix_ids)
+        if not seq.suffix_ids:
+            raise ValueError("sequence has no masked positions")
+        if seq.features.vectors.shape[1] != cfg.d_feat:
+            raise ShapeMismatch("pocket feature width does not match the model")
+
+    vectors = np.concatenate([seq.features.vectors for seq in seqs])
+    u_ctx, ctx_cache = adapter_forward(vectors, params, want_cache=True)
+    cond_in = np.stack([seq.features.pooled for seq in seqs])
+    if epsilons is not None:
+        cond_in = cond_in + epsilons
+    u_cond, cond_cache = adapter_forward(cond_in, params, want_cache=True)
+
+    source = np.concatenate([params.token_embedding, u_ctx])
+    window_idx, row_seq, starts, targets = _layout(
+        seqs, len(params.token_embedding), vocab.pad_id, cfg.window
+    )
+    n_rows = len(targets)
+    picked = np.empty(n_rows)
+    cache = None
+    if want_cache:
+        cache = PackedCache(
+            source=source,
+            window_idx=window_idx,
+            row_seq=row_seq,
+            targets=targets,
+            u_cond=u_cond,
+            h1=np.empty((n_rows, cfg.d)),
+            h2=np.empty((n_rows, cfg.d)),
+            log_probs=np.empty((n_rows, len(params.lm_out_b))),
+            ctx_cache=ctx_cache,
+            cond_cache=cond_cache,
+        )
+    for s in range(0, n_rows, ROW_BLOCK):
+        block = slice(s, s + ROW_BLOCK)
+        x = _window_rows(source, window_idx[block], u_cond[row_seq[block]])
+        h1, h2, logits = _lm_layers(params, x)
+        log_probs = _log_softmax(logits)
+        picked[block] = log_probs[np.arange(len(x)), targets[block]]
+        if cache is not None:
+            cache.h1[block], cache.h2[block], cache.log_probs[block] = h1, h2, log_probs
+    return np.add.reduceat(picked, starts), cache
 
 
 def sequence_forward(
@@ -155,113 +311,73 @@ def sequence_forward(
     seq: InterleavedSequence,
     vocab: Vocabulary,
     epsilon: np.ndarray | None = None,
-) -> tuple[float, SequenceCache]:
-    """Sum of masked next-token log-probabilities for one sequence.
-
-    ``epsilon`` perturbs the pooled features before the conditioning adapter
-    pass; None means no perturbation (the pre-variational alignment path).
-    """
-    cfg = params.config
-    k, d = cfg.window, cfg.d
-    vocab.check_ids(seq.prefix_ids)
-    vocab.check_ids(seq.suffix_ids)
-    if not seq.suffix_ids:
-        raise ValueError("sequence has no masked positions")
-    feats = seq.features
-    if feats.vectors.shape[1] != cfg.d_feat:
-        raise ShapeMismatch("pocket feature width does not match the model")
-
-    u_ctx, ctx_cache = adapter_forward(feats.vectors, params, want_cache=True)
-    cond_in = feats.pooled + (epsilon if epsilon is not None else 0.0)
-    u_cond_rows, cond_cache = adapter_forward(cond_in[None, :], params, want_cache=True)
-    u_cond = u_cond_rows[0]
-
-    prefix = np.array(seq.prefix_ids, dtype=int)
-    suffix = np.array(seq.suffix_ids, dtype=int)
-    embeddings = np.concatenate(
-        [params.token_embedding[prefix], u_ctx, params.token_embedding[suffix]], axis=0
-    )
-    m, n_struct, t_len = len(prefix), feats.n_tokens, len(suffix)
-
-    positions = m + n_struct + np.arange(t_len)
-    window_idx = positions[:, None] - k + np.arange(k)[None, :]
-    pad_row = params.token_embedding[vocab.pad_id]
-    gathered = np.where(
-        (window_idx >= 0)[:, :, None],
-        embeddings[np.clip(window_idx, 0, None)],
-        pad_row[None, None, :],
-    )
-    x = np.concatenate([gathered.reshape(t_len, k * d), np.tile(u_cond, (t_len, 1))], axis=1)
-    h1, h2, logits = _lm_layers(params, x)
-    log_probs = _log_softmax(logits)
-    logprob = float(log_probs[np.arange(t_len), suffix].sum())
-    cache = SequenceCache(
-        seq=seq,
-        embeddings=embeddings,
-        window_idx=window_idx,
-        x=x,
-        h1=h1,
-        h2=h2,
-        log_probs=log_probs,
-        ctx_cache=ctx_cache,
-        cond_cache=cond_cache,
-        logprob=logprob,
-    )
-    return logprob, cache
+) -> tuple[float, PackedCache]:
+    """``sequences_forward`` for one sequence."""
+    eps = None if epsilon is None else np.asarray(epsilon, dtype=np.float64)[None, :]
+    logprobs, cache = sequences_forward(params, [seq], vocab, eps)
+    return float(logprobs[0]), cache
 
 
-def sequence_backward(
-    cache: SequenceCache,
+def sequences_backward(
+    cache: PackedCache,
     params: ModelParams,
-    coeff: float,
+    coeffs: np.ndarray,
     grads: dict[str, np.ndarray],
     fields: frozenset[str],
 ) -> np.ndarray:
-    """Accumulate d(coeff * logprob)/dtheta for ``fields``.
+    """Accumulate d(sum_i coeffs[i] * logprob_i)/dtheta for ``fields``.
 
-    Returns the gradient w.r.t. the conditioning perturbation, which callers
-    route into the variational head (or drop when the noise is an input).
+    Returns the gradient w.r.t. each sequence's conditioning perturbation
+    (one row per sequence), which callers route into the variational head
+    (or drop when the noise is an input).
     """
     cfg = params.config
-    k, d = cfg.window, cfg.d
-    suffix = np.array(cache.seq.suffix_ids, dtype=int)
-    t_len = len(suffix)
+    kd = cfg.window * cfg.d
+    n_vocab = len(params.token_embedding)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    d_u_cond = np.zeros_like(cache.u_cond)
+    d_u_ctx = np.zeros_like(cache.source[n_vocab:])
+    for s in range(0, len(cache.targets), ROW_BLOCK):
+        block = slice(s, s + ROW_BLOCK)
+        rows = cache.row_seq[block]
+        h1, h2 = cache.h1[block], cache.h2[block]
+        d_logits = -np.exp(cache.log_probs[block])
+        d_logits[np.arange(len(rows)), cache.targets[block]] += 1.0
+        d_logits *= coeffs[rows][:, None]
 
-    d_logits = -np.exp(cache.log_probs)
-    d_logits[np.arange(t_len), suffix] += 1.0
-    d_logits *= coeff
+        if "lm_out_w" in fields:
+            grads["lm_out_w"] += d_logits.T @ h2
+            grads["lm_out_b"] += d_logits.sum(axis=0)
+        d_a2 = (d_logits @ params.lm_out_w) * (1.0 - h2 * h2)
+        if "lm_w2" in fields:
+            grads["lm_w2"] += d_a2.T @ h1
+            grads["lm_b2"] += d_a2.sum(axis=0)
+        d_a1 = (d_a2 @ params.lm_w2) * (1.0 - h1 * h1)
+        window_idx = cache.window_idx[block]
+        if "lm_w1" in fields:
+            # d_a1.T @ x, one window slot of x at a time
+            for j in range(cfg.window):
+                grads["lm_w1"][:, j * cfg.d : (j + 1) * cfg.d] += (
+                    d_a1.T @ cache.source[window_idx[:, j]]
+                )
+            grads["lm_w1"][:, kd:] += d_a1.T @ cache.u_cond[rows]
+            grads["lm_b1"] += d_a1.sum(axis=0)
 
-    if "lm_out_w" in fields:
-        grads["lm_out_w"] += d_logits.T @ cache.h2
-        grads["lm_out_b"] += d_logits.sum(axis=0)
-    d_h2 = d_logits @ params.lm_out_w
-    d_a2 = d_h2 * (1.0 - cache.h2 * cache.h2)
-    if "lm_w2" in fields:
-        grads["lm_w2"] += d_a2.T @ cache.h1
-        grads["lm_b2"] += d_a2.sum(axis=0)
-    d_h1 = d_a2 @ params.lm_w2
-    d_a1 = d_h1 * (1.0 - cache.h1 * cache.h1)
-    if "lm_w1" in fields:
-        grads["lm_w1"] += d_a1.T @ cache.x
-        grads["lm_b1"] += d_a1.sum(axis=0)
-    d_x = d_a1 @ params.lm_w1
+        # each sequence's conditioning vector feeds all of its rows
+        first = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+        d_cond_rows = d_a1 @ params.lm_w1[:, kd:]
+        d_u_cond[rows[first]] += np.add.reduceat(d_cond_rows, first, axis=0)
+        # window slots scatter back to the adapter outputs they were read
+        # from; token embeddings are frozen, so only rows that read one count
+        on_ctx = window_idx >= n_vocab
+        reads = np.flatnonzero(on_ctx.any(axis=1))
+        if len(reads):
+            d_windows = (d_a1[reads] @ params.lm_w1[:, :kd]).reshape(len(reads), cfg.window, -1)
+            slots = on_ctx[reads]
+            np.add.at(d_u_ctx, window_idx[reads][slots] - n_vocab, d_windows[slots])
 
-    want_adapter = bool(ADAPTER_FIELDS & fields)
-    adapter_grads = grads if want_adapter else None
-
-    d_u_cond = d_x[:, k * d :].sum(axis=0)
-    d_cond_in = adapter_backward(d_u_cond[None, :], cache.cond_cache, params, adapter_grads)[0]
-
-    m = len(cache.seq.prefix_ids)
-    n_struct = cache.seq.n_struct
-    d_embeddings = np.zeros_like(cache.embeddings)
-    d_windows = d_x[:, : k * d].reshape(t_len, k, d)
-    for j in range(k):
-        idx = cache.window_idx[:, j]
-        valid = idx >= 0
-        if valid.any():
-            np.add.at(d_embeddings, idx[valid], d_windows[valid, j])
-    d_u_ctx = d_embeddings[m : m + n_struct]
+    adapter_grads = grads if ADAPTER_FIELDS & fields else None
+    d_cond_in = adapter_backward(d_u_cond, cache.cond_cache, params, adapter_grads)
     if d_u_ctx.size:
         adapter_backward(d_u_ctx, cache.ctx_cache, params, adapter_grads)
     return d_cond_in

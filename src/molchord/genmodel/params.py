@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..scorers import atomic_write
 from .features import PocketFeatures, featurize_pocket
 from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
 
 CHECKPOINT_VERSION = 1
+_HEX_CHUNK = 4096
 
 ADAPTER_FIELDS = frozenset(
     {"adapter_gate_w", "adapter_gate_b", "adapter_up_w", "adapter_up_b",
@@ -125,18 +127,37 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 def _array_to_json(arr: np.ndarray) -> dict:
     flat = np.ascontiguousarray(arr, dtype=np.float64).ravel()
-    return {"shape": list(arr.shape), "data": " ".join(x.hex() for x in flat.tolist())}
+    # a few thousand values at a time: the text of one at a time is short,
+    # and a list of every value's text would cost more than the result
+    parts = [
+        " ".join(map(float.hex, flat[s : s + _HEX_CHUNK].tolist()))
+        for s in range(0, flat.size, _HEX_CHUNK)
+    ]
+    return {"shape": list(arr.shape), "data": " ".join(parts)}
+
+
+def _hex_values(data: str):
+    """The values of a space-separated hex text, split a piece at a time."""
+    start = 0
+    while start < len(data):
+        # about _HEX_CHUNK values: one value's text takes at most 24 characters
+        end = data.find(" ", start + 24 * _HEX_CHUNK)
+        end = len(data) if end < 0 else end
+        yield from map(float.fromhex, data[start:end].split())
+        start = end + 1
 
 
 def _array_from_json(obj: dict) -> np.ndarray:
-    data = obj["data"]
-    values = [float.fromhex(tok) for tok in data.split()] if data else []
-    return np.array(values, dtype=np.float64).reshape(obj["shape"])
+    values = np.fromiter(_hex_values(obj["data"]), dtype=np.float64)
+    return values.reshape(obj["shape"])
 
 
 def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    digest = hashlib.sha256()
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    for chunk in encoder.iterencode(payload):  # the canonical text, piece by piece
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def save_params(path: str | Path, params: ModelParams, extra: dict | None = None) -> None:
@@ -155,7 +176,9 @@ def save_params(path: str | Path, params: ModelParams, extra: dict | None = None
         "extra": extra or {},
     }
     payload["content_hash"] = _payload_digest(payload)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=None) + "\n")
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, sort_keys=True, indent=None)
+        handle.write("\n")
 
 
 def load_params(path: str | Path) -> tuple[ModelParams, dict]:

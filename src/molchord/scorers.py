@@ -12,17 +12,17 @@ command) and a cache hit skips execution.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import subprocess
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .curation import ComplexRecord, PreferencePair
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
@@ -209,10 +209,29 @@ def load_records(path: str | Path, schema: str) -> list:
     return records
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A text handle whose contents replace ``path`` when the block ends
+    without an exception; on an exception the temp file is removed. Every
+    artifact is written this way, so a stage that fails or is killed
+    mid-write leaves the previous file (or none), never a truncated one."""
+    path = Path(path)
+    # a name of this writer's own, created with the usual permissions
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def dump_records(path: str | Path, records: Iterable) -> None:
     """Write records as sorted-key JSON lines (stable bytes for fixed input).
     Unset optional fields and the load-only ``raw_smiles`` are left out."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for record in records:
             row = {k: v for k, v in asdict(record).items() if v is not None and k != "raw_smiles"}
             handle.write(json.dumps(row, sort_keys=True) + "\n")
@@ -308,6 +327,28 @@ def _cache_key(command: str, pocket_id: str, smiles: str) -> str:
     return digest.hexdigest()
 
 
+def _read_cached(cache_file: Path, pocket_id: str, smiles: str) -> float | None:
+    """The score a cache entry holds for this request, or None when the entry
+    is missing or is not what this command would have written for it: JSON
+    with this pocket and canonical SMILES and a finite number."""
+    try:
+        entry = json.loads(cache_file.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(entry, dict):
+        return None
+    vina = entry.get("vina")
+    if (
+        entry.get("pocket_id") != pocket_id
+        or entry.get("smiles") != smiles
+        or isinstance(vina, bool)
+        or not isinstance(vina, (int, float))
+        or not math.isfinite(vina)
+    ):
+        return None
+    return float(vina)
+
+
 def external_dock(
     cmd: DockCommand,
     pocket_id: str,
@@ -323,7 +364,9 @@ def external_dock(
     needs to locate the pocket center (typically the reference ligand);
     pockets that cannot provide one are rejected here when the template asks
     for it. The cache key covers the fully substituted command, so a changed
-    pocket file or reference ligand never reuses another command's score.
+    pocket file or reference ligand never reuses another command's score. An
+    entry counts only as fresh output would (see ``_read_cached``); any other
+    entry is a miss, and the command's result replaces it.
     """
     canon = canonicalize(smiles)
     # Only the known placeholders are substituted; other braces (awk scripts,
@@ -342,8 +385,9 @@ def external_dock(
 
     directory = _cache_dir(cache_dir)
     cache_file = directory / f"{_cache_key(command, pocket_id, canon)}.json"
-    if cache_file.exists():
-        return float(json.loads(cache_file.read_text())["vina"])
+    cached = _read_cached(cache_file, pocket_id, canon)
+    if cached is not None:
+        return cached
 
     try:
         proc = subprocess.run(
@@ -369,24 +413,18 @@ def external_dock(
 
     with _cache_lock:
         directory.mkdir(parents=True, exist_ok=True)
-        if cache_file.exists():
-            existing = float(json.loads(cache_file.read_text())["vina"])
+        existing = _read_cached(cache_file, pocket_id, canon)
+        if existing is not None:
             if existing != score:
                 raise ConflictingScore(
                     f"cache holds {existing} but command produced {score} for "
                     f"({pocket_id}, {canon})"
                 )
             return existing
-        # A temp file of this writer's own: processes that share the cache
-        # dir must never rename each other's half-written files.
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=cache_file.stem, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"pocket_id": pocket_id, "smiles": canon, "vina": score}, handle)
-            os.replace(tmp, cache_file)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        # through a temp file of this writer's own: processes that share the
+        # cache dir must never rename each other's half-written files
+        with atomic_write(cache_file) as handle:
+            json.dump({"pocket_id": pocket_id, "smiles": canon, "vina": score}, handle)
     return score
 
 

@@ -1,6 +1,10 @@
 """Training objectives and their exact gradients.
 
-Three losses share the sequence forward/backward core:
+Three losses share the packed sequence pass (``sequences_forward`` and
+``sequences_backward``); alignment and supervised fine-tuning run one pass
+over every sequence of a batch, and the preference loss runs one pass per
+sequence, as the reference scoring does, so that a policy equal to the
+reference gives a margin of exactly zero:
 
   * alignment: masked next-token NLL, gradients restricted to the adapter;
   * supervised fine-tuning: masked NLL with reparameterized conditioning
@@ -27,8 +31,10 @@ from ..genmodel import (
     ModelParams,
     SFT_TRAINABLE,
     Vocabulary,
-    sequence_backward,
     sequence_forward,
+    sequences_backward,
+    sequences_forward,
+    vae_backward,
     vae_forward,
 )
 
@@ -93,14 +99,11 @@ def alignment_loss(
         if not seq.suffix_ids:
             raise MalformedSequence(f"sequence for {seq.features.pocket_id} has no targets")
     grads = params.zero_grads(ADAPTER_FIELDS) if compute_grads else {}
-    total = 0.0
-    coeff = -1.0 / len(batch)
-    for seq in batch:
-        logprob, cache = sequence_forward(params, seq, vocab)
-        total -= logprob
-        if compute_grads:
-            sequence_backward(cache, params, coeff, grads, ADAPTER_FIELDS)
-    return total / len(batch), grads
+    logprobs, cache = sequences_forward(params, batch, vocab, want_cache=compute_grads)
+    if compute_grads:
+        coeffs = np.full(len(batch), -1.0 / len(batch))
+        sequences_backward(cache, params, coeffs, grads, ADAPTER_FIELDS)
+    return -float(logprobs.sum()) / len(batch), grads
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,30 +140,27 @@ def sft_loss(
     if len(noises) != len(batch):
         raise ValueError("one noise vector per example required")
 
-    grads = params.zero_grads(SFT_TRAINABLE) if compute_grads else {}
     b = len(batch)
-    nll_total = 0.0
-    kl_total = 0.0
-    for ex, z in zip(batch, noises):
-        eps = vae_forward(ex.complex_vec, params, z=z)
-        logprob, cache = sequence_forward(params, ex.seq, vocab, epsilon=eps.sample)
-        nll_total -= logprob
-        kl_total += kl_gaussian(eps.mu, eps.log_var)
-        if not compute_grads:
-            continue
-
-        d_eps = sequence_backward(cache, params, -1.0 / b, grads, SFT_TRAINABLE)
-        kl_mu, kl_lv = kl_gaussian_grads(eps.mu, eps.log_var)
-        sigma = np.exp(0.5 * eps.log_var)
-        d_mu = d_eps + (beta_vae / b) * kl_mu
-        d_lv = 0.5 * d_eps * sigma * z + (beta_vae / b) * kl_lv
-        grads["vae_mu_w"] += np.outer(d_mu, ex.complex_vec)
-        grads["vae_mu_b"] += d_mu
-        grads["vae_logvar_w"] += np.outer(d_lv, ex.complex_vec)
-        grads["vae_logvar_b"] += d_lv
-
+    complex_rows = np.stack([ex.complex_vec for ex in batch])
+    z = np.stack(noises)
+    eps = vae_forward(complex_rows, params, z=z)
+    logprobs, cache = sequences_forward(
+        params, [ex.seq for ex in batch], vocab, eps.sample, want_cache=compute_grads
+    )
+    nll_total = -float(logprobs.sum())
+    kl_total = kl_gaussian(eps.mu, eps.log_var)
     loss = nll_total / b + beta_vae * kl_total / b
-    return loss, grads, SftAux(nll=nll_total / b, kl=kl_total / b, noises=noises)
+    aux = SftAux(nll=nll_total / b, kl=kl_total / b, noises=noises)
+    if not compute_grads:
+        return loss, {}, aux
+
+    grads = params.zero_grads(SFT_TRAINABLE)
+    d_eps = sequences_backward(cache, params, np.full(b, -1.0 / b), grads, SFT_TRAINABLE)
+    kl_mu, kl_lv = kl_gaussian_grads(eps.mu, eps.log_var)
+    d_mu = d_eps + (beta_vae / b) * kl_mu
+    d_lv = 0.5 * d_eps * np.exp(0.5 * eps.log_var) * z + (beta_vae / b) * kl_lv
+    vae_backward(d_mu, d_lv, complex_rows, grads)
+    return loss, grads, aux
 
 
 def _log_sigmoid(x: float) -> float:
@@ -203,12 +203,9 @@ def dpo_loss(
     grads = params.zero_grads(SFT_TRAINABLE)
     # d(-log sigmoid(m))/dm = -(1 - sigmoid(m)) = -sigmoid(-m)
     d_margin = -1.0 / (1.0 + math.exp(margin)) if margin < 50 else -math.exp(-margin)
-    sequence_backward(cache_chosen, params, d_margin * beta_dpo, grads, SFT_TRAINABLE)
-    sequence_backward(cache_rejected, params, -d_margin * beta_dpo, grads, SFT_TRAINABLE)
+    sequences_backward(cache_chosen, params, [d_margin * beta_dpo], grads, SFT_TRAINABLE)
+    sequences_backward(cache_rejected, params, [-d_margin * beta_dpo], grads, SFT_TRAINABLE)
 
     kl_mu, kl_lv = kl_gaussian_grads(mu, log_var)
-    grads["vae_mu_w"] += beta_vae * np.outer(kl_mu, example.complex_vec)
-    grads["vae_mu_b"] += beta_vae * kl_mu
-    grads["vae_logvar_w"] += beta_vae * np.outer(kl_lv, example.complex_vec)
-    grads["vae_logvar_b"] += beta_vae * kl_lv
+    vae_backward(beta_vae * kl_mu[None], beta_vae * kl_lv[None], example.complex_vec[None], grads)
     return loss, grads, margin

@@ -218,26 +218,32 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
                      temperature: float = 1.5, top_p: float = 0.95):
     """One draw stepped on its own, a single row per model call.
 
-    The reference for ``sample_many``'s batch bookkeeping: it shares the model
-    step (``_lm_layers`` and nucleus truncation) but keeps its own window,
-    stream and stopping rule, so a batched draw must reproduce it exactly.
+    The reference for ``sample_many``'s batch bookkeeping: it shares the
+    model layers (``_lm_layers``) but keeps its own window of embeddings,
+    one-row nucleus truncation, stream and stopping rule, so a batched draw
+    must reproduce it exactly.
     """
     import numpy as np
 
     from molchord.genmodel import SampleResult, adapter_forward, sample_seed
-    from molchord.genmodel.sampling import _initial_window, _step_distributions
+    from molchord.genmodel.network import _lm_layers, _log_softmax
 
+    k = params.config.window
     rng = np.random.default_rng(sample_seed(base_seed, features.pocket_id, index))
     noise = rng.standard_normal(params.config.d_feat)
     u_cond = adapter_forward(features.pooled + noise, params)
     u_ctx = adapter_forward(features.vectors, params)
-    window = _initial_window(u_ctx, params.token_embedding[vocab.pad_id], params.config.window)
+    window = np.tile(params.token_embedding[vocab.pad_id], (k, 1))
+    tail = min(k, len(u_ctx))
+    if tail:
+        window[k - tail :] = u_ctx[len(u_ctx) - tail :]
     ids: list[int] = []
     logprob = 0.0
     hit_cap = True
     for _ in range(max_len):
         x = np.concatenate([window.ravel(), u_cond])[None, :]
-        dist = _step_distributions(params, x, temperature, top_p)[0]
+        _, _, logits = _lm_layers(params, x)
+        dist = nucleus_row_oracle(np.exp(_log_softmax(logits / temperature))[0], top_p)
         csum = np.cumsum(dist)
         token = min(int(np.searchsorted(csum, rng.random(), side="right")), len(csum) - 1)
         logprob += float(np.log(dist[token]))
@@ -253,6 +259,32 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
         hit_max_len=hit_cap,
         conditioning_noise=tuple(noise.tolist()),
     )
+
+
+def sample_unique_oracle(params, features, n_wanted: int, base_seed: int, *, temperature: float,
+                         top_p: float, max_len: int, retry_factor: int):
+    """One pocket's unique valid canonical molecules, drawn chunk by chunk
+    with ``sample_many`` alone: (list of (canonical, logprob), capped?)."""
+    from molchord.genmodel import sample_many
+    from molchord.molgraph import try_canonicalize
+
+    vocab = params.config.vocabulary()
+    collected: dict[str, float] = {}
+    index = 0
+    budget = n_wanted * retry_factor
+    while len(collected) < n_wanted and index < budget:
+        chunk = min(max(n_wanted - len(collected), 8), budget - index)
+        results = sample_many(params, features, vocab, chunk, base_seed=base_seed,
+                              temperature=temperature, top_p=top_p, max_len=max_len,
+                              start_index=index)
+        index += chunk
+        for res in results:
+            if len(collected) >= n_wanted:
+                break
+            canon = try_canonicalize(res.text)
+            if canon is not None and canon not in collected:
+                collected[canon] = res.logprob
+    return list(collected.items()), len(collected) < n_wanted
 
 
 # --- ring perception and Morgan fingerprints as first written --------------
@@ -470,3 +502,126 @@ def fingerprint_from_bits(on, nbits: int = 2048):
             raise ValueError(f"bit {bit} outside width {nbits}")
         value |= 1 << bit
     return Fingerprint(bits=value, nbits=nbits, radius=0)
+
+
+# --- one-sequence model passes and one-row nucleus truncation ---------------
+# The package packs every sequence of a batch into one pass and truncates all
+# live sampling rows at once; these are the per-sequence loop and the
+# per-row truncation it replaced, whose results it must reproduce.
+
+
+def nucleus_row_oracle(probs, top_p: float):
+    """Keep the smallest probability-sorted prefix with cumulative mass >=
+    top_p (ties by token id) of one distribution, and renormalize."""
+    import numpy as np
+
+    if top_p >= 1.0:
+        return probs
+    order = np.lexsort((np.arange(len(probs)), -probs))
+    csum = np.cumsum(probs[order])
+    keep_sorted = np.empty(len(probs), dtype=bool)
+    keep_sorted[0] = True
+    keep_sorted[1:] = csum[:-1] < top_p
+    kept = order[keep_sorted]
+    out = np.zeros_like(probs)
+    out[kept] = probs[kept]
+    return out / out.sum()
+
+
+def _sequence_forward_oracle(params, seq, vocab, epsilon):
+    """Log-probability of one sequence and what its backward pass needs."""
+    import numpy as np
+
+    from molchord.genmodel import adapter_forward
+    from molchord.genmodel.network import _lm_layers, _log_softmax
+
+    k, d = params.config.window, params.config.d
+    u_ctx, ctx_cache = adapter_forward(seq.features.vectors, params, want_cache=True)
+    cond_in = seq.features.pooled + epsilon
+    u_cond, cond_cache = adapter_forward(cond_in[None, :], params, want_cache=True)
+    prefix = np.array(seq.prefix_ids, dtype=int)
+    suffix = np.array(seq.suffix_ids, dtype=int)
+    embeddings = np.concatenate(
+        [params.token_embedding[prefix], u_ctx, params.token_embedding[suffix]], axis=0
+    )
+    t_len = len(suffix)
+    positions = len(prefix) + seq.n_struct + np.arange(t_len)
+    window_idx = positions[:, None] - k + np.arange(k)[None, :]
+    gathered = np.where(
+        (window_idx >= 0)[:, :, None],
+        embeddings[np.clip(window_idx, 0, None)],
+        params.token_embedding[vocab.pad_id][None, None, :],
+    )
+    x = np.concatenate([gathered.reshape(t_len, k * d), np.tile(u_cond[0], (t_len, 1))], axis=1)
+    h1, h2, logits = _lm_layers(params, x)
+    log_probs = _log_softmax(logits)
+    logprob = float(log_probs[np.arange(t_len), suffix].sum())
+    cache = dict(seq=seq, embeddings=embeddings, window_idx=window_idx, x=x, h1=h1, h2=h2,
+                 log_probs=log_probs, ctx_cache=ctx_cache, cond_cache=cond_cache)
+    return logprob, cache
+
+
+def _sequence_backward_oracle(cache, params, coeff: float, grads):
+    """Accumulate d(coeff * logprob)/dtheta of one sequence into every
+    trainable field; returns the gradient w.r.t. its conditioning
+    perturbation."""
+    import numpy as np
+
+    from molchord.genmodel import adapter_backward
+
+    k, d = params.config.window, params.config.d
+    seq = cache["seq"]
+    suffix = np.array(seq.suffix_ids, dtype=int)
+    t_len = len(suffix)
+    d_logits = -np.exp(cache["log_probs"])
+    d_logits[np.arange(t_len), suffix] += 1.0
+    d_logits *= coeff
+    grads["lm_out_w"] += d_logits.T @ cache["h2"]
+    grads["lm_out_b"] += d_logits.sum(axis=0)
+    d_a2 = (d_logits @ params.lm_out_w) * (1.0 - cache["h2"] ** 2)
+    grads["lm_w2"] += d_a2.T @ cache["h1"]
+    grads["lm_b2"] += d_a2.sum(axis=0)
+    d_a1 = (d_a2 @ params.lm_w2) * (1.0 - cache["h1"] ** 2)
+    grads["lm_w1"] += d_a1.T @ cache["x"]
+    grads["lm_b1"] += d_a1.sum(axis=0)
+    d_x = d_a1 @ params.lm_w1
+    d_u_cond = d_x[:, k * d :].sum(axis=0)
+    d_cond_in = adapter_backward(d_u_cond[None, :], cache["cond_cache"], params, grads)[0]
+    m = len(seq.prefix_ids)
+    d_embeddings = np.zeros_like(cache["embeddings"])
+    d_windows = d_x[:, : k * d].reshape(t_len, k, d)
+    for j in range(k):
+        idx = cache["window_idx"][:, j]
+        valid = idx >= 0
+        np.add.at(d_embeddings, idx[valid], d_windows[valid, j])
+    d_u_ctx = d_embeddings[m : m + seq.n_struct]
+    if d_u_ctx.size:
+        adapter_backward(d_u_ctx, cache["ctx_cache"], params, grads)
+    return d_cond_in
+
+
+def per_sequence_sft_loss(params, batch, vocab, beta_vae: float, noises):
+    """The supervised loss and its gradients, one sequence forward and one
+    backward per example; returns (loss, grads)."""
+    import numpy as np
+
+    from molchord.genmodel import SFT_TRAINABLE
+
+    grads = params.zero_grads(SFT_TRAINABLE)
+    b = len(batch)
+    nll_total = kl_total = 0.0
+    for ex, z in zip(batch, noises):
+        mu = params.vae_mu_w @ ex.complex_vec + params.vae_mu_b
+        log_var = params.vae_logvar_w @ ex.complex_vec + params.vae_logvar_b
+        sigma = np.exp(0.5 * log_var)
+        logprob, cache = _sequence_forward_oracle(params, ex.seq, vocab, mu + sigma * z)
+        nll_total -= logprob
+        kl_total += 0.5 * float(np.sum(mu * mu + np.exp(log_var) - log_var - 1.0))
+        d_eps = _sequence_backward_oracle(cache, params, -1.0 / b, grads)
+        d_mu = d_eps + (beta_vae / b) * mu
+        d_lv = 0.5 * d_eps * sigma * z + (beta_vae / b) * 0.5 * (np.exp(log_var) - 1.0)
+        grads["vae_mu_w"] += np.outer(d_mu, ex.complex_vec)
+        grads["vae_mu_b"] += d_mu
+        grads["vae_logvar_w"] += np.outer(d_lv, ex.complex_vec)
+        grads["vae_logvar_b"] += d_lv
+    return nll_total / b + beta_vae * kl_total / b, grads

@@ -277,6 +277,23 @@ def test_dock_failure_exit_code(tmp_path):
     assert main(["--config", str(config), "dock"]) == 4
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["{{}}", '{{"pocket_id": "{pocket}", "smiles": "{smiles}", "vina": "nan"}}', '{{"pocket_id": "'],
+    ids=["empty", "nan-string", "truncated"],
+)
+def test_dock_redocks_a_bad_cache_entry(pipeline, tmp_path, entry):
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl",))
+    assert main(["--config", str(config), "dock"]) == 0
+    scores = (out / "scores.jsonl").read_bytes()
+    first = json.loads(scores.splitlines()[0])
+    for path in (tmp_path / "dock_cache").glob("*.json"):
+        if json.loads(path.read_text())["smiles"] == first["smiles"]:
+            path.write_text(entry.format(pocket=first["pocket_id"], smiles=first["smiles"]))
+    assert main(["--config", str(config), "dock"]) == 0
+    assert (out / "scores.jsonl").read_bytes() == scores
+
+
 def test_verify_detects_modified_artifact(pipeline):
     _, config, outdir = pipeline
     target = outdir / "partition.json"

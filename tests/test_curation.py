@@ -332,6 +332,33 @@ def test_pair_set_scores_first_valid_canonical_in_order():
     assert calls == [("p", ["CCO", "C1CC1", "CCO"])]  # duplicates kept, "NCC" not reached
 
 
+def test_pair_set_counts_fused_rings_once_per_distinct_scored_string(monkeypatch):
+    from molchord import curation
+    from molchord.molgraph import canon, parser
+
+    parsed = []
+    real_parse = parser.parse_smiles
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return real_parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_smiles", counting_parse)
+    monkeypatch.setattr(canon, "parse_smiles", counting_parse)
+    monkeypatch.setattr(curation, "parse_smiles", counting_parse)
+    # 6 candidates of 4 distinct molecules; "c1ccc2ccccc2c1" is scored in both pockets
+    texts = {"p": ["OCC", "CCO", "c1ccc2ccccc2c1", "C1CC1"], "q": ["c1ccc2ccccc2c1", "CCN"]}
+    pairs, log = build_pair_set(
+        ["p", "q"], _fixed_sampler(texts), _fake_scorer([]), n_candidates=4, n_scored=4
+    )
+    assert [row["status"] for row in log] == ["paired", "paired"]
+    assert pairs[0].chosen == "c1ccc2ccccc2c1"
+    # each distinct raw string once to canonicalize it, each distinct scored
+    # string once more for its fused count
+    raw = ["OCC", "CCO", "c1ccc2ccccc2c1", "C1CC1", "CCN"]
+    assert sorted(parsed) == sorted(raw + ["CCO", "c1ccc2ccccc2c1", "C1CC1", "CCN"])
+
+
 def test_pair_set_two_spellings_are_one_candidate():
     calls = []
     pairs, log = build_pair_set(

@@ -221,6 +221,53 @@ def test_sft_grad_check(cfg, vocab, sft_batch):
     assert grad_check(thunk, params) < 1e-3
 
 
+@pytest.mark.parametrize("row_block", [256, 9, 1])
+def test_packed_sft_matches_per_sequence_oracle(monkeypatch, row_block):
+    """One packed pass over the batch gives the loss and gradients of one
+    forward and backward per example: pockets with fewer structural vectors
+    than the window, prompt prefixes and suffix prefixes, more than 256
+    target rows, and blocks that split sequences."""
+    from molchord.genmodel import network
+    from molchord.genmodel.vocab import BOS, EOS, PAD, SMILES_CHARS
+    from molchord.synthetic import smiles_corpus
+
+    from .oracles import per_sequence_sft_loss
+
+    monkeypatch.setattr(network, "ROW_BLOCK", row_block)
+    text = "make a ligand for  -> the site  binds "
+    tokens = [PAD, BOS, EOS, *SMILES_CHARS]
+    tokens += sorted({ch for ch in text if ch not in tokens})
+    cfg = ModelConfig(d=16, d_feat=16, window=4, n_struct_tokens=3, vocab_tokens=tuple(tokens),
+                      seed=1)
+    vocab = cfg.vocabulary()
+    params = _randomized_params(cfg, seed=21)
+    pockets = [
+        featurize_pocket("a", 16, seed=0, n_struct_tokens=1),
+        featurize_pocket("b", 16, seed=0, n_struct_tokens=3),
+        featurize_pocket("c", 16, seed=0, pocket_sequence="GAVLIKRE"),
+    ]
+    templates = (PIPELINE_TEMPLATE, "instruct_ligand", "describe_complex")
+    ligands = smiles_corpus(14, seed=3, min_heavy=12, max_heavy=22)
+    batch = [
+        SftExample(
+            seq=build_interleaved(templates[i % 3], pockets[i % 3], vocab.encode(smi), vocab),
+            complex_vec=complex_feature_vector(pockets[i % 3], smi, seed=0),
+        )
+        for i, smi in enumerate(ligands)
+    ]
+    assert sum(len(ex.seq.suffix_ids) for ex in batch) > 256
+    noises = tuple(np.random.default_rng(5).standard_normal((len(batch), 16)))
+
+    loss, grads, _ = sft_loss(params, batch, vocab, beta_vae=0.3, noises=noises)
+    oracle_loss, oracle_grads = per_sequence_sft_loss(params, batch, vocab, 0.3, noises)
+    assert abs(loss - oracle_loss) <= 1e-12 * abs(oracle_loss)
+    assert sorted(grads) == sorted(oracle_grads)
+    for name, g in grads.items():
+        scale = np.abs(oracle_grads[name]).max()
+        assert scale > 0, name
+        assert np.abs(g - oracle_grads[name]).max() <= 1e-12 * scale, name
+
+
 # --- preference loss ---------------------------------------------------------
 
 

@@ -12,10 +12,11 @@ from molchord.genmodel import (
     nucleus_distribution,
     sample_many,
     sample_seed,
+    sample_unique,
     sequence_forward,
 )
 
-from .oracles import unbatched_sample
+from .oracles import nucleus_row_oracle, sample_unique_oracle, unbatched_sample
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,29 @@ def test_nucleus_smallest_prefix_property(seed, top_p):
     assert probs[ranked_kept[:-1]].sum() < top_p
     # the kept set is a prefix of the sorted order
     assert ranked_kept == list(order[: len(ranked_kept)])
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=2, max_value=50),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=4),
+)
+def test_batched_nucleus_rows_equal_one_row_truncation(seed, n, size, top_p, ties, boundary):
+    rng = np.random.default_rng(seed)
+    raw = rng.random((n, size)) ** 3
+    if ties:  # few distinct values: ties broken by token id
+        raw = np.floor(raw * 4) + 1.0
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    if boundary:  # top_p exactly at a cumulative mass of the first row
+        top_p = min(1.0, float(np.cumsum(-np.sort(-probs[0]))[min(boundary, size) - 1]))
+    out = nucleus_distribution(probs, top_p)
+    for row, dist in zip(out, probs):
+        np.testing.assert_array_equal(row, nucleus_row_oracle(dist, top_p))
+    stacked = nucleus_distribution(np.stack([probs, probs[::-1]]), top_p)
+    np.testing.assert_array_equal(stacked, np.stack([out, out[::-1]]))
 
 
 def test_nucleus_top_p_one_keeps_everything():
@@ -163,3 +187,54 @@ def test_truncated_logprob_sums_only_kept_mass(setup):
                          max_len=20)
     assert res.logprob <= 0.0
     assert np.isfinite(res.logprob)
+
+
+def test_draws_of_several_pockets_step_together(setup, monkeypatch):
+    """Requests of several pockets, stepped as one batch that is smaller
+    than their draws, give each request what ``sample_many`` gives it."""
+    from molchord.genmodel import sampling
+
+    params, vocab, _ = setup
+    monkeypatch.setattr(sampling, "ROW_BLOCK", 5)
+    pockets = [
+        featurize_pocket(f"pocket{i}", 16, seed=0, n_struct_tokens=(1, 3, 6, 2)[i])
+        for i in range(4)
+    ]
+    plan = [[(0, 3), (3, 0), (3, 9)], [(2, 1)], [], [(0, 12), (20, 4)]]
+
+    def job(requests):
+        got = []
+        for start, n in requests:
+            got.append((yield start, n))
+        return got
+
+    done = sampling._run_jobs(
+        params, vocab, [(p, job(r)) for p, r in zip(pockets, plan)], base_seed=9,
+        temperature=1.5, top_p=0.95, max_len=30,
+    )
+    for pocket, requests, results in zip(pockets, plan, done):
+        assert len(results) == len(requests)
+        for (start, n), got in zip(requests, results):
+            alone = sample_many(params, pocket, vocab, n, base_seed=9, max_len=30,
+                                start_index=start)
+            assert len(got) == n
+            for a, b in zip(got, alone):
+                assert a.token_ids == b.token_ids
+                assert a.text == b.text
+                assert a.hit_max_len == b.hit_max_len
+                assert a.conditioning_noise == b.conditioning_noise
+                # rows that share a matrix product may round the last bit differently
+                assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
+
+
+def test_sample_unique_over_pockets_matches_per_pocket_loop(setup):
+    params, _, _ = setup
+    pockets = [featurize_pocket(f"pocket{i}", 16, seed=0, n_struct_tokens=3) for i in range(5)]
+    settings = dict(temperature=1.5, top_p=0.95, max_len=30, retry_factor=3)
+    together = sample_unique(params, pockets, 6, 4, **settings)
+    for pocket, (molecules, capped) in zip(pockets, together):
+        expected, expected_capped = sample_unique_oracle(params, pocket, 6, 4, **settings)
+        assert capped == expected_capped
+        assert [smiles for smiles, _ in molecules] == [smiles for smiles, _ in expected]
+        assert [lp for _, lp in molecules] == pytest.approx([lp for _, lp in expected], abs=1e-9)
+

@@ -400,6 +400,43 @@ def test_external_dock_conflicting_cache_value(tmp_path):
     assert external_dock(_cmd("echo -2.0 # {smiles}"), "p1", "CCO", cache_dir=cache) == -3.0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "{}",
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": "nan"}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": NaN}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": Infinity}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": "-3.0"}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": true}',
+        '{"pocket_id": "p1", "smiles": "CCO"}',
+        '{"pocket_id": "p2", "smiles": "CCO", "vina": -3.0}',
+        '{"pocket_id": "p1", "smiles": "CCN", "vina": -3.0}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vi',
+        "[-3.0]",
+        "",
+    ],
+    ids=["empty", "nan-string", "nan", "infinity", "number-string", "bool", "no-score",
+         "other-pocket", "other-smiles", "truncated", "list", "blank"],
+)
+def test_external_dock_redocks_a_cache_entry_fresh_output_would_not_give(tmp_path, entry):
+    counter = tmp_path / "count"
+    script = tmp_path / "dock.sh"
+    script.write_text(f"#!/bin/sh\necho x >> {counter}\necho -2.5\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    cmd, cache = _cmd(f"{script} {{smiles}}"), tmp_path / "cache"
+    assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
+    (path,) = cache.glob("*.json")
+    path.write_text(entry)
+    assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
+    assert counter.read_text().count("x") == 2
+    # rewritten through a temp file of its own, then a hit again
+    assert json.loads(path.read_text()) == {"pocket_id": "p1", "smiles": "CCO", "vina": -2.5}
+    assert [p.name for p in cache.iterdir()] == [path.name]
+    assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
+    assert counter.read_text().count("x") == 2
+
+
 def test_external_dock_center_source_required(tmp_path):
     cmd = _cmd("echo {center_source} >/dev/null; echo -5 # {smiles}")
     with pytest.raises(MissingDockInput):

@@ -173,20 +173,20 @@ def test_validation_loss_runs_no_backward(monkeypatch, cfg, vocab):
     from molchord.training.loops import _validation_loss
 
     backward_calls = []
-    real_backward = losses.sequence_backward
+    real_backward = losses.sequences_backward
 
     def counting_backward(*args, **kwargs):
         backward_calls.append(1)
         return real_backward(*args, **kwargs)
 
-    monkeypatch.setattr(losses, "sequence_backward", counting_backward)
+    monkeypatch.setattr(losses, "sequences_backward", counting_backward)
     examples, _ = _dataset(cfg, vocab, n_pockets=4, per_pocket=2)
     params = init_params(cfg)
     loss = _validation_loss(params, examples, vocab, beta_vae=0.1)
     assert backward_calls == []
     zeros = tuple(np.zeros(cfg.d_feat) for _ in examples)
     assert loss == losses.sft_loss(params, examples, vocab, beta_vae=0.1, noises=zeros)[0]
-    assert len(backward_calls) == len(examples)  # the counter does see a backward pass
+    assert len(backward_calls) == 1  # the counter does see the batch's packed backward pass
 
 
 # --- preference loop -------------------------------------------------------------
