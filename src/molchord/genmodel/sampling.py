@@ -217,8 +217,9 @@ def _run_jobs(
         live.logprob += np.log(dists[rows, token])
         live.tokens[rows, live.length] = token
         live.length += 1
-        live.window[:, :-1] = live.window[:, 1:]
-        live.window[:, -1] = token
+        if k:  # a window-0 model reads only its conditioning
+            live.window[:, :-1] = live.window[:, 1:]
+            live.window[:, -1] = token
         ended = (token == vocab.eos_id) | (live.length == max_len)
         for row in np.flatnonzero(ended):
             ids = live.tokens[row, : live.length[row]].tolist()

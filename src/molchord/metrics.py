@@ -11,7 +11,7 @@ computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .molgraph import (
@@ -20,6 +20,7 @@ from .molgraph import (
     Fingerprint,
     Molecule,
     count_fused_rings,
+    fan_out,
     morgan_fingerprint,
     parse_smiles,
     tanimoto,
@@ -28,6 +29,10 @@ from .molgraph import (
 QED_THRESHOLD = 0.25
 SA_THRESHOLD = 0.59
 VINA_THRESHOLD = -8.18
+
+# One generation's share of a pocket row (parse, fingerprint, its diversity
+# pairs) in a 100-generation pocket, measured on a 2-vCPU Xeon VM.
+_ROW_GENERATION_S = 0.0004
 
 HOMOLOGOUS = "homologous"
 NON_HOMOLOGOUS = "non_homologous"
@@ -240,13 +245,18 @@ def evaluate(
     Columns that a pocket cannot provide (no reference score, no property
     values) stay absent for that pocket and are excluded from the mean rather
     than defaulted to zero. Rows are sorted by pocket id, so the report does
-    not depend on input order.
+    not depend on input order. Rows are computed over shares of the pockets
+    across the usable CPUs when that pays (``molgraph.fan_out``); any error is
+    the one the first failing pocket in input order raises.
     """
     if not pockets:
         raise EmptyInput("no pockets to evaluate")
-    rows = sorted(
-        (_pocket_row(p, radius, nbits) for p in pockets), key=lambda r: r.pocket_id
+    rows = fan_out(
+        lambda share: [asdict(_pocket_row(p, radius, nbits)) for p in share],
+        pockets,
+        sum(len(p.generations) for p in pockets) * _ROW_GENERATION_S,
     )
+    rows = sorted((PocketRow(**row) for row in rows), key=lambda r: r.pocket_id)
 
     def column(name: str) -> float | None:
         values = [getattr(r, name) for r in rows if getattr(r, name) is not None]

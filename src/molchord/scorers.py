@@ -4,7 +4,11 @@ All datasets are line-delimited JSON, one object per line, UTF-8. SMILES keys
 are canonicalized at load time (the original string is preserved in
 ``raw_smiles``) so joins between files are exact; the conversion goes through
 the per-process ``molgraph.canonicalize`` memo, so files that share strings
-parse each of them once. The docking adapter shells
+parse each of them once. Before its line loop, ``load_records`` seeds that
+memo with every string of the file, in shares across the usable CPUs when the
+file is large enough (``molgraph.prefetch_canonical``); the line loop then
+hits the memo, and any string that fails or warns is computed there again, so
+errors and warnings come in line order as before. The docking adapter shells
 out to a user-supplied command that must print one finite number as the last
 non-empty line of its stdout; results are cached by (pocket, molecule,
 command) and a cache hit skips execution.
@@ -26,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .curation import ComplexRecord, PreferencePair
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
-from .molgraph import Molecule, canonicalize
+from .molgraph import Molecule, canonicalize, prefetch_canonical
 
 CACHE_DIR_ENV = "MOLCHORD_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".molchord_cache"
@@ -172,6 +176,13 @@ def _parse_generations(obj: dict, line_no: int) -> GenerationRecord:
     )
 
 
+_SMILES_FIELDS = {
+    "complexes": ("ligand_smiles",),
+    "scores": ("smiles",),
+    "pairs": ("chosen", "rejected"),
+    "generations": ("smiles",),
+}
+
 _PARSERS = {
     "complexes": (_parse_complexes, lambda r: r.pocket_id),
     "scores": (_parse_scores, lambda r: (r.pocket_id, r.smiles)),
@@ -185,6 +196,7 @@ def load_records(path: str | Path, schema: str) -> list:
     if schema not in _PARSERS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     parser, key_fn = _PARSERS[schema]
+    prefetch_canonical(_smiles_strings(path, schema))
     records = []
     seen = set()
     with open(path, encoding="utf-8") as handle:
@@ -207,6 +219,27 @@ def load_records(path: str | Path, schema: str) -> list:
             seen.add(key)
             records.append(record)
     return records
+
+
+def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
+    """Every SMILES string of the file, for ``prefetch_canonical``. Lines and
+    values that fail to parse are skipped; the line loop reports them."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError):
+                    continue
+                if not isinstance(obj, dict):
+                    continue
+                for field in _SMILES_FIELDS[schema]:
+                    value = obj.get(field)
+                    for text in value if isinstance(value, list) else [value]:
+                        if isinstance(text, str):
+                            yield text
+    except (OSError, ValueError):  # unreadable or not UTF-8: the line loop says so
+        return
 
 
 @contextlib.contextmanager

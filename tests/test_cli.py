@@ -325,6 +325,20 @@ def test_sample_with_explicit_checkpoint(pipeline):
         generations_path.write_bytes(backup)
 
 
+@pytest.mark.filterwarnings("ignore:pocket .* within the retry cap")
+def test_window_zero_model_trains_and_samples(pipeline, tmp_path):
+    # A window-0 model reads only its conditioning vector; the schema accepts
+    # it, so sampling must not shift a window it does not have.
+    config, out = _run_after(pipeline, tmp_path, ("partition.json",), {
+        "model": {"window": "0"}, "train_sft": {"steps": "20"},
+    })
+    assert main(["--config", str(config), "train-sft"]) == 0
+    assert main([
+        "--config", str(config), "sample", "--checkpoint", str(out / "sft_checkpoint.json"),
+    ]) == 0
+    assert load_records(out / "generations.jsonl", "generations")
+
+
 def test_jobs_zero_exits_two_before_any_artifact(pipeline, tmp_path):
     config, out = _run_after(pipeline, tmp_path, _UPSTREAM["dock"])
     assert main(["--config", str(config), "--jobs", "0", "dock"]) == 2

@@ -5,6 +5,7 @@ is its own process, so their start-up time is paid over and over. Each check
 runs in a fresh interpreter.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from molchord.hashutil import stable_hash64
 from molchord.molgraph import canonical_smiles, parse_smiles
 from molchord.scorers import surrogate_vina
+from molchord.synthetic import smiles_corpus
 
 SURROGATE = Path(__file__).resolve().parents[1] / "scripts" / "surrogate_dock.py"
 RUN_SURROGATE_WITHOUT_NUMPY = (
@@ -65,3 +67,48 @@ def test_surrogate_dock_rejects_unparseable(child_env, mode):
     proc = _surrogate(child_env, "C1CC", mode)
     assert proc.returncode == 1
     assert "unparseable" in proc.stderr
+
+
+# Each costs about 1 MB of peak RSS on top of ``import molchord.cli``; the
+# evaluation stages fork and send JSON through pipes instead.
+HEAVY_MODULES = ("multiprocessing", "concurrent.futures.process", "pickle")
+EVALUATE_WITH_FORKS = (
+    "import os, sys\n"
+    "from molchord.molgraph import canon\n"
+    "from molchord.cli import main\n"
+    "forks = []\n"
+    "fork = os.fork\n"
+    "def counting_fork():\n"
+    "    pid = fork()\n"
+    "    forks.append(pid)\n"
+    "    return pid\n"
+    "os.fork = counting_fork\n"
+    "canon._usable_cpus = lambda: 2\n"
+    "code = main(['--config', 'run.ini', 'evaluate'])\n"
+    "print(code, len(forks), [m for m in {heavy!r} if m in sys.modules])\n"
+)
+
+
+def test_forking_evaluate_imports_no_process_pool_or_pickle(tmp_path, child_env):
+    smiles = list(dict.fromkeys(smiles_corpus(1200, seed=5, min_heavy=3, max_heavy=12)))[:400]
+    out = tmp_path / "out"
+    out.mkdir()
+    pockets = [f"p{i}" for i in range(8)]
+    with open(tmp_path / "complexes.jsonl", "w") as handle:
+        for pocket in pockets:
+            handle.write(json.dumps({"pocket_id": pocket, "ligand_smiles": ["CCO"]}) + "\n")
+    with open(out / "generations.jsonl", "w") as gens, open(out / "scores.jsonl", "w") as scores:
+        for i, text in enumerate(smiles):
+            row = {"pocket_id": pockets[i % len(pockets)], "smiles": text}
+            gens.write(json.dumps(row) + "\n")
+            scores.write(json.dumps({**row, "vina": -5.0 - i % 7}) + "\n")
+    (tmp_path / "run.ini").write_text("[paths]\ncomplexes = complexes.jsonl\noutdir = out\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", EVALUATE_WITH_FORKS.format(heavy=HEAVY_MODULES)],
+        cwd=tmp_path, env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, forks, loaded = proc.stdout.strip().splitlines()[-1].split(" ", 2)
+    assert code == "0"
+    assert int(forks) >= 2  # the prefetch and the pocket rows both forked
+    assert loaded == "[]"
