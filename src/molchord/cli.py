@@ -37,7 +37,7 @@ from .hashutil import derive_seed
 from .molgraph import try_canonicalize
 
 if TYPE_CHECKING:
-    from .genmodel import ModelConfig, ModelParams, PocketFeatures
+    from .genmodel import ModelConfig, ModelParams, PocketFeatures, Vocabulary
     from .training import TrainConfig
 
 EXIT_OK = 0
@@ -348,6 +348,19 @@ def _features_for(
     return {r.pocket_id: model_cfg.featurize(r.pocket_id, r.pocket_sequence) for r in records}
 
 
+def _check_vocabulary(vocab: Vocabulary, molecules: Iterable[tuple[str, str]]) -> None:
+    """Exit 2 at the first (pocket_id, smiles) the model cannot tokenize."""
+    from .genmodel import TokenOutOfVocab
+
+    for pocket_id, smiles in molecules:
+        try:
+            vocab.encode(smiles)
+        except TokenOutOfVocab as exc:
+            raise ValidationFailure(
+                f"pocket {pocket_id}: ligand {smiles} is outside the model vocabulary ({exc})"
+            ) from exc
+
+
 def _dock_command(cfg: RunConfig) -> scorers.DockCommand:
     dock = cfg.typed["dock"]
     if not dock["command"]:
@@ -413,9 +426,9 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not pool:
         raise ValidationFailure("supervised pool is empty")
     ligands = {r.pocket_id: sorted(set(r.ligand_smiles)) for r in pool}
-    examples = build_sft_examples(
-        _features_for(pool, model_cfg), ligands, model_cfg.vocabulary(), seed=cfg.seed
-    )
+    vocab = model_cfg.vocabulary()
+    _check_vocabulary(vocab, ((pid, s) for pid, smis in ligands.items() for s in smis))
+    examples = build_sft_examples(_features_for(pool, model_cfg), ligands, vocab, seed=cfg.seed)
     checkpoint, curve = train_sft(examples, model_cfg, train_cfg)
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -520,8 +533,10 @@ def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
     missing = [p.pocket_id for p in pairs if p.pocket_id not in by_id]
     if missing:
         raise ValidationFailure(f"pairs reference unknown pockets: {missing[:5]}")
+    vocab = params.config.vocabulary()
+    _check_vocabulary(vocab, ((p.pocket_id, s) for p in pairs for s in (p.chosen, p.rejected)))
     feats = _features_for((by_id[p.pocket_id] for p in pairs), params.config)
-    examples = build_dpo_examples(pairs, feats, params, params.config.vocabulary(), seed=cfg.seed)
+    examples = build_dpo_examples(pairs, feats, params, vocab, seed=cfg.seed)
     checkpoint, curve = train_dpo(examples, params, train_cfg)
 
     ckpt_out = cfg.outdir / "dpo_checkpoint.json"

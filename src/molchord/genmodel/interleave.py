@@ -1,9 +1,7 @@
-"""Interleaved sequences: token prefix, structural slot, token suffix.
+"""Interleaved sequences: the pocket's structural block, then its targets.
 
-The model is trained with next-token prediction on the suffix only; the mask
-starts at ``target_start``, the 1-based index of the first element after the
-structural block in the flattened sequence (prefix length + number of
-structural vectors + 1).
+The model is trained with next-token prediction on the targets only; the
+structural vectors are context, never targets.
 """
 
 from __future__ import annotations
@@ -14,69 +12,21 @@ from .features import PocketFeatures
 from .vocab import Vocabulary
 
 
-class UnknownTemplate(KeyError):
-    pass
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Text around the structural slot. ``suffix_prefix`` precedes the target."""
-
-    name: str
-    prefix: str = ""
-    suffix_prefix: str = ""
-
-
-# The pipeline conditions generation on the structural block alone; the
-# instruction-style templates exist to exercise prefix/suffix handling and
-# need a vocabulary extended with their characters.
-DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
-    t.name: t
-    for t in (
-        PromptTemplate("pocket_to_ligand"),
-        PromptTemplate("instruct_ligand", prefix="make a ligand for ", suffix_prefix=" -> "),
-        PromptTemplate("describe_complex", prefix="the site ", suffix_prefix=" binds "),
-    )
-}
-
-PIPELINE_TEMPLATE = "pocket_to_ligand"
-
-
 @dataclass(frozen=True, eq=False)
 class InterleavedSequence:
-    prefix_ids: tuple[int, ...]
     features: PocketFeatures
-    suffix_ids: tuple[int, ...]
-    target_start: int  # 1-based position of the first suffix element
+    suffix_ids: tuple[int, ...]  # the target token ids, then EOS
 
     @property
     def n_struct(self) -> int:
         return self.features.n_tokens
 
-    def __len__(self) -> int:
-        return len(self.prefix_ids) + self.n_struct + len(self.suffix_ids)
-
 
 def build_interleaved(
-    template_id: str,
     features: PocketFeatures,
     target_ids: tuple[int, ...] | list[int],
     vocab: Vocabulary,
-    templates: dict[str, PromptTemplate] | None = None,
-    append_eos: bool = True,
 ) -> InterleavedSequence:
-    table = templates if templates is not None else DEFAULT_TEMPLATES
-    if template_id not in table:
-        raise UnknownTemplate(template_id)
-    template = table[template_id]
-    prefix_ids = vocab.encode(template.prefix)
-    suffix_ids = vocab.encode(template.suffix_prefix) + tuple(target_ids)
-    if append_eos:
-        suffix_ids = suffix_ids + (vocab.eos_id,)
+    suffix_ids = tuple(target_ids) + (vocab.eos_id,)
     vocab.check_ids(suffix_ids)
-    return InterleavedSequence(
-        prefix_ids=prefix_ids,
-        features=features,
-        suffix_ids=suffix_ids,
-        target_start=len(prefix_ids) + features.n_tokens + 1,
-    )
+    return InterleavedSequence(features=features, suffix_ids=suffix_ids)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interleave import InterleavedSequence
-from .params import ADAPTER_FIELDS, ModelParams
+from .params import ModelParams
 from .vocab import Vocabulary
 
 
@@ -93,24 +93,21 @@ def adapter_backward(
     d_out: np.ndarray,
     cache: AdapterCache,
     params: ModelParams,
-    grads: dict[str, np.ndarray] | None,
+    grads: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Returns the gradient w.r.t. the adapter input rows."""
+    """Accumulate the adapter's gradients into ``grads``; returns the
+    gradient w.r.t. the adapter input rows."""
     d_rows = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
     mid = cache.sig * cache.up
     d_mid = _rowwise(d_rows, params.adapter_down_w)
     d_up = d_mid * cache.sig
     d_gate = d_mid * cache.up * cache.sig * (1.0 - cache.sig)
-    if grads is not None:
-        if "adapter_down_w" in grads:
-            _accumulate(grads["adapter_down_w"], d_rows, mid)
-            grads["adapter_down_b"] += d_rows.sum(axis=0)
-        if "adapter_gate_w" in grads:
-            _accumulate(grads["adapter_gate_w"], d_gate, cache.x)
-            grads["adapter_gate_b"] += d_gate.sum(axis=0)
-        if "adapter_up_w" in grads:
-            _accumulate(grads["adapter_up_w"], d_up, cache.x)
-            grads["adapter_up_b"] += d_up.sum(axis=0)
+    _accumulate(grads["adapter_down_w"], d_rows, mid)
+    grads["adapter_down_b"] += d_rows.sum(axis=0)
+    _accumulate(grads["adapter_gate_w"], d_gate, cache.x)
+    grads["adapter_gate_b"] += d_gate.sum(axis=0)
+    _accumulate(grads["adapter_up_w"], d_up, cache.x)
+    grads["adapter_up_b"] += d_up.sum(axis=0)
     d_x = _rowwise(d_gate, params.adapter_gate_w) + _rowwise(d_up, params.adapter_up_w)
     return d_x if np.asarray(d_out).ndim > 1 else d_x[0]
 
@@ -179,8 +176,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-
-
 @dataclass(eq=False)
 class PackedCache:
     """A packed forward pass, kept for its backward pass.
@@ -210,12 +205,10 @@ def _layout(seqs: list[InterleavedSequence], n_tokens: int, pad_id: int, window:
     n_ctx = offset = 0
     for seq in seqs:
         source = np.concatenate([
-            np.asarray(seq.prefix_ids, dtype=np.intp),
             n_tokens + n_ctx + np.arange(seq.n_struct),
             np.asarray(seq.suffix_ids, dtype=np.intp),
         ])
-        first_target = len(seq.prefix_ids) + seq.n_struct
-        positions.append(offset + np.arange(first_target, len(source)))
+        positions.append(offset + np.arange(seq.n_struct, len(source)))
         bases.append(np.full(len(seq.suffix_ids), offset))
         sources.append(source)
         offset += len(source)
@@ -247,21 +240,19 @@ def sequences_forward(
     params: ModelParams,
     seqs: list[InterleavedSequence],
     vocab: Vocabulary,
-    epsilons: np.ndarray | None = None,
+    epsilons: np.ndarray,
     want_cache: bool = True,
 ) -> tuple[np.ndarray, PackedCache | None]:
     """Sum of masked next-token log-probabilities of each sequence, in one
     packed pass over all of their target rows.
 
     ``epsilons`` (one row per sequence) perturbs the pooled features before
-    the conditioning adapter; None means no perturbation (the
-    pre-variational alignment path).
+    the conditioning adapter.
     """
     cfg = params.config
     if not seqs:
         raise ValueError("no sequences")
     for seq in seqs:
-        vocab.check_ids(seq.prefix_ids)
         vocab.check_ids(seq.suffix_ids)
         if not seq.suffix_ids:
             raise ValueError("sequence has no masked positions")
@@ -270,9 +261,7 @@ def sequences_forward(
 
     vectors = np.concatenate([seq.features.vectors for seq in seqs])
     u_ctx, ctx_cache = adapter_forward(vectors, params, want_cache=True)
-    cond_in = np.stack([seq.features.pooled for seq in seqs])
-    if epsilons is not None:
-        cond_in = cond_in + epsilons
+    cond_in = np.stack([seq.features.pooled for seq in seqs]) + epsilons
     u_cond, cond_cache = adapter_forward(cond_in, params, want_cache=True)
 
     source = np.concatenate([params.token_embedding, u_ctx])
@@ -310,10 +299,10 @@ def sequence_forward(
     params: ModelParams,
     seq: InterleavedSequence,
     vocab: Vocabulary,
-    epsilon: np.ndarray | None = None,
+    epsilon: np.ndarray,
 ) -> tuple[float, PackedCache]:
     """``sequences_forward`` for one sequence."""
-    eps = None if epsilon is None else np.asarray(epsilon, dtype=np.float64)[None, :]
+    eps = np.asarray(epsilon, dtype=np.float64)[None, :]
     logprobs, cache = sequences_forward(params, [seq], vocab, eps)
     return float(logprobs[0]), cache
 
@@ -323,9 +312,9 @@ def sequences_backward(
     params: ModelParams,
     coeffs: np.ndarray,
     grads: dict[str, np.ndarray],
-    fields: frozenset[str],
 ) -> np.ndarray:
-    """Accumulate d(sum_i coeffs[i] * logprob_i)/dtheta for ``fields``.
+    """Accumulate d(sum_i coeffs[i] * logprob_i)/dtheta for the predictor
+    and the adapter.
 
     Returns the gradient w.r.t. each sequence's conditioning perturbation
     (one row per sequence), which callers route into the variational head
@@ -345,23 +334,20 @@ def sequences_backward(
         d_logits[np.arange(len(rows)), cache.targets[block]] += 1.0
         d_logits *= coeffs[rows][:, None]
 
-        if "lm_out_w" in fields:
-            grads["lm_out_w"] += d_logits.T @ h2
-            grads["lm_out_b"] += d_logits.sum(axis=0)
+        grads["lm_out_w"] += d_logits.T @ h2
+        grads["lm_out_b"] += d_logits.sum(axis=0)
         d_a2 = (d_logits @ params.lm_out_w) * (1.0 - h2 * h2)
-        if "lm_w2" in fields:
-            grads["lm_w2"] += d_a2.T @ h1
-            grads["lm_b2"] += d_a2.sum(axis=0)
+        grads["lm_w2"] += d_a2.T @ h1
+        grads["lm_b2"] += d_a2.sum(axis=0)
         d_a1 = (d_a2 @ params.lm_w2) * (1.0 - h1 * h1)
         window_idx = cache.window_idx[block]
-        if "lm_w1" in fields:
-            # d_a1.T @ x, one window slot of x at a time
-            for j in range(cfg.window):
-                grads["lm_w1"][:, j * cfg.d : (j + 1) * cfg.d] += (
-                    d_a1.T @ cache.source[window_idx[:, j]]
-                )
-            grads["lm_w1"][:, kd:] += d_a1.T @ cache.u_cond[rows]
-            grads["lm_b1"] += d_a1.sum(axis=0)
+        # d_a1.T @ x, one window slot of x at a time
+        for j in range(cfg.window):
+            grads["lm_w1"][:, j * cfg.d : (j + 1) * cfg.d] += (
+                d_a1.T @ cache.source[window_idx[:, j]]
+            )
+        grads["lm_w1"][:, kd:] += d_a1.T @ cache.u_cond[rows]
+        grads["lm_b1"] += d_a1.sum(axis=0)
 
         # each sequence's conditioning vector feeds all of its rows
         first = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
@@ -376,8 +362,7 @@ def sequences_backward(
             slots = on_ctx[reads]
             np.add.at(d_u_ctx, window_idx[reads][slots] - n_vocab, d_windows[slots])
 
-    adapter_grads = grads if ADAPTER_FIELDS & fields else None
-    d_cond_in = adapter_backward(d_u_cond, cache.cond_cache, params, adapter_grads)
+    d_cond_in = adapter_backward(d_u_cond, cache.cond_cache, params, grads)
     if d_u_ctx.size:
-        adapter_backward(d_u_ctx, cache.ctx_cache, params, adapter_grads)
+        adapter_backward(d_u_ctx, cache.ctx_cache, params, grads)
     return d_cond_in

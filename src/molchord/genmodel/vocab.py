@@ -1,10 +1,9 @@
 """Token vocabulary for the sequence model.
 
 Character-level over the SMILES alphabet, with the two-letter halogens kept
-as single tokens plus BOS/EOS/PAD. Extra characters (e.g. for text prompts in
-fixtures) can be appended; tokenization is greedy longest-match, which is
-unambiguous because no multi-character token shares a prefix with a
-single-character one.
+as single tokens plus BOS/EOS/PAD. A ``ModelConfig`` may list other tokens;
+tokenization is greedy longest-match, which is unambiguous because no
+multi-character token shares a prefix with a single-character one.
 """
 
 from __future__ import annotations
@@ -74,13 +73,14 @@ class Vocabulary:
                 raise TokenOutOfVocab(text[i], i)
         return tuple(ids)
 
-    def decode(self, ids: tuple[int, ...] | list[int], skip_special: bool = True) -> str:
+    def decode(self, ids: tuple[int, ...] | list[int]) -> str:
+        """The text of ``ids``; BOS, EOS and PAD are left out."""
         special = {self.bos_id, self.eos_id, self.pad_id}
         parts = []
         for tid in ids:
             if not 0 <= tid < self.size:
                 raise TokenOutOfVocab(f"<id {tid}>", -1)
-            if skip_special and tid in special:
+            if tid in special:
                 continue
             parts.append(self.tokens[tid])
         return "".join(parts)

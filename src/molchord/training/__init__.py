@@ -6,10 +6,8 @@ from .losses import (
     DEFAULT_BETA_VAE,
     DpoExample,
     EmptyBatch,
-    MalformedSequence,
     SftAux,
     SftExample,
-    alignment_loss,
     dpo_loss,
     kl_gaussian,
     kl_gaussian_grads,
@@ -33,13 +31,11 @@ __all__ = [
     "DEFAULT_BETA_VAE",
     "DpoExample",
     "EmptyBatch",
-    "MalformedSequence",
     "NonDeterministicLoss",
     "SftAux",
     "SftExample",
     "TrainConfig",
     "adam_step",
-    "alignment_loss",
     "build_dpo_examples",
     "build_sft_examples",
     "clip_gradients",

@@ -15,7 +15,6 @@ from ..curation import PreferencePair
 from ..genmodel import (
     ModelConfig,
     ModelParams,
-    PIPELINE_TEMPLATE,
     PocketFeatures,
     SFT_TRAINABLE,
     Vocabulary,
@@ -80,7 +79,7 @@ def build_sft_examples(
     for pocket_id in sorted(pocket_ligands):
         feats = pocket_features[pocket_id]
         for smiles in pocket_ligands[pocket_id]:
-            seq = build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(smiles), vocab)
+            seq = build_interleaved(feats, vocab.encode(smiles), vocab)
             examples.append(
                 SftExample(seq=seq, complex_vec=complex_feature_vector(feats, smiles, seed))
             )
@@ -109,7 +108,7 @@ def build_dpo_examples(
         rng = np.random.default_rng(derive_seed("dpo-noise", seed, pair.pocket_id))
         eps = vae_forward(complex_vec, ref_params, rng=rng).sample
         chosen_seq, rejected_seq = (
-            build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(smiles), vocab)
+            build_interleaved(feats, vocab.encode(smiles), vocab)
             for smiles in (pair.chosen, pair.rejected)
         )
         examples.append(

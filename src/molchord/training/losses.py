@@ -1,12 +1,11 @@
 """Training objectives and their exact gradients.
 
-Three losses share the packed sequence pass (``sequences_forward`` and
-``sequences_backward``); alignment and supervised fine-tuning run one pass
-over every sequence of a batch, and the preference loss runs one pass per
-sequence, as the reference scoring does, so that a policy equal to the
-reference gives a margin of exactly zero:
+Two losses share the packed sequence pass (``sequences_forward`` and
+``sequences_backward``); supervised fine-tuning runs one pass over every
+sequence of a batch, and the preference loss runs one pass per sequence, as
+the reference scoring does, so that a policy equal to the reference gives a
+margin of exactly zero:
 
-  * alignment: masked next-token NLL, gradients restricted to the adapter;
   * supervised fine-tuning: masked NLL with reparameterized conditioning
     noise plus a weighted closed-form Gaussian KL, gradients for adapter,
     variational head, and predictor;
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..genmodel import (
-    ADAPTER_FIELDS,
     InterleavedSequence,
     ModelParams,
     SFT_TRAINABLE,
@@ -43,10 +41,6 @@ DEFAULT_BETA_DPO = 0.1
 
 
 class EmptyBatch(ValueError):
-    pass
-
-
-class MalformedSequence(ValueError):
     pass
 
 
@@ -82,30 +76,6 @@ def kl_gaussian_grads(mu: np.ndarray, log_var: np.ndarray) -> tuple[np.ndarray, 
     return np.asarray(mu, dtype=np.float64), 0.5 * (np.exp(np.asarray(log_var)) - 1.0)
 
 
-def _check_batch(batch) -> None:
-    if not batch:
-        raise EmptyBatch("empty batch")
-
-
-def alignment_loss(
-    params: ModelParams,
-    batch: list[InterleavedSequence],
-    vocab: Vocabulary,
-    compute_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean masked NLL; only the adapter is trainable at this stage."""
-    _check_batch(batch)
-    for seq in batch:
-        if not seq.suffix_ids:
-            raise MalformedSequence(f"sequence for {seq.features.pocket_id} has no targets")
-    grads = params.zero_grads(ADAPTER_FIELDS) if compute_grads else {}
-    logprobs, cache = sequences_forward(params, batch, vocab, want_cache=compute_grads)
-    if compute_grads:
-        coeffs = np.full(len(batch), -1.0 / len(batch))
-        sequences_backward(cache, params, coeffs, grads, ADAPTER_FIELDS)
-    return -float(logprobs.sum()) / len(batch), grads
-
-
 @dataclass(frozen=True, eq=False)
 class SftAux:
     nll: float
@@ -128,10 +98,8 @@ def sft_loss(
     record; pass them back through ``noises`` to re-evaluate the identical
     loss (gradient checks, validation).
     """
-    _check_batch(batch)
-    for ex in batch:
-        if not ex.seq.suffix_ids:
-            raise MalformedSequence(f"sequence for {ex.pocket_id} has no targets")
+    if not batch:
+        raise EmptyBatch("empty batch")
     if noises is None:
         if rng is None:
             raise ValueError("sft_loss needs an rng or recorded noises")
@@ -155,7 +123,7 @@ def sft_loss(
         return loss, {}, aux
 
     grads = params.zero_grads(SFT_TRAINABLE)
-    d_eps = sequences_backward(cache, params, np.full(b, -1.0 / b), grads, SFT_TRAINABLE)
+    d_eps = sequences_backward(cache, params, np.full(b, -1.0 / b), grads)
     kl_mu, kl_lv = kl_gaussian_grads(eps.mu, eps.log_var)
     d_mu = d_eps + (beta_vae / b) * kl_mu
     d_lv = 0.5 * d_eps * np.exp(0.5 * eps.log_var) * z + (beta_vae / b) * kl_lv
@@ -203,8 +171,8 @@ def dpo_loss(
     grads = params.zero_grads(SFT_TRAINABLE)
     # d(-log sigmoid(m))/dm = -(1 - sigmoid(m)) = -sigmoid(-m)
     d_margin = -1.0 / (1.0 + math.exp(margin)) if margin < 50 else -math.exp(-margin)
-    sequences_backward(cache_chosen, params, [d_margin * beta_dpo], grads, SFT_TRAINABLE)
-    sequences_backward(cache_rejected, params, [-d_margin * beta_dpo], grads, SFT_TRAINABLE)
+    sequences_backward(cache_chosen, params, [d_margin * beta_dpo], grads)
+    sequences_backward(cache_rejected, params, [-d_margin * beta_dpo], grads)
 
     kl_mu, kl_lv = kl_gaussian_grads(mu, log_var)
     vae_backward(beta_vae * kl_mu[None], beta_vae * kl_lv[None], example.complex_vec[None], grads)

@@ -486,6 +486,31 @@ def dpo_margin_oracle(params, ref_params, example, vocab, beta: float):
     return margin, -(margin - math.log1p(math.exp(margin)))
 
 
+def alignment_loss(params, seqs, vocab, compute_grads: bool = True):
+    """Mean masked NLL of the targets under zero conditioning noise, with
+    the adapter's gradients only: the structure-to-text alignment objective,
+    one packed pass of the package's ``sequences_forward`` and
+    ``sequences_backward``. Its gradients are checked against finite
+    differences, not against another implementation. Returns (loss, grads)."""
+    import numpy as np
+
+    from molchord.genmodel import (
+        ADAPTER_FIELDS,
+        SFT_TRAINABLE,
+        sequences_backward,
+        sequences_forward,
+    )
+
+    zeros = np.zeros((len(seqs), params.config.d_feat))
+    logprobs, cache = sequences_forward(params, seqs, vocab, zeros, want_cache=compute_grads)
+    grads = {}
+    if compute_grads:
+        every = params.zero_grads(SFT_TRAINABLE)
+        sequences_backward(cache, params, np.full(len(seqs), -1.0 / len(seqs)), every)
+        grads = {name: every[name] for name in sorted(ADAPTER_FIELDS)}
+    return -float(logprobs.sum()) / len(seqs), grads
+
+
 def sgd_step(params, grads, lr: float) -> None:
     """Plain gradient descent in place: p <- p - lr * g."""
     for name in sorted(grads):
@@ -539,13 +564,10 @@ def _sequence_forward_oracle(params, seq, vocab, epsilon):
     u_ctx, ctx_cache = adapter_forward(seq.features.vectors, params, want_cache=True)
     cond_in = seq.features.pooled + epsilon
     u_cond, cond_cache = adapter_forward(cond_in[None, :], params, want_cache=True)
-    prefix = np.array(seq.prefix_ids, dtype=int)
     suffix = np.array(seq.suffix_ids, dtype=int)
-    embeddings = np.concatenate(
-        [params.token_embedding[prefix], u_ctx, params.token_embedding[suffix]], axis=0
-    )
+    embeddings = np.concatenate([u_ctx, params.token_embedding[suffix]], axis=0)
     t_len = len(suffix)
-    positions = len(prefix) + seq.n_struct + np.arange(t_len)
+    positions = seq.n_struct + np.arange(t_len)
     window_idx = positions[:, None] - k + np.arange(k)[None, :]
     gathered = np.where(
         (window_idx >= 0)[:, :, None],
@@ -587,14 +609,13 @@ def _sequence_backward_oracle(cache, params, coeff: float, grads):
     d_x = d_a1 @ params.lm_w1
     d_u_cond = d_x[:, k * d :].sum(axis=0)
     d_cond_in = adapter_backward(d_u_cond[None, :], cache["cond_cache"], params, grads)[0]
-    m = len(seq.prefix_ids)
     d_embeddings = np.zeros_like(cache["embeddings"])
     d_windows = d_x[:, : k * d].reshape(t_len, k, d)
     for j in range(k):
         idx = cache["window_idx"][:, j]
         valid = idx >= 0
         np.add.at(d_embeddings, idx[valid], d_windows[valid, j])
-    d_u_ctx = d_embeddings[m : m + seq.n_struct]
+    d_u_ctx = d_embeddings[: seq.n_struct]
     if d_u_ctx.size:
         adapter_backward(d_u_ctx, cache["ctx_cache"], params, grads)
     return d_cond_in

@@ -15,7 +15,6 @@ from molchord.cli import main as cli_main
 from molchord.curation import PreferencePair, diversity_filter, reward
 from molchord.genmodel import (
     ModelConfig,
-    PIPELINE_TEMPLATE,
     build_interleaved,
     complex_feature_vector,
     featurize_pocket,
@@ -33,7 +32,6 @@ from molchord.scorers import dump_records
 from molchord.synthetic import smiles_corpus, synthetic_complexes
 from molchord.training import (
     SftExample,
-    alignment_loss,
     build_dpo_examples,
     dpo_loss,
     grad_check,
@@ -41,7 +39,13 @@ from molchord.training import (
     sft_loss,
 )
 
-from .oracles import brute_diversity, fingerprint_from_bits, fused_ring_count_oracle, lm_logits
+from .oracles import (
+    alignment_loss,
+    brute_diversity,
+    fingerprint_from_bits,
+    fused_ring_count_oracle,
+    lm_logits,
+)
 
 DOCK_STUB = (
     "printf '%s' '{smiles}' | cksum | "
@@ -183,7 +187,7 @@ def test_acceptance_5_gradient_checks():
         feats = featurize_pocket("p", 16, seed=0, n_struct_tokens=2)
         texts = ["C", "CO", "CC"]
         seqs = [
-            build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(t), vocab)
+            build_interleaved(feats, vocab.encode(t), vocab)
             for t in texts
         ]
         batch = [

@@ -684,11 +684,70 @@ _CONTRACT_RECORDS = {
         {"pocket_id": "p0", "smiles": "c1ccccc1O", "vina": -7.5, "qed": 0.6, "sa_origin": 1.5},
         {"pocket_id": "p1", "smiles": "CCCN", "vina": -5.0},
     ],
+    "pairs": [
+        {"pocket_id": "p1", "chosen": "CCO", "rejected": "CC(=O)O", "reward_chosen": 1.5,
+         "reward_rejected": 0.5},
+    ],
 }
 _SMILES_VALUES = st.sampled_from([
     "C1CC", "C((", "Xx", "cc", "[C", "C" * 5000, ".".join(["C"] * 60), ".".join(["C"] * 2000),
-    ".".join(["c1ccccc1"] * 450),
+    ".".join(["c1ccccc1"] * 450), "[Si]", "[Na+]", "C[Se]C",
 ])
+# a tiny model without training steps, so that every command runs in well
+# under the deadline
+_TINY_MODEL = {
+    "model": {"d": "4", "d_feat": "4", "window": "2", "n_struct": "2"},
+    "train_sft": {"steps": "0"},
+    "train_dpo": {"epochs": "0"},
+}
+
+
+def _contract_run(tmp_path: Path, texts: dict[str, str]) -> Path:
+    """A tiny-model run directory over the given record files, with the
+    partition (p0 supervised, p1 preference) and the supervised checkpoint
+    that train-sft and train-dpo read; returns the config path."""
+    from molchord.genmodel import ModelConfig, init_params, save_params
+
+    complexes = tmp_path / "complexes.jsonl"
+    complexes.write_text(texts["complexes"])
+    config = _write_config(tmp_path, complexes, _TINY_MODEL)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for name in ("generations", "scores", "pairs"):
+        (outdir / f"{name}.jsonl").write_text(texts[name])
+    (outdir / "partition.json").write_text('{"sft_pool": ["p0"], "dpo_pool": ["p1"]}')
+    tiny = ModelConfig(d=4, d_feat=4, window=2, n_struct_tokens=2)
+    save_params(outdir / "sft_checkpoint.json", init_params(tiny))
+    return config
+
+
+def _contract_texts(**replaced: list[dict]) -> dict[str, str]:
+    """The contract record files, with the rows of the named files replaced."""
+    records = {**_CONTRACT_RECORDS, **replaced}
+    return {name: "".join(json.dumps(row) + "\n" for row in rows)
+            for name, rows in records.items()}
+
+
+@pytest.mark.parametrize("smiles", ["C[Si](C)C", "[Na+]", "[Li+].[Cl-]"])
+def test_ligand_outside_the_vocabulary_exits_two_in_train_sft(tmp_path, capsys, smiles):
+    from molchord.molgraph import canonicalize
+
+    p0, p1 = _CONTRACT_RECORDS["complexes"]
+    p0 = {**p0, "ligand_smiles": ["CCO", "c1ccccc1", smiles]}
+    config = _contract_run(tmp_path, _contract_texts(complexes=[p0, p1]))
+    assert main(["--config", str(config), "train-sft"]) == 2
+    err = capsys.readouterr().err
+    assert "pocket p0" in err and canonicalize(smiles) in err
+    assert not (tmp_path / "out" / "sft_curve.jsonl").exists()
+
+
+def test_preferred_molecule_outside_the_vocabulary_exits_two_in_train_dpo(tmp_path, capsys):
+    pair = {**_CONTRACT_RECORDS["pairs"][0], "chosen": "C[Si](C)C"}
+    config = _contract_run(tmp_path, _contract_texts(pairs=[pair]))
+    assert main(["--config", str(config), "train-dpo"]) == 2
+    err = capsys.readouterr().err
+    assert "pocket p1" in err and "C[Si](C)C" in err
+    assert not (tmp_path / "out" / "dpo_checkpoint.json").exists()
 _VALUES = st.one_of(
     st.text(alphabet="Cc1(=O.N%", max_size=8),
     st.integers(-10, 10),
@@ -725,18 +784,14 @@ def _mutated_record_files(draw):
     return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
 
 
-@given(_mutated_record_files(), st.sampled_from(["partition", "evaluate"]))
-@settings(max_examples=40, suppress_health_check=list(HealthCheck))
+@given(
+    _mutated_record_files(),
+    st.sampled_from(["partition", "train-sft", "train-dpo", "evaluate"]),
+)
+@settings(max_examples=80, suppress_health_check=list(HealthCheck))
 def test_any_mutated_record_line_ends_in_a_documented_exit_code(
     tmp_path_factory, deadline, texts, command
 ):
-    tmp_path = tmp_path_factory.mktemp("contract")
-    complexes = tmp_path / "complexes.jsonl"
-    complexes.write_text(texts["complexes"])
-    config = _write_config(tmp_path, complexes)
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    (outdir / "generations.jsonl").write_text(texts["generations"])
-    (outdir / "scores.jsonl").write_text(texts["scores"])
+    config = _contract_run(tmp_path_factory.mktemp("contract"), texts)
     with deadline(10.0):
         assert main(["--config", str(config), command]) in (0, 2, 3, 4)

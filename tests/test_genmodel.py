@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from molchord.genmodel import (
-    DEFAULT_TEMPLATES,
     ModelConfig,
-    PIPELINE_TEMPLATE,
     SFT_TRAINABLE,
     ShapeMismatch,
     TokenOutOfVocab,
-    UnknownTemplate,
     adapter_forward,
     build_interleaved,
     complex_feature_vector,
@@ -175,32 +172,22 @@ def test_vae_reparameterization_identity(cfg):
 
 def test_interleaved_index_arithmetic(vocab, cfg):
     one_vector = featurize_pocket("p", cfg.d_feat, seed=0, n_struct_tokens=1)
-    seq = build_interleaved(PIPELINE_TEMPLATE, one_vector, vocab.encode("C"), vocab)
-    assert seq.target_start == 2  # empty prefix + one structural vector + 1
-    assert len(seq.suffix_ids) == 2  # 'C' plus the end marker
-
-
-def test_interleaved_with_text_template():
-    vocab = smiles_vocabulary(extra_text="make a ligand for  -> ")
-    feats = featurize_pocket("p", 8, seed=0, n_struct_tokens=3)
-    seq = build_interleaved("instruct_ligand", feats, vocab.encode("CC"), vocab)
-    m = len(DEFAULT_TEMPLATES["instruct_ligand"].prefix)
-    assert len(seq.prefix_ids) == m
-    assert seq.target_start == m + 3 + 1
-    suffix_text = DEFAULT_TEMPLATES["instruct_ligand"].suffix_prefix
-    assert len(seq.suffix_ids) == len(suffix_text) + 2 + 1
+    seq = build_interleaved(one_vector, vocab.encode("C"), vocab)
+    assert seq.n_struct == 1
+    assert seq.suffix_ids == vocab.encode("C") + (vocab.eos_id,)  # 'C' plus the end marker
 
 
 def test_interleaved_mask_length_matches_suffix(vocab, cfg):
+    """The packed layout reads one target row per suffix token, in order,
+    after the structural block."""
+    from molchord.genmodel.network import _layout
+
     feats = featurize_pocket("p", cfg.d_feat, seed=0, n_struct_tokens=5)
-    seq = build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode("CCO"), vocab)
-    assert len(seq) - (seq.target_start - 1) == len(seq.suffix_ids)
-
-
-def test_unknown_template(vocab, cfg):
-    feats = featurize_pocket("p", cfg.d_feat, seed=0)
-    with pytest.raises(UnknownTemplate):
-        build_interleaved("nope", feats, (1,), vocab)
+    seq = build_interleaved(feats, vocab.encode("CCO"), vocab)
+    _, row_seq, starts, targets = _layout([seq, seq], vocab.size, vocab.pad_id, cfg.window)
+    assert list(targets) == list(seq.suffix_ids) * 2
+    assert list(row_seq) == [0] * len(seq.suffix_ids) + [1] * len(seq.suffix_ids)
+    assert list(starts) == [0, len(seq.suffix_ids)]
 
 
 # --- windowed predictor -----------------------------------------------------
@@ -254,14 +241,14 @@ def test_sequence_logprob_uniform_values(cfg):
                         vocab_tokens=tuple(tokens))
     params = init_params(cfg30)
     feats = featurize_pocket("p", 8, seed=0, n_struct_tokens=2)
-    seq = build_interleaved(
-        PIPELINE_TEMPLATE, feats, (0,), vocab30, append_eos=False
-    )
-    logprob, _ = sequence_forward(params, seq, vocab30)
-    assert logprob == pytest.approx(-math.log(30), abs=1e-12)
-    two = build_interleaved(PIPELINE_TEMPLATE, feats, (0, 1), vocab30, append_eos=False)
-    logprob2, _ = sequence_forward(params, two, vocab30)
-    assert logprob2 == pytest.approx(-2 * math.log(30), abs=1e-12)
+    noise = np.random.default_rng(0).standard_normal(8)
+    # one target plus the end marker, each at probability 1/30
+    seq = build_interleaved(feats, (0,), vocab30)
+    logprob, _ = sequence_forward(params, seq, vocab30, epsilon=noise)
+    assert logprob == pytest.approx(-2 * math.log(30), abs=1e-12)
+    two = build_interleaved(feats, (0, 1), vocab30)
+    logprob2, _ = sequence_forward(params, two, vocab30, epsilon=noise)
+    assert logprob2 == pytest.approx(-3 * math.log(30), abs=1e-12)
 
 
 def test_sequence_logprob_nonpositive(params, vocab, cfg, rng):
@@ -269,8 +256,9 @@ def test_sequence_logprob_nonpositive(params, vocab, cfg, rng):
     trained.lm_out_w[:] = rng.standard_normal(trained.lm_out_w.shape)
     feats = featurize_pocket("p", cfg.d_feat, seed=0, n_struct_tokens=3)
     for text in ["C", "CCO", "c1ccccc1"]:
-        seq = build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(text), vocab)
-        logprob, _ = sequence_forward(trained, seq, vocab)
+        seq = build_interleaved(feats, vocab.encode(text), vocab)
+        noise = rng.standard_normal(cfg.d_feat)
+        logprob, _ = sequence_forward(trained, seq, vocab, epsilon=noise)
         assert logprob <= 0
 
 
@@ -279,56 +267,43 @@ def test_sequence_rejects_bad_token_ids(params, vocab, cfg):
 
     feats = featurize_pocket("p", cfg.d_feat, seed=0, n_struct_tokens=3)
     with pytest.raises(TokenOutOfVocab):
-        build_interleaved(PIPELINE_TEMPLATE, feats, (vocab.size + 5,), vocab)
-    rogue = InterleavedSequence(
-        prefix_ids=(), features=feats, suffix_ids=(vocab.size + 5,), target_start=4
-    )
+        build_interleaved(feats, (vocab.size + 5,), vocab)
+    rogue = InterleavedSequence(features=feats, suffix_ids=(vocab.size + 5,))
     with pytest.raises(TokenOutOfVocab):
-        sequence_forward(params, rogue, vocab)
+        sequence_forward(params, rogue, vocab, epsilon=np.zeros(cfg.d_feat))
 
 
 def test_mask_boundary_context_vs_targets(cfg, vocab):
-    """Prefix/structural positions shape the context but are never targets:
-    editing prefix content moves the loss only through conditioning, while
-    editing any suffix target changes which probabilities are read out."""
-    extended = smiles_vocabulary(extra_text="xy")
-    cfg2 = ModelConfig(d=8, d_feat=8, window=2, n_struct_tokens=3,
-                       vocab_tokens=extended.tokens, seed=9)
+    """Structural positions shape the context but are never targets: editing
+    a structural vector that no window reaches leaves the loss unchanged,
+    editing one inside a window moves it, and editing any target changes
+    which probabilities are read out."""
+    from dataclasses import replace
+
+    cfg2 = ModelConfig(d=8, d_feat=8, window=2, n_struct_tokens=5, seed=9)
     params = init_params(cfg2)
     rng = np.random.default_rng(0)
     params.lm_out_w[:] = rng.standard_normal(params.lm_out_w.shape) * 0.3
-    feats = featurize_pocket("p", 8, seed=0, n_struct_tokens=3)
-    assert feats.n_tokens >= cfg2.window  # windows never reach past the slot
+    feats = featurize_pocket("p", 8, seed=0, n_struct_tokens=5)
+    noise = rng.standard_normal(8)
 
-    from molchord.genmodel import InterleavedSequence
+    def logprob(features, text):
+        seq = build_interleaved(features, vocab.encode(text), vocab)
+        return sequence_forward(params, seq, vocab, epsilon=noise)[0]
 
-    base = InterleavedSequence(
-        prefix_ids=extended.encode("x"),
-        features=feats,
-        suffix_ids=extended.encode("CC") + (extended.eos_id,),
-        target_start=1 + 3 + 1,
-    )
-    lp_base, _ = sequence_forward(params, base, extended)
+    lp_base = logprob(feats, "CC")
+    assert logprob(feats, "CN") != lp_base  # targets enter the loss
 
-    suffix_changed = InterleavedSequence(
-        prefix_ids=base.prefix_ids,
-        features=feats,
-        suffix_ids=extended.encode("CN") + (extended.eos_id,),
-        target_start=base.target_start,
-    )
-    lp_suffix, _ = sequence_forward(params, suffix_changed, extended)
-    assert lp_suffix != lp_base  # suffix targets enter the loss
+    def with_vector(index):
+        vectors = feats.vectors.copy()
+        vectors[index] += 1.0
+        return replace(feats, vectors=vectors)  # pooled features unchanged
 
-    prefix_changed = InterleavedSequence(
-        prefix_ids=extended.encode("y"),
-        features=feats,
-        suffix_ids=base.suffix_ids,
-        target_start=base.target_start,
-    )
-    lp_prefix, _ = sequence_forward(params, prefix_changed, extended)
-    # prefix positions are never read as targets; with the window too short to
-    # reach them from any suffix position they cannot influence the loss at all
-    assert lp_prefix == lp_base
+    # the first target's window holds the last two structural vectors; no
+    # window reaches the first three, and no structural position is a target
+    assert logprob(with_vector(-1), "CC") != lp_base
+    for index in range(3):
+        assert logprob(with_vector(index), "CC") == lp_base
 
 
 # --- parameters -------------------------------------------------------------

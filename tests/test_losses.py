@@ -5,8 +5,8 @@ import pytest
 
 from molchord.curation import PreferencePair
 from molchord.genmodel import (
+    InterleavedSequence,
     ModelConfig,
-    PIPELINE_TEMPLATE,
     build_interleaved,
     complex_feature_vector,
     featurize_pocket,
@@ -17,9 +17,7 @@ from molchord.genmodel import (
 from molchord.training import (
     DpoExample,
     EmptyBatch,
-    MalformedSequence,
     SftExample,
-    alignment_loss,
     build_dpo_examples,
     dpo_loss,
     grad_check,
@@ -29,7 +27,7 @@ from molchord.training import (
 )
 from molchord.training.gradcheck import NonDeterministicLoss
 
-from .oracles import dpo_margin_oracle
+from .oracles import alignment_loss, dpo_margin_oracle
 
 
 def _randomized_params(cfg, seed=0, scale=0.4):
@@ -59,7 +57,7 @@ def feats(cfg):
 @pytest.fixture(scope="module")
 def batch(vocab, feats):
     return [
-        build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(s), vocab)
+        build_interleaved(feats, vocab.encode(s), vocab)
         for s in ("CCO", "c1ccccc1", "CC(C)N")
     ]
 
@@ -108,7 +106,19 @@ def test_kl_gradients_closed_form():
                 assert abs(numeric - grad[j]) / max(1, abs(numeric), abs(grad[j])) < 1e-6
 
 
-# --- alignment loss ----------------------------------------------------------
+# --- alignment: the masked NLL under zero noise ---------------------------------
+# With zeroed variational weights and zero noise the supervised loss is the
+# structure-to-text alignment objective: the mean masked NLL of the targets
+# given the pocket, with no conditioning perturbation and a zero KL.
+
+
+def _alignment_examples(params, seqs):
+    """Zero the variational head; returns the examples and zero noises."""
+    for name in ("vae_mu_w", "vae_mu_b", "vae_logvar_w", "vae_logvar_b"):
+        getattr(params, name)[:] = 0.0
+    d_feat = params.config.d_feat
+    examples = [SftExample(seq=seq, complex_vec=np.zeros(d_feat)) for seq in seqs]
+    return examples, tuple(np.zeros(d_feat) for _ in seqs)
 
 
 def test_alignment_uniform_value(feats):
@@ -116,22 +126,25 @@ def test_alignment_uniform_value(feats):
     vocab30 = make_vocabulary(tokens)
     cfg30 = ModelConfig(d=8, d_feat=16, window=3, n_struct_tokens=3, vocab_tokens=tokens)
     params = init_params(cfg30)
-    seq = build_interleaved(PIPELINE_TEMPLATE, feats, (0,), vocab30, append_eos=False)
-    loss, _ = alignment_loss(params, [seq], vocab30)
-    assert loss == pytest.approx(math.log(30), abs=1e-12)
+    examples, zeros = _alignment_examples(params, [build_interleaved(feats, (0,), vocab30)])
+    loss, _, aux = sft_loss(params, examples, vocab30, noises=zeros)
+    # one target and the end marker, each at probability 1/30
+    assert loss == pytest.approx(2 * math.log(30), abs=1e-12)
+    assert aux.kl == 0.0
 
 
 def test_alignment_empty_batch(cfg, vocab):
-    with pytest.raises(EmptyBatch):
+    """The packed pass itself rejects an empty batch."""
+    with pytest.raises(ValueError):
         alignment_loss(init_params(cfg), [], vocab)
 
 
 def test_alignment_rejects_empty_suffix(cfg, vocab, feats):
-    from molchord.genmodel import InterleavedSequence
-
-    seq = InterleavedSequence(prefix_ids=(), features=feats, suffix_ids=(), target_start=4)
-    with pytest.raises(MalformedSequence):
-        alignment_loss(init_params(cfg), [seq], vocab)
+    params = init_params(cfg)
+    seq = InterleavedSequence(features=feats, suffix_ids=())
+    examples, zeros = _alignment_examples(params, [seq])
+    with pytest.raises(ValueError, match="no masked positions"):
+        sft_loss(params, examples, vocab, noises=zeros)
 
 
 def test_alignment_grads_adapter_only(cfg, vocab, batch):
@@ -149,15 +162,16 @@ def test_alignment_improves_with_training(cfg, vocab, feats):
 
     params = _randomized_params(cfg, seed=3)
     corpus = ["CCO", "CCN", "CCC", "c1ccccc1", "CC(C)O"] * 10
-    batch = [
-        build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode(s), vocab) for s in corpus
-    ]
-    start, _ = alignment_loss(params, batch, vocab)
+    seqs = [build_interleaved(feats, vocab.encode(s), vocab) for s in corpus]
+    examples, zeros = _alignment_examples(params, seqs)
+    start, _, _ = sft_loss(params, examples, vocab, noises=zeros)
     state = AdamState()
     for _ in range(100):
-        _, grads = alignment_loss(params, batch, vocab)
-        adam_step(params, grads, state, lr=3e-3)
-    end, _ = alignment_loss(params, batch, vocab)
+        _, grads, _ = sft_loss(params, examples, vocab, noises=zeros)
+        # the variational head stays at zero, so the noise stays zero
+        trained = {name: g for name, g in grads.items() if not name.startswith("vae_")}
+        adam_step(params, trained, state, lr=3e-3)
+    end, _, _ = sft_loss(params, examples, vocab, noises=zeros)
     assert end < start
 
 
@@ -194,7 +208,7 @@ def test_sft_kl_gradient_direction(cfg, vocab, feats):
     params = init_params(cfg)  # zero predictor: NLL indifferent to epsilon
     params.vae_mu_b[:] = 1.0
     example = SftExample(
-        seq=build_interleaved(PIPELINE_TEMPLATE, feats, vocab.encode("C"), vocab),
+        seq=build_interleaved(feats, vocab.encode("C"), vocab),
         complex_vec=np.zeros(cfg.d_feat),
     )
     zeros = (np.zeros(cfg.d_feat),)
@@ -225,20 +239,15 @@ def test_sft_grad_check(cfg, vocab, sft_batch):
 def test_packed_sft_matches_per_sequence_oracle(monkeypatch, row_block):
     """One packed pass over the batch gives the loss and gradients of one
     forward and backward per example: pockets with fewer structural vectors
-    than the window, prompt prefixes and suffix prefixes, more than 256
-    target rows, and blocks that split sequences."""
+    than the window, more than 256 target rows, and blocks that split
+    sequences."""
     from molchord.genmodel import network
-    from molchord.genmodel.vocab import BOS, EOS, PAD, SMILES_CHARS
     from molchord.synthetic import smiles_corpus
 
     from .oracles import per_sequence_sft_loss
 
     monkeypatch.setattr(network, "ROW_BLOCK", row_block)
-    text = "make a ligand for  -> the site  binds "
-    tokens = [PAD, BOS, EOS, *SMILES_CHARS]
-    tokens += sorted({ch for ch in text if ch not in tokens})
-    cfg = ModelConfig(d=16, d_feat=16, window=4, n_struct_tokens=3, vocab_tokens=tuple(tokens),
-                      seed=1)
+    cfg = ModelConfig(d=16, d_feat=16, window=4, n_struct_tokens=3, seed=1)
     vocab = cfg.vocabulary()
     params = _randomized_params(cfg, seed=21)
     pockets = [
@@ -246,11 +255,10 @@ def test_packed_sft_matches_per_sequence_oracle(monkeypatch, row_block):
         featurize_pocket("b", 16, seed=0, n_struct_tokens=3),
         featurize_pocket("c", 16, seed=0, pocket_sequence="GAVLIKRE"),
     ]
-    templates = (PIPELINE_TEMPLATE, "instruct_ligand", "describe_complex")
     ligands = smiles_corpus(14, seed=3, min_heavy=12, max_heavy=22)
     batch = [
         SftExample(
-            seq=build_interleaved(templates[i % 3], pockets[i % 3], vocab.encode(smi), vocab),
+            seq=build_interleaved(pockets[i % 3], vocab.encode(smi), vocab),
             complex_vec=complex_feature_vector(pockets[i % 3], smi, seed=0),
         )
         for i, smi in enumerate(ligands)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from molchord.genmodel import (
     ModelConfig,
-    PIPELINE_TEMPLATE,
     build_interleaved,
     featurize_pocket,
     init_params,
@@ -169,9 +168,7 @@ def test_logprob_replay_equivalence(setup):
         if res.hit_max_len:
             continue
         assert res.token_ids[-1] == vocab.eos_id
-        seq = build_interleaved(
-            PIPELINE_TEMPLATE, feats, res.token_ids[:-1], vocab, append_eos=True
-        )
+        seq = build_interleaved(feats, res.token_ids[:-1], vocab)
         assert seq.suffix_ids == res.token_ids
         logprob, _ = sequence_forward(
             params, seq, vocab, epsilon=np.array(res.conditioning_noise)
