@@ -9,8 +9,10 @@ Usage: surrogate_dock.py SMILES [--mode hash|heavy]
   hash   score in [-12, -4) from a stable hash of the canonical structure
   heavy  heavier molecules score better (matches the experiment surrogate)
 
-The pipeline starts this script once per uncached molecule, so it imports no
-more than its mode needs (no numpy).
+The pipeline starts this script once per uncached command line, which for
+the pocket-free template ``surrogate_dock.py '{smiles}'`` is once per uncached
+molecule across all pockets, so it imports no more than its mode needs (no
+numpy).
 """
 
 import argparse

@@ -377,7 +377,8 @@ def _dock(
     molecules: Iterable[tuple[str, str]],
 ) -> scorers.DockRunResult:
     """Dock (pocket_id, smiles) molecules; a pocket's first ligand is its
-    center source and ``[paths] pocket_file_pattern`` names its file."""
+    center source and ``[paths] pocket_file_pattern`` names its file. A
+    cache directory that cannot be made or written exits 3."""
     pattern = cfg.typed["paths"]["pocket_file_pattern"]
     requests = []
     for pocket_id, smiles in molecules:
@@ -386,7 +387,10 @@ def _dock(
         pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
         requests.append((pocket_id, smiles, pocket_file, center))
     cache_dir = cfg.typed["dock"]["cache_dir"] or None
-    return scorers.dock_many(command, requests, cache_dir=cache_dir)
+    try:
+        return scorers.dock_many(command, requests, cache_dir=cache_dir)
+    except scorers.CacheUnavailable as exc:
+        raise MissingArtifact(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

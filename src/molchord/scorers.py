@@ -10,8 +10,9 @@ file is large enough (``molgraph.prefetch_canonical``); the line loop then
 hits the memo, and any string that fails or warns is computed there again, so
 errors and warnings come in line order as before. The docking adapter shells
 out to a user-supplied command that must print one finite number as the last
-non-empty line of its stdout; results are cached by (pocket, molecule,
-command) and a cache hit skips execution.
+non-empty line of its stdout. The fully substituted command line is the
+identity of a result: ``dock_many`` runs each distinct line once, results are
+cached under the line's SHA-256, and a cache hit skips execution.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -343,43 +345,130 @@ class ConflictingScore(DockError):
     pass
 
 
+class CacheUnavailable(OSError):
+    """The dock cache directory cannot be created or written."""
+
+
 def _cache_dir(explicit: str | Path | None) -> Path:
     if explicit is not None:
         return Path(explicit)
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
+def _make_cache_dir(directory: Path) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CacheUnavailable(f"cannot create dock cache directory {directory}: {exc}") from exc
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise CacheUnavailable(f"cannot write to dock cache directory {directory}")
+
+
 _cache_lock = threading.Lock()
 
 
-def _cache_key(command: str, pocket_id: str, smiles: str) -> str:
-    digest = hashlib.sha256()
-    for part in (command, pocket_id, smiles):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+def _command_line(
+    template: str, pocket_id: str, smiles: str, pocket_file: str | None, center_source: str | None
+) -> str:
+    """The template with one request's values in place: the identity of its
+    dock result. Only the known placeholders are substituted; other braces
+    (awk scripts, shell expansions) pass through untouched."""
+    command = template.replace("{smiles}", smiles)
+    if "{pocket_file}" in command:
+        if pocket_file is None:
+            raise MissingDockInput(f"pocket {pocket_id}: no pocket file available")
+        command = command.replace("{pocket_file}", pocket_file)
+    if "{center_source}" in command:
+        if center_source is None:
+            raise MissingDockInput(
+                f"pocket {pocket_id}: no reference ligand to define the pocket center"
+            )
+        command = command.replace("{center_source}", center_source)
+    return command
 
 
-def _read_cached(cache_file: Path, pocket_id: str, smiles: str) -> float | None:
-    """The score a cache entry holds for this request, or None when the entry
-    is missing or is not what this command would have written for it: JSON
-    with this pocket and canonical SMILES and a finite number."""
+def _read_cached(cache_file: Path, command: str) -> float | None:
+    """The score a cache entry holds for this command line, or None when the
+    entry is missing or is not what fresh output would have written: JSON
+    that records exactly this line and a finite number."""
     try:
         entry = json.loads(cache_file.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError):
         return None
-    if not isinstance(entry, dict):
+    if not isinstance(entry, dict) or entry.get("command") != command:
         return None
     vina = entry.get("vina")
-    if (
-        entry.get("pocket_id") != pocket_id
-        or entry.get("smiles") != smiles
-        or isinstance(vina, bool)
-        or not isinstance(vina, (int, float))
-        or not math.isfinite(vina)
-    ):
+    if isinstance(vina, bool) or not isinstance(vina, (int, float)):
         return None
-    return float(vina)
+    try:
+        vina = float(vina)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return vina if math.isfinite(vina) else None
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+class _Groups:
+    """The process groups that the workers of one ``dock_many`` call have
+    running. The terminal's interrupt does not reach a group of its own, so
+    an interrupted ``dock_many`` kills them through ``stop``; a group that
+    registers after that is killed at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running: set[subprocess.Popen] = set()
+        self._stopped = False
+
+    @contextlib.contextmanager
+    def running(self, proc: subprocess.Popen) -> Iterator[None]:
+        with self._lock:
+            self._running.add(proc)
+            if self._stopped:
+                _kill_group(proc)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._running.discard(proc)
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for proc in self._running:
+                _kill_group(proc)
+
+
+_worker = threading.local()  # .groups of the dock_many call a pool thread serves
+
+
+def _run(command: str, timeout: float) -> tuple[int, str, str]:
+    """Run one command line in a process group of its own and return its
+    exit code, stdout and stderr. A timeout, or anything else that ends the
+    wait, kills the whole group: killing the shell alone would leave what it
+    started running."""
+    proc = subprocess.Popen(
+        command,
+        shell=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    groups = getattr(_worker, "groups", None)
+    try:
+        with groups.running(proc) if groups else contextlib.nullcontext():
+            stdout, stderr = proc.communicate(timeout=timeout)
+    except BaseException as exc:
+        _kill_group(proc)
+        proc.communicate()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            raise Timeout(f"dock command timed out after {timeout}s: {command}") from exc
+        raise
+    return proc.returncode, stdout, stderr
 
 
 def external_dock(
@@ -396,45 +485,25 @@ def external_dock(
     non-empty stdout line. ``center_source`` is whatever the wrapped tool
     needs to locate the pocket center (typically the reference ligand);
     pockets that cannot provide one are rejected here when the template asks
-    for it. The cache key covers the fully substituted command, so a changed
-    pocket file or reference ligand never reuses another command's score. An
-    entry counts only as fresh output would (see ``_read_cached``); any other
-    entry is a miss, and the command's result replaces it.
+    for it. The cache key is the SHA-256 of the fully substituted command
+    line, so a changed pocket file or reference ligand never reuses another
+    command's score. An entry counts only as fresh output would (see
+    ``_read_cached``); any other entry is a miss, and the command's result
+    replaces it. A timeout kills the command's whole process group.
     """
     canon = canonicalize(smiles)
-    # Only the known placeholders are substituted; other braces (awk scripts,
-    # shell expansions) pass through untouched.
-    command = cmd.template.replace("{smiles}", canon)
-    if "{pocket_file}" in command:
-        if pocket_file is None:
-            raise MissingDockInput(f"pocket {pocket_id}: no pocket file available")
-        command = command.replace("{pocket_file}", pocket_file)
-    if "{center_source}" in command:
-        if center_source is None:
-            raise MissingDockInput(
-                f"pocket {pocket_id}: no reference ligand to define the pocket center"
-            )
-        command = command.replace("{center_source}", center_source)
-
+    command = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
     directory = _cache_dir(cache_dir)
-    cache_file = directory / f"{_cache_key(command, pocket_id, canon)}.json"
-    cached = _read_cached(cache_file, pocket_id, canon)
+    cache_file = directory / f"{hashlib.sha256(command.encode('utf-8')).hexdigest()}.json"
+    cached = _read_cached(cache_file, command)
     if cached is not None:
         return cached
 
-    try:
-        proc = subprocess.run(
-            command,
-            shell=True,
-            capture_output=True,
-            text=True,
-            timeout=cmd.timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise Timeout(f"dock command timed out after {cmd.timeout}s: {command}") from exc
-    if proc.returncode != 0:
-        raise NonZeroExit(proc.returncode, proc.stderr)
-    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    _make_cache_dir(directory)
+    code, stdout, stderr = _run(command, cmd.timeout)
+    if code != 0:
+        raise NonZeroExit(code, stderr)
+    lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise UnparseableOutput(f"no output from: {command}")
     try:
@@ -445,19 +514,17 @@ def external_dock(
         raise UnparseableOutput(f"non-finite score {score}")
 
     with _cache_lock:
-        directory.mkdir(parents=True, exist_ok=True)
-        existing = _read_cached(cache_file, pocket_id, canon)
+        existing = _read_cached(cache_file, command)
         if existing is not None:
             if existing != score:
                 raise ConflictingScore(
-                    f"cache holds {existing} but command produced {score} for "
-                    f"({pocket_id}, {canon})"
+                    f"cache holds {existing} but command produced {score}: {command}"
                 )
             return existing
         # through a temp file of this writer's own: processes that share the
         # cache dir must never rename each other's half-written files
         with atomic_write(cache_file) as handle:
-            json.dump({"pocket_id": pocket_id, "smiles": canon, "vina": score}, handle)
+            json.dump({"command": command, "vina": score}, handle)
     return score
 
 
@@ -481,45 +548,57 @@ def dock_many(
 ) -> DockRunResult:
     """Dock (pocket_id, smiles, pocket_file, center_source) requests.
 
-    Requests that share the pocket, the canonical molecule and both inputs
-    share one call of the public ``external_dock`` (so whatever wraps that
-    function sees every call, and two threads never race to fill one cache
-    entry); up to ``cmd.max_parallel`` distinct calls run at once. Every
-    request gets its key's outcome, in request order; a failure carries the
-    request's own SMILES. A SMILES that does not canonicalize fails alone
-    and is never docked."""
-    keys: list[tuple | ValueError] = []  # per request: its key, or why it has none
-    first_raw: dict[tuple, str] = {}  # key -> the SMILES its call is made with
-    for pocket_id, smiles, pocket_file, center_source in requests:
+    Requests whose substituted command lines are equal share one call of the
+    public ``external_dock`` (so whatever wraps that function sees one call
+    per line, and two threads never race to fill one cache entry); a
+    template that names no pocket input docks a molecule once across
+    pockets. Up to ``cmd.max_parallel`` calls run at once. Every request
+    gets its line's outcome, in request order; a failure carries the
+    request's own SMILES. A SMILES that does not canonicalize, or a request
+    without an input its template names, fails alone and is never docked.
+    The cache directory is made before any command runs. An interrupt while
+    waiting cancels the queued calls and kills the running ones' groups."""
+    directory = _cache_dir(cache_dir)
+    _make_cache_dir(directory)
+    identities: list[tuple[str, str] | Exception] = []  # per request: (line, canonical)
+    first: dict[str, tuple] = {}  # line -> the request its call is made with
+    for request in requests:
+        pocket_id, smiles, pocket_file, center_source = request
         try:
-            key = (pocket_id, canonicalize(smiles), pocket_file, center_source)
-        except ValueError as exc:
-            keys.append(exc)
+            canon = canonicalize(smiles)
+            line = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
+        except (DockError, ValueError) as exc:
+            identities.append(exc)
             continue
-        first_raw.setdefault(key, smiles)
-        keys.append(key)
+        first.setdefault(line, request)
+        identities.append((line, canon))
 
-    def run_one(key):
-        pocket_id, _, pocket_file, center_source = key
+    def run_one(line):
         try:
-            return external_dock(
-                cmd, pocket_id, first_raw[key], pocket_file, center_source, cache_dir
-            )
+            return external_dock(cmd, *first[line], cache_dir=directory)
         except (DockError, ValueError) as exc:
             return exc
 
-    workers = min(cmd.max_parallel, len(first_raw))
+    workers = min(cmd.max_parallel, len(first))
     if workers <= 1:
-        outcome = {key: run_one(key) for key in first_raw}
+        outcome = {line: run_one(line) for line in first}
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcome = dict(zip(first_raw, pool.map(run_one, first_raw)))
+        groups = _Groups()
+        with ThreadPoolExecutor(
+            max_workers=workers, initializer=setattr, initargs=(_worker, "groups", groups)
+        ) as pool:
+            try:
+                outcome = dict(zip(first, pool.map(run_one, first)))
+            except BaseException:  # interrupted while waiting
+                pool.shutdown(wait=False, cancel_futures=True)
+                groups.stop()
+                raise
 
     scores, failures = [], []
-    for (pocket_id, smiles, _, _), key in zip(requests, keys):
-        result = outcome[key] if isinstance(key, tuple) else key
+    for (pocket_id, smiles, _, _), identity in zip(requests, identities):
+        result = outcome[identity[0]] if isinstance(identity, tuple) else identity
         if isinstance(result, Exception):
             failures.append(DockFailure(pocket_id=pocket_id, smiles=smiles, error=str(result)))
         else:
-            scores.append(ScoreRecord(pocket_id=pocket_id, smiles=key[1], vina=result))
+            scores.append(ScoreRecord(pocket_id=pocket_id, smiles=identity[1], vina=result))
     return DockRunResult(scores=tuple(scores), failures=tuple(failures))

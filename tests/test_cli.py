@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -277,23 +278,6 @@ def test_dock_failure_exit_code(tmp_path):
     assert main(["--config", str(config), "dock"]) == 4
 
 
-@pytest.mark.parametrize(
-    "entry",
-    ["{{}}", '{{"pocket_id": "{pocket}", "smiles": "{smiles}", "vina": "nan"}}', '{{"pocket_id": "'],
-    ids=["empty", "nan-string", "truncated"],
-)
-def test_dock_redocks_a_bad_cache_entry(pipeline, tmp_path, entry):
-    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl",))
-    assert main(["--config", str(config), "dock"]) == 0
-    scores = (out / "scores.jsonl").read_bytes()
-    first = json.loads(scores.splitlines()[0])
-    for path in (tmp_path / "dock_cache").glob("*.json"):
-        if json.loads(path.read_text())["smiles"] == first["smiles"]:
-            path.write_text(entry.format(pocket=first["pocket_id"], smiles=first["smiles"]))
-    assert main(["--config", str(config), "dock"]) == 0
-    assert (out / "scores.jsonl").read_bytes() == scores
-
-
 def test_verify_detects_modified_artifact(pipeline):
     _, config, outdir = pipeline
     target = outdir / "partition.json"
@@ -432,6 +416,25 @@ def test_curate_without_pairs_exits_four_only_after_dock_failures(
         "dock": {"command": "false # {smiles}"},
     })
     assert main(["--config", str(config), "curate"]) == expected
+
+
+@pytest.mark.parametrize(
+    "command, copied",
+    [("dock", ("generations.jsonl",)), ("curate", _CURATE_INPUTS)],
+    ids=["dock", "curate"],
+)
+def test_a_cache_dir_that_is_a_file_exits_three_before_any_dock_command(
+    pipeline, tmp_path, capsys, command, copied
+):
+    log = tmp_path / "runs.log"
+    config, out = _run_after(pipeline, tmp_path, copied, {
+        "dock": {"command": f"echo '{{smiles}}' >> {log}; echo -5",
+                 "cache_dir": str(tmp_path / "run.ini")},
+    })
+    assert main(["--config", str(config), command]) == 3
+    assert str(tmp_path / "run.ini") in capsys.readouterr().err
+    assert not log.exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(copied)
 
 
 @pytest.mark.parametrize(
@@ -748,6 +751,8 @@ def test_preferred_molecule_outside_the_vocabulary_exits_two_in_train_dpo(tmp_pa
     err = capsys.readouterr().err
     assert "pocket p1" in err and "C[Si](C)C" in err
     assert not (tmp_path / "out" / "dpo_checkpoint.json").exists()
+
+
 _VALUES = st.one_of(
     st.text(alphabet="Cc1(=O.N%", max_size=8),
     st.integers(-10, 10),
@@ -763,13 +768,24 @@ _VALUES = st.one_of(
 )
 
 
+# the record files each command reads
+_READS = {
+    "partition": ("complexes",),
+    "train-sft": ("complexes",),
+    "train-dpo": ("pairs", "complexes"),
+    "evaluate": ("generations", "scores", "complexes"),
+    "dock": ("generations", "complexes"),
+}
+
+
 @st.composite
-def _mutated_record_files(draw):
-    """The contract records with one line mutated: a field dropped or given
-    another value (a string, number, huge integer, NaN, infinity, null, bool,
-    nested array or a bad SMILES), or the whole line replaced."""
+def _mutated_record_files(draw, names):
+    """The contract records with one line of one of ``names`` mutated: a
+    field dropped or given another value (a string, number, huge integer,
+    NaN, infinity, null, bool, nested array or a bad SMILES), or the whole
+    line replaced."""
     files = {name: [json.dumps(row) for row in rows] for name, rows in _CONTRACT_RECORDS.items()}
-    name = draw(st.sampled_from(sorted(files)))
+    name = draw(st.sampled_from(names))
     index = draw(st.integers(0, len(files[name]) - 1))
     row = dict(_CONTRACT_RECORDS[name][index])
     field = draw(st.sampled_from(sorted(row)))
@@ -784,14 +800,62 @@ def _mutated_record_files(draw):
     return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
 
 
-@given(
-    _mutated_record_files(),
-    st.sampled_from(["partition", "train-sft", "train-dpo", "evaluate"]),
-)
+@given(st.sampled_from(sorted(_READS)).flatmap(
+    lambda command: st.tuples(st.just(command), _mutated_record_files(_READS[command]))
+))
 @settings(max_examples=80, suppress_health_check=list(HealthCheck))
-def test_any_mutated_record_line_ends_in_a_documented_exit_code(
-    tmp_path_factory, deadline, texts, command
-):
+def test_any_mutated_record_line_ends_in_a_documented_exit_code(tmp_path_factory, deadline, case):
+    command, texts = case
     config = _contract_run(tmp_path_factory.mktemp("contract"), texts)
     with deadline(10.0):
         assert main(["--config", str(config), command]) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def clean_dock(pipeline, tmp_path_factory):
+    """A finished dock run over the shared pipeline's generations: its config,
+    scores bytes, and the cache entry file of one request with its bytes."""
+    tmp_path = tmp_path_factory.mktemp("clean-dock")
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl",))
+    assert main(["--config", str(config), "dock"]) == 0
+    first = json.loads((out / "scores.jsonl").read_text().splitlines()[0])
+    line = DOCK_STUB.replace("{smiles}", first["smiles"])
+    (entry,) = [path for path in (tmp_path / "dock_cache").glob("*.json")
+                if json.loads(path.read_text())["command"] == line]
+    return config, (out / "scores.jsonl").read_bytes(), entry, entry.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [lambda line: "{}", lambda line: json.dumps({"command": line, "vina": "nan"}),
+     lambda line: '{"command": "'],
+    ids=["empty", "nan-string", "truncated"],
+)
+def test_dock_redocks_a_bad_cache_entry(clean_dock, content):
+    config, scores, entry, fresh = clean_dock
+    entry.write_text(content(json.loads(fresh)["command"]))
+    assert main(["--config", str(config), "dock"]) == 0
+    assert (config.parent / "out" / "scores.jsonl").read_bytes() == scores
+    assert entry.read_bytes() == fresh
+
+
+@given(st.data())
+@settings(suppress_health_check=list(HealthCheck))
+def test_dock_redocks_any_bad_cache_entry(clean_dock, data):
+    config, scores, entry, fresh = clean_dock
+    line = json.loads(fresh)["command"]
+    content = data.draw(st.one_of(
+        _VALUES.map(lambda value: json.dumps(value).encode()),
+        st.sampled_from([None, True, "-3.0", [-3.0], math.nan, math.inf, 10**400]).map(
+            lambda value: json.dumps({"command": line, "vina": value}).encode()
+        ),
+        st.integers(0, len(fresh) - 1).map(lambda n: fresh[:n]),
+        st.binary(max_size=16).map(lambda tail: b"\xff" + tail),
+        st.sampled_from([line + " ", DOCK_STUB, DOCK_STUB.replace("{smiles}", "[Na+]")]).map(
+            lambda other: json.dumps({"command": other, "vina": -3.0}).encode()
+        ),
+    ))
+    entry.write_bytes(content)
+    assert main(["--config", str(config), "dock"]) == 0
+    assert (config.parent / "out" / "scores.jsonl").read_bytes() == scores
+    assert entry.read_bytes() == fresh

@@ -1,8 +1,11 @@
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +373,73 @@ def test_external_dock_timeout(tmp_path):
         external_dock(cmd, "p1", "CCO", cache_dir=tmp_path)
 
 
+@pytest.fixture
+def dock_processes(monkeypatch):
+    """Gives every command this test starts an environment entry of its own;
+    returns a function that waits up to 2 s for the last live process that
+    carries it to end, and returns how many are left."""
+    entry = f"MOLCHORD_TEST_DOCK={os.getpid()}.{time.monotonic_ns()}"
+    monkeypatch.setenv(*entry.split("="))
+
+    def left() -> int:
+        deadline = time.monotonic() + 2.0
+        while True:
+            count = 0
+            for environ in Path("/proc").glob("[0-9]*/environ"):
+                try:  # a zombie's environment reads empty
+                    count += entry.encode() in environ.read_bytes().split(b"\0")
+                except OSError:
+                    continue
+            if count == 0 or time.monotonic() > deadline:
+                return count
+            time.sleep(0.05)
+
+    return left
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "sleep 8; echo {smiles} >/dev/null; echo -5",
+        "sleep 8 | cat; echo {smiles} >/dev/null; echo -5",
+        "(sleep 8; echo {smiles} >/dev/null; echo -5)",
+    ],
+    ids=["sequence", "pipeline", "subshell"],
+)
+def test_external_dock_timeout_kills_everything_the_command_started(
+    tmp_path, dock_processes, template
+):
+    started = time.monotonic()
+    with pytest.raises(Timeout):
+        external_dock(_cmd(template, timeout=0.5), "p1", "CCO", cache_dir=tmp_path)
+    assert time.monotonic() - started < 2.0
+    assert dock_processes() == 0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
+    tmp_path, dock_processes, workers
+):
+    # a command in a process group of its own does not get the terminal's
+    # interrupt, so dock_many must stop what it started itself
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    requests = [("p1", "C" * k, None, None) for k in range(1, 6)]
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            dock_many(_cmd("sleep 8; echo -5 # {smiles}", max_parallel=workers), requests,
+                      cache_dir=tmp_path / "cache")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 2.0
+    assert dock_processes() == 0
+
+
 def test_external_dock_cache_hits_skip_execution(tmp_path):
     counter = tmp_path / "count"
     script = tmp_path / "dock.sh"
@@ -404,20 +474,22 @@ def test_external_dock_conflicting_cache_value(tmp_path):
     "entry",
     [
         "{}",
-        '{"pocket_id": "p1", "smiles": "CCO", "vina": "nan"}',
-        '{"pocket_id": "p1", "smiles": "CCO", "vina": NaN}',
-        '{"pocket_id": "p1", "smiles": "CCO", "vina": Infinity}',
-        '{"pocket_id": "p1", "smiles": "CCO", "vina": "-3.0"}',
-        '{"pocket_id": "p1", "smiles": "CCO", "vina": true}',
-        '{"pocket_id": "p1", "smiles": "CCO"}',
-        '{"pocket_id": "p2", "smiles": "CCO", "vina": -3.0}',
-        '{"pocket_id": "p1", "smiles": "CCN", "vina": -3.0}',
-        '{"pocket_id": "p1", "smiles": "CCO", "vi',
+        '{"command": "LINE", "vina": "nan"}',
+        '{"command": "LINE", "vina": NaN}',
+        '{"command": "LINE", "vina": Infinity}',
+        '{"command": "LINE", "vina": "-3.0"}',
+        '{"command": "LINE", "vina": true}',
+        '{"command": "LINE", "vina": 1' + "0" * 400 + "}",
+        '{"command": "LINE"}',
+        '{"command": "LINE --mode heavy", "vina": -3.0}',
+        '{"command": "LINE_CCN", "vina": -3.0}',
+        '{"pocket_id": "p1", "smiles": "CCO", "vina": -3.0}',
+        '{"command": "LINE", "vi',
         "[-3.0]",
         "",
     ],
-    ids=["empty", "nan-string", "nan", "infinity", "number-string", "bool", "no-score",
-         "other-pocket", "other-smiles", "truncated", "list", "blank"],
+    ids=["empty", "nan-string", "nan", "infinity", "number-string", "bool", "huge-int",
+         "no-score", "another-command-line", "other-smiles", "old-format", "truncated", "list", "blank"],
 )
 def test_external_dock_redocks_a_cache_entry_fresh_output_would_not_give(tmp_path, entry):
     counter = tmp_path / "count"
@@ -425,13 +497,15 @@ def test_external_dock_redocks_a_cache_entry_fresh_output_would_not_give(tmp_pat
     script.write_text(f"#!/bin/sh\necho x >> {counter}\necho -2.5\n")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     cmd, cache = _cmd(f"{script} {{smiles}}"), tmp_path / "cache"
+    line = f"{script} CCO"
     assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
     (path,) = cache.glob("*.json")
-    path.write_text(entry)
+    # an entry of another command line: another template, another molecule
+    path.write_text(entry.replace("LINE_CCN", f"{script} CCN").replace("LINE", line))
     assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
     assert counter.read_text().count("x") == 2
     # rewritten through a temp file of its own, then a hit again
-    assert json.loads(path.read_text()) == {"pocket_id": "p1", "smiles": "CCO", "vina": -2.5}
+    assert json.loads(path.read_text()) == {"command": line, "vina": -2.5}
     assert [p.name for p in cache.iterdir()] == [path.name]
     assert external_dock(cmd, "p1", "CCO", cache_dir=cache) == -2.5
     assert counter.read_text().count("x") == 2
@@ -495,24 +569,37 @@ def test_dock_many_runs_distinct_requests_at_once(tmp_path):
     assert sorted(line.split()[0] for line in log.read_text().splitlines()) == ["CCN", "CCO"]
 
 
-def test_dock_many_docks_each_distinct_request_once(tmp_path):
-    # duplicates running side by side would each miss the cache and start
-    # the command, and with this command's changing answers also conflict
-    script, log = _barrier_dock(tmp_path, 3)
-    cmd = _cmd(f"{script} {{smiles}}", max_parallel=4)
-    requests = [("p1", "CCO", None, None), ("p1", "OCC", None, None),
-                ("p2", "CCO", None, None), ("p1", "C(O)C", None, None),
-                ("p2", "OCC", None, None), ("p1", "CCN", None, None)]
+def _dock_each_line_once(tmp_path, template, runs):
+    """Dock six requests over pockets p1 (file a.pdb) and p2 (b.pdb), where
+    ``runs`` groups the request indices that share one command line. Every
+    line must start one run although all runs overlap: duplicates running
+    side by side would each miss the cache and start the command, and with
+    this command's changing answers also conflict."""
+    script, log = _barrier_dock(tmp_path, len(runs))
+    cmd = _cmd(template.format(script=script), max_parallel=4)
+    files = {"p1": "a.pdb", "p2": "b.pdb"}
+    molecules = [("p1", "CCO"), ("p1", "OCC"), ("p2", "CCO"), ("p1", "C(O)C"), ("p2", "OCC"),
+                 ("p1", "CCN")]
+    requests = [(pocket, smiles, files[pocket], None) for pocket, smiles in molecules]
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert result.failures == ()
-    assert len(log.read_text().splitlines()) == 3
+    assert len(log.read_text().splitlines()) == len(runs)
     scores = result.scores
     assert [(s.pocket_id, s.smiles) for s in scores] == [
         ("p1", "CCO"), ("p1", "CCO"), ("p2", "CCO"), ("p1", "CCO"), ("p2", "CCO"), ("p1", "CCN"),
     ]
-    assert scores[0].vina == scores[1].vina == scores[3].vina
-    assert scores[2].vina == scores[4].vina
-    assert len({scores[0].vina, scores[2].vina, scores[5].vina}) == 3
+    shared = [{scores[i].vina for i in run} for run in runs]
+    assert all(len(values) == 1 for values in shared)
+    assert len(set().union(*shared)) == len(runs)
+
+
+def test_dock_many_docks_each_distinct_request_once(tmp_path):
+    # a template without a pocket input docks one molecule once across pockets
+    _dock_each_line_once(tmp_path, "{script} {{smiles}}", [[0, 1, 2, 3, 4], [5]])
+
+
+def test_dock_many_docks_each_molecule_once_per_pocket_file(tmp_path):
+    _dock_each_line_once(tmp_path, "{script} {{smiles}} {{pocket_file}}", [[0, 1, 3], [2, 4], [5]])
 
 
 def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
@@ -541,27 +628,81 @@ def test_dock_many_fails_an_invalid_smiles_alone(tmp_path):
     assert log.read_text().split() == ["CCO"]
 
 
-def test_dock_many_under_thread_pressure_starts_one_run_per_key(tmp_path):
-    # more workers than cores and a short switch interval: a lost update of
-    # the grouping or the cache would start a second run of some key
+def _dock_under_thread_pressure(tmp_path, template, runs, line_of):
+    """More workers than cores and a short switch interval: a lost update of
+    the grouping or the cache would start a second run of some command line.
+    Eight molecules, five times each over pockets p0 and p1; ``line_of``
+    says which scores share a command line."""
     log = tmp_path / "runs.log"
-    script = _script(tmp_path / "dock.sh", f'echo "$1" >> {log}\nwc -l < {log}\n')
+    script = _script(tmp_path / "dock.sh", f'echo "$*" >> {log}\nwc -l < {log}\n')
     molecules = ["C" * k for k in range(1, 9)]
-    requests = [(f"p{i % 2}", smiles, None, None) for i in range(5) for smiles in molecules]
+    requests = [(f"p{i % 2}", smiles, f"p{i % 2}.pdb", None)
+                for i in range(5) for smiles in molecules]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         result = dock_many(
-            _cmd(f"{script} {{smiles}}", max_parallel=8), requests, cache_dir=tmp_path / "cache"
+            _cmd(template.format(script=script), max_parallel=8), requests,
+            cache_dir=tmp_path / "cache",
         )
     finally:
         sys.setswitchinterval(interval)
     assert result.failures == ()
-    assert len(log.read_text().splitlines()) == 16
-    by_key: dict[tuple[str, str], set[float]] = {}
+    assert len(log.read_text().splitlines()) == runs
+    assert {(s.pocket_id, s.smiles) for s in result.scores} == {
+        (pocket, smiles) for pocket, smiles, _, _ in requests
+    }
+    by_line: dict[object, set[float]] = {}
     for score in result.scores:
-        by_key.setdefault((score.pocket_id, score.smiles), set()).add(score.vina)
-    assert len(by_key) == 16 and all(len(v) == 1 for v in by_key.values())
+        by_line.setdefault(line_of(score), set()).add(score.vina)
+    assert len(by_line) == runs and all(len(v) == 1 for v in by_line.values())
+
+
+def test_dock_many_under_thread_pressure_starts_one_run_per_key(tmp_path):
+    _dock_under_thread_pressure(tmp_path, "{script} {{smiles}}", 8, lambda s: s.smiles)
+
+
+def test_dock_many_under_thread_pressure_starts_one_run_per_pocket_file(tmp_path):
+    _dock_under_thread_pressure(
+        tmp_path, "{script} {{smiles}} {{pocket_file}}", 16, lambda s: (s.pocket_id, s.smiles)
+    )
+
+
+@pytest.mark.parametrize(
+    "template, runs",
+    [
+        ("echo {pocket_file} >> LOG; echo -5 # {smiles}", ["a", "b"]),
+        ("echo {center_source} >> LOG; echo -5 # {smiles}", ["X", "Y"]),
+        ("echo {pocket_file} {center_source} >> LOG; echo -5 # {smiles}", ["a X", "a Y", "b X"]),
+    ],
+    ids=["pocket-file", "center-source", "both"],
+)
+def test_dock_many_runs_once_per_distinct_pocket_input(tmp_path, template, runs):
+    log = tmp_path / "runs.log"
+    requests = [("p1", "CCO", "a", "X"), ("p2", "OCC", "a", "X"), ("p3", "CCO", "b", "X"),
+                ("p4", "CCO", "a", "Y"), ("p5", "CCO", None, None)]
+    result = dock_many(_cmd(template.replace("LOG", str(log))), requests,
+                       cache_dir=tmp_path / "cache")
+    assert sorted(log.read_text().splitlines()) == runs
+    assert [s.pocket_id for s in result.scores] == ["p1", "p2", "p3", "p4"]
+    # a request without an input its template names fails alone
+    assert [(f.pocket_id, f.smiles) for f in result.failures] == [("p5", "CCO")]
+    assert "pocket p5" in result.failures[0].error
+
+
+def test_a_later_dock_many_call_hits_the_entry_of_an_earlier_one(tmp_path):
+    # a template without a pocket input: what one call (or stage) docked for
+    # one pocket is a cache hit for every other pocket afterwards
+    log = tmp_path / "runs.log"
+    cmd = _cmd(f"{_script(tmp_path / 'dock.sh', f'echo $1 >> {log}; echo -4.5')} {{smiles}}")
+    cache = tmp_path / "cache"
+    assert dock_many(cmd, [("p1", "CCO", None, None)], cache_dir=cache).failures == ()
+    result = dock_many(cmd, [("p2", "OCC", None, None), ("p3", "C(C)O", "p3.pdb", "CCN")],
+                       cache_dir=cache)
+    assert [(s.pocket_id, s.smiles, s.vina) for s in result.scores] == [
+        ("p2", "CCO", -4.5), ("p3", "CCO", -4.5)
+    ]
+    assert log.read_text().split() == ["CCO"]
 
 
 def test_external_dock_cache_key_covers_substituted_inputs(tmp_path):
