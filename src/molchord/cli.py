@@ -298,10 +298,16 @@ def _require_file(path: Path | None, what: str) -> Path:
     return path
 
 
-def _load(path: Path | None, schema: str, what: str) -> list:
+def _cache_dir(cfg: RunConfig) -> Path:
+    """``[dock] cache_dir``, else ``$MOLCHORD_CACHE_DIR``, else ``.molchord_cache``:
+    where dock results and the canonical SMILES of record files are kept."""
+    return scorers.resolve_cache_dir(cfg.typed["dock"]["cache_dir"] or None)
+
+
+def _load(path: Path | None, schema: str, what: str, cache_dir: Path | None = None) -> list:
     """Records of an input file: missing or unreadable exits 3, malformed exits 2."""
     try:
-        return scorers.load_records(_require_file(path, what), schema)
+        return scorers.load_records(_require_file(path, what), schema, cache_dir)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     except OSError as exc:
@@ -315,7 +321,7 @@ def _load_complexes(
     to them, with the path they came from."""
     raw = cfg.typed["paths"][key] or cfg.typed["paths"]["complexes"]
     path = Path(raw) if raw else None
-    return path, _load(path, "complexes", f"{key} file")
+    return path, _load(path, "complexes", f"{key} file", _cache_dir(cfg))
 
 
 def _load_partition(cfg: RunConfig) -> dict:
@@ -386,9 +392,8 @@ def _dock(
         center = record.ligand_smiles[0] if record and record.ligand_smiles else None
         pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
         requests.append((pocket_id, smiles, pocket_file, center))
-    cache_dir = cfg.typed["dock"]["cache_dir"] or None
     try:
-        return scorers.dock_many(command, requests, cache_dir=cache_dir)
+        return scorers.dock_many(command, requests, cache_dir=_cache_dir(cfg))
     except scorers.CacheUnavailable as exc:
         raise MissingArtifact(str(exc)) from exc
 
@@ -526,7 +531,7 @@ def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     complexes_path, records = _load_complexes(cfg)
     pairs_path = cfg.outdir / "pairs.jsonl"
-    pairs = _load(pairs_path, "pairs", "preference pairs")
+    pairs = _load(pairs_path, "pairs", "preference pairs", _cache_dir(cfg))
     ckpt_path = _require_file(cfg.outdir / "sft_checkpoint.json", "supervised checkpoint")
     if not pairs:
         raise ValidationFailure("pairs file is empty")
@@ -620,7 +625,7 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
     started = time.time()
     gen_path = cfg.outdir / "generations.jsonl"
-    generations = _load(gen_path, "generations", "generations")
+    generations = _load(gen_path, "generations", "generations", _cache_dir(cfg))
     complexes_path, records = _load_complexes(cfg, "eval_complexes")
     by_id = {r.pocket_id: r for r in records}
     result = _dock(cfg, _dock_command(cfg), by_id, ((g.pocket_id, g.smiles) for g in generations))
@@ -649,8 +654,10 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _assemble_pockets(cfg: RunConfig) -> list[metrics.PocketEval]:
     _, records = _load_complexes(cfg, "eval_complexes")
-    generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations")
-    scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores")
+    generations = _load(
+        cfg.outdir / "generations.jsonl", "generations", "generations", _cache_dir(cfg)
+    )
+    scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores", _cache_dir(cfg))
 
     coverage = scorers.coverage_check(generations, scores)
     if coverage.missing:

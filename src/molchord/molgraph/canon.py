@@ -21,6 +21,7 @@ import heapq
 import json
 import os
 import signal
+import sys
 import threading
 import warnings
 from typing import Callable, Iterable, Sequence
@@ -422,15 +423,23 @@ def canonical_signature(mol: Molecule) -> tuple:
     return _signature(*_graph(mol), canonical_ranks(mol))
 
 
+# Results by raw string, each dict bounded at _MEMO_SIZE entries (the oldest
+# goes first). ``_memo`` holds the strings known to canonicalize with no error
+# and no warning: those ``prefetch_canonical`` computed or ``seed_canonical``
+# was given. ``_called`` holds the ones ``canonicalize`` computed itself,
+# which may have warned. ``_failed`` keeps the exception of each string the
+# last prefetch saw raise, for the next ``canonicalize`` call of that string.
 _memo: dict[str, str] = {}
+_called: dict[str, str] = {}
+_failed: dict[str, SmilesError] = {}
 _memo_lock = threading.Lock()
 
 
-def _remember(text: str, canon: str) -> None:
+def _remember(memo: dict[str, str], text: str, canon: str) -> None:
     with _memo_lock:
-        if text not in _memo and len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]  # the oldest entry
-        _memo[text] = canon
+        if text not in memo and len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]  # the oldest entry
+        memo[text] = canon
 
 
 def canonicalize(text: str) -> str:
@@ -438,20 +447,30 @@ def canonicalize(text: str) -> str:
 
     Every raw -> canonical conversion goes through here, so record files that
     share strings, dock requests and sampled candidates parse and
-    canonicalize each distinct string once. The memo is one bounded dict
-    (``canonicalize.cache_clear()`` empties it) that ``prefetch_canonical``
-    may seed. Only results are kept: an invalid string raises its
-    ``SmilesError`` on every call, and a ``SmilesFeatureWarning`` is emitted
-    by the first call only.
+    canonicalize each distinct string once. ``prefetch_canonical`` and
+    ``seed_canonical`` may fill the memo ahead of the calls, and
+    ``canonicalize.cache_clear()`` empties it. Only results are kept: an
+    invalid string raises its ``SmilesError`` on every call (the first one
+    after a prefetch raises the exception the prefetch computed), and a
+    ``SmilesFeatureWarning`` is emitted by the first call only.
     """
-    canon = _memo.get(text)
+    canon = _memo.get(text) or _called.get(text)
     if canon is None:
+        failure = _failed.pop(text, None)
+        if failure is not None:
+            raise failure
         canon = canonical_smiles(parse_smiles(text))
-        _remember(text, canon)
+        _remember(_called, text, canon)
     return canon
 
 
-canonicalize.cache_clear = _memo.clear
+def _cache_clear() -> None:
+    _memo.clear()
+    _called.clear()
+    _failed.clear()
+
+
+canonicalize.cache_clear = _cache_clear
 
 
 def try_canonicalize(text: str) -> str | None:
@@ -467,29 +486,50 @@ def try_canonicalize(text: str) -> str | None:
 
 
 def _clean_canonical(texts: list[str]) -> list[str | None]:
-    """Each string's canonical form, or None where it raised or warned."""
+    """Each string's canonical form, or None where it raised or warned. In
+    the calling process, each ``SmilesError`` is kept in ``_failed``."""
     out: list[str | None] = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", SmilesFeatureWarning)
         for text in texts:
             try:
                 out.append(canonical_smiles(parse_smiles(text)))
-            except Exception:  # the caller's own ``canonicalize`` raises it again
+            except SmilesError as exc:
+                _failed[text] = exc.with_traceback(None)
+                out.append(None)
+            except Exception:  # a warning: the caller's own ``canonicalize`` warns
                 out.append(None)
     return out
 
 
-def prefetch_canonical(texts: Iterable[str]) -> None:
-    """Seed the memo with the distinct strings of ``texts`` it lacks,
-    canonicalized in shares across the CPUs (``fan_out``).
+def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
+    """Seed the memo with the distinct strings of ``texts`` that it does not
+    know to be clean, canonicalized in shares across the CPUs (``fan_out``),
+    and return the canonical form of every distinct string of ``texts``
+    known to canonicalize with no error and no warning.
 
-    A string that raises or warns is left out, so its first ``canonicalize``
-    call raises or warns exactly as it would have without the prefetch.
+    A string that warns is left out, so its first ``canonicalize`` call warns
+    exactly as it would have without the prefetch. One that raises is left
+    out too, but when this process computed it (not a forked child), its
+    exception is kept for the next ``canonicalize`` call of the string, which
+    raises it without computing it again.
     """
-    todo = list(dict.fromkeys(text for text in texts if text not in _memo))[:_MEMO_SIZE]
+    distinct = list(dict.fromkeys(texts))
+    todo = [text for text in distinct if text not in _memo][:_MEMO_SIZE]
+    _failed.clear()
     for text, canon in zip(todo, fan_out(_clean_canonical, todo, len(todo) * _CANONICALIZE_S)):
         if canon is not None:
-            _remember(text, canon)
+            _remember(_memo, sys.intern(text), canon)
+    return {text: _memo[text] for text in distinct if text in _memo}
+
+
+def seed_canonical(known: dict[str, str]) -> None:
+    """Put raw -> canonical pairs that ``prefetch_canonical`` returned, in
+    this process or an earlier one, into the memo. Strings it already holds
+    keep their canonical objects, which earlier records share."""
+    for text, canon in known.items():
+        if text not in _memo:
+            _remember(_memo, sys.intern(text), canon)
 
 
 def _usable_cpus() -> int:

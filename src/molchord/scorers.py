@@ -7,32 +7,39 @@ the per-process ``molgraph.canonicalize`` memo, so files that share strings
 parse each of them once. Before its line loop, ``load_records`` seeds that
 memo with every string of the file, in shares across the usable CPUs when the
 file is large enough (``molgraph.prefetch_canonical``); the line loop then
-hits the memo, and any string that fails or warns is computed there again, so
-errors and warnings come in line order as before. The docking adapter shells
-out to a user-supplied command that must print one finite number as the last
-non-empty line of its stdout. The fully substituted command line is the
-identity of a result: ``dock_many`` runs each distinct line once, results are
-cached under the line's SHA-256, and a cache hit skips execution.
+hits the memo. A string that warns is computed there again, and one that
+raised in this process raises the prefetch's exception, so errors and
+warnings come in line order as before. Given a cache directory, the loader
+also keeps each file's raw -> canonical map under ``canonical/`` there, so a
+later stage that loads the same bytes skips the canonicalization. The
+docking adapter shells out to a user-supplied command that must print one
+finite number as the last non-empty line of its stdout. The fully
+substituted command line is the identity of a result: ``dock_many`` runs
+each distinct line once, results are cached under the line's SHA-256, and a
+cache hit skips execution.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import signal
 import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from . import molgraph
 from .curation import ComplexRecord, PreferencePair
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
-from .molgraph import Molecule, canonicalize, prefetch_canonical
+from .molgraph import Molecule, canonicalize, prefetch_canonical, seed_canonical
 
 CACHE_DIR_ENV = "MOLCHORD_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".molchord_cache"
@@ -149,7 +156,7 @@ def _parse_scores(obj: dict, line_no: int) -> ScoreRecord:
         sa_origin=_bounded(
             _optional(obj, line_no, "sa_origin", float), line_no, "sa_origin", 1.0, 10.0
         ),
-        raw_smiles=raw,
+        raw_smiles=sys.intern(raw),  # the memo's key object, not a copy
     )
 
 
@@ -174,7 +181,7 @@ def _parse_generations(obj: dict, line_no: int) -> GenerationRecord:
         pocket_id=_require(obj, line_no, "pocket_id", str),
         smiles=_canonical(raw, line_no, "smiles"),
         logprob=_optional(obj, line_no, "logprob", float),
-        raw_smiles=raw,
+        raw_smiles=sys.intern(raw),
     )
 
 
@@ -193,12 +200,22 @@ _PARSERS = {
 }
 
 
-def load_records(path: str | Path, schema: str) -> list:
-    """Read and validate one record file; errors carry the offending line number."""
+def load_records(path: str | Path, schema: str, cache_dir: str | Path | None = None) -> list:
+    """Read and validate one record file; errors carry the offending line number.
+
+    With a ``cache_dir``, the map from each SMILES string of the file that
+    canonicalizes with no error and no warning to its canonical form is kept
+    in ``<cache_dir>/canonical/<key>.json``. The key is the SHA-256 of the
+    ``molgraph`` source and the file's bytes, so a load of the same bytes by
+    the same code seeds the memo from the entry and skips the prefetch. An
+    entry that does not record its own key and a string -> string map is
+    rewritten; a directory that cannot be made or written keeps no entry.
+    Records, errors and warnings are the same with or without an entry.
+    """
     if schema not in _PARSERS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     parser, key_fn = _PARSERS[schema]
-    prefetch_canonical(_smiles_strings(path, schema))
+    _seed_memo(path, schema, cache_dir)
     records = []
     seen = set()
     with open(path, encoding="utf-8") as handle:
@@ -223,6 +240,20 @@ def load_records(path: str | Path, schema: str) -> list:
     return records
 
 
+def _seed_memo(path: str | Path, schema: str, cache_dir: str | Path | None) -> None:
+    """Seed the ``canonicalize`` memo with the file's strings: from its
+    canonical entry when one counts, else by ``prefetch_canonical``, whose
+    result becomes the entry."""
+    entry = _canonical_entry(path, cache_dir) if cache_dir is not None else None
+    known = _read_canonical(*entry) if entry is not None else None
+    if known is not None:
+        seed_canonical(known)
+        return
+    known = prefetch_canonical(_smiles_strings(path, schema))
+    if entry is not None:
+        _write_canonical(*entry, known)
+
+
 def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
     """Every SMILES string of the file, for ``prefetch_canonical``. Lines and
     values that fail to parse are skipped; the line loop reports them."""
@@ -242,6 +273,55 @@ def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
                             yield text
     except (OSError, ValueError):  # unreadable or not UTF-8: the line loop says so
         return
+
+
+@functools.cache
+def _molgraph_digest() -> bytes:
+    """SHA-256 over the ``molgraph`` source files, read once per process: a
+    canonical entry made by other canonicalization code never counts."""
+    digest = hashlib.sha256()
+    for source in sorted(Path(molgraph.__file__).parent.glob("*.py")):
+        digest.update(hashlib.sha256(source.read_bytes()).digest() + source.name.encode() + b"\0")
+    return digest.digest()
+
+
+def _canonical_entry(path: str | Path, cache_dir: str | Path) -> tuple[Path, str] | None:
+    """The canonical entry file of a record file and its key, hashed in
+    chunks; None when the file cannot be read (the line loop says so)."""
+    digest = hashlib.sha256(_molgraph_digest())
+    try:
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 16):
+                digest.update(chunk)
+    except OSError:
+        return None
+    key = digest.hexdigest()
+    return Path(cache_dir) / "canonical" / f"{key}.json", key
+
+
+def _read_canonical(entry: Path, key: str) -> dict[str, str] | None:
+    """The raw -> canonical map an entry holds, or None unless it records
+    ``key`` and maps strings to strings."""
+    try:
+        with open(entry, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(data, dict) or data.get("key") != key:
+        return None
+    known = data.get("canonical")
+    if not isinstance(known, dict) or not all(isinstance(c, str) for c in known.values()):
+        return None
+    return known
+
+
+def _write_canonical(entry: Path, key: str, known: dict[str, str]) -> None:
+    """Keep ``known`` as the entry; when the directory cannot be made or
+    written, the load goes on without one."""
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(entry) as handle:
+            json.dump({"key": key, "canonical": known}, handle)
 
 
 @contextlib.contextmanager
@@ -349,7 +429,8 @@ class CacheUnavailable(OSError):
     """The dock cache directory cannot be created or written."""
 
 
-def _cache_dir(explicit: str | Path | None) -> Path:
+def resolve_cache_dir(explicit: str | Path | None) -> Path:
+    """``explicit``, else ``$MOLCHORD_CACHE_DIR``, else ``.molchord_cache``."""
     if explicit is not None:
         return Path(explicit)
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
@@ -493,7 +574,7 @@ def external_dock(
     """
     canon = canonicalize(smiles)
     command = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
-    directory = _cache_dir(cache_dir)
+    directory = resolve_cache_dir(cache_dir)
     cache_file = directory / f"{hashlib.sha256(command.encode('utf-8')).hexdigest()}.json"
     cached = _read_cached(cache_file, command)
     if cached is not None:
@@ -558,7 +639,7 @@ def dock_many(
     without an input its template names, fails alone and is never docked.
     The cache directory is made before any command runs. An interrupt while
     waiting cancels the queued calls and kills the running ones' groups."""
-    directory = _cache_dir(cache_dir)
+    directory = resolve_cache_dir(cache_dir)
     _make_cache_dir(directory)
     identities: list[tuple[str, str] | Exception] = []  # per request: (line, canonical)
     first: dict[str, tuple] = {}  # line -> the request its call is made with

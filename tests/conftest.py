@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 
 import molchord
 from molchord.molgraph import SmilesFeatureWarning, canonicalize
+from molchord.scorers import CACHE_DIR_ENV
 from molchord.synthetic import smiles_corpus
 
 settings.register_profile(
@@ -39,6 +40,16 @@ def _fresh_canonicalize_memo():
     canonicalize.cache_clear()
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cache_dir(tmp_path_factory, monkeypatch):
+    """Point ``$MOLCHORD_CACHE_DIR`` at a directory of each test's own, so a
+    command whose config names no ``[dock] cache_dir`` neither writes
+    ``.molchord_cache`` into the checkout nor reads a canonical entry that
+    an earlier test wrote before patching the canonicalizer. A test of the
+    default directory unsets the variable itself."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[str]:
     """200 valid molecules with at most 12 heavy atoms."""
@@ -50,9 +61,10 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def child_env() -> dict[str, str]:
-    """Environment for a fresh interpreter that imports this checkout's molchord."""
+    """Environment for a fresh interpreter that imports this checkout's
+    molchord (and uses the test's own cache directory)."""
     src = str(Path(molchord.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)

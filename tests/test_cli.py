@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molchord.cli import SCHEMA, ValidationFailure, build_parser, load_config, main
-from molchord.molgraph import parse_smiles
-from molchord.scorers import dump_records, load_records
+from molchord import scorers
+from molchord.molgraph import canonicalize, parse_smiles
+from molchord.scorers import CACHE_DIR_ENV, dump_records, load_records
 from molchord.synthetic import synthetic_complexes
 
 # deterministic pseudo-binding score from a checksum of the molecule text
@@ -775,6 +778,7 @@ _READS = {
     "train-dpo": ("pairs", "complexes"),
     "evaluate": ("generations", "scores", "complexes"),
     "dock": ("generations", "complexes"),
+    "report --fused --ood": ("generations", "scores", "complexes"),
 }
 
 
@@ -808,7 +812,7 @@ def test_any_mutated_record_line_ends_in_a_documented_exit_code(tmp_path_factory
     command, texts = case
     config = _contract_run(tmp_path_factory.mktemp("contract"), texts)
     with deadline(10.0):
-        assert main(["--config", str(config), command]) in (0, 2, 3, 4)
+        assert main(["--config", str(config), *command.split()]) in (0, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")
@@ -859,3 +863,107 @@ def test_dock_redocks_any_bad_cache_entry(clean_dock, data):
     assert main(["--config", str(config), "dock"]) == 0
     assert (config.parent / "out" / "scores.jsonl").read_bytes() == scores
     assert entry.read_bytes() == fresh
+
+
+# --- canonical entries of record files -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def clean_evaluate(pipeline, tmp_path_factory):
+    """A finished evaluate run over the shared pipeline's generations and
+    scores: its config and artifacts, the canonical entry of its generations
+    file with that entry's bytes, and the bytes of its scores file's entry."""
+    tmp_path = tmp_path_factory.mktemp("clean-evaluate")
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl", "scores.jsonl"))
+    assert main(["--config", str(config), "evaluate"]) == 0
+    entries = [scorers._canonical_entry(out / name, tmp_path / "dock_cache")[0]
+               for name in ("generations.jsonl", "scores.jsonl")]
+    return config, _evaluated(out), entries[0], entries[0].read_bytes(), entries[1].read_bytes()
+
+
+def _evaluated(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in ("report.jsonl", "report.txt")}
+
+
+@given(st.data())
+@settings(suppress_health_check=list(HealthCheck))
+def test_evaluate_rewrites_any_bad_canonical_entry(clean_evaluate, data):
+    config, artifacts, entry, fresh, other_file = clean_evaluate
+    key, known = json.loads(fresh)["key"], json.loads(fresh)["canonical"]
+    raw = next(iter(known))
+    # the key this file would have under other canonicalization code
+    generations = (config.parent / "out" / "generations.jsonl").read_bytes()
+    other_source = hashlib.sha256(hashlib.sha256(b"other source").digest() + generations)
+    content = data.draw(st.one_of(
+        st.sampled_from([b"", b"\xff\xfe", other_file,
+                         json.dumps({"key": other_source.hexdigest(), "canonical": known}).encode(),
+                         json.dumps({"key": "0" * 64, "canonical": known}).encode(),
+                         json.dumps({"canonical": known}).encode()]),
+        st.integers(1, len(fresh) - 1).map(lambda n: fresh[:n]),
+        st.binary(max_size=16).map(lambda tail: b"\xff" + tail),
+        _VALUES.map(lambda value: json.dumps(value).encode()),
+        _VALUES.map(lambda value: json.dumps({"key": key, "canonical": value}).encode()),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.just(["CCO"])).map(
+            lambda value: json.dumps({"key": key, "canonical": {**known, raw: value}}).encode()
+        ),
+    ), label="entry")
+    entry.write_bytes(content)
+    canonicalize.cache_clear()  # as in a new process
+    assert main(["--config", str(config), "evaluate"]) == 0
+    assert _evaluated(config.parent / "out") == artifacts
+    assert entry.read_bytes() == fresh
+
+
+def test_report_after_evaluate_canonicalizes_only_what_warned(tmp_path, monkeypatch):
+    from molchord.molgraph import SmilesFeatureWarning, canon
+
+    stereo = "C/C=C/C"  # canonicalizes, with a feature warning
+    records = _CONTRACT_RECORDS
+    config = _contract_run(tmp_path, _contract_texts(
+        generations=[*records["generations"], {"pocket_id": "p1", "smiles": stereo}],
+        scores=[*records["scores"], {"pocket_id": "p1", "smiles": stereo, "vina": -6.0}],
+    ))
+    parsed = []
+    real = canon.parse_smiles
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(canon, "parse_smiles", counting)
+
+    def stage(*command):
+        canonicalize.cache_clear()  # a new process starts with an empty memo
+        parsed.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(config), "--allow-partial", *command]) == 0
+        return list(parsed), [str(w.message) for w in caught
+                              if issubclass(w.category, SmilesFeatureWarning)]
+
+    evaluated, evaluate_warnings = stage("evaluate")
+    reported, report_warnings = stage("report", "--fused", "--ood")
+    assert "CCCN" in evaluated and stereo in evaluated
+    assert reported == [stereo]  # the line loop's one call; every clean string came from entries
+    assert evaluate_warnings and report_warnings == evaluate_warnings
+    entries = sorted((tmp_path / "dock_cache" / "canonical").glob("*.json"))
+    assert len(entries) == 3  # complexes, generations and scores
+    assert all(stereo not in json.loads(e.read_text())["canonical"] for e in entries)
+
+
+def test_canonical_entries_live_where_dock_results_do(tmp_path, monkeypatch):
+    # [dock] cache_dir, else $MOLCHORD_CACHE_DIR, else .molchord_cache in the
+    # working directory; identical files give identical entry names
+    config = _contract_run(tmp_path, _contract_texts())
+    text = config.read_text()
+    unset = tmp_path / "unset.ini"
+    unset.write_text(text.replace(f"cache_dir = {tmp_path / 'dock_cache'}", "cache_dir = "))
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
+    assert main(["--config", str(config), "partition"]) == 0
+    assert main(["--config", str(unset), "partition"]) == 0
+    monkeypatch.delenv(CACHE_DIR_ENV)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(unset), "partition"]) == 0
+    names = [sorted(p.name for p in (tmp_path / d / "canonical").iterdir())
+             for d in ("dock_cache", "env", ".molchord_cache")]
+    assert len(names[0]) == 1 and names[0] == names[1] == names[2]

@@ -127,6 +127,82 @@ def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(raws)
 
 
+@pytest.fixture
+def canonicalized(monkeypatch):
+    """The strings ``canonicalize`` and the prefetch parse, in call order."""
+    from molchord.molgraph import canon
+
+    texts = []
+    real = canon.parse_smiles
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(canon, "parse_smiles", counting)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "bad", ["C1CC", "C" * 400 + ".C" * 300], ids=["unclosed-ring", "chain-and-methanes"]
+)
+def test_a_failing_string_is_canonicalized_once_per_load(tmp_path, canonicalized, bad):
+    path = tmp_path / "generations.jsonl"
+    _write(path, [{"pocket_id": "p1", "smiles": "CCO"}, {"pocket_id": "p2", "smiles": bad}])
+    with pytest.raises(SchemaViolation) as excinfo:
+        load_records(path, "generations")
+    assert (excinfo.value.line_no, excinfo.value.field) == (2, "smiles")
+    assert canonicalized.count(bad) == 1
+    with pytest.raises(SchemaViolation) as again:  # the next load computes it again
+        load_records(path, "generations")
+    assert str(again.value) == str(excinfo.value)
+    assert canonicalized.count(bad) == 2
+
+
+def test_records_of_two_files_share_the_memo_key_object(tmp_path):
+    from molchord.molgraph import canon
+
+    raws = ["OCC", "C(C)N", "c1ccccc1O"]
+    gen_path, score_path = tmp_path / "generations.jsonl", tmp_path / "scores.jsonl"
+    _write(gen_path, [{"pocket_id": "p1", "smiles": s} for s in raws])
+    _write(score_path, [{"pocket_id": "p1", "smiles": s, "vina": -5.0} for s in raws])
+    generations = load_records(gen_path, "generations")
+    scores = load_records(score_path, "scores")
+    keys = {id(key) for key in canon._memo}
+    for gen, score in zip(generations, scores):
+        assert gen.raw_smiles is score.raw_smiles and id(gen.raw_smiles) in keys
+        assert gen.smiles is score.smiles
+
+
+def test_a_second_load_of_the_same_bytes_canonicalizes_nothing(tmp_path, canonicalized):
+    from molchord.molgraph import canonicalize
+
+    rows = [{"pocket_id": f"p{i}", "smiles": s} for i, s in enumerate(["OCC", "C/C=C/C", "CCN"])]
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write(first, rows)
+    _write(second, rows)
+    cache = tmp_path / "cache"
+    records = load_records(first, "generations", cache)
+    assert sorted(set(canonicalized)) == sorted(r["smiles"] for r in rows)
+    canonicalize.cache_clear()
+    canonicalized.clear()
+    assert load_records(second, "generations", cache) == records
+    assert canonicalized == ["C/C=C/C"]  # it warned, so its entry leaves it out
+    (entry,) = (cache / "canonical").iterdir()
+    assert json.loads(entry.read_text())["canonical"] == {"OCC": "CCO", "CCN": "CCN"}
+
+
+def test_a_cache_dir_that_cannot_be_written_keeps_no_entry(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    _write(path, [{"pocket_id": "p1", "smiles": "OCC"}])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    expected = load_records(path, "generations")
+    assert load_records(path, "generations", blocker) == expected
+    assert load_records(path, "generations", blocker / "below") == expected
+    assert blocker.read_text() == ""
+
+
 def test_bad_smiles_fails_with_its_own_line_in_every_file(tmp_path):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write(first, [{"pocket_id": "p1", "smiles": "C1CC", "vina": -5.0}])
