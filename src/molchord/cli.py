@@ -1,11 +1,16 @@
 """Command-line pipeline.
 
 Subcommands cover the whole flow: partition, train-sft, curate, train-dpo,
-sample, dock, evaluate, report, verify. Settings come from an INI config file
-overridden by flags (flag wins); every command writes its artifacts plus a
-manifest with input/output hashes so `verify` can walk the chain. All
-commands are deterministic given (config, seed): reruns produce byte-identical
-primary artifacts.
+sample, dock, evaluate, report, verify (``_COMMANDS``). Settings come from an
+INI config file overridden by flags (flag wins). All commands are
+deterministic given (config, seed): reruns produce byte-identical primary
+artifacts.
+
+Every command writes its artifacts plus a manifest with input/output hashes
+so `verify` can walk the chain. No file is listed by hand: ``main`` starts a
+record of the command, the loaders (``_input``) and writers (``_output``) add
+each file as it is read or written, and ``write_manifest`` lists the record.
+`report` writes one manifest per sub-report (``report-fused``, ``report-ood``).
 
 Exit codes: 0 ok, 2 validation/coverage failure, 3 missing upstream artifact,
 4 external command failure, 1 internal error.
@@ -28,7 +33,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
@@ -78,13 +83,20 @@ def _formats_with_pocket_id(pattern: str) -> bool:
     return True
 
 
+def _between(low: int, high: int) -> Rule:
+    return Rule(lambda v: low <= v <= high, f"in [{low}, {high}]")
+
+
 _COUNT = Rule(lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = Rule(lambda v: v >= 0, ">= 0")
 _POSITIVE = Rule(lambda v: v > 0, "> 0")
 _FRACTION = Rule(lambda v: 0 < v <= 1, "in (0, 1]")
 # A fingerprint is an nbits-bit integer refined radius times: cap both.
 _NBITS = Rule(lambda v: 64 <= v <= 65536 and not v & (v - 1), "a power of two in [64, 65536]")
-_RADIUS = Rule(lambda v: 0 <= v <= 8, "in [0, 8]")
+_RADIUS = _between(0, 8)
+# Model sizes and the sample length are capped: with all of them at their
+# caps, one training step and one sample each stay under 0.75 GB resident.
+_WIDTH = _between(1, 512)
 _FLOW = Rule(lambda v: v in curation.FLOWS, " or ".join(curation.FLOWS))
 # an empty command is fine for the commands that do not dock; dock and curate exit 2
 _DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template with {smiles}")
@@ -123,14 +135,14 @@ SCHEMA = (
     Key("paths", "outdir", str, "out"),
     Key("paths", "eval_complexes", str, ""),
     Key("paths", "pocket_file_pattern", str, "", _POCKET_FILE),
-    Key("model", "d", int, "64", _COUNT),
-    Key("model", "d_feat", int, "64", _COUNT),
-    Key("model", "window", int, "8", _NON_NEGATIVE),
-    Key("model", "n_struct", int, "8", _COUNT),
+    Key("model", "d", int, "64", _WIDTH),
+    Key("model", "d_feat", int, "64", _WIDTH),
+    Key("model", "window", int, "8", _between(0, 32)),
+    Key("model", "n_struct", int, "8", _WIDTH),
     Key("model", "seed", int, "0", _NON_NEGATIVE, "--seed"),
     Key("sample", "temperature", float, "1.5", _POSITIVE, "--temperature"),
     Key("sample", "top_p", float, "0.95", _FRACTION, "--top-p"),
-    Key("sample", "max_len", int, "256", _COUNT, "--max-len"),
+    Key("sample", "max_len", int, "256", _between(1, 2048), "--max-len"),
     Key("sample", "n_eval", int, "100", _COUNT),
     Key("sample", "retry_factor", int, "20", _COUNT),
     Key("train_sft", "learning_rate", float, "1e-3", _NON_NEGATIVE),
@@ -252,8 +264,37 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+@dataclass
+class _Record:
+    """The running command: its name, its start, and the paths it read and
+    wrote, each once and in order (a dict is an ordered set)."""
+
+    command: str = ""
+    started: float = 0.0
+    inputs: dict[Path, None] = field(default_factory=dict)
+    outputs: dict[Path, None] = field(default_factory=dict)
+
+
+_record = _Record()
+
+
+def _input(path: Path | None, what: str) -> Path:
+    """``path``, recorded as read; a missing file exits 3."""
+    if path is None or not path.exists():
+        raise MissingArtifact(f"{what} not found: {path}")
+    _record.inputs[path] = None
+    return path
+
+
+def _output(path: Path) -> Path:
+    """``path``, recorded as written, with its directory made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _record.outputs[path] = None
+    return path
+
+
 def _write_text(path: Path, text: str) -> Path:
-    with scorers.atomic_write(path) as handle:
+    with scorers.atomic_write(_output(path)) as handle:
         handle.write(text)
     return path
 
@@ -262,40 +303,30 @@ def _write_json(path: Path, payload) -> Path:
     return _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> Path:
-    with scorers.atomic_write(path) as handle:
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    with scorers.atomic_write(_output(path)) as handle:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
-    return path
 
 
-def write_manifest(
-    cfg: RunConfig,
-    command: str,
-    inputs: list[Path],
-    outputs: list[Path],
-    started: float,
-    extra: dict | None = None,
-) -> Path:
+def write_manifest(cfg: RunConfig, extra: dict | None = None, name: str | None = None) -> None:
+    """``<name>.manifest.json``, by default named after the command: the
+    hashes of every file the command has read and of each file it has
+    written since its previous manifest, which is not listed itself."""
     manifest = {
-        "command": command,
+        "command": _record.command,
         "version": __version__,
         "config_digest": cfg.digest(),
         "config": cfg.values,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "outputs": {str(p): _sha256_file(p) for p in outputs},
-        "elapsed_s": round(time.time() - started, 3),
-        "created_unix": int(started),
+        "inputs": {str(p): _sha256_file(p) for p in _record.inputs},
+        "outputs": {str(p): _sha256_file(p) for p in _record.outputs},
+        "elapsed_s": round(time.time() - _record.started, 3),
+        "created_unix": int(_record.started),
     }
     if extra:
         manifest["extra"] = extra
-    return _write_json(cfg.outdir / f"{command}.manifest.json", manifest)
-
-
-def _require_file(path: Path | None, what: str) -> Path:
-    if path is None or not path.exists():
-        raise MissingArtifact(f"{what} not found: {path}")
-    return path
+    _write_json(cfg.outdir / f"{name or _record.command}.manifest.json", manifest)
+    _record.outputs.clear()
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
@@ -307,26 +338,22 @@ def _cache_dir(cfg: RunConfig) -> Path:
 def _load(path: Path | None, schema: str, what: str, cache_dir: Path | None = None) -> list:
     """Records of an input file: missing or unreadable exits 3, malformed exits 2."""
     try:
-        return scorers.load_records(_require_file(path, what), schema, cache_dir)
+        return scorers.load_records(_input(path, what), schema, cache_dir)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     except OSError as exc:
         raise MissingArtifact(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
-def _load_complexes(
-    cfg: RunConfig, key: str = "complexes"
-) -> tuple[Path, list[curation.ComplexRecord]]:
-    """The ``[paths] complexes`` records, or ``eval_complexes`` falling back
-    to them, with the path they came from."""
+def _load_complexes(cfg: RunConfig, key: str = "complexes") -> list[curation.ComplexRecord]:
+    """The ``[paths] complexes`` records, or ``eval_complexes`` falling back to them."""
     raw = cfg.typed["paths"][key] or cfg.typed["paths"]["complexes"]
-    path = Path(raw) if raw else None
-    return path, _load(path, "complexes", f"{key} file", _cache_dir(cfg))
+    return _load(Path(raw) if raw else None, "complexes", f"{key} file", _cache_dir(cfg))
 
 
 def _load_partition(cfg: RunConfig) -> dict:
     """``partition.json``; unreadable, or without its two lists of pocket ids, exits 3."""
-    path = _require_file(cfg.outdir / "partition.json", "partition artifact")
+    path = _input(cfg.outdir / "partition.json", "partition artifact")
     try:
         partition = json.loads(path.read_text())
     except (ValueError, OSError, RecursionError) as exc:
@@ -339,11 +366,11 @@ def _load_partition(cfg: RunConfig) -> dict:
     return partition
 
 
-def _load_checkpoint(path: Path) -> ModelParams:
+def _load_checkpoint(path: Path, what: str = "supervised checkpoint") -> ModelParams:
     from .genmodel import load_params
 
     try:
-        return load_params(path)[0]
+        return load_params(_input(path, what))[0]
     except (ValueError, OSError, RecursionError) as exc:
         raise MissingArtifact(f"cannot load checkpoint {path}: {exc}") from exc
 
@@ -404,29 +431,28 @@ def _dock(
 
 
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
-    complexes_path, records = _load_complexes(cfg)
+    """split pockets into supervised/preference pools"""
+    records = _load_complexes(cfg)
     try:
         partition = curation.partition_dataset(records)
     except curation.DuplicatePocketId as exc:
         raise ValidationFailure(f"duplicate pocket_id: {exc}") from exc
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    out_path = _write_json(cfg.outdir / "partition.json", {
+    _write_json(cfg.outdir / "partition.json", {
         "sft_pool": list(partition.sft_pool),
         "dpo_pool": list(partition.dpo_pool),
         "counts": {"sft": len(partition.sft_pool), "dpo": len(partition.dpo_pool)},
     })
-    write_manifest(cfg, "partition", [complexes_path], [out_path], started)
+    write_manifest(cfg)
     print(f"partition: {len(partition.sft_pool)} supervised, {len(partition.dpo_pool)} preference")
     return EXIT_OK
 
 
 def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """supervised stage"""
     from .genmodel import save_params
     from .training import build_sft_examples, train_sft
 
-    started = time.time()
-    complexes_path, records = _load_complexes(cfg)
+    records = _load_complexes(cfg)
     partition = _load_partition(cfg)
     model_cfg = cfg.model_config()
     train_cfg = cfg.train_config("train_sft")
@@ -440,10 +466,8 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
     examples = build_sft_examples(_features_for(pool, model_cfg), ligands, vocab, seed=cfg.seed)
     checkpoint, curve = train_sft(examples, model_cfg, train_cfg)
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = cfg.outdir / "sft_checkpoint.json"
     save_params(
-        ckpt_path,
+        _output(cfg.outdir / "sft_checkpoint.json"),
         checkpoint.params,
         extra={
             "stage": "sft",
@@ -452,29 +476,21 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
             "config_digest": cfg.digest(),
         },
     )
-    curve_path = _write_jsonl(cfg.outdir / "sft_curve.jsonl", curve)
-    write_manifest(
-        cfg,
-        "train-sft",
-        [complexes_path, cfg.outdir / "partition.json"],
-        [ckpt_path, curve_path],
-        started,
-        extra={"examples": len(examples), "best_step": checkpoint.step,
-               "best_val_loss": checkpoint.val_loss},
-    )
+    _write_jsonl(cfg.outdir / "sft_curve.jsonl", curve)
+    write_manifest(cfg, extra={"examples": len(examples), "best_step": checkpoint.step,
+                               "best_val_loss": checkpoint.val_loss})
     print(f"train-sft: {len(examples)} examples, best val loss {checkpoint.val_loss:.4f} "
           f"at step {checkpoint.step}")
     return EXIT_OK
 
 
 def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """diversity filter + preference pair construction"""
     from .genmodel import text_sampler
 
-    started = time.time()
-    complexes_path, records = _load_complexes(cfg)
+    records = _load_complexes(cfg)
     partition = _load_partition(cfg)
-    ckpt_path = _require_file(cfg.outdir / "sft_checkpoint.json", "supervised checkpoint")
-    params = _load_checkpoint(ckpt_path)
+    params = _load_checkpoint(cfg.outdir / "sft_checkpoint.json")
     curate_cfg = cfg.curate_config()
     sampling = cfg.sampling()
     dock_cmd = _dock_command(cfg)
@@ -500,22 +516,13 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
         nbits=cfg.typed["metrics"]["nbits"],
     )
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    pairs_path = cfg.outdir / "pairs.jsonl"
-    scorers.dump_records(pairs_path, pairs)
+    scorers.dump_records(_output(cfg.outdir / "pairs.jsonl"), pairs)
     audit_path = _write_json(cfg.outdir / "d_dpo.json", {
         "selected": list(filtered.selected),
         "audit": [asdict(row) for row in filtered.audit],
         "pairs": pair_log,
     })
-    write_manifest(
-        cfg,
-        "curate",
-        [complexes_path, cfg.outdir / "partition.json", ckpt_path],
-        [pairs_path, audit_path],
-        started,
-        extra={"selected": len(filtered.selected), "pairs": len(pairs)},
-    )
+    write_manifest(cfg, extra={"selected": len(filtered.selected), "pairs": len(pairs)})
     print(f"curate: kept {len(filtered.selected)}/{len(dpo_ids)} pockets, built {len(pairs)} pairs")
     if not pairs:
         if any(row["status"].startswith("dock failure") for row in pair_log):
@@ -525,18 +532,16 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """preference stage"""
     from .genmodel import save_params
     from .training import build_dpo_examples, train_dpo
 
-    started = time.time()
-    complexes_path, records = _load_complexes(cfg)
-    pairs_path = cfg.outdir / "pairs.jsonl"
-    pairs = _load(pairs_path, "pairs", "preference pairs", _cache_dir(cfg))
-    ckpt_path = _require_file(cfg.outdir / "sft_checkpoint.json", "supervised checkpoint")
+    records = _load_complexes(cfg)
+    pairs = _load(cfg.outdir / "pairs.jsonl", "pairs", "preference pairs", _cache_dir(cfg))
+    params = _load_checkpoint(cfg.outdir / "sft_checkpoint.json")
     if not pairs:
         raise ValidationFailure("pairs file is empty")
     train_cfg = cfg.train_config("train_dpo")
-    params = _load_checkpoint(ckpt_path)
 
     by_id = {r.pocket_id: r for r in records}
     missing = [p.pocket_id for p in pairs if p.pocket_id not in by_id]
@@ -548,50 +553,41 @@ def cmd_train_dpo(cfg: RunConfig, args: argparse.Namespace) -> int:
     examples = build_dpo_examples(pairs, feats, params, vocab, seed=cfg.seed)
     checkpoint, curve = train_dpo(examples, params, train_cfg)
 
-    ckpt_out = cfg.outdir / "dpo_checkpoint.json"
     save_params(
-        ckpt_out,
+        _output(cfg.outdir / "dpo_checkpoint.json"),
         checkpoint.params,
         extra={"stage": "dpo", "step": checkpoint.step, "config_digest": cfg.digest()},
     )
-    curve_path = _write_jsonl(cfg.outdir / "dpo_curve.jsonl", curve)
-    write_manifest(
-        cfg,
-        "train-dpo",
-        [pairs_path, ckpt_path, complexes_path],
-        [ckpt_out, curve_path],
-        started,
-        extra={"pairs": len(pairs)},
-    )
+    _write_jsonl(cfg.outdir / "dpo_curve.jsonl", curve)
+    write_manifest(cfg, extra={"pairs": len(pairs)})
     mean_margin = sum(row["margin"] for row in curve) / len(curve) if curve else 0.0
     print(f"train-dpo: {len(pairs)} pairs, {checkpoint.step} steps, mean margin {mean_margin:.4f}")
     return EXIT_OK
 
 
 def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """generate unique molecules per pocket"""
     from .genmodel import sample_unique
 
-    started = time.time()
     if args.checkpoint:
-        ckpt_path = _require_file(Path(args.checkpoint), "checkpoint")
+        params = _load_checkpoint(Path(args.checkpoint), "checkpoint")
     else:
         dpo = cfg.outdir / "dpo_checkpoint.json"
-        sft = cfg.outdir / "sft_checkpoint.json"
-        ckpt_path = dpo if dpo.exists() else sft
-        ckpt_path = _require_file(ckpt_path, "checkpoint (run train-sft or pass --checkpoint)")
-    params = _load_checkpoint(ckpt_path)
+        params = _load_checkpoint(
+            dpo if dpo.exists() else cfg.outdir / "sft_checkpoint.json",
+            "checkpoint (run train-sft or pass --checkpoint)",
+        )
     sampling = dict(cfg.typed["sample"])  # with retry_factor, which sample_unique takes too
     n_eval = sampling.pop("n_eval")
-    complexes_path, records = _load_complexes(cfg, "eval_complexes")
+    records = _load_complexes(cfg, "eval_complexes")
     feats = _features_for(records, params.config)
 
     base_seed = derive_seed("sample-cmd", cfg.seed)
     flagged: list[str] = []
     rows: list[scorers.GenerationRecord] = []
     ordered = sorted(records, key=lambda r: r.pocket_id)
-    drawn = sample_unique(
-        params, [feats[r.pocket_id] for r in ordered], n_eval, base_seed, **sampling
-    )
+    drawn = sample_unique(params, [feats[r.pocket_id] for r in ordered], n_eval, base_seed,
+                          **sampling)
     for record, (molecules, capped) in zip(ordered, drawn):
         if capped:
             flagged.append(record.pocket_id)
@@ -599,51 +595,28 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"pocket {record.pocket_id}: only {len(molecules)}/{n_eval} unique "
                 "valid molecules within the retry cap"
             )
-        for smiles, logprob in molecules:
-            rows.append(
-                scorers.GenerationRecord(
-                    pocket_id=record.pocket_id, smiles=smiles, logprob=logprob
-                )
-            )
+        rows += (scorers.GenerationRecord(pocket_id=record.pocket_id, smiles=smiles,
+                                          logprob=logprob) for smiles, logprob in molecules)
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.outdir / "generations.jsonl"
-    scorers.dump_records(out_path, rows)
-    write_manifest(
-        cfg,
-        "sample",
-        [complexes_path, ckpt_path],
-        [out_path],
-        started,
-        extra={"n_eval": n_eval, "flagged_pockets": flagged},
-    )
+    scorers.dump_records(_output(cfg.outdir / "generations.jsonl"), rows)
+    write_manifest(cfg, extra={"n_eval": n_eval, "flagged_pockets": flagged})
     print(f"sample: wrote {len(rows)} molecules for {len(records)} pockets "
           f"({len(flagged)} flagged)")
     return EXIT_OK
 
 
 def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
-    gen_path = cfg.outdir / "generations.jsonl"
-    generations = _load(gen_path, "generations", "generations", _cache_dir(cfg))
-    complexes_path, records = _load_complexes(cfg, "eval_complexes")
-    by_id = {r.pocket_id: r for r in records}
+    """score generations with the external dock command"""
+    cache = _cache_dir(cfg)
+    generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations", cache)
+    by_id = {r.pocket_id: r for r in _load_complexes(cfg, "eval_complexes")}
     result = _dock(cfg, _dock_command(cfg), by_id, ((g.pocket_id, g.smiles) for g in generations))
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.outdir / "scores.jsonl"
-    scorers.dump_records(out_path, result.scores)
-    write_manifest(
-        cfg,
-        "dock",
-        [gen_path, complexes_path],
-        [out_path],
-        started,
-        extra={
-            "scored": len(result.scores),
-            "failures": [asdict(f) for f in result.failures],
-        },
-    )
+    scorers.dump_records(_output(cfg.outdir / "scores.jsonl"), result.scores)
+    write_manifest(cfg, extra={
+        "scored": len(result.scores),
+        "failures": [asdict(f) for f in result.failures],
+    })
     print(f"dock: scored {len(result.scores)}, {len(result.failures)} failures")
     if result.failures and not cfg.allow_partial:
         raise ExternalCommandFailure(
@@ -653,11 +626,10 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _assemble_pockets(cfg: RunConfig) -> list[metrics.PocketEval]:
-    _, records = _load_complexes(cfg, "eval_complexes")
-    generations = _load(
-        cfg.outdir / "generations.jsonl", "generations", "generations", _cache_dir(cfg)
-    )
-    scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores", _cache_dir(cfg))
+    records = _load_complexes(cfg, "eval_complexes")
+    cache = _cache_dir(cfg)
+    generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations", cache)
+    scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores", cache)
 
     coverage = scorers.coverage_check(generations, scores)
     if coverage.missing:
@@ -705,7 +677,7 @@ def _fmt(value, width: int = 9) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
+    """metric report over scored generations"""
     pockets = _assemble_pockets(cfg)
     report = metrics.evaluate(
         pockets, radius=cfg.typed["metrics"]["radius"], nbits=cfg.typed["metrics"]["nbits"]
@@ -714,7 +686,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = [{"kind": "pocket", **asdict(row)} for row in report.per_pocket]
     aggregate = {"kind": "aggregate", **asdict(report)}
     del aggregate["per_pocket"]
-    report_path = _write_jsonl(cfg.outdir / "report.jsonl", [*rows, aggregate])
+    _write_jsonl(cfg.outdir / "report.jsonl", [*rows, aggregate])
 
     lines = [
         f"{'pocket':<14}{'n':>5}{'vina':>9}{'high_aff':>9}{'qed':>9}"
@@ -731,23 +703,15 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"{_fmt(report.high_affinity)}{_fmt(report.mean_qed)}{_fmt(report.mean_sa)}"
         f"{_fmt(report.diversity)}{_fmt(report.success_rate)}{_fmt(report.fused_ring_mean)}"
     )
-    table_path = _write_text(cfg.outdir / "report.txt", "\n".join(lines) + "\n")
+    _write_text(cfg.outdir / "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
-
-    write_manifest(
-        cfg,
-        "evaluate",
-        [cfg.outdir / "generations.jsonl", cfg.outdir / "scores.jsonl"],
-        [report_path, table_path],
-        started,
-    )
+    write_manifest(cfg)
     return EXIT_OK
 
 
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
-    started = time.time()
+    """fused-ring / homology sub-reports"""
     pockets = _assemble_pockets(cfg)
-    outputs: list[Path] = []
     if args.fused:
         top_k = cfg.typed["metrics"]["top_k"]
         eligible = pockets
@@ -761,13 +725,14 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             summary = metrics.fused_ring_report(eligible, top_k=top_k)
         except metrics.TooFewGenerations as exc:
             raise ValidationFailure(str(exc)) from exc
-        outputs.append(_write_json(cfg.outdir / "fused_report.json", {
+        _write_json(cfg.outdir / "fused_report.json", {
             "top_k": top_k,
             "mean": summary.mean,
             "histogram": {str(k): v for k, v in summary.histogram.items()},
             "n_compounds": summary.n_compounds,
             "skipped_pockets": skipped,
-        }))
+        })
+        write_manifest(cfg, name="report-fused")
         print(f"fused rings (top {top_k} per pocket): mean {summary.mean:.3f} "
               f"over {summary.n_compounds} compounds")
         for count, freq in summary.histogram.items():
@@ -777,20 +742,14 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             ood = metrics.ood_report(pockets)
         except (metrics.UnlabeledPocket, metrics.EmptyGroup) as exc:
             raise ValidationFailure(str(exc)) from exc
-        outputs.append(_write_json(cfg.outdir / "ood_report.json", asdict(ood)))
+        _write_json(cfg.outdir / "ood_report.json", asdict(ood))
+        write_manifest(cfg, name="report-ood")
         print(
             f"ood: homologous {ood.homologous_mean:.3f}, "
             f"non-homologous {ood.non_homologous_mean:.3f}, delta {ood.delta:+.3f}"
         )
-    if not outputs:
+    if not (args.fused or args.ood):
         raise ValidationFailure("report: pass --fused and/or --ood")
-    write_manifest(
-        cfg,
-        "report",
-        [cfg.outdir / "generations.jsonl", cfg.outdir / "scores.jsonl"],
-        outputs,
-        started,
-    )
     return EXIT_OK
 
 
@@ -813,6 +772,7 @@ def _read_manifest(path: Path) -> tuple[str, list[tuple[str, Path, str]]] | None
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """check manifests against files on disk"""
     manifests = sorted(cfg.outdir.glob("*.manifest.json"))
     if not manifests:
         raise MissingArtifact(f"no manifests under {cfg.outdir}")
@@ -845,34 +805,6 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="molchord", description="pocket-conditioned molecule generation pipeline"
-    )
-    parser.add_argument("--config", help="INI config file")
-    parser.add_argument(
-        "--allow-partial", action="store_true", help="continue despite missing scores/failures"
-    )
-    for flag, kind in {key.flag: key.kind for key in SCHEMA if key.flag}.items():
-        targets = ", ".join(f"[{k.section}] {k.name}" for k in SCHEMA if k.flag == flag)
-        parser.add_argument(flag, type=kind, help=f"override {targets}")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("partition", help="split pockets into supervised/preference pools")
-    sub.add_parser("train-sft", help="supervised stage")
-    sub.add_parser("curate", help="diversity filter + preference pair construction")
-    sub.add_parser("train-dpo", help="preference stage")
-    sample_p = sub.add_parser("sample", help="generate unique molecules per pocket")
-    sample_p.add_argument("--checkpoint", help="checkpoint path (default: best available)")
-    sub.add_parser("dock", help="score generations with the external dock command")
-    sub.add_parser("evaluate", help="metric report over scored generations")
-    report_p = sub.add_parser("report", help="fused-ring / homology sub-reports")
-    report_p.add_argument("--fused", action="store_true")
-    report_p.add_argument("--ood", action="store_true")
-    sub.add_parser("verify", help="check manifests against files on disk")
-    return parser
-
-
 _COMMANDS = {
     "partition": cmd_partition,
     "train-sft": cmd_train_sft,
@@ -886,8 +818,32 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="molchord", description="pocket-conditioned molecule generation pipeline"
+    )
+    parser.add_argument("--config", help="INI config file")
+    parser.add_argument(
+        "--allow-partial", action="store_true", help="continue despite missing scores/failures"
+    )
+    for flag, kind in {key.flag: key.kind for key in SCHEMA if key.flag}.items():
+        targets = ", ".join(f"[{k.section}] {k.name}" for k in SCHEMA if k.flag == flag)
+        parser.add_argument(flag, type=kind, help=f"override {targets}")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    # each command's help is its function's docstring
+    commands = {name: sub.add_parser(name, help=run.__doc__) for name, run in _COMMANDS.items()}
+    commands["sample"].add_argument("--checkpoint",
+                                    help="checkpoint path (default: best available)")
+    commands["report"].add_argument("--fused", action="store_true")
+    commands["report"].add_argument("--ood", action="store_true")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _record
     args = build_parser().parse_args(argv)
+    _record = _Record(args.command, time.time())
     try:
         cfg = load_config(args)
         return _COMMANDS[args.command](cfg, args)

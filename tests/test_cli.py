@@ -115,13 +115,38 @@ def test_pipeline_artifacts_exist(pipeline):
         assert (outdir / name).exists(), name
 
 
-def test_pipeline_manifests_cover_commands(pipeline):
-    _, _, outdir = pipeline
-    commands = {
-        json.loads(p.read_text())["command"] for p in outdir.glob("*.manifest.json")
-    }
-    assert {"partition", "train-sft", "curate", "train-dpo", "sample", "dock",
-            "evaluate", "report"} <= commands
+# What each manifest of the shared run lists, relative to its directory: the
+# inputs, then the outputs. The complexes file is also its eval_complexes.
+_EVALUATED = {"complexes.jsonl", "out/generations.jsonl", "out/scores.jsonl"}
+_MANIFESTS = {
+    "partition": ({"complexes.jsonl"}, {"out/partition.json"}),
+    "train-sft": ({"complexes.jsonl", "out/partition.json"},
+                  {"out/sft_checkpoint.json", "out/sft_curve.jsonl"}),
+    "curate": ({"complexes.jsonl", "out/partition.json", "out/sft_checkpoint.json"},
+               {"out/pairs.jsonl", "out/d_dpo.json"}),
+    "train-dpo": ({"complexes.jsonl", "out/pairs.jsonl", "out/sft_checkpoint.json"},
+                  {"out/dpo_checkpoint.json", "out/dpo_curve.jsonl"}),
+    "sample": ({"complexes.jsonl", "out/dpo_checkpoint.json"}, {"out/generations.jsonl"}),
+    "dock": ({"complexes.jsonl", "out/generations.jsonl"}, {"out/scores.jsonl"}),
+    "evaluate": (_EVALUATED, {"out/report.jsonl", "out/report.txt"}),
+    "report-fused": (_EVALUATED, {"out/fused_report.json"}),
+    "report-ood": (_EVALUATED, {"out/ood_report.json"}),
+}
+
+
+def test_pipeline_manifests_list_what_each_command_read_and_wrote(pipeline):
+    tmp_path, _, outdir = pipeline
+    listed, commands = {}, set()
+    for path in outdir.glob("*.manifest.json"):
+        manifest = json.loads(path.read_text())
+        commands.add(manifest["command"])
+        listed[path.name.removesuffix(".manifest.json")] = tuple(
+            {str(Path(name).relative_to(tmp_path)) for name in manifest[role]}
+            for role in ("inputs", "outputs")
+        )
+    assert listed == _MANIFESTS
+    assert commands == {"partition", "train-sft", "curate", "train-dpo", "sample", "dock",
+                        "evaluate", "report"}
 
 
 def test_generations_unique_and_capped(pipeline):
@@ -267,6 +292,65 @@ def test_evaluate_coverage_gap_exits_two(pipeline, tmp_path):
         assert (outdir / "coverage_report.json").exists()
     finally:
         scores_path.write_bytes(backup)
+
+
+def test_evaluate_lists_the_coverage_report_it_wrote(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl", "scores.jsonl"))
+    scores = out / "scores.jsonl"
+    scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["--config", str(config), "--allow-partial", "evaluate"]) == 0
+    manifest = json.loads((out / "evaluate.manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [
+        str(out / name) for name in ("coverage_report.json", "report.jsonl", "report.txt")
+    ]
+
+
+def _verify_line(status: str, command: str, role: str, path: Path) -> str:
+    return f"{status:<8} {command:<12} {role:<7} {path}"
+
+
+def _walkthrough_evaluation(pipeline, tmp_path):
+    """evaluate, then the two sub-reports one command each, as the README
+    runs them, over a copy of the shared run with an eval_complexes file of
+    its own; returns the config, the output directory and that file."""
+    src_tmp, _, _ = pipeline
+    eval_complexes = tmp_path / "eval_complexes.jsonl"
+    eval_complexes.write_bytes((src_tmp / "complexes.jsonl").read_bytes())
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl", "scores.jsonl"),
+                             {"paths": {"eval_complexes": str(eval_complexes)}})
+    for step in (["evaluate"], ["--allow-partial", "report", "--fused"], ["report", "--ood"]):
+        assert main(["--config", str(config), *step]) == 0, step
+    assert main(["--config", str(config), "verify"]) == 0
+    return config, out, eval_complexes
+
+
+def test_verify_names_a_changed_fused_report_after_separate_sub_reports(
+    pipeline, tmp_path, capsys
+):
+    # report --ood overwrote the manifest of report --fused, so no manifest
+    # listed fused_report.json and verify passed a changed one
+    config, out, _ = _walkthrough_evaluation(pipeline, tmp_path)
+    with open(out / "fused_report.json", "a") as handle:
+        handle.write(" ")
+    capsys.readouterr()
+    assert main(["--config", str(config), "verify"]) == 2
+    assert _verify_line("CHANGED", "report", "output", out / "fused_report.json") in (
+        capsys.readouterr().out.splitlines()
+    )
+
+
+def test_verify_names_a_changed_eval_complexes_file_after_evaluate_and_report(
+    pipeline, tmp_path, capsys
+):
+    # reference_vina and homology come from it, but no manifest listed it
+    config, _, eval_complexes = _walkthrough_evaluation(pipeline, tmp_path)
+    with open(eval_complexes, "a") as handle:
+        handle.write("\n")
+    capsys.readouterr()
+    assert main(["--config", str(config), "verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert _verify_line("CHANGED", "evaluate", "input", eval_complexes) in lines
+    assert lines.count(_verify_line("CHANGED", "report", "input", eval_complexes)) == 2
 
 
 def test_dock_failure_exit_code(tmp_path):
@@ -525,6 +609,27 @@ def test_out_of_range_config_value_exits_two_before_any_artifact(
     assert sorted(p.name for p in out.iterdir()) == sorted(copied)
 
 
+@pytest.mark.parametrize("section, key, cap, flag, command", [
+    ("model", "d", 512, None, "train-sft"),
+    ("model", "d_feat", 512, None, "train-sft"),
+    ("model", "window", 32, None, "train-sft"),
+    ("model", "n_struct", 512, None, "train-sft"),
+    ("sample", "max_len", 2048, "--max-len", "sample"),
+])
+def test_size_above_its_cap_exits_two_before_any_artifact(
+    pipeline, tmp_path, capsys, section, key, cap, flag, command
+):
+    # without a cap, d = 200000 and --max-len 1000000000 ended in MemoryError (exit 1)
+    (schema_key,) = [k for k in SCHEMA if (k.section, k.name) == (section, key)]
+    assert _load_with(tmp_path, {schema_key: str(cap)}) is not None
+    copied = _UPSTREAM[command]
+    over = str(cap + 1)
+    config, out = _run_after(pipeline, tmp_path, copied, None if flag else {section: {key: over}})
+    assert main(["--config", str(config), *([flag, over] if flag else []), command]) == 2
+    assert f"[{section}] {key} = '{over}' must be in [" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(copied)
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text + "[model]\nd = 8\n",
     lambda text: text.replace("[model]\n", "[model]\nd = 8\n"),
@@ -775,7 +880,9 @@ _VALUES = st.one_of(
 _READS = {
     "partition": ("complexes",),
     "train-sft": ("complexes",),
+    "curate": ("complexes",),
     "train-dpo": ("pairs", "complexes"),
+    "sample": ("complexes",),
     "evaluate": ("generations", "scores", "complexes"),
     "dock": ("generations", "complexes"),
     "report --fused --ood": ("generations", "scores", "complexes"),
