@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import __version__, curation, metrics, scorers
 from .hashutil import derive_seed
-from .molgraph import try_canonicalize
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures, Vocabulary
@@ -97,6 +96,8 @@ _RADIUS = _between(0, 8)
 # Model sizes and the sample length are capped: with all of them at their
 # caps, one training step and one sample each stay under 0.75 GB resident.
 _WIDTH = _between(1, 512)
+# a stream seed hashes the run seed as a signed 128-bit integer (derive_seed)
+_SEED = _between(0, 2**63 - 1)
 _FLOW = Rule(lambda v: v in curation.FLOWS, " or ".join(curation.FLOWS))
 # an empty command is fine for the commands that do not dock; dock and curate exit 2
 _DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template with {smiles}")
@@ -139,7 +140,7 @@ SCHEMA = (
     Key("model", "d_feat", int, "64", _WIDTH),
     Key("model", "window", int, "8", _between(0, 32)),
     Key("model", "n_struct", int, "8", _WIDTH),
-    Key("model", "seed", int, "0", _NON_NEGATIVE, "--seed"),
+    Key("model", "seed", int, "0", _SEED, "--seed"),
     Key("sample", "temperature", float, "1.5", _POSITIVE, "--temperature"),
     Key("sample", "top_p", float, "0.95", _FRACTION, "--top-p"),
     Key("sample", "max_len", int, "256", _between(1, 2048), "--max-len"),
@@ -370,9 +371,17 @@ def _load_checkpoint(path: Path, what: str = "supervised checkpoint") -> ModelPa
     from .genmodel import load_params
 
     try:
-        return load_params(_input(path, what))[0]
+        params = load_params(_input(path, what))[0]
     except (ValueError, OSError, RecursionError) as exc:
         raise MissingArtifact(f"cannot load checkpoint {path}: {exc}") from exc
+    # the checkpoint's model within the caps that its writer's config met
+    for key in SCHEMA:
+        name = "n_struct_tokens" if key.name == "n_struct" else key.name
+        if key.section == "model" and not key.rule.test(getattr(params.config, name)):
+            raise MissingArtifact(
+                f"cannot load checkpoint {path}: model {key.name} must be {key.rule.text}"
+            )
+    return params
 
 
 def _features_for(
@@ -711,6 +720,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     """fused-ring / homology sub-reports"""
+    if not (args.fused or args.ood):
+        raise ValidationFailure("report: pass --fused and/or --ood")
     pockets = _assemble_pockets(cfg)
     if args.fused:
         top_k = cfg.typed["metrics"]["top_k"]
@@ -748,8 +759,6 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"ood: homologous {ood.homologous_mean:.3f}, "
             f"non-homologous {ood.non_homologous_mean:.3f}, delta {ood.delta:+.3f}"
         )
-    if not (args.fused or args.ood):
-        raise ValidationFailure("report: pass --fused and/or --ood")
     return EXIT_OK
 
 
@@ -785,7 +794,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             continue
         command, entries = read
         for role, path, expected in entries:
-            if not path.exists():
+            if not path.is_file():  # a directory or an impossible name too
                 print(f"MISSING  {command:<12} {role:<7} {path}")
                 bad += 1
                 continue

@@ -95,7 +95,6 @@ class ScoredMolecule:
 class FilterDecision:
     keep: bool
     diversity: float
-    n_candidates: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def diversity_filter(
         raise TooFewCandidates(f"{len(candidates)} candidates, need at least 2")
     fps = [morgan_fingerprint(mol, radius, nbits) for mol in candidates]
     measured = diversity(fps)
-    return FilterDecision(keep=measured > threshold, diversity=measured, n_candidates=len(candidates))
+    return FilterDecision(keep=measured > threshold, diversity=measured)
 
 
 def reward(vina: float, fused_count: int, lam: float = DEFAULT_FUSED_PENALTY_WEIGHT) -> float:

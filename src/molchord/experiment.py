@@ -12,7 +12,7 @@ curate`` runs, with the surrogate in place of the dock command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .molgraph import count_fused_rings, parse_smiles, try_parse
 from .scorers import surrogate_vina
 from .synthetic import smiles_corpus
 from .training import (
-    Checkpoint,
     TrainConfig,
     build_dpo_examples,
     build_sft_examples,
@@ -86,8 +85,6 @@ class ExperimentResult:
     dpo_mean_rewards: dict[str, float]
     sft_val_start: float
     sft_val_best: float
-    sft_checkpoint: Checkpoint = field(repr=False)
-    dpo_checkpoint: Checkpoint = field(repr=False)
 
 
 def _mean_reward(texts: list[str], fused_penalty: float) -> float | None:
@@ -205,6 +202,4 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         dpo_mean_rewards=dpo_means,
         sft_val_start=sft_curve[0]["val_loss"],
         sft_val_best=sft_checkpoint.val_loss,
-        sft_checkpoint=sft_checkpoint,
-        dpo_checkpoint=dpo_checkpoint,
     )

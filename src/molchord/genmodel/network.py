@@ -38,8 +38,10 @@ ROW_BLOCK = 256
 
 
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, one block of a's rows at a time."""
-    out = np.empty((a.shape[0], b.shape[1]))
+    """a @ b, one block of a's rows at a time. A stack of single rows,
+    shape (n, 1, k), is n vector-matrix products, each rounded as the
+    product of that row alone."""
+    out = np.empty(a.shape[:-1] + b.shape[1:])
     for s in range(0, a.shape[0], ROW_BLOCK):
         np.matmul(a[s : s + ROW_BLOCK], b, out=out[s : s + ROW_BLOCK])
     return out
@@ -63,7 +65,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class AdapterCache:
     x: np.ndarray
-    gate: np.ndarray
     up: np.ndarray
     sig: np.ndarray
 
@@ -74,9 +75,9 @@ def adapter_forward(
     """Gated projection of feature rows: down(sigmoid(gate(x)) * up(x))."""
     squeeze = x.ndim == 1
     rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if rows.shape[1] != params.adapter_gate_w.shape[1]:
+    if rows.shape[-1] != params.adapter_gate_w.shape[1]:
         raise ShapeMismatch(
-            f"adapter expects dim {params.adapter_gate_w.shape[1]}, got {rows.shape[1]}"
+            f"adapter expects dim {params.adapter_gate_w.shape[1]}, got {rows.shape[-1]}"
         )
     gate = _rowwise(rows, params.adapter_gate_w.T) + params.adapter_gate_b
     up = _rowwise(rows, params.adapter_up_w.T) + params.adapter_up_b
@@ -85,7 +86,7 @@ def adapter_forward(
     if squeeze:
         out = out[0]
     if want_cache:
-        return out, AdapterCache(x=rows, gate=gate, up=up, sig=sig)
+        return out, AdapterCache(x=rows, up=up, sig=sig)
     return out
 
 

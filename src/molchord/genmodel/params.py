@@ -21,16 +21,7 @@ from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
 
 CHECKPOINT_VERSION = 1
 _HEX_CHUNK = 4096
-
-ADAPTER_FIELDS = frozenset(
-    {"adapter_gate_w", "adapter_gate_b", "adapter_up_w", "adapter_up_b",
-     "adapter_down_w", "adapter_down_b"}
-)
-VAE_FIELDS = frozenset({"vae_mu_w", "vae_mu_b", "vae_logvar_w", "vae_logvar_b"})
-LM_FIELDS = frozenset({"lm_w1", "lm_b1", "lm_w2", "lm_b2", "lm_out_w", "lm_out_b"})
-# Token embeddings stay frozen at their seeded initialization in every stage;
-# the first dense layer can absorb any linear re-encoding of them.
-SFT_TRAINABLE = ADAPTER_FIELDS | VAE_FIELDS | LM_FIELDS
+_CONFIG_INTS = ("d", "d_feat", "window", "n_struct_tokens", "seed")
 
 
 @dataclass(frozen=True)
@@ -88,41 +79,48 @@ class ModelParams:
         kwargs = {name: getattr(self, name).copy() for name in self.array_fields()}
         return ModelParams(config=self.config, **kwargs)
 
-    def zero_grads(self, names: frozenset[str] | None = None) -> dict[str, np.ndarray]:
-        """Zero gradients for ``names``; None means every array field."""
-        names = self.array_fields() if names is None else names
-        return {name: np.zeros_like(getattr(self, name)) for name in sorted(names)}
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """Zero gradients for ``SFT_TRAINABLE``, in sorted field order."""
+        return {name: np.zeros_like(getattr(self, name)) for name in sorted(SFT_TRAINABLE)}
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each array field's shape under ``config``, in field order."""
+    d, f, v = config.d, config.d_feat, len(config.vocab_tokens)
+    return {
+        "token_embedding": (v, d),
+        "adapter_gate_w": (d, f), "adapter_gate_b": (d,),
+        "adapter_up_w": (d, f), "adapter_up_b": (d,),
+        "adapter_down_w": (d, d), "adapter_down_b": (d,),
+        "vae_mu_w": (f, f), "vae_mu_b": (f,),
+        "vae_logvar_w": (f, f), "vae_logvar_b": (f,),
+        "lm_w1": (d, config.lm_input_dim), "lm_b1": (d,),
+        "lm_w2": (d, d), "lm_b2": (d,),
+        "lm_out_w": (v, d), "lm_out_b": (v,),
+    }
+
+
+# Token embeddings stay frozen at their seeded initialization in every stage;
+# the first dense layer can absorb any linear re-encoding of them.
+SFT_TRAINABLE = frozenset(param_shapes(ModelConfig())) - {"token_embedding"}
+# drawn at initialization (in field order, after the token embeddings) and
+# scaled by 1/sqrt(fan-in); every other array but the embeddings starts at zero
+_DENSE = ("adapter_gate_w", "adapter_up_w", "adapter_down_w", "lm_w1", "lm_w2")
 
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization; variational projections start at zero so the
     injected noise is exactly standard normal before any training."""
     rng = np.random.default_rng(config.seed)
-    d, d_feat, v = config.d, config.d_feat, len(config.vocab_tokens)
-
-    def dense(out_dim: int, in_dim: int) -> np.ndarray:
-        return rng.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
-
-    return ModelParams(
-        config=config,
-        token_embedding=rng.standard_normal((v, d)) * 0.5,
-        adapter_gate_w=dense(d, d_feat),
-        adapter_gate_b=np.zeros(d),
-        adapter_up_w=dense(d, d_feat),
-        adapter_up_b=np.zeros(d),
-        adapter_down_w=dense(d, d),
-        adapter_down_b=np.zeros(d),
-        vae_mu_w=np.zeros((d_feat, d_feat)),
-        vae_mu_b=np.zeros(d_feat),
-        vae_logvar_w=np.zeros((d_feat, d_feat)),
-        vae_logvar_b=np.zeros(d_feat),
-        lm_w1=dense(d, config.lm_input_dim),
-        lm_b1=np.zeros(d),
-        lm_w2=dense(d, d),
-        lm_b2=np.zeros(d),
-        lm_out_w=np.zeros((v, d)),
-        lm_out_b=np.zeros(v),
-    )
+    arrays = {}
+    for name, shape in param_shapes(config).items():
+        if name == "token_embedding":
+            arrays[name] = rng.standard_normal(shape) * 0.5
+        elif name in _DENSE:
+            arrays[name] = rng.standard_normal(shape) / np.sqrt(shape[1])
+        else:
+            arrays[name] = np.zeros(shape)
+    return ModelParams(config=config, **arrays)
 
 
 def _array_to_json(arr: np.ndarray) -> dict:
@@ -190,19 +188,25 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     stored_hash = payload.pop("content_hash", None)
     if stored_hash != _payload_digest(payload):
         raise ValueError(f"checkpoint content hash mismatch in {path}")
-    cfg = payload["config"]
+    cfg, arrays = payload.get("config"), payload.get("arrays")
+    if not (
+        isinstance(cfg, dict)
+        and all(type(cfg.get(name)) is int for name in _CONFIG_INTS)
+        and isinstance(cfg.get("vocab_tokens"), list)
+        and all(isinstance(token, str) for token in cfg["vocab_tokens"])
+    ):
+        raise ValueError("checkpoint config is not the model's integers and vocabulary")
     config = ModelConfig(
-        d=cfg["d"],
-        d_feat=cfg["d_feat"],
-        window=cfg["window"],
-        n_struct_tokens=cfg["n_struct_tokens"],
-        vocab_tokens=tuple(cfg["vocab_tokens"]),
-        seed=cfg["seed"],
+        **{name: cfg[name] for name in _CONFIG_INTS}, vocab_tokens=tuple(cfg["vocab_tokens"])
     )
-    arrays = {name: _array_from_json(obj) for name, obj in payload["arrays"].items()}
-    params = ModelParams(config=config, **arrays)
-    reference = init_params(config)
-    for name in params.array_fields():
-        if getattr(params, name).shape != getattr(reference, name).shape:
+    # shapes from the config alone: a config that names a huge model allocates nothing
+    shapes = param_shapes(config)
+    if not isinstance(arrays, dict) or sorted(arrays) != sorted(shapes):
+        raise ValueError("checkpoint arrays are not the model's fields")
+    for name, shape in shapes.items():
+        obj = arrays[name]
+        if not (isinstance(obj, dict) and obj.get("shape") == list(shape)
+                and isinstance(obj.get("data"), str)):
             raise ValueError(f"checkpoint array {name} has inconsistent shape")
+    params = ModelParams(config=config, **{name: _array_from_json(arrays[name]) for name in shapes})
     return params, payload.get("extra", {})

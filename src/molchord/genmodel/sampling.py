@@ -1,12 +1,14 @@
 """Temperature + nucleus sampling from the windowed generator.
 
 Each sample owns an rng stream seeded from (base seed, pocket id, sample
-index), and the conditioning noise is drawn from the standard normal once per
-sample before any token. Every step truncates and draws for all live rows at
-once, and the rows may come from several pockets (``sample_unique`` steps
-every pocket's draws together). A sample's tokens, text and noise do not
-depend on batching or scheduling; the last bits of its ``logprob`` may,
-because a matrix product rounds differently with a different number of rows.
+index). Its conditioning noise is the stream's first ``d_feat`` standard-normal
+values, drawn before any token, so it is recomputed from ``sample_seed`` rather
+than returned. A sample stops at its first EOS, or at ``max_len`` tokens.
+Every step truncates and draws for all live rows at once, and the rows may
+come from several pockets (``sample_unique`` steps every pocket's draws
+together). A sample's tokens, text and noise do not depend on batching or
+scheduling; the last bits of its ``logprob`` may, because a matrix product
+rounds differently with a different number of rows.
 ``text_sampler`` and ``sample_unique`` are the pipeline's two ways of drawing:
 raw texts for curation, and unique valid canonical molecules for evaluation.
 """
@@ -33,8 +35,6 @@ class SampleResult:
     logprob: float  # sum of log-masses of the drawn tokens under the truncated
     # per-step distributions (includes the EOS step when one was drawn)
     token_ids: tuple[int, ...]
-    hit_max_len: bool
-    conditioning_noise: tuple[float, ...]  # the standard-normal draw used
 
 
 def sample_seed(base_seed: int, pocket_id: str, index: int) -> int:
@@ -115,8 +115,8 @@ class _Live:
         self.tokens = np.empty((0, max_len), dtype=np.intp)
         self.length = np.empty(0, dtype=np.intp)
         self.logprob = np.empty(0)
-        # per row: its stream, its request, its position there, its noise
-        self.draws: list[tuple[np.random.Generator, _Request, int, tuple[float, ...]]] = []
+        # per row: its stream, its request and its position there
+        self.draws: list[tuple[np.random.Generator, _Request, int]] = []
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -144,7 +144,6 @@ def _run_jobs(
     temperature: float,
     top_p: float,
     max_len: int,
-    epsilon: np.ndarray | None = None,
 ) -> list:
     """Run every job to its end, stepping the live draws of all of them as
     one batch of at most ``ROW_BLOCK`` rows; returns each job's result.
@@ -163,7 +162,6 @@ def _run_jobs(
         *(_initial_window(adapter_forward(f.vectors, params), pad_emb, k) for f, _ in jobs),
     ])
     first_windows = n_tokens + k * np.arange(len(jobs))[:, None] + np.arange(k)
-    shared: dict[int, np.ndarray] = {}  # per job: the conditioning of ``epsilon``
 
     pending: deque[tuple[_Request, int]] = deque()  # draws not yet live
     outcome: list = [None] * len(jobs)
@@ -183,24 +181,20 @@ def _run_jobs(
 
     def admit(count: int) -> None:
         """Start the next ``count`` pending draws: stream, noise, conditioning."""
-        draws, windows, u_conds = [], [], []
+        draws, windows, noisy = [], [], []
         for _ in range(count):
             request, i = pending.popleft()
             features = jobs[request.job][0]
             rng = np.random.default_rng(
                 sample_seed(base_seed, features.pocket_id, request.start + i)
             )
-            if epsilon is None:
-                z = rng.standard_normal(cfg.d_feat)
-                u_conds.append(adapter_forward(features.pooled + z, params))
-            else:
-                z = np.asarray(epsilon)
-                if request.job not in shared:
-                    shared[request.job] = adapter_forward(features.pooled + epsilon, params)
-                u_conds.append(shared[request.job])
-            draws.append((rng, request, i, tuple(z.tolist())))
+            noisy.append(features.pooled + rng.standard_normal(cfg.d_feat))
+            draws.append((rng, request, i))
             windows.append(first_windows[request.job])
-        live.extend(draws, np.array(windows), np.array(u_conds))
+        # a stack of single rows: each draw's conditioning is rounded as if
+        # computed alone, whichever draws are admitted with it
+        u_conds = adapter_forward(np.array(noisy)[:, None], params)[:, 0]
+        live.extend(draws, np.array(windows), u_conds)
 
     for j in range(len(jobs)):
         advance(j, None)
@@ -223,13 +217,9 @@ def _run_jobs(
         ended = (token == vocab.eos_id) | (live.length == max_len)
         for row in np.flatnonzero(ended):
             ids = live.tokens[row, : live.length[row]].tolist()
-            _, request, i, noise = live.draws[row]
+            _, request, i = live.draws[row]
             request.results[i] = SampleResult(
-                text=vocab.decode(ids),
-                logprob=float(live.logprob[row]),
-                token_ids=tuple(ids),
-                hit_max_len=bool(token[row] != vocab.eos_id),
-                conditioning_noise=noise,
+                text=vocab.decode(ids), logprob=float(live.logprob[row]), token_ids=tuple(ids)
             )
             request.left -= 1
             if not request.left:
@@ -249,21 +239,18 @@ def sample_many(
     top_p: float = 0.95,
     max_len: int = 256,
     start_index: int = 0,
-    epsilon: np.ndarray | None = None,
 ) -> list[SampleResult]:
     """n independent draws for one pocket, stepped as a batch.
 
     ``start_index`` offsets the per-sample stream keys so callers can extend
-    a run (resampling duplicates) without repeating earlier draws; ``epsilon``
-    fixes one shared conditioning noise instead of drawing one per sample.
+    a run (resampling duplicates) without repeating earlier draws.
     """
 
     def one_request() -> Job:
         return (yield start_index, n)
 
     (results,) = _run_jobs(
-        params, vocab, [(features, one_request())], base_seed, temperature, top_p, max_len,
-        epsilon,
+        params, vocab, [(features, one_request())], base_seed, temperature, top_p, max_len
     )
     return results
 

@@ -21,7 +21,6 @@ import heapq
 import json
 import os
 import signal
-import sys
 import threading
 import warnings
 from typing import Callable, Iterable, Sequence
@@ -519,7 +518,7 @@ def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
     _failed.clear()
     for text, canon in zip(todo, fan_out(_clean_canonical, todo, len(todo) * _CANONICALIZE_S)):
         if canon is not None:
-            _remember(_memo, sys.intern(text), canon)
+            _remember(_memo, text, canon)
     return {text: _memo[text] for text in distinct if text in _memo}
 
 
@@ -529,7 +528,7 @@ def seed_canonical(known: dict[str, str]) -> None:
     keep their canonical objects, which earlier records share."""
     for text, canon in known.items():
         if text not in _memo:
-            _remember(_memo, sys.intern(text), canon)
+            _remember(_memo, text, canon)
 
 
 def _usable_cpus() -> int:

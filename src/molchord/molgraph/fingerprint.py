@@ -22,21 +22,6 @@ class Fingerprint:
     nbits: int = DEFAULT_NBITS
     radius: int = DEFAULT_RADIUS
 
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def on_bits(self) -> tuple[int, ...]:
-        out, bits, base = [], self.bits, 0
-        while bits:
-            chunk = bits & 0xFFFFFFFFFFFFFFFF
-            for offset in range(64):
-                if chunk >> offset & 1:
-                    out.append(base + offset)
-            bits >>= 64
-            base += 64
-        return tuple(out)
-
 
 @functools.lru_cache(maxsize=4096, typed=True)  # True and 1 hash apart, as in stable_hash64
 def _atom_invariant(

@@ -67,7 +67,6 @@ class Molecule:
 
     atoms: list[Atom]
     bonds: list[Bond]
-    source: str = ""
 
     def neighbors(self) -> list[list[tuple[int, BondOrder]]]:
         adj: list[list[tuple[int, BondOrder]]] = [[] for _ in self.atoms]
@@ -76,35 +75,11 @@ class Molecule:
             adj[bond.b].append((bond.a, bond.order))
         return adj
 
-    def component_count(self) -> int:
-        n = len(self.atoms)
-        if n == 0:
-            return 0
-        seen = [False] * n
-        adj = self.neighbors()
-        count = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                cur = stack.pop()
-                for nbr, _ in adj[cur]:
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        stack.append(nbr)
-        return count
-
-    def cyclomatic_number(self) -> int:
-        return len(self.bonds) - len(self.atoms) + self.component_count()
-
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")
 
 
-def make_molecule(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Molecule:
+def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
     """Build a Molecule, enforcing distinct endpoints and no duplicate bonds.
     Each atom gets its list position as ``index``; an atom that already has
     it is kept as is."""
@@ -119,20 +94,7 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Mol
             raise ValueError(f"duplicate bond between atoms {bond.key()}")
         seen.add(bond.key())
     fixed = [a if a.index == i else a._replace(index=i) for i, a in enumerate(atoms)]
-    return Molecule(atoms=fixed, bonds=list(bonds), source=source)
-
-
-def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
-    """Relabel atoms so old index i becomes perm[i]."""
-    n = len(mol.atoms)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of atom indices")
-    atoms: list[Atom | None] = [None] * n
-    for i, atom in enumerate(mol.atoms):
-        atoms[perm[i]] = atom._replace(index=perm[i], offset=-1)
-    bonds = [Bond(*sorted((perm[b.a], perm[b.b])), order=b.order) for b in mol.bonds]
-    bonds.sort(key=lambda b: (b.a, b.b))
-    return Molecule(atoms=list(atoms), bonds=bonds, source="")
+    return Molecule(atoms=fixed, bonds=list(bonds))
 
 
 def max_valence(element: str, charge: int) -> int | None:

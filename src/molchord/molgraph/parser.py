@@ -53,7 +53,7 @@ class _PendingRing:
     offset: int
 
 
-def parse_smiles(text: str, validate: bool = True) -> Molecule:
+def parse_smiles(text: str) -> Molecule:
     """Parse ``text`` into a Molecule with aromatic ring membership and valence checked."""
     if text == "":
         raise EmptyInput("empty SMILES", 0)
@@ -188,12 +188,11 @@ def parse_smiles(text: str, validate: bool = True) -> Molecule:
     if not atoms:
         raise EmptyInput("no atoms in input", 0)
 
-    mol = make_molecule(atoms, bonds, source=text)
+    mol = make_molecule(atoms, bonds)
     _check_aromatic_membership(mol)
-    if validate:
-        issues = validate_valence(mol)
-        if issues:
-            raise ValenceViolation(issues[0])
+    issues = validate_valence(mol)
+    if issues:
+        raise ValenceViolation(issues[0])
     return mol
 
 

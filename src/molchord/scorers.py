@@ -1,8 +1,8 @@
 """Record files and the external docking adapter.
 
 All datasets are line-delimited JSON, one object per line, UTF-8. SMILES keys
-are canonicalized at load time (the original string is preserved in
-``raw_smiles``) so joins between files are exact; the conversion goes through
+are canonicalized at load time, and only the canonical string is kept, so
+joins between files are exact; the conversion goes through
 the per-process ``molgraph.canonicalize`` memo, so files that share strings
 parse each of them once. Before its line loop, ``load_records`` seeds that
 memo with every string of the file, in shares across the usable CPUs when the
@@ -29,7 +29,6 @@ import math
 import os
 import signal
 import subprocess
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -74,7 +73,6 @@ class ScoreRecord:
     vina: float
     qed: float | None = None
     sa_origin: float | None = None
-    raw_smiles: str | None = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class GenerationRecord:
     pocket_id: str
     smiles: str
     logprob: float | None = None
-    raw_smiles: str | None = None
 
 
 def _require(obj: dict, line_no: int, field: str, kind) -> object:
@@ -156,7 +153,6 @@ def _parse_scores(obj: dict, line_no: int) -> ScoreRecord:
         sa_origin=_bounded(
             _optional(obj, line_no, "sa_origin", float), line_no, "sa_origin", 1.0, 10.0
         ),
-        raw_smiles=sys.intern(raw),  # the memo's key object, not a copy
     )
 
 
@@ -181,7 +177,6 @@ def _parse_generations(obj: dict, line_no: int) -> GenerationRecord:
         pocket_id=_require(obj, line_no, "pocket_id", str),
         smiles=_canonical(raw, line_no, "smiles"),
         logprob=_optional(obj, line_no, "logprob", float),
-        raw_smiles=sys.intern(raw),
     )
 
 
@@ -345,10 +340,10 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 def dump_records(path: str | Path, records: Iterable) -> None:
     """Write records as sorted-key JSON lines (stable bytes for fixed input).
-    Unset optional fields and the load-only ``raw_smiles`` are left out."""
+    Unset optional fields are left out."""
     with atomic_write(path) as handle:
         for record in records:
-            row = {k: v for k, v in asdict(record).items() if v is not None and k != "raw_smiles"}
+            row = {k: v for k, v in asdict(record).items() if v is not None}
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -356,10 +351,6 @@ def dump_records(path: str | Path, records: Iterable) -> None:
 class CoverageReport:
     covered: tuple[GenerationRecord, ...]
     missing: tuple[GenerationRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing
 
 
 def coverage_check(

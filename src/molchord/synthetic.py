@@ -183,7 +183,6 @@ def synthetic_complexes(
     ligand_counts: tuple[int, int] = (1, 6),
     max_heavy: int = 12,
     with_sequences: bool = False,
-    with_homology: bool = True,
 ) -> list[ComplexRecord]:
     """Deterministic pocket dataset with distinct ligands per pocket."""
     records: list[ComplexRecord] = []
@@ -200,9 +199,7 @@ def synthetic_complexes(
                 ligands.append(smiles)
         reference = float(np.round(-5.0 - 5.0 * rng.random(), 2))
         sequence = random_pocket_sequence(rng, int(rng.integers(8, 24))) if with_sequences else None
-        homology = None
-        if with_homology:
-            homology = HOMOLOGOUS if rng.random() < 0.4 else NON_HOMOLOGOUS
+        homology = HOMOLOGOUS if rng.random() < 0.4 else NON_HOMOLOGOUS
         records.append(
             ComplexRecord(
                 pocket_id=pocket_id,

@@ -16,7 +16,6 @@ from ..genmodel import (
     ModelConfig,
     ModelParams,
     PocketFeatures,
-    SFT_TRAINABLE,
     Vocabulary,
     build_interleaved,
     complex_feature_vector,
@@ -214,7 +213,7 @@ def train_dpo(
         order = rng.permutation(len(examples))
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start : start + config.batch_size]]
-            grads = params.zero_grads(SFT_TRAINABLE)
+            grads = params.zero_grads()
             total_loss = 0.0
             margins = []
             for ex in batch:

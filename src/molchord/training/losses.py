@@ -27,7 +27,6 @@ import numpy as np
 from ..genmodel import (
     InterleavedSequence,
     ModelParams,
-    SFT_TRAINABLE,
     Vocabulary,
     sequence_forward,
     sequences_backward,
@@ -122,7 +121,7 @@ def sft_loss(
     if not compute_grads:
         return loss, {}, aux
 
-    grads = params.zero_grads(SFT_TRAINABLE)
+    grads = params.zero_grads()
     d_eps = sequences_backward(cache, params, np.full(b, -1.0 / b), grads)
     kl_mu, kl_lv = kl_gaussian_grads(eps.mu, eps.log_var)
     d_mu = d_eps + (beta_vae / b) * kl_mu
@@ -168,7 +167,7 @@ def dpo_loss(
     if not compute_grads:
         return loss, {}, margin
 
-    grads = params.zero_grads(SFT_TRAINABLE)
+    grads = params.zero_grads()
     # d(-log sigmoid(m))/dm = -(1 - sigmoid(m)) = -sigmoid(-m)
     d_margin = -1.0 / (1.0 + math.exp(margin)) if margin < 50 else -math.exp(-margin)
     sequences_backward(cache_chosen, params, [d_margin * beta_dpo], grads)

@@ -135,6 +135,35 @@ def to_nx(mol) -> nx.Graph:
     return graph
 
 
+def component_count(mol) -> int:
+    """Connected components of the molecular graph."""
+    return nx.number_connected_components(to_nx(mol))
+
+
+def cyclomatic_number(mol) -> int:
+    """Independent cycles of the molecular graph: bonds - atoms + components."""
+    return len(mol.bonds) - len(mol.atoms) + component_count(mol)
+
+
+def permute_atoms(mol, perm: list[int]):
+    """The molecule with its atoms relabeled so old index i becomes perm[i]."""
+    from molchord.molgraph import Bond, Molecule
+
+    n = len(mol.atoms)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of atom indices")
+    atoms = [None] * n
+    for i, atom in enumerate(mol.atoms):
+        atoms[perm[i]] = atom._replace(index=perm[i], offset=-1)
+    bonds = sorted(Bond(*sorted((perm[b.a], perm[b.b])), order=b.order) for b in mol.bonds)
+    return Molecule(atoms=atoms, bonds=bonds)
+
+
+def on_bits(fingerprint) -> tuple[int, ...]:
+    """The indices of a fingerprint's set bits, ascending."""
+    return tuple(bit for bit in range(fingerprint.nbits) if fingerprint.bits >> bit & 1)
+
+
 def molecules_isomorphic(m1, m2) -> bool:
     return nx.is_isomorphic(
         to_nx(m1),
@@ -239,7 +268,6 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
         window[k - tail :] = u_ctx[len(u_ctx) - tail :]
     ids: list[int] = []
     logprob = 0.0
-    hit_cap = True
     for _ in range(max_len):
         x = np.concatenate([window.ravel(), u_cond])[None, :]
         _, _, logits = _lm_layers(params, x)
@@ -249,16 +277,9 @@ def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_le
         logprob += float(np.log(dist[token]))
         ids.append(token)
         if token == vocab.eos_id:
-            hit_cap = False
             break
         window = np.vstack([window[1:], params.token_embedding[token]])
-    return SampleResult(
-        text=vocab.decode(ids),
-        logprob=logprob,
-        token_ids=tuple(ids),
-        hit_max_len=hit_cap,
-        conditioning_noise=tuple(noise.tolist()),
-    )
+    return SampleResult(text=vocab.decode(ids), logprob=logprob, token_ids=tuple(ids))
 
 
 def sample_unique_oracle(params, features, n_wanted: int, base_seed: int, *, temperature: float,
@@ -374,7 +395,7 @@ def perceive_rings_oracle(mol) -> list[tuple[int, ...]]:
     """Smallest set of smallest rings: from a shortest-path search through
     every bond, bridges included, over the whole graph, the sorted greedy
     GF(2)-independent selection, completed by fundamental cycles."""
-    target = len(mol.bonds) - len(mol.atoms) + mol.component_count()
+    target = cyclomatic_number(mol)
     if target <= 0:
         return []
     adj = [[nbr for nbr, _ in row] for row in mol.neighbors()]
@@ -444,8 +465,9 @@ def morgan_bits_oracle(mol, radius: int = 2, nbits: int = 2048) -> int:
 
 def lm_logits(window_embs, u_cond, params):
     """Next-token distribution for one window and conditioning vector at
-    temperature 1 without truncation, one row at a time: the distribution
-    that ancestral sampling must reproduce."""
+    temperature 1 without truncation: the distribution that ancestral
+    sampling must reproduce. Given conditioning rows of shape (n, d), the n
+    distributions of the window under each row, in one pass."""
     import numpy as np
 
     from molchord.genmodel import ShapeMismatch
@@ -454,14 +476,16 @@ def lm_logits(window_embs, u_cond, params):
     window_embs = np.asarray(window_embs, dtype=np.float64)
     u_cond = np.asarray(u_cond, dtype=np.float64)
     k, d = params.config.window, params.config.d
-    if window_embs.shape != (k, d) or u_cond.shape != (d,):
+    if window_embs.shape != (k, d) or u_cond.ndim not in (1, 2) or u_cond.shape[-1] != d:
         raise ShapeMismatch(
-            f"expected window ({k}, {d}) and conditioning ({d},), "
+            f"expected window ({k}, {d}) and conditioning ({d},) or (n, {d}), "
             f"got {window_embs.shape} and {u_cond.shape}"
         )
-    x = np.concatenate([window_embs.ravel(), u_cond])[None, :]
+    rows = np.atleast_2d(u_cond)
+    x = np.concatenate([np.tile(window_embs.ravel(), (len(rows), 1)), rows], axis=1)
     _, _, logits = _lm_layers(params, x)
-    return np.exp(_log_softmax(logits))[0]
+    probs = np.exp(_log_softmax(logits))
+    return probs if u_cond.ndim == 2 else probs[0]
 
 
 def dpo_margin_oracle(params, ref_params, example, vocab, beta: float):
@@ -494,20 +518,15 @@ def alignment_loss(params, seqs, vocab, compute_grads: bool = True):
     differences, not against another implementation. Returns (loss, grads)."""
     import numpy as np
 
-    from molchord.genmodel import (
-        ADAPTER_FIELDS,
-        SFT_TRAINABLE,
-        sequences_backward,
-        sequences_forward,
-    )
+    from molchord.genmodel import sequences_backward, sequences_forward
 
     zeros = np.zeros((len(seqs), params.config.d_feat))
     logprobs, cache = sequences_forward(params, seqs, vocab, zeros, want_cache=compute_grads)
     grads = {}
     if compute_grads:
-        every = params.zero_grads(SFT_TRAINABLE)
+        every = params.zero_grads()
         sequences_backward(cache, params, np.full(len(seqs), -1.0 / len(seqs)), every)
-        grads = {name: every[name] for name in sorted(ADAPTER_FIELDS)}
+        grads = {name: every[name] for name in sorted(every) if name.startswith("adapter_")}
     return -float(logprobs.sum()) / len(seqs), grads
 
 
@@ -626,9 +645,7 @@ def per_sequence_sft_loss(params, batch, vocab, beta_vae: float, noises):
     backward per example; returns (loss, grads)."""
     import numpy as np
 
-    from molchord.genmodel import SFT_TRAINABLE
-
-    grads = params.zero_grads(SFT_TRAINABLE)
+    grads = params.zero_grads()
     b = len(batch)
     nll_total = kl_total = 0.0
     for ex, z in zip(batch, noises):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -113,6 +114,72 @@ def test_pipeline_artifacts_exist(pipeline):
         "ood_report.json",
     ]:
         assert (outdir / name).exists(), name
+
+
+# --- golden hashes of the artifacts that depend on matrix products ----------
+
+_MODEL_GOLDENS = Path(__file__).parent / "data" / "model_goldens.json"
+# curate and everything after it also ran with flow = offline
+_MODEL_ARTIFACTS = {
+    "online": ("sft_checkpoint.json", "sft_curve.jsonl", "pairs.jsonl", "d_dpo.json",
+               "dpo_checkpoint.json", "dpo_curve.jsonl", "generations.jsonl", "scores.jsonl"),
+    "offline": ("pairs.jsonl", "d_dpo.json", "dpo_checkpoint.json", "dpo_curve.jsonl",
+                "generations.jsonl", "scores.jsonl"),
+}
+
+
+def _environment() -> dict[str, str]:
+    """What the bits of a matrix product depend on: numpy, its BLAS, and the
+    CPU features that choose the BLAS kernels."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        cpuinfo = ""
+    flags = next((line.split(":", 1)[1].split() for line in cpuinfo.splitlines()
+                  if line.startswith("flags")), [])
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_flags": " ".join(sorted(flags))}
+
+
+@pytest.fixture(scope="module")
+def offline_pipeline(pipeline, tmp_path_factory):
+    """The shared run again from curate on, with flow = offline, over a copy
+    of its partition and supervised checkpoint; returns its output directory."""
+    tmp_path = tmp_path_factory.mktemp("offline")
+    config, out = _run_after(pipeline, tmp_path, ("partition.json", "sft_checkpoint.json"),
+                             {"curate": {"flow": "offline"}})
+    for step in (["curate"], ["train-dpo"], ["sample"], ["dock"]):
+        assert main(["--config", str(config), "--allow-partial", *step]) == 0, step
+    return out
+
+
+@pytest.mark.parametrize("flow", ["online", "offline"])
+def test_model_artifacts_keep_their_golden_hashes(request, flow):
+    """The checkpoints, curves, pairs, generations and scores of the shared
+    run hash as committed, when this machine is the one they were computed
+    on; elsewhere the test skips and says what differs. With
+    MOLCHORD_UPDATE_GOLDENS=1 (scripts/update_model_goldens.py) it records
+    the hashes and this environment instead."""
+    golden = json.loads(_MODEL_GOLDENS.read_text())
+    environment = _environment()
+    update = bool(os.environ.get("MOLCHORD_UPDATE_GOLDENS"))
+    if not update and environment != golden["environment"]:
+        differ = {key: {"golden": golden["environment"].get(key), "here": value}
+                  for key, value in environment.items()
+                  if golden["environment"].get(key) != value}
+        print(f"environment differs from the goldens': {differ}")
+        pytest.skip(f"environment differs from the goldens': {sorted(differ)}")
+    outdir = request.getfixturevalue("pipeline")[2] if flow == "online" else (
+        request.getfixturevalue("offline_pipeline"))
+    hashes = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+              for name in _MODEL_ARTIFACTS[flow]}
+    if update:
+        golden.update({"environment": environment, flow: hashes})
+        _MODEL_GOLDENS.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    assert hashes == golden[flow], "the artifacts now hash to\n" + json.dumps(hashes, indent=1)
 
 
 # What each manifest of the shared run lists, relative to its directory: the
@@ -278,6 +345,46 @@ def test_verify_reports_an_unreadable_manifest_and_exits_two(pipeline, tmp_path,
     assert f"BROKEN   {broken}" in out
     assert out.count("CHANGED") == out.count("MISSING") == 0
     assert main(["--config", str(config), "verify"]) == 0
+
+
+def test_bare_report_exits_two_before_loading_anything(pipeline, tmp_path, monkeypatch, capsys):
+    """Without --fused or --ood, report loads no record file and writes
+    nothing, whether its inputs are missing or all there."""
+    loads = []
+    monkeypatch.setattr(scorers, "load_records", lambda *args: loads.append(args))
+    bare = tmp_path / "run.ini"
+    bare.write_text(f"[paths]\ncomplexes = {tmp_path / 'complexes.jsonl'}\n"
+                    f"outdir = {tmp_path / 'out'}\n")
+    _, config, outdir = pipeline
+    before = sorted((p.name, p.stat().st_mtime_ns) for p in outdir.iterdir())
+    for path in (bare, config):
+        assert main(["--config", str(path), "report"]) == 2
+        assert "pass --fused and/or --ood" in capsys.readouterr().err
+    assert loads == []
+    assert list(tmp_path.iterdir()) == [bare]
+    assert sorted((p.name, p.stat().st_mtime_ns) for p in outdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("d", 200_000, "array token_embedding has inconsistent shape"),
+    ("n_struct_tokens", 2**40, "model n_struct must be in [1, 512]"),
+    ("seed", 2**200, "model seed must be in [0, "),
+], ids=["d", "n_struct", "seed"])
+def test_a_checkpoint_that_names_a_huge_model_exits_three(tmp_path, capsys, key, value, message):
+    # with its content hash to match, d = 200000 ended in MemoryError (the
+    # arrays were checked against a random model of that size), as did
+    # n_struct = 2**40 while featurizing, and seed = 2**200 in OverflowError
+    from molchord.genmodel.params import _payload_digest
+
+    config = _contract_run(tmp_path, _contract_texts())
+    path = tmp_path / "out" / "sft_checkpoint.json"
+    payload = json.loads(path.read_text())
+    del payload["content_hash"]
+    payload["config"][key] = value
+    payload["content_hash"] = _payload_digest(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["--config", str(config), "sample", "--checkpoint", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_coverage_gap_exits_two(pipeline, tmp_path):
@@ -615,11 +722,13 @@ def test_out_of_range_config_value_exits_two_before_any_artifact(
     ("model", "window", 32, None, "train-sft"),
     ("model", "n_struct", 512, None, "train-sft"),
     ("sample", "max_len", 2048, "--max-len", "sample"),
+    ("model", "seed", 2**63 - 1, "--seed", "train-sft"),
 ])
 def test_size_above_its_cap_exits_two_before_any_artifact(
     pipeline, tmp_path, capsys, section, key, cap, flag, command
 ):
-    # without a cap, d = 200000 and --max-len 1000000000 ended in MemoryError (exit 1)
+    # without a cap, d = 200000 and --max-len 1000000000 ended in MemoryError
+    # (exit 1), and a seed of 2**127 or more in OverflowError when hashed
     (schema_key,) = [k for k in SCHEMA if (k.section, k.name) == (section, key)]
     assert _load_with(tmp_path, {schema_key: str(cap)}) is not None
     copied = _UPSTREAM[command]
@@ -876,16 +985,17 @@ _VALUES = st.one_of(
 )
 
 
-# the record files each command reads
+# the inputs each command reads: record files, and JSON documents under out/
 _READS = {
     "partition": ("complexes",),
-    "train-sft": ("complexes",),
-    "curate": ("complexes",),
-    "train-dpo": ("pairs", "complexes"),
-    "sample": ("complexes",),
+    "train-sft": ("complexes", "partition.json"),
+    "curate": ("complexes", "partition.json", "sft_checkpoint.json"),
+    "train-dpo": ("pairs", "complexes", "sft_checkpoint.json"),
+    "sample": ("complexes", "sft_checkpoint.json", "dpo_checkpoint.json"),
     "evaluate": ("generations", "scores", "complexes"),
     "dock": ("generations", "complexes"),
     "report --fused --ood": ("generations", "scores", "complexes"),
+    "verify": ("partition.manifest.json",),
 }
 
 
@@ -911,13 +1021,72 @@ def _mutated_record_files(draw, names):
     return {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
 
 
-@given(st.sampled_from(sorted(_READS)).flatmap(
-    lambda command: st.tuples(st.just(command), _mutated_record_files(_READS[command]))
-))
-@settings(max_examples=80, suppress_health_check=list(HealthCheck))
-def test_any_mutated_record_line_ends_in_a_documented_exit_code(tmp_path_factory, deadline, case):
-    command, texts = case
-    config = _contract_run(tmp_path_factory.mktemp("contract"), texts)
+_DOCUMENT_VALUES = st.one_of(
+    _VALUES,
+    st.integers(-(2**40), 2**40),
+    st.just(200_000),
+    st.just({}),
+    st.dictionaries(st.sampled_from(["", ".", "/", "out", "a\x00b", "d"]), st.text(max_size=2),
+                    max_size=2),
+)
+
+
+@st.composite
+def _document_mutation(draw):
+    """A change to a JSON document: the whole text replaced, or one key
+    dropped or given another value. The key is found by descending from the
+    top, at each level taking the key at a drawn index (modulo the number of
+    keys) and going one level deeper while the value is an object and the
+    drawn path goes on. A checkpoint's content hash may be recomputed, so
+    that the change reaches the checks behind it."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["[" * 100_000, "{", "garbage", "", "[]", "null"]))
+    steps = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
+    drop = draw(st.booleans())
+    return steps, None if drop else draw(_DOCUMENT_VALUES), draw(st.booleans())
+
+
+def _mutate_document(path: Path, mutation) -> None:
+    from molchord.genmodel.params import _payload_digest
+
+    if isinstance(mutation, str):
+        path.write_text(mutation)
+        return
+    steps, value, rehash = mutation
+    doc = json.loads(path.read_text())
+    parent, key = None, None
+    target = doc
+    for step in steps:
+        if not isinstance(target, dict) or not target:
+            break
+        parent, key = target, sorted(target)[step % len(target)]
+        target = target[key]
+    if value is None:
+        del parent[key]
+    else:
+        parent[key] = value
+    if rehash and "content_hash" in doc:
+        doc["content_hash"] = _payload_digest({k: v for k, v in doc.items() if k != "content_hash"})
+    path.write_text(json.dumps(doc))
+
+
+@given(st.data())
+@settings(max_examples=160, suppress_health_check=list(HealthCheck))
+def test_any_mutated_input_ends_in_a_documented_exit_code(tmp_path_factory, deadline, data):
+    command = data.draw(st.sampled_from(sorted(_READS)), "command")
+    name = data.draw(st.sampled_from(_READS[command]), "input")
+    if name in _CONTRACT_RECORDS:
+        texts = data.draw(_mutated_record_files((name,)), "records")
+    else:
+        texts = _contract_texts()
+    tmp_path = tmp_path_factory.mktemp("contract")
+    config = _contract_run(tmp_path, texts)
+    if name.endswith(".manifest.json"):  # a manifest of the partition it writes
+        assert main(["--config", str(config), "partition"]) == 0
+    elif name == "dpo_checkpoint.json":
+        (tmp_path / "out" / name).write_bytes((tmp_path / "out" / "sft_checkpoint.json").read_bytes())
+    if name not in _CONTRACT_RECORDS:
+        _mutate_document(tmp_path / "out" / name, data.draw(_document_mutation(), "mutation"))
     with deadline(10.0):
         assert main(["--config", str(config), *command.split()]) in (0, 2, 3, 4)
 

@@ -52,7 +52,6 @@ def test_load_scores_happy_path(tmp_path):
     ])
     records = load_records(path, "scores")
     assert records[0].smiles == "CCO"  # canonicalized
-    assert records[0].raw_smiles == "OCC"
     assert records[1].qed is None
 
 
@@ -103,16 +102,16 @@ def test_load_reports_too_many_open_ring_closures_as_schema_violation(tmp_path):
     assert isinstance(excinfo.value.__cause__, CanonicalizationLimit)
 
 
-def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
+def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch, canonicalized):
     from molchord.molgraph import parser
 
     # one molecule built per parse, whichever module calls parse_smiles
-    parsed = []
+    built = []
     real = parser.make_molecule
 
-    def counting(atoms, bonds, source=""):
-        parsed.append(source)
-        return real(atoms, bonds, source=source)
+    def counting(atoms, bonds):
+        built.append(len(atoms))
+        return real(atoms, bonds)
 
     monkeypatch.setattr(parser, "make_molecule", counting)
     raws = ["OCC", "C(C)N", "c1ccccc1O"]
@@ -124,7 +123,8 @@ def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch):
     generations = load_records(gen_path, "generations")
     scores = load_records(score_path, "scores")
     assert [g.smiles for g in generations] == [s.smiles for s in scores]
-    assert sorted(parsed) == sorted(raws)
+    assert sorted(canonicalized) == sorted(raws)
+    assert len(built) == len(raws)
 
 
 @pytest.fixture
@@ -159,18 +159,14 @@ def test_a_failing_string_is_canonicalized_once_per_load(tmp_path, canonicalized
     assert canonicalized.count(bad) == 2
 
 
-def test_records_of_two_files_share_the_memo_key_object(tmp_path):
-    from molchord.molgraph import canon
-
+def test_records_of_two_files_share_the_canonical_string_object(tmp_path):
     raws = ["OCC", "C(C)N", "c1ccccc1O"]
     gen_path, score_path = tmp_path / "generations.jsonl", tmp_path / "scores.jsonl"
     _write(gen_path, [{"pocket_id": "p1", "smiles": s} for s in raws])
     _write(score_path, [{"pocket_id": "p1", "smiles": s, "vina": -5.0} for s in raws])
     generations = load_records(gen_path, "generations")
     scores = load_records(score_path, "scores")
-    keys = {id(key) for key in canon._memo}
     for gen, score in zip(generations, scores):
-        assert gen.raw_smiles is score.raw_smiles and id(gen.raw_smiles) in keys
         assert gen.smiles is score.smiles
 
 
@@ -310,11 +306,11 @@ def test_round_trip_all_schemas(tmp_path):
             ComplexRecord("p2", ("c1ccccc1",), None, None, None),
         ],
         "scores": [
-            ScoreRecord("p1", "CCO", -8.0, 0.4, 3.0, raw_smiles="CCO"),
-            ScoreRecord("p1", "CCN", -7.0, None, None, raw_smiles="CCN"),
+            ScoreRecord("p1", "CCO", -8.0, 0.4, 3.0),
+            ScoreRecord("p1", "CCN", -7.0, None, None),
         ],
         "pairs": [PreferencePair("p1", "CCO", "CCN", 8.0, 7.0)],
-        "generations": [GenerationRecord("p1", "CCO", -3.5, raw_smiles="CCO")],
+        "generations": [GenerationRecord("p1", "CCO", -3.5)],
     }
     for schema, records in datasets.items():
         path = tmp_path / f"{schema}.jsonl"
@@ -327,8 +323,7 @@ def test_round_trip_all_schemas(tmp_path):
 
 
 def test_dump_records_golden_bytes(tmp_path):
-    """Exact bytes per schema: unset optional fields are left out and the
-    load-only raw_smiles is never written, even when it differs from smiles."""
+    """Exact bytes per schema: unset optional fields are left out."""
     datasets = {
         "complexes": (
             [
@@ -341,8 +336,8 @@ def test_dump_records_golden_bytes(tmp_path):
         ),
         "scores": (
             [
-                ScoreRecord("p1", "CCO", -8.0, 0.4, 3.0, raw_smiles="OCC"),
-                ScoreRecord("p1", "CCN", -7.0, raw_smiles="NCC"),
+                ScoreRecord("p1", "CCO", -8.0, 0.4, 3.0),
+                ScoreRecord("p1", "CCN", -7.0),
             ],
             '{"pocket_id": "p1", "qed": 0.4, "sa_origin": 3.0, "smiles": "CCO", "vina": -8.0}\n'
             '{"pocket_id": "p1", "smiles": "CCN", "vina": -7.0}\n',
@@ -354,8 +349,8 @@ def test_dump_records_golden_bytes(tmp_path):
         ),
         "generations": (
             [
-                GenerationRecord("p1", "CCO", -3.5, raw_smiles="OCC"),
-                GenerationRecord("p1", "CCN", raw_smiles="NCC"),
+                GenerationRecord("p1", "CCO", -3.5),
+                GenerationRecord("p1", "CCN"),
             ],
             '{"logprob": -3.5, "pocket_id": "p1", "smiles": "CCO"}\n'
             '{"pocket_id": "p1", "smiles": "CCN"}\n',
@@ -382,20 +377,20 @@ def test_coverage_exact_match():
     gens = [_gen("p1", "CCO"), _gen("p1", "CCN")]
     scores = [_score("p1", "CCO"), _score("p1", "CCN")]
     report = coverage_check(gens, scores)
-    assert report.ok and len(report.covered) == 2
+    assert not report.missing and len(report.covered) == 2
 
 
 def test_coverage_one_missing():
     gens = [_gen("p1", "CCO"), _gen("p1", "CCN")]
     report = coverage_check(gens, [_score("p1", "CCO")])
-    assert not report.ok
+    assert report.missing
     assert [g.smiles for g in report.missing] == ["CCN"]
 
 
 def test_coverage_superset_scores_ok():
     gens = [_gen("p1", "CCO")]
     scores = [_score("p1", "CCO"), _score("p1", "CCN"), _score("p2", "CCO")]
-    assert coverage_check(gens, scores).ok
+    assert not coverage_check(gens, scores).missing
 
 
 def test_coverage_partitions_generations():

@@ -7,6 +7,8 @@ from molchord.synthetic import (
     synthetic_complexes,
 )
 
+from .oracles import component_count
+
 
 def test_generated_molecules_are_valid_and_bounded():
     rng = np.random.default_rng(4)
@@ -14,7 +16,7 @@ def test_generated_molecules_are_valid_and_bounded():
         mol = random_molecule(rng, min_heavy=3, max_heavy=12)
         assert 3 <= len(mol.atoms) <= 12
         assert validate_valence(mol) == []
-        assert mol.component_count() == 1
+        assert component_count(mol) == 1
 
 
 def test_corpus_deterministic_and_parseable():
