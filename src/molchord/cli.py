@@ -17,7 +17,7 @@ Exit codes: 0 ok, 2 validation/coverage failure, 3 missing upstream artifact,
 
 Each command is load -> library stage -> dump -> manifest; the stages live in
 the library modules that own them (``curation.curate``,
-``genmodel.text_sampler``/``sample_unique``, ``training.train_sft``/``train_dpo``).
+``genmodel.sample_many``/``sample_unique``, ``training.train_sft``/``train_dpo``).
 Only the four model commands (train-sft, curate, train-dpo, sample) need the
 generator and numpy; they import them when they run, so the other commands
 start without numpy.
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import __version__, curation, metrics, scorers
-from .hashutil import derive_seed
+from .hashutil import derive_seed, sha256_file
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures, Vocabulary
@@ -257,14 +257,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(values, typed, allow_partial=args.allow_partial)
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @dataclass
 class _Record:
     """The running command: its name, its start, and the paths it read and
@@ -319,8 +311,8 @@ def write_manifest(cfg: RunConfig, extra: dict | None = None, name: str | None =
         "version": __version__,
         "config_digest": cfg.digest(),
         "config": cfg.values,
-        "inputs": {str(p): _sha256_file(p) for p in _record.inputs},
-        "outputs": {str(p): _sha256_file(p) for p in _record.outputs},
+        "inputs": {str(p): sha256_file(p) for p in _record.inputs},
+        "outputs": {str(p): sha256_file(p) for p in _record.outputs},
         "elapsed_s": round(time.time() - _record.started, 3),
         "created_unix": int(_record.started),
     }
@@ -371,7 +363,7 @@ def _load_checkpoint(path: Path, what: str = "supervised checkpoint") -> ModelPa
     from .genmodel import load_params
 
     try:
-        params = load_params(_input(path, what))[0]
+        params = load_params(_input(path, what))
     except (ValueError, OSError, RecursionError) as exc:
         raise MissingArtifact(f"cannot load checkpoint {path}: {exc}") from exc
     # the checkpoint's model within the caps that its writer's config met
@@ -495,7 +487,7 @@ def cmd_train_sft(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """diversity filter + preference pair construction"""
-    from .genmodel import text_sampler
+    from .genmodel import sample_many
 
     records = _load_complexes(cfg)
     partition = _load_partition(cfg)
@@ -507,18 +499,23 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
     by_id = {r.pocket_id: r for r in records}
     dpo_ids = [pid for pid in partition["dpo_pool"] if pid in by_id]
     feats = _features_for((by_id[pid] for pid in dpo_ids), params.config)
+    vocab = params.config.vocabulary()
 
-    def sampler(label: str):
-        return text_sampler(params, feats, derive_seed(label, cfg.seed), **sampling)
+    def draw(label: str, pocket_ids: list[str], n: int) -> list[list[str]]:
+        """The texts of n draws for each pocket, all stepped together."""
+        results = sample_many(params, [feats[p] for p in pocket_ids], vocab, n,
+                              base_seed=derive_seed(label, cfg.seed), **sampling)
+        return [[r.text for r in draws] for draws in results]
 
-    def scorer(pocket_id: str, smiles: list[str]):
-        result = _dock(cfg, dock_cmd, by_id, ((pocket_id, s) for s in smiles))
-        return [(s.smiles, s.vina) for s in result.scores], [f.error for f in result.failures]
+    def scorer(requests: list[tuple[str, str]]):
+        result = _dock(cfg, dock_cmd, by_id, requests)
+        return ([(s.pocket_id, s.smiles, s.vina) for s in result.scores],
+                [(f.pocket_id, f.error) for f in result.failures])
 
     filtered, pairs, pair_log = curation.curate(
         dpo_ids,
-        sampler("curate-filter"),
-        sampler("curate-pairs"),
+        lambda pocket_ids, n: draw("curate-filter", pocket_ids, n),
+        lambda pocket_ids, n: draw("curate-pairs", pocket_ids, n),
         scorer,
         curate_cfg,
         radius=cfg.typed["metrics"]["radius"],
@@ -798,7 +795,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
                 print(f"MISSING  {command:<12} {role:<7} {path}")
                 bad += 1
                 continue
-            actual = _sha256_file(path)
+            actual = sha256_file(path)
             status = "ok" if actual == expected else "CHANGED"
             if status != "ok":
                 bad += 1

@@ -6,13 +6,15 @@ own candidates are diverse enough, and each kept pocket contributes one
 best-vs-worst pair under the fused-ring-penalized reward. ``curate`` runs
 the filter and then ``build_pair_set``, the one sample -> score -> pair loop;
 the CLI docks through it and the preference experiment scores through it with
-a surrogate.
+a surrogate. Each phase asks its sampler once for every pocket's draws, and
+``build_pair_set`` asks its scorer once for every pocket's candidates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 from .metrics import diversity
@@ -34,10 +36,14 @@ DEFAULT_FILTER_SAMPLES = 100
 FLOWS = ("online", "offline")
 SFT_LIGAND_THRESHOLD = 2  # strictly more than this many distinct ligands
 
-Sampler = Callable[[str, int], Sequence[str]]
-# scorer(pocket_id, smiles) -> ((smiles, score) rows in request order, one
-# error message per molecule that could not be scored)
-Scorer = Callable[[str, Sequence[str]], tuple[Sequence[tuple[str, float]], Sequence[str]]]
+# sampler(pocket_ids, n) -> the texts of n draws for each pocket, in pocket order
+Sampler = Callable[[Sequence[str], int], Sequence[Sequence[str]]]
+# scorer((pocket_id, smiles) requests) -> ((pocket_id, smiles, score) rows and
+# (pocket_id, error message) failures, one per molecule, each in request order)
+Scorer = Callable[
+    [Sequence[tuple[str, str]]],
+    tuple[Sequence[tuple[str, str, float]], Sequence[tuple[str, str]]],
+]
 
 
 class DuplicatePocketId(ValueError):
@@ -214,17 +220,17 @@ def curate_dpo_set(
     """Diversity-filter preference pockets using the model's own candidates.
 
     The sampler may emit invalid strings; diversity is measured over the valid
-    ones. Pockets whose sampler fails or yields fewer than two valid molecules
-    are dropped with the reason recorded.
+    ones. Pockets that yield fewer than two valid molecules are dropped with
+    the reason recorded; a sampler error drops every pocket.
     """
+    try:
+        drawn = sampler(pockets, n_samples)
+    except Exception as exc:  # sampler errors drop the pockets, they are not fatal
+        reason = f"sampler error: {exc}"
+        return CurationResult((), tuple(CurationAudit(p, False, None, 0, reason) for p in pockets))
     selected: list[str] = []
     audit: list[CurationAudit] = []
-    for pocket_id in pockets:
-        try:
-            candidates = list(sampler(pocket_id, n_samples))
-        except Exception as exc:  # sampler errors are per-pocket, not fatal
-            audit.append(CurationAudit(pocket_id, False, None, 0, f"sampler error: {exc}"))
-            continue
+    for pocket_id, candidates in zip(pockets, drawn, strict=True):
         valid = [mol for mol in map(try_parse, candidates) if mol is not None]
         if len(valid) < 2:
             audit.append(
@@ -252,36 +258,44 @@ def build_pair_set(
 
     Of ``n_candidates`` draws, the first ``n_scored`` valid ones in sampling
     order go to the scorer as canonical SMILES, duplicates included; a draw
-    that does not parse or canonicalize counts as invalid. Every
-    pocket gets status rows: ``too few valid candidates``, one ``dock
-    failure: <error>`` per failed molecule, ``fewer than 2 scored molecules``
-    or ``paired``.
+    that does not parse or canonicalize counts as invalid. Every pocket's
+    draws come from one sampler call and every pocket's candidates go to one
+    scorer call. Every pocket gets status rows, in pocket order: ``too few
+    valid candidates``, one ``dock failure: <error>`` per failed molecule,
+    ``fewer than 2 scored molecules`` or ``paired``.
     """
+    drawn = sampler(pockets, n_candidates)
+    candidates = {  # lazily: no draw past the n_scored-th valid one is canonicalized
+        pocket_id: list(islice((c for c in map(try_canonicalize, texts) if c is not None),
+                               n_scored))
+        for pocket_id, texts in zip(pockets, drawn, strict=True)
+    }
+    scored: dict[str, list[ScoredMolecule]] = {
+        p: [] for p in pockets if len(set(candidates[p])) >= 2
+    }
+    failed: dict[str, list[str]] = {p: [] for p in scored}
+    requests = [(p, smiles) for p in scored for smiles in candidates[p]]
+    rows, errors = scorer(requests) if requests else ((), ())
+    fused: dict[str, int] = {}  # fused-ring count of each distinct scored string
+    for pocket_id, smiles, score in rows:
+        if smiles not in fused:
+            fused[smiles] = count_fused_rings(parse_smiles(smiles))
+        scored[pocket_id].append(ScoredMolecule(smiles, score, fused[smiles]))
+    for pocket_id, error in errors:
+        failed[pocket_id].append(error)
+
     pairs: list[PreferencePair] = []
     log: list[dict] = []
-    fused: dict[str, int] = {}  # fused-ring count of each distinct scored string
     for pocket_id in pockets:
-        candidates: list[str] = []
-        for text in sampler(pocket_id, n_candidates):
-            canon = try_canonicalize(text)
-            if canon is None:
-                continue
-            candidates.append(canon)
-            if len(candidates) >= n_scored:
-                break
-        if len(set(candidates)) < 2:
+        if pocket_id not in scored:
             log.append({"pocket_id": pocket_id, "status": "too few valid candidates"})
             continue
-        rows, errors = scorer(pocket_id, candidates)
-        log.extend({"pocket_id": pocket_id, "status": f"dock failure: {e}"} for e in errors)
-        for smiles, _ in rows:
-            if smiles not in fused:
-                fused[smiles] = count_fused_rings(parse_smiles(smiles))
-        scored = [ScoredMolecule(smiles, score, fused[smiles]) for smiles, score in rows]
-        if len({s.smiles for s in scored}) < 2:
+        log.extend({"pocket_id": pocket_id, "status": f"dock failure: {e}"}
+                   for e in failed[pocket_id])
+        if len({s.smiles for s in scored[pocket_id]}) < 2:
             log.append({"pocket_id": pocket_id, "status": "fewer than 2 scored molecules"})
             continue
-        pairs.append(build_preference_pairs(pocket_id, scored, lam=lam))
+        pairs.append(build_preference_pairs(pocket_id, scored[pocket_id], lam=lam))
         log.append({"pocket_id": pocket_id, "status": "paired"})
     return pairs, log
 

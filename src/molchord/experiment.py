@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curation import CurateConfig, curate, reward
-from .genmodel import ModelConfig, PocketFeatures, text_sampler
+from .genmodel import ModelConfig, ModelParams, PocketFeatures, sample_many
 from .hashutil import derive_seed
 from .molgraph import count_fused_rings, parse_smiles, try_parse
 from .scorers import surrogate_vina
@@ -40,9 +40,11 @@ def surrogate_reward(smiles: str, fused_penalty: float) -> float | None:
     return reward(surrogate_vina(mol), count_fused_rings(mol), fused_penalty)
 
 
-def surrogate_scores(pocket_id: str, smiles: list[str]) -> tuple[list[tuple[str, float]], list]:
+def surrogate_scores(
+    requests: list[tuple[str, str]],
+) -> tuple[list[tuple[str, str, float]], list]:
     """``build_pair_set`` scorer: the surrogate score of every molecule, no failures."""
-    return [(s, surrogate_vina(parse_smiles(s))) for s in smiles], []
+    return [(p, s, surrogate_vina(parse_smiles(s))) for p, s in requests], []
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,25 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pocket_id: model_cfg.featurize(pocket_id)
         for pocket_id in (f"pref{i:05d}" for i in range(cfg.n_pockets))
     }
+    pref_ids = sorted(pref_features)
+
+    def draw(params: ModelParams, label: str, n: int) -> dict[str, list[str]]:
+        """The texts of n draws for every pocket, stepped together."""
+        results = sample_many(params, [pref_features[p] for p in pref_ids], vocab, n,
+                              base_seed=derive_seed(label, cfg.seed), **sampling)
+        return {p: [r.text for r in draws] for p, draws in zip(pref_ids, results)}
+
     # The offline flow pairs the very draws that the diversity filter saw, so
-    # one sampler serves both and each pocket is sampled once.
-    sampler = text_sampler(
-        sft_checkpoint.params, pref_features, derive_seed("experiment-curate", cfg.seed),
-        **sampling,
-    )
+    # both phases get the same draws and each pocket is sampled once.
+    filter_texts = draw(sft_checkpoint.params, "experiment-curate", cfg.filter_samples)
+
+    def drawn(pocket_ids: list[str], n: int) -> list[list[str]]:
+        return [filter_texts[p] for p in pocket_ids]
+
     curated, pairs, _ = curate(
-        sorted(pref_features),
-        sampler,
-        sampler,
+        pref_ids,
+        drawn,
+        drawn,
         surrogate_scores,
         CurateConfig(
             filter_samples=cfg.filter_samples,
@@ -177,14 +188,11 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sft_means: dict[str, float] = {}
     dpo_means: dict[str, float] = {}
     improved = 0
-    counted = 0
-    eval_seed = derive_seed("experiment-eval", cfg.seed)
-    draw_before = text_sampler(sft_checkpoint.params, pref_features, eval_seed, **sampling)
-    draw_after = text_sampler(dpo_checkpoint.params, pref_features, eval_seed, **sampling)
-    for pocket_id in sorted(pref_features):
-        before = _mean_reward(draw_before(pocket_id, cfg.eval_samples), cfg.fused_penalty)
-        after = _mean_reward(draw_after(pocket_id, cfg.eval_samples), cfg.fused_penalty)
-        counted += 1
+    before_texts = draw(sft_checkpoint.params, "experiment-eval", cfg.eval_samples)
+    after_texts = draw(dpo_checkpoint.params, "experiment-eval", cfg.eval_samples)
+    for pocket_id in pref_ids:
+        before = _mean_reward(before_texts[pocket_id], cfg.fused_penalty)
+        after = _mean_reward(after_texts[pocket_id], cfg.fused_penalty)
         if before is None or after is None:
             continue  # counts as not improved
         sft_means[pocket_id] = before
@@ -193,7 +201,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             improved += 1
 
     return ExperimentResult(
-        fraction_improved=improved / counted if counted else 0.0,
+        fraction_improved=improved / len(pref_ids) if pref_ids else 0.0,
         mean_margin_held_out=float(np.mean(margins)) if margins else 0.0,
         n_pairs_train=len(train_pairs),
         n_pairs_held_out=len(held_out),

@@ -36,7 +36,6 @@ from .sampling import (
     sample_many,
     sample_seed,
     sample_unique,
-    text_sampler,
 )
 from .vocab import BOS, EOS, PAD, TokenOutOfVocab, Vocabulary, make_vocabulary
 
@@ -75,7 +74,6 @@ __all__ = [
     "sequence_forward",
     "sequences_backward",
     "sequences_forward",
-    "text_sampler",
     "vae_backward",
     "vae_forward",
 ]

@@ -179,7 +179,7 @@ def save_params(path: str | Path, params: ModelParams, extra: dict | None = None
         handle.write("\n")
 
 
-def load_params(path: str | Path) -> tuple[ModelParams, dict]:
+def load_params(path: str | Path) -> ModelParams:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
@@ -208,5 +208,4 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
         if not (isinstance(obj, dict) and obj.get("shape") == list(shape)
                 and isinstance(obj.get("data"), str)):
             raise ValueError(f"checkpoint array {name} has inconsistent shape")
-    params = ModelParams(config=config, **{name: _array_from_json(arrays[name]) for name in shapes})
-    return params, payload.get("extra", {})
+    return ModelParams(config=config, **{name: _array_from_json(arrays[name]) for name in shapes})

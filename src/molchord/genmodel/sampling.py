@@ -5,19 +5,20 @@ index). Its conditioning noise is the stream's first ``d_feat`` standard-normal
 values, drawn before any token, so it is recomputed from ``sample_seed`` rather
 than returned. A sample stops at its first EOS, or at ``max_len`` tokens.
 Every step truncates and draws for all live rows at once, and the rows may
-come from several pockets (``sample_unique`` steps every pocket's draws
-together). A sample's tokens, text and noise do not depend on batching or
-scheduling; the last bits of its ``logprob`` may, because a matrix product
-rounds differently with a different number of rows.
-``text_sampler`` and ``sample_unique`` are the pipeline's two ways of drawing:
-raw texts for curation, and unique valid canonical molecules for evaluation.
+come from several pockets (``sample_many`` and ``sample_unique`` step every
+pocket's draws together). A sample's tokens, text and noise do not depend on
+batching or scheduling; the last bits of its ``logprob`` may, because a matrix
+product rounds differently with a different number of rows.
+``sample_many`` and ``sample_unique`` are the pipeline's two ways of drawing:
+``n`` raw draws per pocket for curation, and unique valid canonical molecules
+for evaluation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -231,7 +232,7 @@ def _run_jobs(
 
 def sample_many(
     params: ModelParams,
-    features: PocketFeatures,
+    pockets: Sequence[PocketFeatures],
     vocab: Vocabulary,
     n: int,
     base_seed: int,
@@ -239,8 +240,9 @@ def sample_many(
     top_p: float = 0.95,
     max_len: int = 256,
     start_index: int = 0,
-) -> list[SampleResult]:
-    """n independent draws for one pocket, stepped as a batch.
+) -> list[list[SampleResult]]:
+    """n independent draws for each pocket, all stepped as one batch;
+    returns each pocket's draws in stream order.
 
     ``start_index`` offsets the per-sample stream keys so callers can extend
     a run (resampling duplicates) without repeating earlier draws.
@@ -249,46 +251,15 @@ def sample_many(
     def one_request() -> Job:
         return (yield start_index, n)
 
-    (results,) = _run_jobs(
-        params, vocab, [(features, one_request())], base_seed, temperature, top_p, max_len
+    return _run_jobs(
+        params,
+        vocab,
+        [(features, one_request()) for features in pockets],
+        base_seed,
+        temperature,
+        top_p,
+        max_len,
     )
-    return results
-
-
-def text_sampler(
-    params: ModelParams,
-    features: Mapping[str, PocketFeatures],
-    base_seed: int,
-    *,
-    temperature: float,
-    top_p: float,
-    max_len: int,
-) -> Callable[[str, int], list[str]]:
-    """Curation sampler: the decoded texts of ``n`` draws for one pocket.
-
-    Each (pocket, n) is drawn once; a repeated request (pair construction
-    asking for the draws that the diversity filter already saw) gets the same
-    list back.
-    """
-    vocab = params.config.vocabulary()
-    drawn: dict[tuple[str, int], list[str]] = {}
-
-    def sampler(pocket_id: str, n: int) -> list[str]:
-        if (pocket_id, n) not in drawn:
-            results = sample_many(
-                params,
-                features[pocket_id],
-                vocab,
-                n,
-                base_seed=base_seed,
-                temperature=temperature,
-                top_p=top_p,
-                max_len=max_len,
-            )
-            drawn[pocket_id, n] = [r.text for r in results]
-        return drawn[pocket_id, n]
-
-    return sampler
 
 
 def _collect_unique(n_wanted: int, retry_factor: int) -> Job:

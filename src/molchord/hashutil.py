@@ -2,12 +2,14 @@
 
 Python's builtin ``hash`` is salted per process, so everything that must be
 reproducible (fingerprint bits, featurizer seeds, validation splits, cache
-keys) goes through blake2b here.
+keys) goes through blake2b here. Files are identified by their SHA-256
+(``sha256_file``): manifest hashes and canonical-entry keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 
 def encode_part(part: int | str | bytes) -> bytes:
@@ -38,3 +40,12 @@ def stable_hash64(*parts: int | str | bytes) -> int:
 def derive_seed(*parts: int | str | bytes) -> int:
     """Seed for a numpy Generator derived from arbitrary labels."""
     return stable_hash64(*parts)
+
+
+def sha256_file(path: str | Path, prefix: bytes = b"") -> str:
+    """Hex SHA-256 of ``prefix`` followed by the file's bytes, read in chunks."""
+    digest = hashlib.sha256(prefix)
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import molgraph
 from .curation import ComplexRecord, PreferencePair
+from .hashutil import sha256_file
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
 from .molgraph import Molecule, canonicalize, prefetch_canonical, seed_canonical
 
@@ -283,14 +284,10 @@ def _molgraph_digest() -> bytes:
 def _canonical_entry(path: str | Path, cache_dir: str | Path) -> tuple[Path, str] | None:
     """The canonical entry file of a record file and its key, hashed in
     chunks; None when the file cannot be read (the line loop says so)."""
-    digest = hashlib.sha256(_molgraph_digest())
     try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(1 << 16):
-                digest.update(chunk)
+        key = sha256_file(path, _molgraph_digest())
     except OSError:
         return None
-    key = digest.hexdigest()
     return Path(cache_dir) / "canonical" / f"{key}.json", key
 
 

@@ -295,9 +295,9 @@ def sample_unique_oracle(params, features, n_wanted: int, base_seed: int, *, tem
     budget = n_wanted * retry_factor
     while len(collected) < n_wanted and index < budget:
         chunk = min(max(n_wanted - len(collected), 8), budget - index)
-        results = sample_many(params, features, vocab, chunk, base_seed=base_seed,
-                              temperature=temperature, top_p=top_p, max_len=max_len,
-                              start_index=index)
+        (results,) = sample_many(params, [features], vocab, chunk, base_seed=base_seed,
+                                 temperature=temperature, top_p=top_p, max_len=max_len,
+                                 start_index=index)
         index += chunk
         for res in results:
             if len(collected) >= n_wanted:
@@ -314,6 +314,65 @@ def sample_unique_oracle(params, features, n_wanted: int, base_seed: int, *, tem
 # straightforward forms whose results it must reproduce exactly.
 
 _MAX_PATHS_PER_BOND_ORACLE = 64
+
+
+def curate_per_pocket_oracle(pockets, draw, dock, config, radius: int, nbits: int):
+    """The curate stage one pocket at a time: the reference for the batched
+    ``curation.curate``, which asks its sampler once per phase and its scorer
+    once for all pockets.
+
+    ``draw(phase, pocket_id, n)`` gives the texts of one pocket's ``n`` draws
+    for the phase (``"filter"`` or ``"pairs"``); ``dock(pocket_id, smiles)``
+    gives one pocket's ((smiles, score) rows, error messages). Returns the
+    ``d_dpo.json`` document and the pairs.
+    """
+    from dataclasses import asdict
+
+    from molchord.curation import (
+        CurationAudit,
+        ScoredMolecule,
+        build_preference_pairs,
+        diversity_filter,
+    )
+    from molchord.molgraph import count_fused_rings, parse_smiles, try_canonicalize, try_parse
+
+    selected, audit = [], []
+    for pocket_id in pockets:
+        valid = [m for m in map(try_parse, draw("filter", pocket_id, config.filter_samples))
+                 if m is not None]
+        if len(valid) < 2:
+            audit.append(CurationAudit(pocket_id, False, None, len(valid),
+                                       "fewer than 2 valid molecules"))
+            continue
+        decision = diversity_filter(valid, config.diversity_threshold, radius, nbits)
+        reason = ("kept" if decision.keep
+                  else f"diversity {decision.diversity:.4f} <= {config.diversity_threshold}")
+        audit.append(CurationAudit(pocket_id, decision.keep, decision.diversity, len(valid),
+                                   reason))
+        if decision.keep:
+            selected.append(pocket_id)
+
+    if config.flow == "online":
+        n_candidates, n_scored = config.pair_candidates, config.pair_docked
+    else:
+        n_candidates = n_scored = config.filter_samples
+    pairs, log = [], []
+    for pocket_id in selected:
+        valid = [c for c in map(try_canonicalize, draw("pairs", pocket_id, n_candidates))
+                 if c is not None][:n_scored]
+        if len(set(valid)) < 2:
+            log.append({"pocket_id": pocket_id, "status": "too few valid candidates"})
+            continue
+        rows, errors = dock(pocket_id, valid)
+        log.extend({"pocket_id": pocket_id, "status": f"dock failure: {e}"} for e in errors)
+        scored = [ScoredMolecule(s, v, count_fused_rings(parse_smiles(s))) for s, v in rows]
+        if len({m.smiles for m in scored}) < 2:
+            log.append({"pocket_id": pocket_id, "status": "fewer than 2 scored molecules"})
+            continue
+        pairs.append(build_preference_pairs(pocket_id, scored, lam=config.lam))
+        log.append({"pocket_id": pocket_id, "status": "paired"})
+    document = {"selected": selected, "audit": [asdict(row) for row in audit], "pairs": log}
+    return document, pairs
 
 
 def _all_shortest_paths_oracle(adj, src: int, dst: int, banned: tuple[int, int]):

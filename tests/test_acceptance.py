@@ -314,8 +314,8 @@ def test_acceptance_7_sampling_contract():
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(1, mp_context=spawn) as pool:
             noises = pool.submit(_first_noises, 123, feats.pocket_id, n_draws, cfg.d_feat)
-            results = sample_many(
-                params, feats, vocab, n_draws, base_seed=123, temperature=1.0, top_p=1.0,
+            (results,) = sample_many(
+                params, [feats], vocab, n_draws, base_seed=123, temperature=1.0, top_p=1.0,
                 max_len=1,
             )
             noise = noises.result()
@@ -350,11 +350,11 @@ def test_acceptance_7_sampling_contract():
         assert np.abs(z_shared).max() > 4.5, np.abs(z_shared).max()
 
         # byte-identical reruns
-        again = sample_many(
-            params, feats, vocab, 64, base_seed=9, temperature=1.0, top_p=1.0, max_len=256
+        (again,) = sample_many(
+            params, [feats], vocab, 64, base_seed=9, temperature=1.0, top_p=1.0, max_len=256
         )
-        assert again == sample_many(
-            params, feats, vocab, 64, base_seed=9, temperature=1.0, top_p=1.0, max_len=256
+        assert [again] == sample_many(
+            params, [feats], vocab, 64, base_seed=9, temperature=1.0, top_p=1.0, max_len=256
         )
         # a draw ends at its first EOS, or at the default cap when none arrives
         for res in again:

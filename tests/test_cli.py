@@ -825,20 +825,20 @@ def test_load_config_accepts_only_what_the_library_accepts(tmp_path_factory, set
 
 
 def test_offline_flow_scores_every_valid_filter_candidate(pipeline, tmp_path, monkeypatch):
-    from molchord import scorers
-    from molchord.genmodel import sampling
+    from molchord import genmodel, scorers
     from molchord.hashutil import derive_seed
     from molchord.molgraph import try_canonicalize
 
     draws: dict[tuple[str, int], list[str]] = {}
-    real_sample = sampling.sample_many
+    real_sample = genmodel.sample_many
 
-    def recording_sample(params, feats, vocab, n, **kwargs):
-        results = real_sample(params, feats, vocab, n, **kwargs)
-        draws[feats.pocket_id, kwargs["base_seed"]] = [r.text for r in results]
+    def recording_sample(params, pockets, vocab, n, **kwargs):
+        results = real_sample(params, pockets, vocab, n, **kwargs)
+        for feats, drawn in zip(pockets, results):
+            draws[feats.pocket_id, kwargs["base_seed"]] = [r.text for r in drawn]
         return results
 
-    monkeypatch.setattr(sampling, "sample_many", recording_sample)
+    monkeypatch.setattr(genmodel, "sample_many", recording_sample)
     docked: dict[str, list[str]] = {}
     real_dock = scorers.dock_many
 
@@ -861,6 +861,122 @@ def test_offline_flow_scores_every_valid_filter_candidate(pipeline, tmp_path, mo
         assert docked.get(pocket_id, []) == (valid if len(set(valid)) >= 2 else [])
     # more than pair_docked molecules per pocket: the online cap is off
     assert max(map(len, docked.values())) > 4
+
+
+# fails every molecule with a nitrogen, scores the others like DOCK_STUB
+FAILING_STUB = "case '{smiles}' in *N*) echo 'no pose' >&2; exit 3;; esac; " + DOCK_STUB
+
+
+@pytest.mark.parametrize("flow", ["online", "offline"])
+def test_curate_pairs_every_pocket_as_a_per_pocket_loop_would(pipeline, tmp_path, monkeypatch,
+                                                               flow):
+    """One sampler call per phase and one dock call for every kept pocket
+    give the pairs and the pair log of sampling and docking each pocket on
+    its own, also when molecules of several pockets fail to dock."""
+    from molchord import genmodel
+    from molchord.curation import CurateConfig
+    from molchord.hashutil import derive_seed
+
+    from .oracles import curate_per_pocket_oracle
+
+    config, out = _run_after(pipeline, tmp_path, _CURATE_INPUTS, {
+        "curate": {"flow": flow}, "dock": {"command": FAILING_STUB},
+    })
+    sampled, docked = [], []
+    real_sample, real_dock = genmodel.sample_many, scorers.dock_many
+
+    def counting_sample(params, pockets, *args, **kwargs):
+        sampled.append(len(pockets))
+        return real_sample(params, pockets, *args, **kwargs)
+
+    def counting_dock(cmd, requests, **kwargs):
+        docked.append(len(requests))
+        return real_dock(cmd, requests, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(genmodel, "sample_many", counting_sample)
+        patched.setattr(scorers, "dock_many", counting_dock)
+        assert main(["--config", str(config), "curate"]) == 0
+    d_dpo = (out / "d_dpo.json").read_text()
+    kept = json.loads(d_dpo)["selected"]
+    assert len(sampled) == 2 and len(docked) == 1
+    assert sampled[0] > len(kept) >= 3
+    failed = {row["pocket_id"] for row in json.loads(d_dpo)["pairs"]
+              if row["status"].startswith("dock failure")}
+    assert len(failed) >= 3
+
+    by_id = {r.pocket_id: r for r in load_records(pipeline[0] / "complexes.jsonl", "complexes")}
+    pockets = [p for p in json.loads((out / "partition.json").read_text())["dpo_pool"]
+               if p in by_id]
+    params = genmodel.load_params(out / "sft_checkpoint.json")
+    vocab = params.config.vocabulary()
+
+    def draw(phase, pocket_id, n):
+        record = by_id[pocket_id]
+        features = params.config.featurize(pocket_id, record.pocket_sequence)
+        (results,) = genmodel.sample_many(
+            params, [features], vocab, n, base_seed=derive_seed(f"curate-{phase}", 0),
+            temperature=1.0, top_p=0.95, max_len=40,
+        )
+        return [r.text for r in results]
+
+    def dock(pocket_id, smiles):
+        center = by_id[pocket_id].ligand_smiles[0]
+        result = scorers.dock_many(
+            scorers.DockCommand(FAILING_STUB, timeout=30),
+            [(pocket_id, s, None, center) for s in smiles],
+            cache_dir=tmp_path / "dock_cache",
+        )
+        return [(r.smiles, r.vina) for r in result.scores], [f.error for f in result.failures]
+
+    curate_config = CurateConfig(filter_samples=24, pair_candidates=16, pair_docked=4, flow=flow)
+    document, pairs = curate_per_pocket_oracle(pockets, draw, dock, curate_config, 2, 2048)
+    assert d_dpo == json.dumps(document, sort_keys=True, indent=1) + "\n"
+    dump_records(tmp_path / "oracle_pairs.jsonl", pairs)
+    assert (out / "pairs.jsonl").read_bytes() == (tmp_path / "oracle_pairs.jsonl").read_bytes()
+
+
+def test_warm_curate_and_dock_send_every_line_through_external_dock(pipeline, tmp_path,
+                                                                    monkeypatch):
+    """On a warm cache each command's one dock call still hands every
+    distinct command line to the public ``external_dock`` (where a traced
+    run counts dock calls and cache hits), and no process starts."""
+    config, out = _run_after(pipeline, tmp_path, (*_CURATE_INPUTS, "generations.jsonl"))
+    for command in ("curate", "dock"):
+        assert main(["--config", str(config), command]) == 0  # fills the cache
+    artifacts = ("pairs.jsonl", "d_dpo.json", "scores.jsonl")
+    cold = {name: (out / name).read_bytes() for name in artifacts}
+
+    requested, passed, started = [], [], []
+    real_many, real_one = scorers.dock_many, scorers.external_dock
+    real_init = subprocess.Popen.__init__
+
+    def line(pocket_id, smiles, pocket_file, center):
+        return scorers._command_line(DOCK_STUB, pocket_id, canonicalize(smiles), pocket_file,
+                                     center)
+
+    def recording_many(cmd, requests, **kwargs):
+        requested.append({line(*request) for request in requests})
+        passed.append([])
+        return real_many(cmd, requests, **kwargs)
+
+    def recording_one(cmd, pocket_id, smiles, pocket_file=None, center_source=None, **kwargs):
+        passed[-1].append(line(pocket_id, smiles, pocket_file, center_source))
+        return real_one(cmd, pocket_id, smiles, pocket_file, center_source, **kwargs)
+
+    def counting_init(popen, *args, **kwargs):
+        started.append(args)
+        real_init(popen, *args, **kwargs)
+
+    monkeypatch.setattr(scorers, "dock_many", recording_many)
+    monkeypatch.setattr(scorers, "external_dock", recording_one)
+    monkeypatch.setattr(subprocess.Popen, "__init__", counting_init)
+    for command in ("curate", "dock"):
+        assert main(["--config", str(config), command]) == 0
+    assert len(requested) == 2 and all(requested)
+    assert [sorted(lines) for lines in passed] == [sorted(lines) for lines in requested]
+    assert started == []
+    assert {name: (out / name).read_bytes() for name in artifacts} == cold
 
 
 def _readme_config_reference() -> dict[str, dict[str, str]]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from molchord.curation import (
     ComplexRecord,
+    CurationAudit,
     DegeneratePool,
     DuplicatePocketId,
     PreferencePair,
@@ -189,7 +190,7 @@ def test_preference_pair_invariants():
 
 
 def test_curate_deterministic_sampler_dropped():
-    result = curate_dpo_set(["p1"], lambda pid, n: ["CCO"] * n, n_samples=20)
+    result = curate_dpo_set(["p1"], lambda pids, n: [["CCO"] * n for _ in pids], n_samples=20)
     assert result.selected == ()
     assert result.audit[0].kept is False
     assert result.audit[0].diversity == 0.0
@@ -200,9 +201,9 @@ def test_curate_random_sampler_kept():
 
     pool = smiles_corpus(300, seed=21, min_heavy=3, max_heavy=10)
 
-    def sampler(pocket_id, n):
-        rng = np.random.default_rng(derive_seed("curate-test", pocket_id))
-        return [pool[i] for i in rng.integers(0, len(pool), size=n)]
+    def sampler(pocket_ids, n):
+        rngs = [np.random.default_rng(derive_seed("curate-test", p)) for p in pocket_ids]
+        return [[pool[i] for i in rng.integers(0, len(pool), size=n)] for rng in rngs]
 
     result = curate_dpo_set(["a", "b"], sampler, n_samples=50)
     assert set(result.selected) == {"a", "b"}
@@ -211,21 +212,25 @@ def test_curate_random_sampler_kept():
 
 
 def test_curate_empty_pool():
-    result = curate_dpo_set([], lambda pid, n: [], n_samples=10)
+    result = curate_dpo_set([], lambda pids, n: [[] for _ in pids], n_samples=10)
     assert result.selected == ()
+    assert result.audit == ()
 
 
 def test_curate_sampler_error_recorded():
-    def broken(pocket_id, n):
+    def broken(pocket_ids, n):
         raise RuntimeError("sampler exploded")
 
-    result = curate_dpo_set(["p1"], broken)
+    result = curate_dpo_set(["p1", "p2"], broken)
     assert result.selected == ()
-    assert "sampler error" in result.audit[0].reason
+    # one call draws every pocket, so its error drops every pocket
+    assert result.audit == tuple(
+        CurationAudit(p, False, None, 0, "sampler error: sampler exploded") for p in ("p1", "p2")
+    )
 
 
 def test_curate_too_few_valid_dropped():
-    result = curate_dpo_set(["p1"], lambda pid, n: ["not-a-molecule"] * n)
+    result = curate_dpo_set(["p1"], lambda pids, n: [["not-a-molecule"] * n for _ in pids])
     assert result.selected == ()
     assert "valid" in result.audit[0].reason
 
@@ -250,7 +255,7 @@ def test_curate_parses_each_candidate_once_and_quietly(monkeypatch):
     candidates = ["C/C=C/CO", "N[C@@H](C)C(=O)O", "c1ccccc1O", "not-a-molecule"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = curate_dpo_set(["p1"], lambda pid, n: candidates, n_samples=4)
+        result = curate_dpo_set(["p1"], lambda pids, n: [candidates], n_samples=4)
     assert result.audit[0].n_valid == 3
     assert sorted(parsed) == sorted(candidates)
     assert not [w for w in caught if issubclass(w.category, SmilesFeatureWarning)]
@@ -260,10 +265,10 @@ def test_curate_parses_each_candidate_once_and_quietly(monkeypatch):
 
 
 def _fixed_sampler(texts_by_pocket, requests=None):
-    def sampler(pocket_id, n):
+    def sampler(pocket_ids, n):
         if requests is not None:
-            requests.append((pocket_id, n))
-        return texts_by_pocket[pocket_id]
+            requests.append((list(pocket_ids), n))
+        return [texts_by_pocket[p] for p in pocket_ids]
 
     return sampler
 
@@ -271,10 +276,10 @@ def _fixed_sampler(texts_by_pocket, requests=None):
 def _fake_scorer(calls, failing=()):
     """Scores by molecule length (longer scores better); fails the listed SMILES."""
 
-    def scorer(pocket_id, smiles):
-        calls.append((pocket_id, list(smiles)))
-        rows = [(s, -float(len(s))) for s in smiles if s not in failing]
-        errors = [f"dock command exited 3: {s}" for s in smiles if s in failing]
+    def scorer(requests):
+        calls.append(list(requests))
+        rows = [(p, s, -float(len(s))) for p, s in requests if s not in failing]
+        errors = [(p, f"dock command exited 3: {s}") for p, s in requests if s in failing]
         return rows, errors
 
     return scorer
@@ -300,7 +305,9 @@ def test_pair_set_status_rows():
         {"pocket_id": "ok", "status": "fewer than 2 scored molecules"},
     ]
     assert pairs == []
-    assert [pocket for pocket, _ in calls] == ["failed", "ok"]  # "few" never reaches the scorer
+    # one scorer call for every pocket; "few" never reaches the scorer
+    assert calls == [[("failed", "CCO"), ("failed", "CCN"), ("failed", "CCCC"),
+                      ("ok", "CCO"), ("ok", "CCCC")]]
 
     pairs, log = build_pair_set(
         ["ok"], _fixed_sampler(texts), _fake_scorer([]), n_candidates=10, n_scored=5
@@ -328,8 +335,9 @@ def test_pair_set_scores_first_valid_canonical_in_order():
         ["p"], _fixed_sampler({"p": texts}, requests), _fake_scorer(calls),
         n_candidates=32, n_scored=3,
     )
-    assert requests == [("p", 32)]
-    assert calls == [("p", ["CCO", "C1CC1", "CCO"])]  # duplicates kept, "NCC" not reached
+    assert requests == [(["p"], 32)]
+    # duplicates kept, "NCC" not reached
+    assert calls == [[("p", "CCO"), ("p", "C1CC1"), ("p", "CCO")]]
 
 
 def test_pair_set_counts_fused_rings_once_per_distinct_scored_string(monkeypatch):
@@ -407,30 +415,31 @@ def test_pair_set_counts_a_string_over_the_leaf_cap_as_invalid(monkeypatch):
         {"pocket_id": "p", "status": "paired"},
         {"pocket_id": "q", "status": "too few valid candidates"},
     ]
-    assert calls == [("p", ["CCO", "CCCN"])]
+    assert calls == [[("p", "CCO"), ("p", "CCCN")]]
     assert pairs == [PreferencePair("p", "CCCN", "CCO", 4.0, 3.0)]
 
 
 def test_preference_experiment_samples_each_pocket_once(monkeypatch):
     from molchord import experiment
-    from molchord.genmodel import sampling
 
-    real = sampling.sample_many
+    real = experiment.sample_many
     draws = []
 
-    def counting(params, feats, vocab, n, **kwargs):
-        draws.append((feats.pocket_id, n, kwargs["base_seed"]))
-        return real(params, feats, vocab, n, **kwargs)
+    def counting(params, pockets, vocab, n, **kwargs):
+        draws.append(([f.pocket_id for f in pockets], n, kwargs["base_seed"]))
+        return real(params, pockets, vocab, n, **kwargs)
 
-    monkeypatch.setattr(sampling, "sample_many", counting)
+    monkeypatch.setattr(experiment, "sample_many", counting)
     cfg = experiment.ExperimentConfig(
         n_pockets=6, corpus_size=60, sft_pockets=6, held_out_pairs=1, eval_samples=4,
         filter_samples=24, sft_steps=200, d=8, d_feat=8, window=4, n_struct=2, max_len=24,
         diversity_threshold=0.0,
     )
     result = experiment.run_preference_experiment(cfg)
+    pockets = [f"pref{i:05d}" for i in range(6)]
     curate_seed = experiment.derive_seed("experiment-curate", cfg.seed)
-    curate_draws = [d for d in draws if d[2] == curate_seed]
-    # curation draws every pocket; pair construction reuses those draws
+    eval_seed = experiment.derive_seed("experiment-eval", cfg.seed)
+    # curation draws every pocket once; pair construction reuses those draws;
+    # the evaluation before and after training draws every pocket in one call each
     assert result.n_selected_pockets >= 2
-    assert sorted(curate_draws) == [(f"pref{i:05d}", 24, curate_seed) for i in range(6)]
+    assert draws == [(pockets, 24, curate_seed), (pockets, 4, eval_seed), (pockets, 4, eval_seed)]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -334,8 +335,8 @@ def test_checkpoint_round_trip(tmp_path, cfg):
     params.lm_w1[:] = rng.standard_normal(params.lm_w1.shape)
     path = tmp_path / "model.json"
     save_params(path, params, extra={"stage": "test", "step": 7})
-    loaded, extra = load_params(path)
-    assert extra == {"stage": "test", "step": 7}
+    loaded = load_params(path)
+    assert json.loads(path.read_text())["extra"] == {"stage": "test", "step": 7}
     assert loaded.config == cfg
     for name in params.array_fields():
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
@@ -353,7 +354,7 @@ def test_load_params_builds_no_random_model(tmp_path, cfg, monkeypatch):
         raise AssertionError("load_params built a random model")
 
     monkeypatch.setattr(params_module, "init_params", refuse)
-    loaded, _ = load_params(path)
+    loaded = load_params(path)
     assert loaded.config == cfg
 
 

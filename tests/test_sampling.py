@@ -102,14 +102,14 @@ def test_nucleus_validates_top_p():
 
 def test_same_seed_identical_output(setup):
     params, vocab, feats = setup
-    a = sample_many(params, feats, vocab, 1, base_seed=9, start_index=4, max_len=30)
-    b = sample_many(params, feats, vocab, 1, base_seed=9, start_index=4, max_len=30)
+    a = sample_many(params, [feats], vocab, 1, base_seed=9, start_index=4, max_len=30)
+    b = sample_many(params, [feats], vocab, 1, base_seed=9, start_index=4, max_len=30)
     assert a == b
 
 
 def test_batch_matches_single_draws(setup):
     params, vocab, feats = setup
-    batch = sample_many(params, feats, vocab, 6, base_seed=9, max_len=30)
+    (batch,) = sample_many(params, [feats], vocab, 6, base_seed=9, max_len=30)
     singles = [
         unbatched_sample(params, feats, vocab, base_seed=9, index=i, max_len=30)
         for i in range(6)
@@ -144,28 +144,29 @@ def test_each_draw_is_conditioned_on_the_first_draw_of_its_stream(setup):
     """Each sample's conditioning noise is the first standard-normal draw of
     its own stream, before any token, also for draws after ``start_index``."""
     params, vocab, feats = setup
-    results = sample_many(params, feats, vocab, 6, temperature=1.0, top_p=1.0, base_seed=9,
-                          start_index=2, max_len=40)
+    (results,) = sample_many(params, [feats], vocab, 6, temperature=1.0, top_p=1.0, base_seed=9,
+                             start_index=2, max_len=40)
     assert _replay_ended_draws(params, vocab, feats, 9, 2, results) > 0
 
 
 def test_start_index_extends_stream(setup):
     params, vocab, feats = setup
-    full = sample_many(params, feats, vocab, 8, base_seed=9, max_len=20)
-    tail = sample_many(params, feats, vocab, 4, base_seed=9, max_len=20, start_index=4)
+    (full,) = sample_many(params, [feats], vocab, 8, base_seed=9, max_len=20)
+    (tail,) = sample_many(params, [feats], vocab, 4, base_seed=9, max_len=20, start_index=4)
     assert full[4:] == tail
 
 
 def test_max_len_respected(setup):
     params, vocab, feats = setup
-    for res in sample_many(params, feats, vocab, 20, base_seed=1, max_len=12,
-                           temperature=2.0):
+    (results,) = sample_many(params, [feats], vocab, 20, base_seed=1, max_len=12,
+                             temperature=2.0)
+    for res in results:
         assert len(res.token_ids) <= 12
 
 
 def test_greedy_limit_deterministic(setup):
     params, vocab, feats = setup
-    results = sample_many(params, feats, vocab, 5, top_p=1e-9, base_seed=0, max_len=30)
+    (results,) = sample_many(params, [feats], vocab, 5, top_p=1e-9, base_seed=0, max_len=30)
     # one kept token per step: each draw takes it with probability one
     assert [res.logprob for res in results] == [0.0] * 5
 
@@ -174,15 +175,15 @@ def test_logprob_replay_equivalence(setup):
     """At temperature 1 / top_p 1 the sampler's accumulated log-masses equal
     the model log-probability of the sampled sequence under the same noise."""
     params, vocab, feats = setup
-    results = sample_many(params, feats, vocab, 10, temperature=1.0, top_p=1.0, base_seed=33,
-                          max_len=40)
+    (results,) = sample_many(params, [feats], vocab, 10, temperature=1.0, top_p=1.0,
+                             base_seed=33, max_len=40)
     assert _replay_ended_draws(params, vocab, feats, 33, 0, results) > 0
 
 
 def test_truncated_logprob_sums_only_kept_mass(setup):
     params, vocab, feats = setup
-    (res,) = sample_many(params, feats, vocab, 1, temperature=1.0, top_p=0.5, base_seed=3,
-                         max_len=20)
+    ((res,),) = sample_many(params, [feats], vocab, 1, temperature=1.0, top_p=0.5, base_seed=3,
+                            max_len=20)
     assert res.logprob <= 0.0
     assert np.isfinite(res.logprob)
 
@@ -213,8 +214,8 @@ def test_draws_of_several_pockets_step_together(setup, monkeypatch):
     for pocket, requests, results in zip(pockets, plan, done):
         assert len(results) == len(requests)
         for (start, n), got in zip(requests, results):
-            alone = sample_many(params, pocket, vocab, n, base_seed=9, max_len=30,
-                                start_index=start)
+            (alone,) = sample_many(params, [pocket], vocab, n, base_seed=9, max_len=30,
+                                   start_index=start)
             assert len(got) == n
             for a, b in zip(got, alone):
                 assert a.token_ids == b.token_ids

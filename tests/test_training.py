@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,12 +161,12 @@ def test_checkpoint_reload_reproduces_val_loss(tmp_path, cfg, vocab):
     checkpoint, _ = train_sft(examples, cfg, config)
     path = tmp_path / "ck.json"
     save_params(path, checkpoint.params, extra={"val_loss": checkpoint.val_loss})
-    loaded, extra = load_params(path)
+    loaded = load_params(path)
     val = [ex for ex in examples if is_validation_pocket(ex.pocket_id)]
     if not val:
         val = examples[: max(1, len(examples) // 20)]
     reproduced = _validation_loss(loaded, val, vocab, config.beta_vae)
-    assert reproduced == extra["val_loss"]
+    assert reproduced == json.loads(path.read_text())["extra"]["val_loss"]
 
 
 def test_validation_loss_runs_no_backward(monkeypatch, cfg, vocab):
