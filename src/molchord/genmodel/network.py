@@ -9,7 +9,7 @@ embeddings and per-residue adapter outputs alike) and are PAD-padded before
 the sequence start.
 
 All gradients here are exact and finite-difference checkable; backward
-passes accumulate into plain dicts keyed by parameter field name. The
+passes accumulate into dicts of arrays keyed by parameter field name. The
 sequence pass is packed: the target rows of every sequence in a batch go
 through each layer together, in blocks of at most ``ROW_BLOCK`` rows.
 """

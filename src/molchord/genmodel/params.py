@@ -1,16 +1,20 @@
 """Model parameters, initialization, and the checkpoint file format.
 
-Checkpoints are versioned JSON with float64 values serialized as C99 hex
-literals, so a reload reproduces every parameter bit-for-bit and the file
-bytes are stable across platforms for identical values. A content hash over
-the canonical payload guards against corruption.
+Every array of a model is a view of one contiguous float64 buffer, laid out
+in ``param_shapes`` order; gradients and Adam's moments share that layout
+without the token embeddings, which come first. A checkpoint is versioned
+JSON holding the config, the buffer as base64 of its little-endian bytes (so
+a reload reproduces every value bit for bit, on any platform), free-form
+``extra``, and a content hash over the canonical payload against corruption.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +23,7 @@ from ..scorers import atomic_write
 from .features import PocketFeatures, featurize_pocket
 from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
 
-CHECKPOINT_VERSION = 1
-_HEX_CHUNK = 4096
+CHECKPOINT_VERSION = 2
 _CONFIG_INTS = ("d", "d_feat", "window", "n_struct_tokens", "seed")
 
 
@@ -51,41 +54,8 @@ class ModelConfig:
         )
 
 
-@dataclass
-class ModelParams:
-    config: ModelConfig
-    token_embedding: np.ndarray
-    adapter_gate_w: np.ndarray
-    adapter_gate_b: np.ndarray
-    adapter_up_w: np.ndarray
-    adapter_up_b: np.ndarray
-    adapter_down_w: np.ndarray
-    adapter_down_b: np.ndarray
-    vae_mu_w: np.ndarray
-    vae_mu_b: np.ndarray
-    vae_logvar_w: np.ndarray
-    vae_logvar_b: np.ndarray
-    lm_w1: np.ndarray
-    lm_b1: np.ndarray
-    lm_w2: np.ndarray
-    lm_b2: np.ndarray
-    lm_out_w: np.ndarray
-    lm_out_b: np.ndarray
-
-    def array_fields(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if f.name != "config")
-
-    def copy(self) -> "ModelParams":
-        kwargs = {name: getattr(self, name).copy() for name in self.array_fields()}
-        return ModelParams(config=self.config, **kwargs)
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        """Zero gradients for ``SFT_TRAINABLE``, in sorted field order."""
-        return {name: np.zeros_like(getattr(self, name)) for name in sorted(SFT_TRAINABLE)}
-
-
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Each array field's shape under ``config``, in field order."""
+    """Each array field's shape under ``config``, in buffer order."""
     d, f, v = config.d, config.d_feat, len(config.vocab_tokens)
     return {
         "token_embedding": (v, d),
@@ -100,6 +70,49 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``buffer``, one per shape, in the given order."""
+    parts = np.split(buffer, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
+class Grads(dict):
+    """Gradients by field name, in sorted name order: views of one buffer,
+    ``flat``, laid out like ``ModelParams.trainable``."""
+
+    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        super().__init__(sorted(views.items()))
+        self.flat = flat
+
+
+class ModelParams:
+    """A model's ``config``, its buffer ``flat``, and one view of the buffer
+    per array, named and shaped as in ``param_shapes`` (``params.lm_w1``)."""
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        self.config = config
+        self.flat = flat
+        self.__dict__.update(_views(flat, param_shapes(config)))
+
+    def array_fields(self) -> tuple[str, ...]:
+        return tuple(param_shapes(self.config))
+
+    @property
+    def trainable(self) -> np.ndarray:
+        """The buffer after the frozen token embeddings: ``SFT_TRAINABLE``."""
+        return self.flat[self.token_embedding.size :]
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.config, self.flat.copy())
+
+    def zero_grads(self) -> Grads:
+        """Zero gradients for ``SFT_TRAINABLE``, views of one buffer."""
+        flat = np.zeros_like(self.trainable)
+        shapes = param_shapes(self.config)
+        del shapes["token_embedding"]
+        return Grads(flat, _views(flat, shapes))
+
+
 # Token embeddings stay frozen at their seeded initialization in every stage;
 # the first dense layer can absorb any linear re-encoding of them.
 SFT_TRAINABLE = frozenset(param_shapes(ModelConfig())) - {"token_embedding"}
@@ -108,79 +121,53 @@ SFT_TRAINABLE = frozenset(param_shapes(ModelConfig())) - {"token_embedding"}
 _DENSE = ("adapter_gate_w", "adapter_up_w", "adapter_down_w", "lm_w1", "lm_w2")
 
 
+def _size(config: ModelConfig) -> int:
+    return sum(map(math.prod, param_shapes(config).values()))
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization; variational projections start at zero so the
     injected noise is exactly standard normal before any training."""
     rng = np.random.default_rng(config.seed)
-    arrays = {}
+    params = ModelParams(config, np.zeros(_size(config)))
     for name, shape in param_shapes(config).items():
         if name == "token_embedding":
-            arrays[name] = rng.standard_normal(shape) * 0.5
+            params.token_embedding[...] = rng.standard_normal(shape) * 0.5
         elif name in _DENSE:
-            arrays[name] = rng.standard_normal(shape) / np.sqrt(shape[1])
-        else:
-            arrays[name] = np.zeros(shape)
-    return ModelParams(config=config, **arrays)
-
-
-def _array_to_json(arr: np.ndarray) -> dict:
-    flat = np.ascontiguousarray(arr, dtype=np.float64).ravel()
-    # a few thousand values at a time: the text of one at a time is short,
-    # and a list of every value's text would cost more than the result
-    parts = [
-        " ".join(map(float.hex, flat[s : s + _HEX_CHUNK].tolist()))
-        for s in range(0, flat.size, _HEX_CHUNK)
-    ]
-    return {"shape": list(arr.shape), "data": " ".join(parts)}
-
-
-def _hex_values(data: str):
-    """The values of a space-separated hex text, split a piece at a time."""
-    start = 0
-    while start < len(data):
-        # about _HEX_CHUNK values: one value's text takes at most 24 characters
-        end = data.find(" ", start + 24 * _HEX_CHUNK)
-        end = len(data) if end < 0 else end
-        yield from map(float.fromhex, data[start:end].split())
-        start = end + 1
-
-
-def _array_from_json(obj: dict) -> np.ndarray:
-    values = np.fromiter(_hex_values(obj["data"]), dtype=np.float64)
-    return values.reshape(obj["shape"])
+            getattr(params, name)[...] = rng.standard_normal(shape) / np.sqrt(shape[1])
+    return params
 
 
 def _payload_digest(payload: dict) -> str:
-    digest = hashlib.sha256()
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    for chunk in encoder.iterencode(payload):  # the canonical text, piece by piece
-        digest.update(chunk.encode())
-    return digest.hexdigest()
+    """SHA-256 of the payload's canonical JSON text, in which a params string
+    stands as its own SHA-256: hashing that text costs less than escaping it."""
+    if isinstance(payload.get("params"), str):
+        payload = {**payload, "params": hashlib.sha256(payload["params"].encode()).hexdigest()}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def save_params(path: str | Path, params: ModelParams, extra: dict | None = None) -> None:
     config = params.config
+    text = base64.b64encode(params.flat.astype("<f8", copy=False).tobytes()).decode()
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": {
-            "d": config.d,
-            "d_feat": config.d_feat,
-            "window": config.window,
-            "n_struct_tokens": config.n_struct_tokens,
+            **{name: getattr(config, name) for name in _CONFIG_INTS},
             "vocab_tokens": list(config.vocab_tokens),
-            "seed": config.seed,
         },
-        "arrays": {name: _array_to_json(getattr(params, name)) for name in params.array_fields()},
         "extra": extra or {},
     }
-    payload["content_hash"] = _payload_digest(payload)
+    payload["content_hash"] = _payload_digest({**payload, "params": text})
+    # base64 needs no JSON escape, so the params text goes in last as it is:
+    # escaping it would take longer than everything else here
+    head = json.dumps(payload, sort_keys=True)
     with atomic_write(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=None)
-        handle.write("\n")
+        handle.write(f'{head[:-1]}, "params": "{text}"}}\n')
 
 
 def load_params(path: str | Path) -> ModelParams:
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_bytes())
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -188,7 +175,7 @@ def load_params(path: str | Path) -> ModelParams:
     stored_hash = payload.pop("content_hash", None)
     if stored_hash != _payload_digest(payload):
         raise ValueError(f"checkpoint content hash mismatch in {path}")
-    cfg, arrays = payload.get("config"), payload.get("arrays")
+    cfg, text = payload.get("config"), payload.get("params")
     if not (
         isinstance(cfg, dict)
         and all(type(cfg.get(name)) is int for name in _CONFIG_INTS)
@@ -199,13 +186,16 @@ def load_params(path: str | Path) -> ModelParams:
     config = ModelConfig(
         **{name: cfg[name] for name in _CONFIG_INTS}, vocab_tokens=tuple(cfg["vocab_tokens"])
     )
-    # shapes from the config alone: a config that names a huge model allocates nothing
-    shapes = param_shapes(config)
-    if not isinstance(arrays, dict) or sorted(arrays) != sorted(shapes):
-        raise ValueError("checkpoint arrays are not the model's fields")
-    for name, shape in shapes.items():
-        obj = arrays[name]
-        if not (isinstance(obj, dict) and obj.get("shape") == list(shape)
-                and isinstance(obj.get("data"), str)):
-            raise ValueError(f"checkpoint array {name} has inconsistent shape")
-    return ModelParams(config=config, **{name: _array_from_json(arrays[name]) for name in shapes})
+    # the size from the config alone, checked before decoding: a config that
+    # names a huge model allocates nothing
+    size = _size(config)
+    wrong = ValueError(f"checkpoint params are not the base64 of {size} float64 values")
+    if not (isinstance(text, str) and len(text) == 4 * -(-8 * size // 3)):
+        raise wrong
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # a character outside the alphabet, or misplaced padding
+        raise wrong from exc
+    if len(raw) != 8 * size:
+        raise wrong
+    return ModelParams(config, np.frombuffer(raw, dtype="<f8").astype(np.float64))

@@ -417,11 +417,6 @@ def canonical_smiles(mol: Molecule) -> str:
     return ".".join(render(start, children) for start, children in components)
 
 
-def canonical_signature(mol: Molecule) -> tuple:
-    """Hashable graph identity: equal exactly for isomorphic labeled graphs."""
-    return _signature(*_graph(mol), canonical_ranks(mol))
-
-
 # Results by raw string, each dict bounded at _MEMO_SIZE entries (the oldest
 # goes first). ``_memo`` holds the strings known to canonicalize with no error
 # and no warning: those ``prefetch_canonical`` computed or ``seed_canonical``

@@ -222,10 +222,8 @@ def train_dpo(
                 )
                 total_loss += loss
                 margins.append(margin)
-                for name, g in ex_grads.items():
-                    grads[name] += g
-            for name in grads:
-                grads[name] /= len(batch)
+                grads.flat += ex_grads.flat
+            grads.flat /= len(batch)
             stepper(params, grads)
             step_idx += 1
             last_loss = total_loss / len(batch)

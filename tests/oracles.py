@@ -243,6 +243,14 @@ def exhaustive_canonical_signature(mol) -> tuple:
 
 
 
+def canonical_signature(mol) -> tuple:
+    """Hashable graph identity of the package's canonical ranking: equal
+    exactly for isomorphic labeled graphs."""
+    from molchord.molgraph.canon import _graph, _signature, canonical_ranks
+
+    return _signature(*_graph(mol), canonical_ranks(mol))
+
+
 def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_len: int,
                      temperature: float = 1.5, top_p: float = 0.95):
     """One draw stepped on its own, a single row per model call.
@@ -593,6 +601,53 @@ def sgd_step(params, grads, lr: float) -> None:
     """Plain gradient descent in place: p <- p - lr * g."""
     for name in sorted(grads):
         getattr(params, name)[...] -= lr * grads[name]
+
+
+def per_field_clip_gradients(grads, max_norm: float | None) -> float:
+    """Gradient clipping one field at a time, each field its own array: the
+    norm sums one dot product per field in sorted name order, then every
+    field is scaled. Returns the pre-clip norm."""
+    import numpy as np
+
+    total = 0.0
+    for name in sorted(grads):
+        g = grads[name]
+        total += float(np.dot(g.ravel(), g.ravel()))
+    norm = float(np.sqrt(total))
+    if max_norm is not None and norm > max_norm > 0:
+        scale = max_norm / norm
+        for name in sorted(grads):
+            grads[name] *= scale
+    return norm
+
+
+def per_field_adam_step(params, grads, state: dict, lr: float) -> None:
+    """Adam one field at a time, with fresh temporaries per field and the
+    moments in ``state["m"]`` and ``state["v"]`` by field name; ``state["t"]``
+    counts the steps. Betas 0.9 and 0.999, epsilon 1e-8."""
+    import numpy as np
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    correction1 = 1.0 - b1 ** state["t"]
+    correction2 = 1.0 - b2 ** state["t"]
+    m, v = state["m"], state["v"]
+    for name in sorted(grads):
+        g = grads[name]
+        if name not in m:
+            m[name] = np.zeros_like(g)
+            v[name] = np.zeros_like(g)
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / correction1
+        v_hat = v[name] / correction2
+        getattr(params, name)[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def per_field_accumulate(total, grads) -> None:
+    """total[name] += grads[name] for every field of ``grads``."""
+    for name, g in grads.items():
+        total[name] += g
 
 
 def fingerprint_from_bits(on, nbits: int = 2048):

@@ -12,7 +12,6 @@ from molchord.molgraph import (
     Bond,
     CanonicalizationLimit,
     canon,
-    canonical_signature,
     canonical_smiles,
     count_fused_rings,
     make_molecule,
@@ -22,6 +21,7 @@ from molchord.molgraph import (
 
 from .oracles import (
     _refine_oracle,
+    canonical_signature,
     cyclomatic_number,
     exhaustive_canonical_signature,
     molecules_isomorphic,

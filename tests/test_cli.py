@@ -366,7 +366,7 @@ def test_bare_report_exits_two_before_loading_anything(pipeline, tmp_path, monke
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("d", 200_000, "array token_embedding has inconsistent shape"),
+    ("d", 200_000, "checkpoint params are not the base64 of 200020200084 float64 values"),
     ("n_struct_tokens", 2**40, "model n_struct must be in [1, 512]"),
     ("seed", 2**200, "model seed must be in [0, "),
 ], ids=["d", "n_struct", "seed"])
@@ -385,6 +385,56 @@ def test_a_checkpoint_that_names_a_huge_model_exits_three(tmp_path, capsys, key,
     path.write_text(json.dumps(payload))
     assert main(["--config", str(config), "sample", "--checkpoint", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def _rewrite_checkpoint(path: Path, edit) -> None:
+    """Apply ``edit`` to a checkpoint document and give it a matching content hash."""
+    from molchord.genmodel.params import _payload_digest
+
+    payload = json.loads(path.read_text())
+    del payload["content_hash"]
+    edit(payload)
+    payload["content_hash"] = _payload_digest(payload)
+    path.write_text(json.dumps(payload))
+
+
+def test_a_version_one_checkpoint_exits_three_and_names_its_version(tmp_path, capsys):
+    """A checkpoint in the earlier format (each array as hex text) is not read."""
+    from molchord.genmodel import load_params
+
+    config = _contract_run(tmp_path, _contract_texts())
+    path = tmp_path / "out" / "sft_checkpoint.json"
+    params = load_params(path)
+
+    def version_one(payload):
+        del payload["params"]
+        payload["version"] = 1
+        payload["arrays"] = {
+            name: {"shape": list(getattr(params, name).shape),
+                   "data": " ".join(map(float.hex, getattr(params, name).ravel().tolist()))}
+            for name in params.array_fields()
+        }
+
+    _rewrite_checkpoint(path, version_one)
+    assert main(["--config", str(config), "sample", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "unsupported checkpoint version 1" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:-4], "checkpoint params are not the base64 of"),
+    (lambda text: text + "AAAA", "checkpoint params are not the base64 of"),
+    (lambda text: "!" + text[1:], "checkpoint params are not the base64 of"),
+    (lambda text: text[:-4] + "A===", "checkpoint params are not the base64 of"),
+], ids=["short", "long", "not-base64", "padding"])
+def test_a_checkpoint_whose_params_are_not_the_models_exits_three(tmp_path, capsys, edit,
+                                                                   message):
+    config = _contract_run(tmp_path, _contract_texts())
+    path = tmp_path / "out" / "sft_checkpoint.json"
+    _rewrite_checkpoint(path, lambda payload: payload.update(params=edit(payload["params"])))
+    assert main(["--config", str(config), "sample", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and message in err
 
 
 def test_evaluate_coverage_gap_exits_two(pipeline, tmp_path):

@@ -324,6 +324,11 @@ def test_zero_grads_covers_exactly_the_named_fields(params):
     every = params.zero_grads()
     assert list(every) == sorted(SFT_TRAINABLE)
     assert all(not g.any() and g.shape == getattr(params, name).shape for name, g in every.items())
+    # one buffer laid out like the trainable tail of the parameters
+    assert every.flat.shape == params.trainable.shape
+    assert all(g.base is every.flat for g in every.values())
+    assert params.array_fields()[0] == "token_embedding"
+    assert params.trainable.size == params.flat.size - params.token_embedding.size
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -333,13 +338,20 @@ def test_checkpoint_round_trip(tmp_path, cfg):
     params = init_params(cfg)
     rng = np.random.default_rng(8)
     params.lm_w1[:] = rng.standard_normal(params.lm_w1.shape)
+    # values whose bits a text format could lose: -0.0, the smallest
+    # subnormal, both infinities and a NaN with a payload
+    params.lm_b1[:4] = [-0.0, 5e-324, np.inf, -np.inf]
+    params.lm_b1.view(np.uint64)[4] = 0x7FF4_0000_DEAD_BEEF
     path = tmp_path / "model.json"
     save_params(path, params, extra={"stage": "test", "step": 7})
     loaded = load_params(path)
     assert json.loads(path.read_text())["extra"] == {"stage": "test", "step": 7}
     assert loaded.config == cfg
+    assert np.array_equal(loaded.flat.view(np.uint64), params.flat.view(np.uint64))
     for name in params.array_fields():
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+        assert getattr(loaded, name).base is loaded.flat
+        assert np.array_equal(getattr(loaded, name).view(np.uint64),
+                              getattr(params, name).view(np.uint64))
 
 
 def test_load_params_builds_no_random_model(tmp_path, cfg, monkeypatch):
@@ -370,7 +382,9 @@ def test_checkpoint_detects_corruption(tmp_path, cfg):
     params = init_params(cfg)
     path = tmp_path / "model.json"
     save_params(path, params)
-    text = path.read_text().replace("0x1.", "0x2.", 1)
-    path.write_text(text)
-    with pytest.raises(ValueError):
+    doc = json.loads(path.read_text())
+    text, i = doc["params"], len(doc["params"]) // 2
+    doc["params"] = text[:i] + ("B" if text[i] != "B" else "C") + text[i + 1 :]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="content hash mismatch"):
         load_params(path)

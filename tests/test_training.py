@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from molchord.curation import PreferencePair
 from molchord.genmodel import (
+    Grads,
     ModelConfig,
     featurize_pocket,
     load_params,
@@ -26,7 +28,12 @@ from molchord.training import (
 )
 from molchord.synthetic import smiles_corpus
 
-from .oracles import sgd_step
+from .oracles import (
+    per_field_accumulate,
+    per_field_adam_step,
+    per_field_clip_gradients,
+    sgd_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +60,69 @@ def _dataset(cfg, vocab, n_pockets=20, per_pocket=5, seed=0):
 # --- optimizer ----------------------------------------------------------------
 
 
+def _one_field(values) -> Grads:
+    flat = np.array(values)
+    return Grads(flat, {"a": flat})
+
+
 def test_clip_gradients():
-    grads = {"a": np.array([3.0, 4.0])}
+    grads = _one_field([3.0, 4.0])
     norm = clip_gradients(grads, max_norm=2.5)
     assert norm == 5.0
     assert global_norm(grads) == pytest.approx(2.5)
-    grads = {"a": np.array([0.3, 0.4])}
+    grads = _one_field([0.3, 0.4])
     clip_gradients(grads, max_norm=2.5)
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
     clip_gradients(grads, None)  # disabled
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
-    grads = {"a": np.array([3.0, 4.0])}
+    grads = _one_field([3.0, 4.0])
     clip_gradients(grads, 0.0)  # a clip_norm of 0 disables clipping too
     np.testing.assert_allclose(grads["a"], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("model", [
+    ModelConfig(d=16, window=4, n_struct_tokens=3),  # the README desk model
+    ModelConfig(),  # the production defaults
+], ids=["desk", "production"])
+def test_flat_clip_and_adam_match_the_per_field_oracle_bit_for_bit(model):
+    """Batches summed and averaged as ``train_dpo`` forms them, clipped and
+    stepped on the one buffer, against the same steps one field at a time on
+    separate arrays: parameters and both moments agree in every bit."""
+    from molchord.genmodel import init_params
+
+    params = init_params(model)
+    reference = SimpleNamespace(**{name: getattr(params, name).copy()
+                                   for name in params.array_fields()})
+    state, ref_state = AdamState(), {"t": 0, "m": {}, "v": {}}
+    rng = np.random.default_rng(11)
+    clipped = 0
+    for scale in (10.0, 0.01, 3.0, 1e-6, 50.0, 1.0):
+        grads = params.zero_grads()
+        ref_grads = {name: np.zeros_like(g) for name, g in grads.items()}
+        for _ in range(3):
+            pair = params.zero_grads()
+            pair.flat[:] = rng.standard_normal(pair.flat.size) * scale
+            grads.flat += pair.flat
+            per_field_accumulate(ref_grads, {name: g.copy() for name, g in pair.items()})
+        grads.flat /= 3
+        for g in ref_grads.values():
+            g /= 3
+        norm = clip_gradients(grads, 5.0)
+        assert norm == per_field_clip_gradients(ref_grads, 5.0)
+        clipped += norm > 5.0
+        adam_step(params, grads, state, lr=1e-3)
+        per_field_adam_step(reference, ref_grads, ref_state, lr=1e-3)
+    assert 0 < clipped < 6 and state.t == ref_state["t"] == 6
+
+    def bits(a):
+        return a.view(np.uint64)
+
+    for name in params.array_fields():
+        assert np.array_equal(bits(getattr(params, name)), bits(getattr(reference, name))), name
+    trainable = params.array_fields()[1:]  # buffer order, after the token embeddings
+    for flat, by_name in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
+        expected = np.concatenate([by_name[name].ravel() for name in trainable])
+        assert np.array_equal(bits(flat), bits(expected))
 
 
 def _run_config(tmp_path, text):
@@ -100,19 +157,27 @@ def test_sgd_and_adam_move_parameters(cfg):
     before = params.lm_w1.copy()
     sgd_step(params, {"lm_w1": np.ones_like(params.lm_w1)}, lr=0.1)
     np.testing.assert_allclose(params.lm_w1, before - 0.1)
+    untouched = params.copy()
+    grads = params.zero_grads()
+    grads["lm_w1"][...] = 1.0  # every other field's gradient is zero
     state = AdamState()
-    adam_step(params, {"lm_w1": np.ones_like(params.lm_w1)}, state, lr=0.1)
+    adam_step(params, grads, state, lr=0.1)
     assert state.t == 1
     assert not np.allclose(params.lm_w1, before - 0.1)
+    for name in params.array_fields():  # a zero gradient moves a field by exactly 0
+        if name != "lm_w1":
+            np.testing.assert_array_equal(getattr(params, name), getattr(untouched, name))
 
 
 def test_adam_zero_lr_is_identity(cfg):
     from molchord.genmodel import init_params
 
     params = init_params(cfg)
-    before = params.lm_w1.copy()
-    adam_step(params, {"lm_w1": np.ones_like(params.lm_w1)}, AdamState(), lr=0.0)
-    np.testing.assert_array_equal(params.lm_w1, before)
+    before = params.flat.copy()
+    grads = params.zero_grads()
+    grads["lm_w1"][...] = 1.0
+    adam_step(params, grads, AdamState(), lr=0.0)
+    np.testing.assert_array_equal(params.flat, before)
 
 
 # --- validation split ----------------------------------------------------------
