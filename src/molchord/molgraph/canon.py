@@ -23,10 +23,18 @@ import os
 import signal
 import threading
 import warnings
+from dataclasses import astuple
 from typing import Callable, Iterable, Sequence
 
-from .errors import CanonicalizationLimit, SmilesError, SmilesFeatureWarning
-from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Atom, BondOrder, Molecule
+from . import errors
+from .errors import (
+    CanonicalizationLimit,
+    SmilesError,
+    SmilesFeatureWarning,
+    ValenceIssue,
+    ValenceViolation,
+)
+from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Molecule
 from .parser import parse_smiles
 
 _MAX_LEAVES = 50_000
@@ -42,111 +50,117 @@ _MEMO_SIZE = 65_536
 # to save _FORK_PAYOFF medians, so a slow fork still pays.
 _FORK_S = 0.005
 _FORK_PAYOFF = 10
-# One parse plus canonicalization of a drug-sized string there.
-_CANONICALIZE_S = 0.0005
+# One parse plus canonicalization of a drug-sized string there: 0.18 ms per
+# distinct import-eval string (seed 7, one CPU, median of 5 passes).
+_CANONICALIZE_S = 0.0002
 
 
-def _dense(keys: list) -> list[int]:
-    order = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
+def _cells(keys: list) -> list[int]:
+    """Each atom's color for its key: the number of atoms with a smaller key,
+    i.e. where its cell starts when the atoms are listed by key."""
+    start: dict = {}
+    for key in keys:
+        start[key] = start.get(key, 0) + 1
+    total = 0
+    for key in sorted(start):  # the distinct keys, few
+        start[key], total = total, total + start[key]
+    return [start[key] for key in keys]
 
 
 def _refine(
     colors: list[int], adj: list[list[tuple[int, int]]], moved: list[int] | None = None
-) -> list[int]:
-    """Refine dense ``colors`` until no class splits.
+) -> int:
+    """Refine ``colors`` in place until no cell splits; return the number of cells.
 
-    ``adj[a]`` lists ``(neighbor, bond order * n)``. Each round keys every atom
-    by its color and the sorted (bond order, color) pairs of its neighbors and
-    renumbers the distinct keys densely in sorted order. Only an atom next to
-    an atom that changed class in the last round can get a key that differs
-    from its classmates', so a round rekeys those atoms alone; the rest of
-    their class shares one key. The numbering is the same as rekeying all.
-    ``moved`` names the atoms that changed class in a partition that was
-    already refined, or is None when ``colors`` never was.
+    A color is the start of its atom's cell in the atom order by color, so a
+    cell that splits renumbers its own atoms only. ``adj[a]`` lists
+    ``(neighbor, bond order * n)``. Each round keys every atom by the sorted
+    ``bond order * n + color`` values of its neighbors and splits each cell
+    in key order. Only an atom next to an atom that changed cell in the last
+    round can get a key that differs from its cellmates', so a round rekeys
+    those atoms alone; the rest of their cell shares one key, and the atoms
+    of the largest part of a split do not count as changed. The result is
+    the coloring that rekeying every atom each round reaches, with each cell
+    numbered by its start instead of its rank. ``moved`` names the atoms that
+    changed cell in a partition that was already refined, or is None when
+    ``colors`` never was.
     """
     n = len(colors)
-    members: list[set[int]] = [set() for _ in range(n)]
+    members: list[list[int]] = [[] for _ in range(n)]
     for atom_idx, color in enumerate(colors):
-        members[color].add(atom_idx)
-    class_of = list(colors)  # class ids stay fixed; pos[id] is the class's color
-    order = list(range(max(colors) + 1))
-    pos = list(range(n))
-    next_id = len(order)
+        members[color].append(atom_idx)
+    cells = n - members.count([])
     if moved is None:
-        touched = {c: members[c] for c in order if len(members[c]) > 1}
-    else:
-        touched = _touched(moved, adj, class_of)
-    while touched:
+        touched = {c: group for c, group in enumerate(members) if len(group) > 1}
+    while True:
+        if moved is not None:
+            # the neighbors of the moved atoms in cells of two or more
+            touched = {}
+            for a in moved:
+                for b, _ in adj[a]:
+                    c = colors[b]
+                    if len(members[c]) > 1:
+                        if c in touched:
+                            touched[c].add(b)
+                        else:
+                            touched[c] = {b}
         splits = []
         for c, atoms in touched.items():
             group = members[c]
-            if len(group) < 2:
-                continue
-            keyed: dict[tuple, set[int]] = {}
-            for a in atoms:
-                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
-                keyed.setdefault(key, set()).add(a)
+            keyed: dict[tuple, list[int]] = {}
             if len(atoms) < len(group):
-                rest = group - atoms
-                a = next(iter(rest))
-                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
-                keyed.setdefault(key, set()).update(rest)
+                rest = [a for a in group if a not in atoms]
+                keyed[_key(adj[rest[0]], colors)] = rest
+            for a in atoms:
+                key = _key(adj[a], colors)
+                if key in keyed:
+                    keyed[key].append(a)
+                else:
+                    keyed[key] = [a]
             if len(keyed) > 1:
-                splits.append((pos[c], c, [keyed[key] for key in sorted(keyed)]))
+                splits.append((c, [keyed[key] for key in sorted(keyed)]))
         if not splits:
-            break
-        # The largest part keeps the class id, so only the atoms of the other
-        # parts count as moved.
-        splits.sort(reverse=True)  # rewrite from the back so earlier positions hold
+            return cells
         moved = []
-        for at, c, groups in splits:
-            largest = max(groups, key=len)
-            ids = []
-            for group in groups:
-                if group is largest:
-                    members[c] = group
-                    ids.append(c)
-                    continue
-                members[next_id] = group
-                for a in group:
-                    class_of[a] = next_id
-                moved.extend(group)
-                ids.append(next_id)
-                next_id += 1
-            order[at : at + 1] = ids
-        for i in range(splits[-1][0], len(order)):
-            pos[order[i]] = i
-        touched = _touched(moved, adj, class_of)
-    return [pos[c] for c in class_of]
+        for c, parts in splits:
+            largest = max(parts, key=len)
+            for part in parts:
+                if c != colors[part[0]]:
+                    for a in part:
+                        colors[a] = c
+                members[c] = part
+                if part is not largest:
+                    moved += part
+                c += len(part)
+            cells += len(parts) - 1
 
 
-def _touched(
-    moved: list[int], adj: list[list[tuple[int, int]]], class_of: list[int]
-) -> dict[int, set[int]]:
-    """The neighbors of ``moved``, grouped by class: the atoms whose keys may
-    now differ from their classmates'."""
-    touched: dict[int, set[int]] = {}
-    for a in moved:
-        for b, _ in adj[a]:
-            touched.setdefault(class_of[b], set()).add(b)
-    return touched
+def _key(row: list[tuple[int, int]], colors: list[int]) -> tuple:
+    """The sorted ``bond order * n + color`` values of an atom's neighbors."""
+    if len(row) == 1:
+        return (row[0][1] + colors[row[0][0]],)
+    if len(row) == 2:
+        x = row[0][1] + colors[row[0][0]]
+        y = row[1][1] + colors[row[1][0]]
+        return (x, y) if x <= y else (y, x)
+    return tuple(sorted([w + colors[b] for b, w in row]))
 
 
-def _signature(
-    labels: list[tuple], bonds: list[tuple[int, int, int]], colors: list[int]
-) -> tuple:
-    position = [0] * len(colors)
+def _signature(labels: list[int], bonds: list[tuple[int, int, int]], colors: list[int]) -> list[int]:
+    """The graph as numbered by a discrete coloring: each position's atom label,
+    then the sorted bonds, each ``(low end, high end, order)`` packed into one
+    integer that sorts as the tuple would."""
+    n = len(colors)
+    position = [0] * n
     for atom_idx, color in enumerate(colors):
         position[color] = atom_idx
-    atom_part = tuple([labels[a] for a in position])
-    ends = [(colors[a], colors[b], order) for a, b, order in bonds]
-    bond_part = tuple(sorted([(min(x, y), max(x, y), order) for x, y, order in ends]))
-    return (atom_part, bond_part)
-
-
-def _graph(mol: Molecule) -> tuple[list[tuple], list[tuple[int, int, int]]]:
-    return [a.label() for a in mol.atoms], [(b.a, b.b, int(b.order)) for b in mol.bonds]
+    width = 5 * n
+    ends = []
+    for a, b, order in bonds:
+        x, y = colors[a], colors[b]
+        ends.append(x * width + y * 5 + order if x < y else y * width + x * 5 + order)
+    ends.sort()
+    return [labels[a] for a in position] + ends
 
 
 class _Node:
@@ -156,11 +170,11 @@ class _Node:
 
     def __init__(self, colors: list[int], generators: list[dict[int, int]]):
         self.colors = colors
-        cells: dict[int, list[int]] = {}
-        for atom_idx, color in enumerate(colors):
-            cells.setdefault(color, []).append(atom_idx)
-        self.cell_color = min(c for c, members in cells.items() if len(members) > 1)
-        self.cell = cells[self.cell_color]
+        sizes = [0] * len(colors)
+        for color in colors:
+            sizes[color] += 1
+        self.cell_color = next(c for c, size in enumerate(sizes) if size > 1)
+        self.cell = [a for a, c in enumerate(colors) if c == self.cell_color]
         self.next = 0
         self.explored: list[int] = []
         self.generators = generators
@@ -194,15 +208,23 @@ class _Node:
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
-    """Assign each atom a unique rank in 0..n-1, independent of input order."""
+    """Assign each atom a unique rank in 0..n-1, independent of input order.
+
+    Atom labels are numbered once, in sorted order, so every comparison of
+    labels below is one of integers that sort as the labels do.
+    """
     n = len(mol.atoms)
     if n == 0:
         return []
-    adj = [[(b, int(order) * n) for b, order in row] for row in mol.neighbors()]
-    colors = _refine(_dense([(a.label(), len(adj[a.index])) for a in mol.atoms]), adj)
-    if max(colors) == n - 1:
+    labels = _cells([atom[:4] for atom in mol.atoms])  # element, aromatic, charge, explicit_h
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, order in mol.bonds:
+        adj[a].append((b, order * n))
+        adj[b].append((a, order * n))
+    colors = _cells([label * n + len(row) for label, row in zip(labels, adj)])
+    if _refine(colors, adj) == n:
         return colors
-    labels, bonds = _graph(mol)
+    bonds = [(a, b, int(order)) for a, b, order in mol.bonds]
 
     # The first leaf and the best leaf so far, as (signature, colors, path).
     first = best = None
@@ -222,17 +244,14 @@ def canonical_ranks(mol: Molecule) -> list[int]:
             raise CanonicalizationLimit(
                 f"canonical ordering searched over {_MAX_WORK // n} nodes of {n} atoms", 0
             )
-        cell_color = node.cell_color
-        colors = _refine(
-            [
-                c if c < cell_color else (cell_color if a == atom_idx else c + 1)
-                for a, c in enumerate(node.colors)
-            ],
-            adj,
-            [atom_idx],
-        )
+        # individualize: atom_idx keeps the cell's start, its cellmates move one up
+        colors = node.colors[:]
+        for a in node.cell:
+            colors[a] = node.cell_color + 1
+        colors[atom_idx] = node.cell_color
+        discrete = _refine(colors, adj, [atom_idx]) == n
         path.append(atom_idx)
-        if max(colors) < n - 1:
+        if not discrete:
             stack.append(_Node(colors, [g for g in node.generators if atom_idx not in g]))
             continue
 
@@ -280,141 +299,153 @@ def _automorphism(colors: list[int], ref_colors: list[int]) -> dict[int, int]:
     return {a: at[c] for a, c in enumerate(colors) if at[c] != a}
 
 
-def _needs_bracket(atom: Atom) -> bool:
-    if atom.charge != 0 or atom.explicit_h > 0:
-        return True
-    if atom.aromatic:
-        return atom.element.lower() not in AROMATIC_ORGANIC
-    return atom.element not in ORGANIC_SUBSET
+# Bond tokens by order, as (otherwise, between two aromatic atoms): an
+# implicit bond between two aromatic atoms reads back as aromatic, so a single
+# bond there (biphenyl) is written out, and an aromatic one elsewhere is ':'.
+_BOND_TOKENS = (None, ("", "-"), ("=", "="), ("#", "#"), (":", ""))
+_DIGITS = [""] + [str(d) if d < 10 else f"%{d}" for d in range(1, 100)]
+# Atom tokens by label (element, aromatic, charge, explicit_h), a few
+# thousand at most.
+_ATOM_TOKENS: dict[tuple, str] = {}
+_ATOM_TOKENS_SIZE = 4096
 
 
-def _atom_token(atom: Atom) -> str:
-    symbol = atom.element.lower() if atom.aromatic else atom.element
-    if not _needs_bracket(atom):
-        return symbol
-    token = "[" + symbol
-    if atom.explicit_h == 1:
-        token += "H"
-    elif atom.explicit_h > 1:
-        token += f"H{atom.explicit_h}"
-    if atom.charge:
-        sign = "+" if atom.charge > 0 else "-"
-        token += sign if abs(atom.charge) == 1 else f"{sign}{abs(atom.charge)}"
-    return token + "]"
-
-
-def _bond_token(order: BondOrder, a: Atom, b: Atom) -> str:
-    if order == BondOrder.SINGLE:
-        # An implicit bond between two aromatic atoms reads back as aromatic,
-        # so single bonds there (e.g. biphenyl) must be written out.
-        return "-" if (a.aromatic and b.aromatic) else ""
-    if order == BondOrder.DOUBLE:
-        return "="
-    if order == BondOrder.TRIPLE:
-        return "#"
-    return "" if (a.aromatic and b.aromatic) else ":"
+def _atom_token(label: tuple) -> str:
+    element, aromatic, charge, explicit_h = label
+    symbol = element.lower() if aromatic else element
+    if charge == 0 and explicit_h <= 0 and (
+        symbol in AROMATIC_ORGANIC if aromatic else element in ORGANIC_SUBSET
+    ):
+        token = symbol
+    else:
+        token = "[" + symbol
+        if explicit_h == 1:
+            token += "H"
+        elif explicit_h > 1:
+            token += f"H{explicit_h}"
+        if charge:
+            sign = "+" if charge > 0 else "-"
+            token += sign if abs(charge) == 1 else f"{sign}{abs(charge)}"
+        token += "]"
+    if len(_ATOM_TOKENS) < _ATOM_TOKENS_SIZE:
+        _ATOM_TOKENS[label] = token
+    return token
 
 
 def canonical_smiles(mol: Molecule) -> str:
-    """Permutation-invariant SMILES without stereochemistry."""
+    """Permutation-invariant SMILES without stereochemistry.
+
+    Works on atoms by canonical rank: each atom's neighbors are one sorted
+    list of ``rank * 8 + bond order`` integers, so a depth-first search in
+    rank order visits them by rank.
+    """
     n = len(mol.atoms)
     if n == 0:
         return ""
     ranks = canonical_ranks(mol)
-    adj: list[list[tuple[int, BondOrder]]] = mol.neighbors()
+    tokens = [""] * n
+    aromatic = [False] * n
+    for atom, r in zip(mol.atoms, ranks):
+        label = atom[:4]
+        tokens[r] = _ATOM_TOKENS.get(label) or _atom_token(label)
+        aromatic[r] = atom.aromatic
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b, order in mol.bonds:
+        ra, rb = ranks[a], ranks[b]
+        adj[ra].append(rb * 8 + order)
+        adj[rb].append(ra * 8 + order)
     for row in adj:
-        row.sort(key=lambda pair: ranks[pair[0]])
+        row.sort()
 
-    # Depth-first spanning forest in rank order. Non-tree edges become ring
-    # closures recorded as (open atom, close atom, order) in discovery order.
-    visited = [False] * n
+    # One depth-first pass from each unvisited atom in rank order writes the
+    # string: each atom's text (its bond from the parent and its token) is
+    # one item of ``parts``. When an atom's second or later child is found,
+    # the previous child's subtree is complete, so it is wrapped in
+    # parentheses there. A bond to an atom seen earlier that is not the
+    # parent closes a ring, recorded as (open atom, close atom, order) in
+    # discovery order; one to an atom seen later was recorded from that side.
+    # Ring digits are added to their atoms' items at the end.
+    parts: list[str] = []
+    item = [0] * n  # each atom's index in parts
+    seen = [-1] * n  # preorder number
+    parent = [-1] * n
+    last_child = [-1] * n
     preorder: list[int] = []
-    components: list[tuple[int, dict[int, list[tuple[int, BondOrder]]]]] = []
-    closure_list: list[tuple[int, int, BondOrder]] = []
-
-    for start in sorted(range(n), key=lambda a: ranks[a]):
-        if visited[start]:
+    closures: list[tuple[int, int, int]] = []
+    for root in range(n):
+        if seen[root] >= 0:
             continue
-        children: dict[int, list[tuple[int, BondOrder]]] = {start: []}
-        used_edges: set[tuple[int, int]] = set()
-        visited[start] = True
-        preorder.append(start)
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            atom_idx, neighbor_iter = stack[-1]
-            advanced = False
-            for nbr, order in neighbor_iter:
-                key = (atom_idx, nbr) if atom_idx < nbr else (nbr, atom_idx)
-                if key in used_edges:
-                    continue
-                used_edges.add(key)
-                if visited[nbr]:
-                    closure_list.append((nbr, atom_idx, order))
-                else:
-                    visited[nbr] = True
-                    preorder.append(nbr)
-                    children[atom_idx].append((nbr, order))
-                    children[nbr] = []
-                    stack.append((nbr, iter(adj[nbr])))
-                    advanced = True
+        if parts:
+            parts.append(".")
+        seen[root] = len(preorder)
+        preorder.append(root)
+        item[root] = len(parts)
+        parts.append(tokens[root])
+        trail = [root]
+        scans = [iter(adj[root])]
+        while scans:
+            u = trail[-1]
+            for x in scans[-1]:
+                v = x >> 3
+                if seen[v] < 0:
                     break
-            if not advanced:
-                stack.pop()
-        components.append((start, children))
+                if seen[v] < seen[u] and v != parent[u]:
+                    closures.append((v, u, x & 7))
+            else:
+                trail.pop()
+                scans.pop()
+                continue
+            sibling = last_child[u]
+            if sibling >= 0:
+                parts[item[sibling]] = "(" + parts[item[sibling]]
+                parts.append(")")
+            last_child[u] = v
+            parent[v] = u
+            seen[v] = len(preorder)
+            preorder.append(v)
+            item[v] = len(parts)
+            parts.append(_BOND_TOKENS[x & 7][aromatic[u] and aromatic[v]] + tokens[v])
+            trail.append(v)
+            scans.append(iter(adj[v]))
+    if closures:
+        for atom, text in _ring_text(closures, preorder, aromatic).items():
+            parts[item[atom]] += text
+    return "".join(parts)
 
-    # Allocate ring-closure digits in string order; a digit frees up once its
-    # closing atom has been rendered.
+
+def _ring_text(
+    closures: list[tuple[int, int, int]], preorder: list[int], aromatic: list[bool]
+) -> dict[int, str]:
+    """The ring-closure digits written after each atom that has any: the
+    digits it closes, then the bond and digit of each it opens. Digits are
+    allocated in string order, lowest free first; a digit frees up once its
+    closing atom has been written."""
     opens_at: dict[int, list[int]] = {}
     closes_at: dict[int, list[int]] = {}
-    for ci, (a_open, a_close, _) in enumerate(closure_list):
+    for ci, (a_open, a_close, _) in enumerate(closures):
         opens_at.setdefault(a_open, []).append(ci)
         closes_at.setdefault(a_close, []).append(ci)
-    digit_for: dict[int, int] = {}
+    digit_for = [0] * len(closures)
     free_digits = list(range(1, 100))
-    heapq.heapify(free_digits)
-    for atom_idx in preorder:
-        for ci in closes_at.get(atom_idx, ()):
+    text: dict[int, str] = {}
+    for atom in preorder:
+        closing = closes_at.get(atom, ())
+        opening = opens_at.get(atom, ())
+        if not (closing or opening):
+            continue
+        parts = []
+        for ci in closing:
             heapq.heappush(free_digits, digit_for[ci])
-        for ci in opens_at.get(atom_idx, ()):
+            parts.append(_DIGITS[digit_for[ci]])
+        for ci in opening:
             if not free_digits:
                 raise CanonicalizationLimit("more than 99 simultaneously open ring closures", 0)
             digit_for[ci] = heapq.heappop(free_digits)
-
-    def digit_token(digit: int) -> str:
-        return str(digit) if digit < 10 else f"%{digit:02d}"
-
-    def closure_tokens(atom_idx: int) -> str:
-        parts = []
-        for ci in closes_at.get(atom_idx, ()):
-            parts.append(digit_token(digit_for[ci]))
-        for ci in opens_at.get(atom_idx, ()):
-            a_open, a_close, order = closure_list[ci]
-            bond = _bond_token(order, mol.atoms[a_open], mol.atoms[a_close])
-            parts.append(bond + digit_token(digit_for[ci]))
-        return "".join(parts)
-
-    def render(start: int, children: dict[int, list[tuple[int, BondOrder]]]) -> str:
-        # Explicit stack of atoms still to render and literal text, so chain
-        # depth is not bounded by the interpreter's recursion limit.
-        parts: list[str] = []
-        pending: list[int | str] = [start]
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            parts.append(_atom_token(mol.atoms[item]) + closure_tokens(item))
-            kids = children[item]
-            for pos in range(len(kids) - 1, -1, -1):
-                child, order = kids[pos]
-                bond = _bond_token(order, mol.atoms[item], mol.atoms[child])
-                if pos < len(kids) - 1:
-                    pending += [")", child, "(" + bond]
-                else:
-                    pending += [child, bond]
-        return "".join(parts)
-
-    return ".".join(render(start, children) for start, children in components)
+            a_open, a_close, order = closures[ci]
+            bond = _BOND_TOKENS[order][aromatic[a_open] and aromatic[a_close]]
+            parts.append(bond + _DIGITS[digit_for[ci]])
+        text[atom] = "".join(parts)
+    return text
 
 
 # Results by raw string, each dict bounded at _MEMO_SIZE entries (the oldest
@@ -479,21 +510,36 @@ def try_canonicalize(text: str) -> str | None:
             return None
 
 
-def _clean_canonical(texts: list[str]) -> list[str | None]:
-    """Each string's canonical form, or None where it raised or warned. In
-    the calling process, each ``SmilesError`` is kept in ``_failed``."""
-    out: list[str | None] = []
+def _clean_canonical(texts: list[str]) -> list[str | list | None]:
+    """Each string's canonical form; for one that raised, its error as
+    ``_error_record`` gives it; None where it warned. The results are JSON
+    values, so a forked child can send them back."""
+    out: list[str | list | None] = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", SmilesFeatureWarning)
         for text in texts:
             try:
                 out.append(canonical_smiles(parse_smiles(text)))
             except SmilesError as exc:
-                _failed[text] = exc.with_traceback(None)
-                out.append(None)
+                out.append(_error_record(exc))
             except Exception:  # a warning: the caller's own ``canonicalize`` warns
                 out.append(None)
     return out
+
+
+def _error_record(exc: SmilesError) -> list:
+    """``exc`` as JSON values: its class name and the arguments it was built from."""
+    if isinstance(exc, ValenceViolation):
+        return [type(exc).__name__, *astuple(exc.issue)]
+    return [type(exc).__name__, exc.message, exc.offset]
+
+
+def _from_record(record: list) -> SmilesError:
+    """The exception ``_error_record`` describes, built again."""
+    cls = getattr(errors, record[0])
+    if cls is ValenceViolation:
+        return cls(ValenceIssue(*record[1:]))
+    return cls(*record[1:])
 
 
 def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
@@ -504,16 +550,18 @@ def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
 
     A string that warns is left out, so its first ``canonicalize`` call warns
     exactly as it would have without the prefetch. One that raises is left
-    out too, but when this process computed it (not a forked child), its
-    exception is kept for the next ``canonicalize`` call of the string, which
-    raises it without computing it again.
+    out too, and its exception, rebuilt in this process when a forked child
+    computed it, is kept for the next ``canonicalize`` call of the string,
+    which raises it without computing it again.
     """
     distinct = list(dict.fromkeys(texts))
     todo = [text for text in distinct if text not in _memo][:_MEMO_SIZE]
     _failed.clear()
-    for text, canon in zip(todo, fan_out(_clean_canonical, todo, len(todo) * _CANONICALIZE_S)):
-        if canon is not None:
-            _remember(_memo, text, canon)
+    for text, result in zip(todo, fan_out(_clean_canonical, todo, len(todo) * _CANONICALIZE_S)):
+        if isinstance(result, str):
+            _remember(_memo, text, result)
+        elif result is not None:
+            _failed[text] = _from_record(result)
     return {text: _memo[text] for text in distinct if text in _memo}
 
 

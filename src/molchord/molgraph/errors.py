@@ -10,6 +10,7 @@ class SmilesError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 

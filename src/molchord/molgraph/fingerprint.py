@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from hashlib import blake2b
 
-from ..hashutil import digest64, encode_part, stable_hash64
+from ..hashutil import encode_part, stable_hash64
 from .model import BondOrder, Molecule
 
 DEFAULT_RADIUS = 2
@@ -32,7 +33,7 @@ def _atom_invariant(
 
 
 _ENV_TAG = encode_part("env")
-_ORDER_PART = {int(order): encode_part(int(order)) for order in BondOrder}
+_ORDER_PART = [b""] + [encode_part(order) for order in range(1, max(BondOrder) + 1)]  # by order
 
 
 def morgan_fingerprint(
@@ -44,34 +45,51 @@ def morgan_fingerprint(
     the sorted multiset of (bond order, neighbor invariant) pairs, so the
     result only depends on the graph, never on atom input order. Each refined
     invariant is ``stable_hash64("env", r, own, order1, inv1, ...)``, hashed
-    here in one call over the parts' pre-encoded bytes.
+    here in one call over the parts' pre-encoded bytes. An invariant is a
+    64-bit digest, so its ``encode_part`` is ``b"i"`` and its 16 little-endian
+    bytes, and a (bond order, invariant) pair sorts as ``order << 64 | inv``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if nbits < 64 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 64")
 
-    adj = [[(nbr, int(order)) for nbr, order in row] for row in mol.neighbors()]
+    adj: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]  # (order, neighbor)
+    for a, b, order in mol.bonds:
+        adj[a].append((order, b))
+        adj[b].append((order, a))
     invariants = [
-        _atom_invariant(a.element, a.aromatic, a.charge, a.explicit_h, len(adj[i]))
-        for i, a in enumerate(mol.atoms)
+        _atom_invariant(element, aromatic, charge, explicit_h, len(row))
+        for (element, aromatic, charge, explicit_h, _, _), row in zip(mol.atoms, adj)
     ]
+    mask = nbits - 1
     bits = 0
     for inv in invariants:
-        bits |= 1 << (inv % nbits)
+        bits |= 1 << (inv & mask)
     for r in range(1, radius + 1):
         head = _ENV_TAG + encode_part(r)
-        encoded = [encode_part(inv) for inv in invariants]
+        encoded = [b"i" + inv.to_bytes(16, "little") for inv in invariants]
         refreshed = []
-        for i, row in enumerate(adj):
-            env = sorted((order, invariants[nbr], nbr) for nbr, order in row)
-            parts = [head, encoded[i]]
-            for order, _, nbr in env:
-                parts += (_ORDER_PART[order], encoded[nbr])
-            refreshed.append(digest64(b"".join(parts)))
-        invariants = refreshed
+        for own, row in zip(encoded, adj):
+            if len(row) == 1:
+                order, nbr = row[0]
+                data = b"".join((head, own, _ORDER_PART[order], encoded[nbr]))
+            elif len(row) == 2:
+                (o1, n1), (o2, n2) = row
+                if o1 > o2 or o1 == o2 and invariants[n1] > invariants[n2]:
+                    o1, n1, o2, n2 = o2, n2, o1, n1
+                data = b"".join(
+                    (head, own, _ORDER_PART[o1], encoded[n1], _ORDER_PART[o2], encoded[n2])
+                )
+            else:
+                parts = [head, own]
+                for key, nbr in sorted([(order << 64 | invariants[nbr], nbr) for order, nbr in row]):
+                    parts += (_ORDER_PART[key >> 64], encoded[nbr])
+                data = b"".join(parts)
+            refreshed.append(blake2b(data, digest_size=8).digest())
+        invariants = [int.from_bytes(d, "little") for d in refreshed]
         for inv in invariants:
-            bits |= 1 << (inv % nbits)
+            bits |= 1 << (inv & mask)
     return Fingerprint(bits=bits, nbits=nbits, radius=radius)
 
 

@@ -10,7 +10,6 @@ bonds are accepted and must lie on a ring (a cycle of bonds).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .errors import (
     AromaticityError,
@@ -27,11 +26,11 @@ from .errors import (
 from .model import (
     AROMATIC_ORGANIC,
     KNOWN_ELEMENTS,
+    ORGANIC_SUBSET,
     Atom,
     Bond,
     BondOrder,
     Molecule,
-    make_molecule,
     max_valence,
 )
 from .rings import ring_bonds
@@ -44,17 +43,34 @@ _BOND_SYMBOLS = {
     "#": BondOrder.TRIPLE,
     ":": BondOrder.AROMATIC,
 }
+_SINGLE = BondOrder.SINGLE
+_AROMATIC = BondOrder.AROMATIC
+# What a bond adds to each end's valence, by order: aromatic bonds add 1.
+_VALENCE_OF = (0, 1, 2, 3, 1)
+# ``max_valence`` of every element at the charges a bracket atom commonly
+# carries; other charges are computed when they occur.
+_CAPS = {(e, charge): max_valence(e, charge) for e in KNOWN_ELEMENTS for charge in range(-8, 9)}
+# Organic-subset tokens: (element, aromatic).
+_ORGANIC = {
+    **{e: (e, False) for e in ORGANIC_SUBSET},
+    **{e: (e.upper(), True) for e in AROMATIC_ORGANIC},
+}
+_new = tuple.__new__  # builds an Atom or Bond without its keyword-handling __new__
 
 
-@dataclass
-class _PendingRing:
-    atom: int
-    order: BondOrder | None
-    offset: int
+def _valence_cap(element: str, charge: int) -> int | None:
+    key = (element, charge)
+    return _CAPS[key] if key in _CAPS else max_valence(element, charge)
 
 
 def parse_smiles(text: str) -> Molecule:
-    """Parse ``text`` into a Molecule with aromatic ring membership and valence checked."""
+    """Parse ``text`` into a Molecule with aromatic ring membership and valence checked.
+
+    Atoms are numbered in input order, and each bond is stored with its lower
+    atom first. A chain bond always joins a new atom to an earlier one, so
+    only ring closures can repeat a bond or close onto their own atom; those
+    are checked as they close.
+    """
     if text == "":
         raise EmptyInput("empty SMILES", 0)
     if len(text) > MAX_INPUT_LENGTH:
@@ -62,82 +78,54 @@ def parse_smiles(text: str) -> Molecule:
 
     atoms: list[Atom] = []
     bonds: list[Bond] = []
-    bond_keys: set[tuple[int, int]] = set()
+    aromatic: list[bool] = []  # per atom
+    chain_parent: list[int] = []  # per atom: the atom its chain bond comes from, or -1
+    closures: set[tuple[int, int]] = set()  # ring-closure bonds as (low, high)
+    aromatic_symbol = False  # a ':' bond, which may join non-aromatic atoms
 
-    prev_atom: int | None = None
+    prev = -1  # the atom the next bond starts from, -1 for none
     pending_order: BondOrder | None = None
     pending_offset = -1
     branch_stack: list[tuple[int, int]] = []  # (atom index to return to, offset of '(')
-    open_rings: dict[int, _PendingRing] = {}
-
-    def add_bond(a: int, b: int, order: BondOrder, offset: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        if a == b:
-            raise UnmatchedRingBond("ring bond back to the same atom", offset)
-        if key in bond_keys:
-            raise UnmatchedRingBond(f"duplicate bond between atoms {key[0]} and {key[1]}", offset)
-        bond_keys.add(key)
-        bonds.append(Bond(key[0], key[1], order))
-
-    def default_order(a: int, b: int) -> BondOrder:
-        if atoms[a].aromatic and atoms[b].aromatic:
-            return BondOrder.AROMATIC
-        return BondOrder.SINGLE
-
-    def attach_atom(atom: Atom, offset: int) -> None:
-        nonlocal prev_atom, pending_order, pending_offset
-        idx = len(atoms)
-        atoms.append(atom)
-        if prev_atom is not None:
-            order = pending_order if pending_order is not None else default_order(prev_atom, idx)
-            add_bond(prev_atom, idx, order, pending_offset if pending_order is not None else offset)
-        elif pending_order is not None:
-            raise SmilesSyntaxError("bond symbol with no preceding atom", pending_offset)
-        pending_order = None
-        prev_atom = idx
-
-    def close_ring(num: int, offset: int) -> None:
-        nonlocal pending_order
-        if prev_atom is None:
-            raise SmilesSyntaxError("ring-closure digit before any atom", offset)
-        if num in open_rings:
-            pending = open_rings.pop(num)
-            order = pending.order
-            if pending_order is not None:
-                if order is not None and order != pending_order:
-                    raise UnmatchedRingBond(
-                        f"conflicting bond orders for ring closure {num}", offset
-                    )
-                order = pending_order
-            if order is None:
-                order = default_order(pending.atom, prev_atom)
-            add_bond(pending.atom, prev_atom, order, offset)
-        else:
-            open_rings[num] = _PendingRing(prev_atom, pending_order, offset)
-        pending_order = None
+    open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}  # digit -> (atom, order, offset)
 
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        two = text[i : i + 2]
-        if two in ("Cl", "Br"):
-            attach_atom(Atom(element=two, index=len(atoms), offset=i), i)
-            i += 2
-        elif ch in "BCNOPSFI":
-            attach_atom(Atom(element=ch, index=len(atoms), offset=i), i)
-            i += 1
-        elif ch in "bcnops":
-            attach_atom(Atom(element=ch.upper(), aromatic=True, index=len(atoms), offset=i), i)
-            i += 1
-        elif ch == "[":
-            atom, i = _parse_bracket(text, i, len(atoms))
-            attach_atom(atom, atom.offset)
+        organic = _ORGANIC.get(ch)
+        if organic is not None or ch == "[":
+            idx = len(atoms)
+            if organic is not None:
+                width = 1
+                if ch in "CB" and text[i : i + 2] in _ORGANIC:  # Cl, Br
+                    organic = _ORGANIC[text[i : i + 2]]
+                    width = 2
+                element, is_aromatic = organic
+                atoms.append(_new(Atom, (element, is_aromatic, 0, 0, idx, i)))
+                i += width
+            else:
+                atom, i = _parse_bracket(text, i, idx)
+                atoms.append(atom)
+                is_aromatic = atom.aromatic
+            aromatic.append(is_aromatic)
+            chain_parent.append(prev)
+            if prev >= 0:
+                if pending_order is None:
+                    order = _AROMATIC if is_aromatic and aromatic[prev] else _SINGLE
+                else:
+                    order = pending_order
+                bonds.append(_new(Bond, (prev, idx, order)))
+            elif pending_order is not None:
+                raise SmilesSyntaxError("bond symbol with no preceding atom", pending_offset)
+            pending_order = None
+            prev = idx
         elif ch in _BOND_SYMBOLS:
             if pending_order is not None:
                 raise SmilesSyntaxError("two consecutive bond symbols", i)
             pending_order = _BOND_SYMBOLS[ch]
             pending_offset = i
+            aromatic_symbol = aromatic_symbol or ch == ":"
             i += 1
         elif ch in "/\\":
             warnings.warn(
@@ -145,35 +133,58 @@ def parse_smiles(text: str) -> Molecule:
             )
             if pending_order is not None:
                 raise SmilesSyntaxError("two consecutive bond symbols", i)
-            pending_order = BondOrder.SINGLE
+            pending_order = _SINGLE
             pending_offset = i
             i += 1
         elif ch == "(":
-            if prev_atom is None:
+            if prev < 0:
                 raise SmilesSyntaxError("branch before any atom", i)
             if pending_order is not None:
                 raise SmilesSyntaxError("bond symbol before '('", pending_offset)
-            branch_stack.append((prev_atom, i))
+            branch_stack.append((prev, i))
             i += 1
         elif ch == ")":
             if not branch_stack:
                 raise UnclosedBranch("unmatched ')'", i)
             if pending_order is not None:
                 raise SmilesSyntaxError("dangling bond symbol before ')'", pending_offset)
-            prev_atom = branch_stack.pop()[0]
+            prev = branch_stack.pop()[0]
             i += 1
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-            i += 1
-        elif ch == "%":
-            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
-                raise SmilesSyntaxError("'%' must be followed by two digits", i)
-            close_ring(int(text[i + 1 : i + 3]), i)
-            i += 3
+        elif ch.isdigit() or ch == "%":
+            offset = i
+            if ch == "%":
+                if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                    raise SmilesSyntaxError("'%' must be followed by two digits", i)
+                num = int(text[i + 1 : i + 3])
+                i += 3
+            else:
+                num = int(ch)
+                i += 1
+            if prev < 0:
+                raise SmilesSyntaxError("ring-closure digit before any atom", offset)
+            if num not in open_rings:
+                open_rings[num] = (prev, pending_order, offset)
+                pending_order = None
+                continue
+            other, order, _ = open_rings.pop(num)
+            if pending_order is not None:
+                if order is not None and order != pending_order:
+                    raise UnmatchedRingBond(f"conflicting bond orders for ring closure {num}", offset)
+                order = pending_order
+            if order is None:
+                order = _AROMATIC if aromatic[other] and aromatic[prev] else _SINGLE
+            if other == prev:
+                raise UnmatchedRingBond("ring bond back to the same atom", offset)
+            low, high = (other, prev) if other < prev else (prev, other)
+            if chain_parent[high] == low or (low, high) in closures:
+                raise UnmatchedRingBond(f"duplicate bond between atoms {low} and {high}", offset)
+            closures.add((low, high))
+            bonds.append(_new(Bond, (low, high, order)))
+            pending_order = None
         elif ch == ".":
             if pending_order is not None:
                 raise SmilesSyntaxError("bond symbol before '.'", pending_offset)
-            prev_atom = None
+            prev = -1
             i += 1
         else:
             raise UnknownElement(f"unexpected character {ch!r}", i)
@@ -181,15 +192,16 @@ def parse_smiles(text: str) -> Molecule:
     if branch_stack:
         raise UnclosedBranch("unclosed '('", branch_stack[-1][1])
     if open_rings:
-        num, pending = min(open_rings.items())
-        raise UnmatchedRingBond(f"ring closure {num} never closed", pending.offset)
+        num, (_, _, offset) = min(open_rings.items())
+        raise UnmatchedRingBond(f"ring closure {num} never closed", offset)
     if pending_order is not None:
         raise SmilesSyntaxError("dangling bond symbol at end of input", pending_offset)
     if not atoms:
         raise EmptyInput("no atoms in input", 0)
 
-    mol = make_molecule(atoms, bonds)
-    _check_aromatic_membership(mol)
+    mol = Molecule(atoms, bonds)
+    if aromatic_symbol or True in aromatic:
+        _check_aromatic_membership(mol)
     issues = validate_valence(mol)
     if issues:
         raise ValenceViolation(issues[0])
@@ -307,22 +319,20 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
 
 
 def _check_aromatic_membership(mol: Molecule) -> None:
-    if not any(atom.aromatic for atom in mol.atoms) and not any(
-        bond.order == BondOrder.AROMATIC for bond in mol.bonds
-    ):
-        return
+    """Every aromatic atom and bond lies on a ring: atoms in index order
+    first, then bonds in bond order."""
     on_ring = ring_bonds(mol)
-    ring_atoms: set[int] = set()
-    for bond, flag in zip(mol.bonds, on_ring):
+    ring_atom = [False] * len(mol.atoms)
+    for (a, b, _), flag in zip(mol.bonds, on_ring):
         if flag:
-            ring_atoms.update((bond.a, bond.b))
+            ring_atom[a] = ring_atom[b] = True
     for atom in mol.atoms:
-        if atom.aromatic and atom.index not in ring_atoms:
+        if atom.aromatic and not ring_atom[atom.index]:
             raise AromaticityError(
                 f"aromatic atom {atom.index} is not in any ring", atom.offset
             )
     for bond, flag in zip(mol.bonds, on_ring):
-        if bond.order == BondOrder.AROMATIC and not flag:
+        if bond.order == _AROMATIC and not flag:
             a = mol.atoms[bond.a]
             raise AromaticityError(
                 f"aromatic bond {bond.key()} is not in any ring", a.offset
@@ -337,25 +347,21 @@ def validate_valence(mol: Molecule) -> list[ValenceIssue]:
     benzene totals 3 and keeps room for one hydrogen. Elements outside the
     valence table are not checked.
     """
-    sums = [0] * len(mol.atoms)
-    aromatic_member = [atom.aromatic for atom in mol.atoms]
-    for bond in mol.bonds:
-        order = 1 if bond.order == BondOrder.AROMATIC else int(bond.order)
-        sums[bond.a] += order
-        sums[bond.b] += order
-        if bond.order == BondOrder.AROMATIC:
-            aromatic_member[bond.a] = True
-            aromatic_member[bond.b] = True
+    sums = [atom.explicit_h + atom.aromatic for atom in mol.atoms]
+    in_system = [atom.aromatic for atom in mol.atoms]
+    for a, b, order in mol.bonds:
+        sums[a] += _VALENCE_OF[order]
+        sums[b] += _VALENCE_OF[order]
+        if order == _AROMATIC:
+            for end in (a, b):
+                if not in_system[end]:
+                    in_system[end] = True
+                    sums[end] += 1
 
     issues: list[ValenceIssue] = []
-    for atom in mol.atoms:
-        allowed = max_valence(atom.element, atom.charge)
-        if allowed is None:
-            continue
-        total = sums[atom.index] + atom.explicit_h
-        if aromatic_member[atom.index]:
-            total += 1
-        if total > allowed:
+    for atom, total in zip(mol.atoms, sums):
+        allowed = _valence_cap(atom.element, atom.charge)
+        if allowed is not None and total > allowed:
             issues.append(
                 ValenceIssue(
                     atom_index=atom.index,

@@ -8,15 +8,15 @@ parse each of them once. Before its line loop, ``load_records`` seeds that
 memo with every string of the file, in shares across the usable CPUs when the
 file is large enough (``molgraph.prefetch_canonical``); the line loop then
 hits the memo. A string that warns is computed there again, and one that
-raised in this process raises the prefetch's exception, so errors and
-warnings come in line order as before. Given a cache directory, the loader
-also keeps each file's raw -> canonical map under ``canonical/`` there, so a
-later stage that loads the same bytes skips the canonicalization. The
-docking adapter shells out to a user-supplied command that must print one
-finite number as the last non-empty line of its stdout. The fully
-substituted command line is the identity of a result: ``dock_many`` runs
-each distinct line once, results are cached under the line's SHA-256, and a
-cache hit skips execution.
+raised raises the prefetch's exception (a forked child hands it back), so
+errors and warnings come in line order as before. Given a cache directory,
+the loader also keeps each file's raw -> canonical map under ``canonical/``
+there, so a later stage that loads the same bytes skips the
+canonicalization. The docking adapter shells out to a user-supplied command
+that must print one finite number as the last non-empty line of its stdout.
+The fully substituted command line is the identity of a result:
+``dock_many`` runs each distinct line once, results are cached under the
+line's SHA-256, and a cache hit skips execution.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ import json
 import math
 import os
 import signal
-import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -519,6 +517,8 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
     exit code, stdout and stderr. A timeout, or anything else that ends the
     wait, kills the whole group: killing the shell alone would leave what it
     started running."""
+    import subprocess  # here, so the stages that run no command start without it
+
     proc = subprocess.Popen(
         command,
         shell=True,
@@ -652,6 +652,8 @@ def dock_many(
     if workers <= 1:
         outcome = {line: run_one(line) for line in first}
     else:
+        from concurrent.futures import ThreadPoolExecutor  # and logging, which it loads
+
         groups = _Groups()
         with ThreadPoolExecutor(
             max_workers=workers, initializer=setattr, initargs=(_worker, "groups", groups)

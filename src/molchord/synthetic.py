@@ -7,6 +7,8 @@ Everything is driven by explicit numpy Generators for reproducibility.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .curation import ComplexRecord
@@ -95,6 +97,12 @@ def _fused_aromatic(b: _Builder, rng: np.random.Generator) -> list[int]:
 
 _CHAIN_ELEMENTS = [("C", 4, 8), ("N", 3, 2), ("O", 2, 2), ("S", 2, 1)]
 _TERMINALS = ["F", "Cl", "Br", "O", "N"]
+# The cumulative table that ``rng.choice(elements, p=weights / weights.sum())``
+# searches with its one ``rng.random()`` draw, computed as it computes it, so
+# a bisection of the same draw picks the same element.
+_CHAIN_WEIGHTS = np.array([w for _, _, w in _CHAIN_ELEMENTS], dtype=float)
+_CHAIN_CDF = (_CHAIN_WEIGHTS / _CHAIN_WEIGHTS.sum()).cumsum()
+_CHAIN_CDF = (_CHAIN_CDF / _CHAIN_CDF[-1]).tolist()
 
 
 def _grow_chain(b: _Builder, rng: np.random.Generator, anchor: int, length: int) -> None:
@@ -102,10 +110,7 @@ def _grow_chain(b: _Builder, rng: np.random.Generator, anchor: int, length: int)
     for _ in range(length):
         if b.free[current] <= 0:
             return
-        elements = [e for e, _, _ in _CHAIN_ELEMENTS]
-        weights = np.array([w for _, _, w in _CHAIN_ELEMENTS], dtype=float)
-        element = str(rng.choice(elements, p=weights / weights.sum()))
-        budget = dict((e, v) for e, v, _ in _CHAIN_ELEMENTS)[element]
+        element, budget, _ = _CHAIN_ELEMENTS[bisect.bisect_right(_CHAIN_CDF, rng.random())]
         order = BondOrder.SINGLE
         if element == "C" and b.free[current] >= 2 and rng.random() < 0.15:
             order = BondOrder.DOUBLE

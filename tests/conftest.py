@@ -57,6 +57,13 @@ def small_corpus() -> list[str]:
 
 
 @pytest.fixture(scope="session")
+def large_corpus() -> list[str]:
+    """3000 valid molecules with 3 to 40 heavy atoms, made once per session
+    for the tests that check every one of them against an oracle."""
+    return smiles_corpus(3000, seed=5, min_heavy=3, max_heavy=40)
+
+
+@pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 

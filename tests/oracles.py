@@ -7,10 +7,37 @@ calls the code paths it is checking.
 
 from __future__ import annotations
 
+import heapq
+import warnings
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+
+from molchord.molgraph.errors import (
+    AromaticityError,
+    CanonicalizationLimit,
+    EmptyInput,
+    SmilesFeatureWarning,
+    SmilesSyntaxError,
+    UnclosedBranch,
+    UnknownElement,
+    UnmatchedRingBond,
+    ValenceIssue,
+    ValenceViolation,
+)
+from molchord.molgraph.model import (
+    AROMATIC_ORGANIC,
+    KNOWN_ELEMENTS,
+    ORGANIC_SUBSET,
+    Atom,
+    Bond,
+    BondOrder,
+    Molecule,
+    make_molecule,
+    max_valence,
+)
 
 
 def normalize_cycle_oracle(path: list[int]) -> tuple[int, ...]:
@@ -246,9 +273,9 @@ def exhaustive_canonical_signature(mol) -> tuple:
 def canonical_signature(mol) -> tuple:
     """Hashable graph identity of the package's canonical ranking: equal
     exactly for isomorphic labeled graphs."""
-    from molchord.molgraph.canon import _graph, _signature, canonical_ranks
+    from molchord.molgraph import canonical_ranks
 
-    return _signature(*_graph(mol), canonical_ranks(mol))
+    return _signature_oracle(mol, canonical_ranks(mol))
 
 
 def unbatched_sample(params, features, vocab, base_seed: int, index: int, max_len: int,
@@ -777,3 +804,782 @@ def per_sequence_sft_loss(params, batch, vocab, beta_vae: float, noises):
         grads["vae_logvar_w"] += np.outer(d_lv, ex.complex_vec)
         grads["vae_logvar_b"] += d_lv
     return nll_total / b + beta_vae * kl_total / b, grads
+
+
+# --- the parser, canonical ranking and writer as first written ---------------
+# The package's versions work on integer arrays and precomputed tables; these
+# are the tuple-keyed versions they replaced, unchanged apart from their
+# names. Every molecule, error, warning and canonical string must come out
+# the same from both.
+
+_REF_MAX_LEAVES = 50_000
+# Search nodes times atoms: each node refines a coloring of every atom, and k
+# identical components cost about k**2 / 2 nodes, which no leaf cap counts. A
+# tert-butyl chain of 20 groups takes under 100,000 and 100 methanes 505,000.
+_REF_MAX_WORK = 300_000
+
+def _ref_dense(keys: list) -> list[int]:
+    order = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
+
+
+def _ref_refine(
+    colors: list[int], adj: list[list[tuple[int, int]]], moved: list[int] | None = None
+) -> list[int]:
+    """Refine dense ``colors`` until no class splits.
+
+    ``adj[a]`` lists ``(neighbor, bond order * n)``. Each round keys every atom
+    by its color and the sorted (bond order, color) pairs of its neighbors and
+    renumbers the distinct keys densely in sorted order. Only an atom next to
+    an atom that changed class in the last round can get a key that differs
+    from its classmates', so a round rekeys those atoms alone; the rest of
+    their class shares one key. The numbering is the same as rekeying all.
+    ``moved`` names the atoms that changed class in a partition that was
+    already refined, or is None when ``colors`` never was.
+    """
+    n = len(colors)
+    members: list[set[int]] = [set() for _ in range(n)]
+    for atom_idx, color in enumerate(colors):
+        members[color].add(atom_idx)
+    class_of = list(colors)  # class ids stay fixed; pos[id] is the class's color
+    order = list(range(max(colors) + 1))
+    pos = list(range(n))
+    next_id = len(order)
+    if moved is None:
+        touched = {c: members[c] for c in order if len(members[c]) > 1}
+    else:
+        touched = _ref_touched(moved, adj, class_of)
+    while touched:
+        splits = []
+        for c, atoms in touched.items():
+            group = members[c]
+            if len(group) < 2:
+                continue
+            keyed: dict[tuple, set[int]] = {}
+            for a in atoms:
+                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
+                keyed.setdefault(key, set()).add(a)
+            if len(atoms) < len(group):
+                rest = group - atoms
+                a = next(iter(rest))
+                key = tuple(sorted([w + pos[class_of[b]] for b, w in adj[a]]))
+                keyed.setdefault(key, set()).update(rest)
+            if len(keyed) > 1:
+                splits.append((pos[c], c, [keyed[key] for key in sorted(keyed)]))
+        if not splits:
+            break
+        # The largest part keeps the class id, so only the atoms of the other
+        # parts count as moved.
+        splits.sort(reverse=True)  # rewrite from the back so earlier positions hold
+        moved = []
+        for at, c, groups in splits:
+            largest = max(groups, key=len)
+            ids = []
+            for group in groups:
+                if group is largest:
+                    members[c] = group
+                    ids.append(c)
+                    continue
+                members[next_id] = group
+                for a in group:
+                    class_of[a] = next_id
+                moved.extend(group)
+                ids.append(next_id)
+                next_id += 1
+            order[at : at + 1] = ids
+        for i in range(splits[-1][0], len(order)):
+            pos[order[i]] = i
+        touched = _ref_touched(moved, adj, class_of)
+    return [pos[c] for c in class_of]
+
+
+def _ref_touched(
+    moved: list[int], adj: list[list[tuple[int, int]]], class_of: list[int]
+) -> dict[int, set[int]]:
+    """The neighbors of ``moved``, grouped by class: the atoms whose keys may
+    now differ from their classmates'."""
+    touched: dict[int, set[int]] = {}
+    for a in moved:
+        for b, _ in adj[a]:
+            touched.setdefault(class_of[b], set()).add(b)
+    return touched
+
+
+def _ref_signature(
+    labels: list[tuple], bonds: list[tuple[int, int, int]], colors: list[int]
+) -> tuple:
+    position = [0] * len(colors)
+    for atom_idx, color in enumerate(colors):
+        position[color] = atom_idx
+    atom_part = tuple([labels[a] for a in position])
+    ends = [(colors[a], colors[b], order) for a, b, order in bonds]
+    bond_part = tuple(sorted([(min(x, y), max(x, y), order) for x, y, order in ends]))
+    return (atom_part, bond_part)
+
+
+def _ref_graph(mol: Molecule) -> tuple[list[tuple], list[tuple[int, int, int]]]:
+    return [a.label() for a in mol.atoms], [(b.a, b.b, int(b.order)) for b in mol.bonds]
+
+
+class _RefNode:
+    """One search-tree node: its refined colors, the tied cell whose atoms are
+    its children, and the automorphisms found so far that fix every atom
+    individualized on the path to it (as {atom: image} over moved atoms)."""
+
+    def __init__(self, colors: list[int], generators: list[dict[int, int]]):
+        self.colors = colors
+        cells: dict[int, list[int]] = {}
+        for atom_idx, color in enumerate(colors):
+            cells.setdefault(color, []).append(atom_idx)
+        self.cell_color = min(c for c, members in cells.items() if len(members) > 1)
+        self.cell = cells[self.cell_color]
+        self.next = 0
+        self.explored: list[int] = []
+        self.generators = generators
+        self.parent: dict[int, int] = {}  # union-find over the generators' orbits
+        self.applied = 0
+
+    def _find(self, atom_idx: int) -> int:
+        parent = self.parent
+        while parent.get(atom_idx, atom_idx) != atom_idx:
+            atom_idx = parent[atom_idx]
+        return atom_idx
+
+    def next_child(self) -> int | None:
+        """The next cell atom not in the orbit of an explored sibling."""
+        while self.next < len(self.cell):
+            atom_idx = self.cell[self.next]
+            self.next += 1
+            if self.explored and self.generators:
+                for gen in self.generators[self.applied :]:
+                    for a, b in gen.items():
+                        ra, rb = self._find(a), self._find(b)
+                        if ra != rb:
+                            self.parent[max(ra, rb)] = min(ra, rb)
+                self.applied = len(self.generators)
+                root = self._find(atom_idx)
+                if any(self._find(u) == root for u in self.explored):
+                    continue
+            self.explored.append(atom_idx)
+            return atom_idx
+        return None
+
+
+def canonical_ranks_reference(mol: Molecule) -> list[int]:
+    """Assign each atom a unique rank in 0..n-1, independent of input order."""
+    n = len(mol.atoms)
+    if n == 0:
+        return []
+    adj = [[(b, int(order) * n) for b, order in row] for row in mol.neighbors()]
+    colors = _ref_refine(_ref_dense([(a.label(), len(adj[a.index])) for a in mol.atoms]), adj)
+    if max(colors) == n - 1:
+        return colors
+    labels, bonds = _ref_graph(mol)
+
+    # The first leaf and the best leaf so far, as (signature, colors, path).
+    first = best = None
+    leaves = work = 0
+    stack = [_RefNode(colors, [])]
+    path: list[int] = []  # path[j] is the atom individualized below stack[j]
+    while stack:
+        node = stack[-1]
+        atom_idx = node.next_child()
+        if atom_idx is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        work += n
+        if work > _REF_MAX_WORK:
+            raise CanonicalizationLimit(
+                f"canonical ordering searched over {_REF_MAX_WORK // n} nodes of {n} atoms", 0
+            )
+        cell_color = node.cell_color
+        colors = _ref_refine(
+            [
+                c if c < cell_color else (cell_color if a == atom_idx else c + 1)
+                for a, c in enumerate(node.colors)
+            ],
+            adj,
+            [atom_idx],
+        )
+        path.append(atom_idx)
+        if max(colors) < n - 1:
+            stack.append(_RefNode(colors, [g for g in node.generators if atom_idx not in g]))
+            continue
+
+        leaves += 1
+        if leaves > _REF_MAX_LEAVES:
+            raise CanonicalizationLimit(
+                f"canonical ordering searched over {_REF_MAX_LEAVES} leaves", 0
+            )
+        sig = _ref_signature(labels, bonds, colors)
+        ref = None
+        if first is None:
+            first = best = (sig, colors, path[:])
+        elif sig == first[0]:
+            ref = first
+        elif sig == best[0]:
+            ref = best
+        elif sig < best[0]:
+            best = (sig, colors, path[:])
+        if ref is None:
+            path.pop()
+            continue
+        # Equal signatures give an automorphism that maps this leaf's path onto
+        # ref's. It fixes their common prefix and maps the subtree below it that
+        # holds this leaf onto the one that holds ref, which is fully searched:
+        # record it and return to the common ancestor.
+        depth = 0
+        while path[depth] == ref[2][depth]:
+            depth += 1
+        gen = _ref_automorphism(colors, ref[1])
+        for ancestor in stack[: depth + 1]:
+            ancestor.generators.append(gen)
+        del stack[depth + 1 :]
+        del path[depth:]
+
+    assert best is not None
+    return best[1]
+
+
+def _ref_automorphism(colors: list[int], ref_colors: list[int]) -> dict[int, int]:
+    """The atom map from one discrete coloring onto another, as {atom: image}
+    over the atoms it moves."""
+    at = [0] * len(ref_colors)
+    for atom_idx, color in enumerate(ref_colors):
+        at[color] = atom_idx
+    return {a: at[c] for a, c in enumerate(colors) if at[c] != a}
+
+
+def _ref_needs_bracket(atom: Atom) -> bool:
+    if atom.charge != 0 or atom.explicit_h > 0:
+        return True
+    if atom.aromatic:
+        return atom.element.lower() not in AROMATIC_ORGANIC
+    return atom.element not in ORGANIC_SUBSET
+
+
+def _ref_atom_token(atom: Atom) -> str:
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+    if not _ref_needs_bracket(atom):
+        return symbol
+    token = "[" + symbol
+    if atom.explicit_h == 1:
+        token += "H"
+    elif atom.explicit_h > 1:
+        token += f"H{atom.explicit_h}"
+    if atom.charge:
+        sign = "+" if atom.charge > 0 else "-"
+        token += sign if abs(atom.charge) == 1 else f"{sign}{abs(atom.charge)}"
+    return token + "]"
+
+
+def _ref_bond_token(order: BondOrder, a: Atom, b: Atom) -> str:
+    if order == BondOrder.SINGLE:
+        # An implicit bond between two aromatic atoms reads back as aromatic,
+        # so single bonds there (e.g. biphenyl) must be written out.
+        return "-" if (a.aromatic and b.aromatic) else ""
+    if order == BondOrder.DOUBLE:
+        return "="
+    if order == BondOrder.TRIPLE:
+        return "#"
+    return "" if (a.aromatic and b.aromatic) else ":"
+
+
+def canonical_smiles_reference(mol: Molecule) -> str:
+    """Permutation-invariant SMILES without stereochemistry."""
+    n = len(mol.atoms)
+    if n == 0:
+        return ""
+    ranks = canonical_ranks_reference(mol)
+    adj: list[list[tuple[int, BondOrder]]] = mol.neighbors()
+    for row in adj:
+        row.sort(key=lambda pair: ranks[pair[0]])
+
+    # Depth-first spanning forest in rank order. Non-tree edges become ring
+    # closures recorded as (open atom, close atom, order) in discovery order.
+    visited = [False] * n
+    preorder: list[int] = []
+    components: list[tuple[int, dict[int, list[tuple[int, BondOrder]]]]] = []
+    closure_list: list[tuple[int, int, BondOrder]] = []
+
+    for start in sorted(range(n), key=lambda a: ranks[a]):
+        if visited[start]:
+            continue
+        children: dict[int, list[tuple[int, BondOrder]]] = {start: []}
+        used_edges: set[tuple[int, int]] = set()
+        visited[start] = True
+        preorder.append(start)
+        stack = [(start, iter(adj[start]))]
+        while stack:
+            atom_idx, neighbor_iter = stack[-1]
+            advanced = False
+            for nbr, order in neighbor_iter:
+                key = (atom_idx, nbr) if atom_idx < nbr else (nbr, atom_idx)
+                if key in used_edges:
+                    continue
+                used_edges.add(key)
+                if visited[nbr]:
+                    closure_list.append((nbr, atom_idx, order))
+                else:
+                    visited[nbr] = True
+                    preorder.append(nbr)
+                    children[atom_idx].append((nbr, order))
+                    children[nbr] = []
+                    stack.append((nbr, iter(adj[nbr])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+        components.append((start, children))
+
+    # Allocate ring-closure digits in string order; a digit frees up once its
+    # closing atom has been rendered.
+    opens_at: dict[int, list[int]] = {}
+    closes_at: dict[int, list[int]] = {}
+    for ci, (a_open, a_close, _) in enumerate(closure_list):
+        opens_at.setdefault(a_open, []).append(ci)
+        closes_at.setdefault(a_close, []).append(ci)
+    digit_for: dict[int, int] = {}
+    free_digits = list(range(1, 100))
+    heapq.heapify(free_digits)
+    for atom_idx in preorder:
+        for ci in closes_at.get(atom_idx, ()):
+            heapq.heappush(free_digits, digit_for[ci])
+        for ci in opens_at.get(atom_idx, ()):
+            if not free_digits:
+                raise CanonicalizationLimit("more than 99 simultaneously open ring closures", 0)
+            digit_for[ci] = heapq.heappop(free_digits)
+
+    def digit_token(digit: int) -> str:
+        return str(digit) if digit < 10 else f"%{digit:02d}"
+
+    def closure_tokens(atom_idx: int) -> str:
+        parts = []
+        for ci in closes_at.get(atom_idx, ()):
+            parts.append(digit_token(digit_for[ci]))
+        for ci in opens_at.get(atom_idx, ()):
+            a_open, a_close, order = closure_list[ci]
+            bond = _ref_bond_token(order, mol.atoms[a_open], mol.atoms[a_close])
+            parts.append(bond + digit_token(digit_for[ci]))
+        return "".join(parts)
+
+    def render(start: int, children: dict[int, list[tuple[int, BondOrder]]]) -> str:
+        # Explicit stack of atoms still to render and literal text, so chain
+        # depth is not bounded by the interpreter's recursion limit.
+        parts: list[str] = []
+        pending: list[int | str] = [start]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(_ref_atom_token(mol.atoms[item]) + closure_tokens(item))
+            kids = children[item]
+            for pos in range(len(kids) - 1, -1, -1):
+                child, order = kids[pos]
+                bond = _ref_bond_token(order, mol.atoms[item], mol.atoms[child])
+                if pos < len(kids) - 1:
+                    pending += [")", child, "(" + bond]
+                else:
+                    pending += [child, bond]
+        return "".join(parts)
+
+    return ".".join(render(start, children) for start, children in components)
+
+
+_REF_MAX_INPUT_LENGTH = 4096
+
+_REF_BOND_SYMBOLS = {
+    "-": BondOrder.SINGLE,
+    "=": BondOrder.DOUBLE,
+    "#": BondOrder.TRIPLE,
+    ":": BondOrder.AROMATIC,
+}
+
+
+@dataclass
+class _RefPendingRing:
+    atom: int
+    order: BondOrder | None
+    offset: int
+
+
+def parse_smiles_reference(text: str) -> Molecule:
+    """Parse ``text`` into a Molecule with aromatic ring membership and valence checked."""
+    if text == "":
+        raise EmptyInput("empty SMILES", 0)
+    if len(text) > _REF_MAX_INPUT_LENGTH:
+        raise SmilesSyntaxError(f"input longer than {_REF_MAX_INPUT_LENGTH} characters", _REF_MAX_INPUT_LENGTH)
+
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    bond_keys: set[tuple[int, int]] = set()
+
+    prev_atom: int | None = None
+    pending_order: BondOrder | None = None
+    pending_offset = -1
+    branch_stack: list[tuple[int, int]] = []  # (atom index to return to, offset of '(')
+    open_rings: dict[int, _RefPendingRing] = {}
+
+    def add_bond(a: int, b: int, order: BondOrder, offset: int) -> None:
+        key = (a, b) if a < b else (b, a)
+        if a == b:
+            raise UnmatchedRingBond("ring bond back to the same atom", offset)
+        if key in bond_keys:
+            raise UnmatchedRingBond(f"duplicate bond between atoms {key[0]} and {key[1]}", offset)
+        bond_keys.add(key)
+        bonds.append(Bond(key[0], key[1], order))
+
+    def default_order(a: int, b: int) -> BondOrder:
+        if atoms[a].aromatic and atoms[b].aromatic:
+            return BondOrder.AROMATIC
+        return BondOrder.SINGLE
+
+    def attach_atom(atom: Atom, offset: int) -> None:
+        nonlocal prev_atom, pending_order, pending_offset
+        idx = len(atoms)
+        atoms.append(atom)
+        if prev_atom is not None:
+            order = pending_order if pending_order is not None else default_order(prev_atom, idx)
+            add_bond(prev_atom, idx, order, pending_offset if pending_order is not None else offset)
+        elif pending_order is not None:
+            raise SmilesSyntaxError("bond symbol with no preceding atom", pending_offset)
+        pending_order = None
+        prev_atom = idx
+
+    def close_ring(num: int, offset: int) -> None:
+        nonlocal pending_order
+        if prev_atom is None:
+            raise SmilesSyntaxError("ring-closure digit before any atom", offset)
+        if num in open_rings:
+            pending = open_rings.pop(num)
+            order = pending.order
+            if pending_order is not None:
+                if order is not None and order != pending_order:
+                    raise UnmatchedRingBond(
+                        f"conflicting bond orders for ring closure {num}", offset
+                    )
+                order = pending_order
+            if order is None:
+                order = default_order(pending.atom, prev_atom)
+            add_bond(pending.atom, prev_atom, order, offset)
+        else:
+            open_rings[num] = _RefPendingRing(prev_atom, pending_order, offset)
+        pending_order = None
+
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        two = text[i : i + 2]
+        if two in ("Cl", "Br"):
+            attach_atom(Atom(element=two, index=len(atoms), offset=i), i)
+            i += 2
+        elif ch in "BCNOPSFI":
+            attach_atom(Atom(element=ch, index=len(atoms), offset=i), i)
+            i += 1
+        elif ch in "bcnops":
+            attach_atom(Atom(element=ch.upper(), aromatic=True, index=len(atoms), offset=i), i)
+            i += 1
+        elif ch == "[":
+            atom, i = _ref_parse_bracket(text, i, len(atoms))
+            attach_atom(atom, atom.offset)
+        elif ch in _REF_BOND_SYMBOLS:
+            if pending_order is not None:
+                raise SmilesSyntaxError("two consecutive bond symbols", i)
+            pending_order = _REF_BOND_SYMBOLS[ch]
+            pending_offset = i
+            i += 1
+        elif ch in "/\\":
+            warnings.warn(
+                f"stereo bond mark '{ch}' at offset {i} ignored", SmilesFeatureWarning, stacklevel=2
+            )
+            if pending_order is not None:
+                raise SmilesSyntaxError("two consecutive bond symbols", i)
+            pending_order = BondOrder.SINGLE
+            pending_offset = i
+            i += 1
+        elif ch == "(":
+            if prev_atom is None:
+                raise SmilesSyntaxError("branch before any atom", i)
+            if pending_order is not None:
+                raise SmilesSyntaxError("bond symbol before '('", pending_offset)
+            branch_stack.append((prev_atom, i))
+            i += 1
+        elif ch == ")":
+            if not branch_stack:
+                raise UnclosedBranch("unmatched ')'", i)
+            if pending_order is not None:
+                raise SmilesSyntaxError("dangling bond symbol before ')'", pending_offset)
+            prev_atom = branch_stack.pop()[0]
+            i += 1
+        elif ch.isdigit():
+            close_ring(int(ch), i)
+            i += 1
+        elif ch == "%":
+            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                raise SmilesSyntaxError("'%' must be followed by two digits", i)
+            close_ring(int(text[i + 1 : i + 3]), i)
+            i += 3
+        elif ch == ".":
+            if pending_order is not None:
+                raise SmilesSyntaxError("bond symbol before '.'", pending_offset)
+            prev_atom = None
+            i += 1
+        else:
+            raise UnknownElement(f"unexpected character {ch!r}", i)
+
+    if branch_stack:
+        raise UnclosedBranch("unclosed '('", branch_stack[-1][1])
+    if open_rings:
+        num, pending = min(open_rings.items())
+        raise UnmatchedRingBond(f"ring closure {num} never closed", pending.offset)
+    if pending_order is not None:
+        raise SmilesSyntaxError("dangling bond symbol at end of input", pending_offset)
+    if not atoms:
+        raise EmptyInput("no atoms in input", 0)
+
+    mol = make_molecule(atoms, bonds)
+    _ref_check_aromatic_membership(mol)
+    issues = validate_valence_reference(mol)
+    if issues:
+        raise ValenceViolation(issues[0])
+    return mol
+
+
+def _ref_parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
+    """Parse one bracket atom starting at ``text[start] == '['``; it becomes
+    atom ``index``."""
+    end = text.find("]", start)
+    if end < 0:
+        raise SmilesSyntaxError("unterminated bracket atom", start)
+    body = text[start + 1 : end]
+    i = 0
+    n = len(body)
+
+    isotope = 0
+    while i < n and body[i].isdigit():
+        isotope = isotope * 10 + int(body[i])
+        i += 1
+    if isotope:
+        warnings.warn(
+            f"isotope label at offset {start} ignored", SmilesFeatureWarning, stacklevel=3
+        )
+
+    if i >= n:
+        raise SmilesSyntaxError("bracket atom without element symbol", start)
+    aromatic = False
+    sym_offset = start + 1 + i
+    if body[i] in AROMATIC_ORGANIC:
+        element = body[i].upper()
+        aromatic = True
+        i += 1
+    elif body[i].isupper():
+        element = body[i]
+        i += 1
+        if i < n and body[i].islower() and element + body[i] in KNOWN_ELEMENTS:
+            element += body[i]
+            i += 1
+    else:
+        raise UnknownElement(f"unknown element start {body[i]!r}", sym_offset)
+    if element not in KNOWN_ELEMENTS:
+        raise UnknownElement(f"unknown element {element!r}", sym_offset)
+
+    while i < n and body[i] == "@":
+        warnings.warn(
+            f"chirality mark at offset {start} ignored", SmilesFeatureWarning, stacklevel=3
+        )
+        i += 1
+
+    explicit_h = 0
+    if i < n and body[i] == "H":
+        i += 1
+        if i < n and body[i].isdigit():
+            explicit_h = 0
+            while i < n and body[i].isdigit():
+                explicit_h = explicit_h * 10 + int(body[i])
+                i += 1
+        else:
+            explicit_h = 1
+
+    charge = 0
+    if i < n and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        symbol = body[i]
+        i += 1
+        if i < n and body[i].isdigit():
+            magnitude = 0
+            while i < n and body[i].isdigit():
+                magnitude = magnitude * 10 + int(body[i])
+                i += 1
+        else:
+            magnitude = 1
+            while i < n and body[i] == symbol:
+                magnitude += 1
+                i += 1
+        charge = sign * magnitude
+
+    if i < n and body[i] == ":":
+        i += 1
+        if i >= n or not body[i].isdigit():
+            raise SmilesSyntaxError("atom class ':' without digits", start + 1 + i)
+        while i < n and body[i].isdigit():
+            i += 1
+        warnings.warn(
+            f"atom class at offset {start} ignored", SmilesFeatureWarning, stacklevel=3
+        )
+
+    if i != n:
+        raise SmilesSyntaxError(f"unexpected {body[i]!r} in bracket atom", start + 1 + i)
+
+    atom = Atom(
+        element=element,
+        aromatic=aromatic,
+        charge=charge,
+        explicit_h=explicit_h,
+        index=index,
+        offset=start,
+    )
+    return atom, end + 1
+
+
+def _ref_check_aromatic_membership(mol: Molecule) -> None:
+    if not any(atom.aromatic for atom in mol.atoms) and not any(
+        bond.order == BondOrder.AROMATIC for bond in mol.bonds
+    ):
+        return
+    on_ring = ring_bonds_reference(mol)
+    ring_atoms: set[int] = set()
+    for bond, flag in zip(mol.bonds, on_ring):
+        if flag:
+            ring_atoms.update((bond.a, bond.b))
+    for atom in mol.atoms:
+        if atom.aromatic and atom.index not in ring_atoms:
+            raise AromaticityError(
+                f"aromatic atom {atom.index} is not in any ring", atom.offset
+            )
+    for bond, flag in zip(mol.bonds, on_ring):
+        if bond.order == BondOrder.AROMATIC and not flag:
+            a = mol.atoms[bond.a]
+            raise AromaticityError(
+                f"aromatic bond {bond.key()} is not in any ring", a.offset
+            )
+
+
+def validate_valence_reference(mol: Molecule) -> list[ValenceIssue]:
+    """Return over-valent atoms (empty list when the molecule is fine).
+
+    Each bond adds its integer order; aromatic bonds add 1 apiece plus one
+    extra unit per atom belonging to an aromatic system, so a ring carbon in
+    benzene totals 3 and keeps room for one hydrogen. Elements outside the
+    valence table are not checked.
+    """
+    sums = [0] * len(mol.atoms)
+    aromatic_member = [atom.aromatic for atom in mol.atoms]
+    for bond in mol.bonds:
+        order = 1 if bond.order == BondOrder.AROMATIC else int(bond.order)
+        sums[bond.a] += order
+        sums[bond.b] += order
+        if bond.order == BondOrder.AROMATIC:
+            aromatic_member[bond.a] = True
+            aromatic_member[bond.b] = True
+
+    issues: list[ValenceIssue] = []
+    for atom in mol.atoms:
+        allowed = max_valence(atom.element, atom.charge)
+        if allowed is None:
+            continue
+        total = sums[atom.index] + atom.explicit_h
+        if aromatic_member[atom.index]:
+            total += 1
+        if total > allowed:
+            issues.append(
+                ValenceIssue(
+                    atom_index=atom.index,
+                    element=atom.element,
+                    valence=total,
+                    allowed=allowed,
+                    offset=atom.offset,
+                )
+            )
+    return issues
+
+
+def _ref_blocks(mol: Molecule) -> list[list[int]]:
+    """Bond indices of each biconnected block, from one depth-first search."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
+    for e, bond in enumerate(mol.bonds):
+        adj[bond.a].append((bond.b, e))
+        adj[bond.b].append((bond.a, e))
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    pending: list[int] = []  # bonds seen but not yet assigned to a block
+    blocks: list[list[int]] = []
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        # (atom, bond it was reached by, neighbors left, len(pending) before that bond)
+        stack = [(root, -1, iter(adj[root]), 0)]
+        while stack:
+            u, via, nbrs, mark = stack[-1]
+            for v, e in nbrs:
+                if e == via:
+                    continue
+                if disc[v] < 0:
+                    stack.append((v, e, iter(adj[v]), len(pending)))
+                    pending.append(e)
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    break
+                if disc[v] < disc[u]:  # back bond to an ancestor, seen once
+                    pending.append(e)
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] >= disc[parent]:
+                        blocks.append(pending[mark:])
+                        del pending[mark:]
+    return blocks
+
+
+def ring_bonds_reference(mol: Molecule) -> list[bool]:
+    """Per bond, whether it lies on a ring (is not a bridge)."""
+    flags = [False] * len(mol.bonds)
+    for block in _ref_blocks(mol):
+        if len(block) > 1:
+            for e in block:
+                flags[e] = True
+    return flags
+
+
+def grow_chain_reference(b, rng, anchor: int, length: int) -> None:
+    """``synthetic._grow_chain`` as first written, drawing each element with
+    ``rng.choice`` and its probabilities."""
+    import numpy as np
+
+    from molchord.synthetic import _CHAIN_ELEMENTS
+
+    current = anchor
+    for _ in range(length):
+        if b.free[current] <= 0:
+            return
+        elements = [e for e, _, _ in _CHAIN_ELEMENTS]
+        weights = np.array([w for _, _, w in _CHAIN_ELEMENTS], dtype=float)
+        element = str(rng.choice(elements, p=weights / weights.sum()))
+        budget = dict((e, v) for e, v, _ in _CHAIN_ELEMENTS)[element]
+        order = BondOrder.SINGLE
+        if element == "C" and b.free[current] >= 2 and rng.random() < 0.15:
+            order = BondOrder.DOUBLE
+        new = b.add_atom(element, budget=budget)
+        b.add_bond(current, new, order)
+        current = new

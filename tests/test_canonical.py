@@ -20,6 +20,7 @@ from molchord.molgraph import (
 )
 
 from .oracles import (
+    _ref_dense,
     _refine_oracle,
     canonical_signature,
     cyclomatic_number,
@@ -282,8 +283,9 @@ def test_writer_leaves_recursion_limit_alone(monkeypatch):
 
 @given(st.integers(0, 2**32 - 1))
 def test_refine_numbers_classes_like_synchronous_rounds(seed):
-    """The dense numbering decides which leaf is minimal, so it must match
-    rekeying every atom each round, also after individualizing one atom."""
+    """The numbering decides which leaf is minimal, so it must match rekeying
+    every atom each round, also after individualizing one atom. ``_refine``
+    numbers each cell by where it starts, which sorts as its dense rank."""
     rnd = random.Random(seed)
     n = rnd.randint(1, 24)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -293,13 +295,20 @@ def test_refine_numbers_classes_like_synchronous_rounds(seed):
         adj[a].append((b, order))
         adj[b].append((a, order))
     weighted = [[(b, order * n) for b, order in row] for row in adj]
-    colors = canon._dense([rnd.randrange(rnd.randint(1, n)) for _ in range(n)])
-    refined = _refine_oracle(colors, adj)
-    assert canon._refine(colors, weighted) == refined
+    keys = [rnd.randrange(rnd.randint(1, n)) for _ in range(n)]
+    colors = canon._cells(keys)
+    cells = canon._refine(colors, weighted)
+    refined = _refine_oracle(_ref_dense(keys), adj)
+    assert _ref_dense(colors) == refined
+    assert colors == [sum(1 for d in colors if d < c) for c in colors]
+    assert cells == len(set(refined))
     tied = sorted({c for c in refined if refined.count(c) > 1})
     if tied:
         atom_idx = rnd.choice([a for a in range(n) if refined[a] == tied[0]])
         promoted = [c if c < tied[0] else c + 1 for c in refined]
         promoted[atom_idx] = tied[0]
-        assert canon._refine(promoted, weighted, [atom_idx]) == _refine_oracle(promoted, adj)
-
+        start = colors[atom_idx]
+        colors = [start + 1 if c == start else c for c in colors]
+        colors[atom_idx] = start
+        canon._refine(colors, weighted, [atom_idx])
+        assert _ref_dense(colors) == _refine_oracle(promoted, adj)

@@ -112,6 +112,38 @@ def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
     assert isinstance(forked.value.__cause__, SchemaViolation)
 
 
+@pytest.mark.parametrize("bad", ["C1CC", "C(C)(C)(C)(C)C"], ids=["unclosed-ring", "valence"])
+def test_a_failing_string_in_the_child_share_is_canonicalized_once(
+    tmp_path, corpus, forks, monkeypatch, bad
+):
+    """The child hands its error back, so the parent's line loop raises the
+    serial run's exception without computing the string again."""
+    with pytest.raises(SchemaViolation) as serial:
+        _serial_load(monkeypatch, _generations(tmp_path / "one.jsonl", [bad]))
+    log = tmp_path / "parsed.log"
+    real = canon.parse_smiles
+
+    def logging_parse(text):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {text}\n")
+        return real(text)
+
+    monkeypatch.setattr(canon, "parse_smiles", logging_parse)
+    smiles = list(corpus)
+    smiles[len(smiles) - 5] = bad  # in the second (child's) share
+    path = _generations(tmp_path / "generations.jsonl", smiles)
+    with pytest.raises(SchemaViolation) as forked:
+        load_records(path, "generations")
+    assert len(forks) == 1 and _reaped(forks[0])
+    parsed = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert [pid for pid, text in parsed if text == bad] == [str(forks[0])]
+    assert forked.value.line_no == len(smiles) - 4
+    cause, expected = forked.value.__cause__, serial.value.__cause__
+    assert type(cause) is type(expected)
+    assert (str(cause), cause.offset) == (str(expected), expected.offset)
+    assert getattr(cause, "issue", None) == getattr(expected, "issue", None)
+
+
 def _feature_warnings(load):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

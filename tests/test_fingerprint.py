@@ -110,10 +110,8 @@ def test_bits_match_part_by_part_hashing(mol, radius, nbits):
     assert morgan_fingerprint(mol, radius, nbits).bits == morgan_bits_oracle(mol, radius, nbits)
 
 
-def test_bits_match_part_by_part_hashing_on_corpus():
-    from molchord.synthetic import smiles_corpus
-
-    for smiles in smiles_corpus(3000, seed=5, min_heavy=3, max_heavy=40):
+def test_bits_match_part_by_part_hashing_on_corpus(large_corpus):
+    for smiles in large_corpus:
         mol = parse_smiles(smiles)
         assert morgan_fingerprint(mol).bits == morgan_bits_oracle(mol), smiles
 

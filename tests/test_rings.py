@@ -151,10 +151,8 @@ def test_ring_lists_match_whole_graph_search(mol):
     _assert_blocks_match_rings(mol)
 
 
-def test_ring_lists_match_whole_graph_search_on_corpus():
-    from molchord.synthetic import smiles_corpus
-
-    for smiles in smiles_corpus(3000, seed=5, min_heavy=3, max_heavy=40):
+def test_ring_lists_match_whole_graph_search_on_corpus(large_corpus):
+    for smiles in large_corpus:
         _assert_blocks_match_rings(parse_smiles(smiles))
 
 

@@ -107,13 +107,13 @@ def test_files_that_share_strings_parse_each_string_once(tmp_path, monkeypatch, 
 
     # one molecule built per parse, whichever module calls parse_smiles
     built = []
-    real = parser.make_molecule
+    real = parser.Molecule
 
     def counting(atoms, bonds):
         built.append(len(atoms))
         return real(atoms, bonds)
 
-    monkeypatch.setattr(parser, "make_molecule", counting)
+    monkeypatch.setattr(parser, "Molecule", counting)
     raws = ["OCC", "C(C)N", "c1ccccc1O"]
     gen_path, score_path = tmp_path / "generations.jsonl", tmp_path / "scores.jsonl"
     _write(gen_path, [{"pocket_id": p, "smiles": s} for p in ("p1", "p2") for s in raws])

@@ -6,14 +6,17 @@ runs in a fresh interpreter.
 """
 
 import json
+import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from molchord import metrics
 from molchord.hashutil import stable_hash64
-from molchord.molgraph import canonical_smiles, parse_smiles
+from molchord.molgraph import canon, canonical_smiles, parse_smiles
 from molchord.scorers import surrogate_vina
 from molchord.synthetic import smiles_corpus
 
@@ -47,6 +50,38 @@ def test_cli_import_leaves_numpy_unloaded(child_env):
     proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Needed only to run dock commands: subprocess for a command, and
+# concurrent.futures (with the logging it loads) for several at once.
+DOCK_ONLY_MODULES = ("subprocess", "concurrent.futures", "logging")
+DATA = Path(__file__).parent / "data"
+RUN_STEPS = (
+    "import sys\n"
+    "from molchord.cli import main\n"
+    "loaded = []\n"
+    "for step in {steps!r}:\n"
+    "    assert main(['--config', 'run.ini', *step]) == 0, step\n"
+    "    loaded.append([m for m in {modules!r} if m in sys.modules])\n"
+    "print(loaded)\n"
+)
+
+
+def test_evaluation_stages_leave_the_dock_modules_unloaded(tmp_path, child_env):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("generations.jsonl", "scores.jsonl"):
+        shutil.copy(DATA / name, out / name)
+    (tmp_path / "run.ini").write_text(
+        f"[paths]\ncomplexes = {DATA / 'complexes.jsonl'}\noutdir = out\n"
+    )
+    steps = [["evaluate"], ["--allow-partial", "report", "--fused", "--ood"], ["verify"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_STEPS.format(steps=steps, modules=DOCK_ONLY_MODULES)],
+        cwd=tmp_path, env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[[], [], []]"
 
 
 def test_surrogate_dock_hash_mode_without_numpy(child_env):
@@ -90,7 +125,11 @@ EVALUATE_WITH_FORKS = (
 
 
 def test_forking_evaluate_imports_no_process_pool_or_pickle(tmp_path, child_env):
-    smiles = list(dict.fromkeys(smiles_corpus(1200, seed=5, min_heavy=3, max_heavy=12)))[:400]
+    # enough distinct strings that the prefetch and the pocket rows both fork
+    n = 2 * math.ceil(canon._FORK_PAYOFF * canon._FORK_S
+                      / min(canon._CANONICALIZE_S, metrics._ROW_GENERATION_S)) + 20
+    smiles = list(dict.fromkeys(smiles_corpus(3 * n, seed=5, min_heavy=3, max_heavy=12)))[:n]
+    assert len(smiles) == n
     out = tmp_path / "out"
     out.mkdir()
     pockets = [f"p{i}" for i in range(8)]

@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 
+from molchord import synthetic
 from molchord.molgraph import parse_smiles, validate_valence
+from molchord.scorers import dump_records
 from molchord.synthetic import (
     random_molecule,
     smiles_corpus,
     synthetic_complexes,
 )
 
-from .oracles import component_count
+from .oracles import component_count, grow_chain_reference
 
 
 def test_generated_molecules_are_valid_and_bounded():
@@ -38,3 +42,26 @@ def test_synthetic_complexes_shape():
         assert record.homology in ("homologous", "non_homologous")
         assert record.pocket_sequence
     assert synthetic_complexes(20, seed=2, with_sequences=True) == records
+
+
+def test_chain_elements_are_drawn_as_choice_draws_them(monkeypatch):
+    """The cumulative table bisected with one ``rng.random()`` picks what
+    ``rng.choice(p=...)`` picks from the same stream, so every generated
+    string and dataset is the same."""
+    def generate():
+        return (
+            [smiles_corpus(40, seed=seed, min_heavy=3, max_heavy=24) for seed in range(20)],
+            [synthetic_complexes(5, seed=seed, with_sequences=True) for seed in range(8)],
+        )
+
+    fast = generate()
+    monkeypatch.setattr(synthetic, "_grow_chain", grow_chain_reference)
+    assert generate() == fast
+
+
+def test_readme_fixture_keeps_its_bytes(tmp_path):
+    # scripts/make_fixture.py --pockets 50 --seed 0
+    path = tmp_path / "complexes.jsonl"
+    dump_records(path, synthetic_complexes(50, seed=0, max_heavy=10))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c248cdc90344b109ed392fecc98deb9c19dfd60157a195c03a6e49ba7d4ad141"
