@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from molchord.hashutil import stable_hash64
-from molchord.molgraph import canonical_smiles, try_parse
+from molchord.molgraph import CanonicalizationLimit, canonical_smiles, try_parse
 
 
 def main() -> int:
@@ -37,7 +37,12 @@ def main() -> int:
 
         score = surrogate_vina(mol)
     else:
-        bucket = stable_hash64("surrogate-dock", canonical_smiles(mol)) % 800
+        try:
+            canon = canonical_smiles(mol)
+        except CanonicalizationLimit as exc:
+            print(f"uncanonicalizable molecule: {args.smiles!r}: {exc}", file=sys.stderr)
+            return 1
+        bucket = stable_hash64("surrogate-dock", canon) % 800
         score = -4.0 - bucket / 100.0
     print(f"{score:.2f}")
     return 0

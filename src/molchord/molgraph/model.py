@@ -47,10 +47,6 @@ class Atom(NamedTuple):
     index: int = -1
     offset: int = -1  # byte offset of the atom token in the source, -1 if synthetic
 
-    def label(self) -> tuple:
-        """Node label used for isomorphism, canonicalization and fingerprints."""
-        return (self.element, self.aromatic, self.charge, self.explicit_h)
-
 
 class Bond(NamedTuple):
     a: int
@@ -67,13 +63,6 @@ class Molecule:
 
     atoms: list[Atom]
     bonds: list[Bond]
-
-    def neighbors(self) -> list[list[tuple[int, BondOrder]]]:
-        adj: list[list[tuple[int, BondOrder]]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append((bond.b, bond.order))
-            adj[bond.b].append((bond.a, bond.order))
-        return adj
 
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")

@@ -153,10 +153,25 @@ def brute_diversity(bit_sets: list[set[int]]) -> float:
     return 1.0 - total / pairs
 
 
+def neighbor_lists(mol) -> list[list[tuple[int, BondOrder]]]:
+    """Per atom, its (neighbor, bond order) pairs in bond list order."""
+    adj: list[list[tuple[int, BondOrder]]] = [[] for _ in mol.atoms]
+    for a, b, order in mol.bonds:
+        adj[a].append((b, order))
+        adj[b].append((a, order))
+    return adj
+
+
+def atom_label(atom) -> tuple:
+    """Node label for isomorphism and canonical signatures: element,
+    aromatic flag, charge and explicit hydrogens."""
+    return atom[:4]
+
+
 def to_nx(mol) -> nx.Graph:
     graph = nx.Graph()
     for atom in mol.atoms:
-        graph.add_node(atom.index, label=atom.label())
+        graph.add_node(atom.index, label=atom_label(atom))
     for bond in mol.bonds:
         graph.add_edge(bond.a, bond.b, order=int(bond.order))
     return graph
@@ -228,7 +243,7 @@ def _signature_oracle(mol, colors: list[int]) -> tuple:
     position = [0] * len(colors)
     for atom_idx, color in enumerate(colors):
         position[color] = atom_idx
-    atom_part = tuple(mol.atoms[position[c]].label() for c in range(len(colors)))
+    atom_part = tuple(atom_label(mol.atoms[position[c]]) for c in range(len(colors)))
     bond_part = tuple(
         sorted(
             (min(colors[b.a], colors[b.b]), max(colors[b.a], colors[b.b]), int(b.order))
@@ -248,8 +263,8 @@ def exhaustive_canonical_signature(mol) -> tuple:
     n = len(mol.atoms)
     if n == 0:
         return ((), ())
-    adj = [[(b, int(order)) for b, order in row] for row in mol.neighbors()]
-    keys = [(atom.label(), len(adj[atom.index])) for atom in mol.atoms]
+    adj = [[(b, int(order)) for b, order in row] for row in neighbor_lists(mol)]
+    keys = [(atom_label(atom), len(adj[atom.index])) for atom in mol.atoms]
     ranked = {key: i for i, key in enumerate(sorted(set(keys)))}
     best = None
     stack = [[ranked[key] for key in keys]]
@@ -492,7 +507,7 @@ def perceive_rings_oracle(mol) -> list[tuple[int, ...]]:
     target = cyclomatic_number(mol)
     if target <= 0:
         return []
-    adj = [[nbr for nbr, _ in row] for row in mol.neighbors()]
+    adj = [[nbr for nbr, _ in row] for row in neighbor_lists(mol)]
     candidates = set()
     for bond in mol.bonds:
         for path in _all_shortest_paths_oracle(adj, bond.a, bond.b, bond.key()):
@@ -533,7 +548,7 @@ def morgan_bits_oracle(mol, radius: int = 2, nbits: int = 2048) -> int:
     ``stable_hash64``: the value ``morgan_fingerprint(...).bits`` must equal."""
     from molchord.hashutil import stable_hash64
 
-    adj = mol.neighbors()
+    adj = neighbor_lists(mol)
     invariants = [
         stable_hash64("atom", a.element, a.aromatic, a.charge, a.explicit_h, len(adj[i]))
         for i, a in enumerate(mol.atoms)
@@ -918,7 +933,7 @@ def _ref_signature(
 
 
 def _ref_graph(mol: Molecule) -> tuple[list[tuple], list[tuple[int, int, int]]]:
-    return [a.label() for a in mol.atoms], [(b.a, b.b, int(b.order)) for b in mol.bonds]
+    return [atom_label(a) for a in mol.atoms], [(b.a, b.b, int(b.order)) for b in mol.bonds]
 
 
 class _RefNode:
@@ -970,8 +985,8 @@ def canonical_ranks_reference(mol: Molecule) -> list[int]:
     n = len(mol.atoms)
     if n == 0:
         return []
-    adj = [[(b, int(order) * n) for b, order in row] for row in mol.neighbors()]
-    colors = _ref_refine(_ref_dense([(a.label(), len(adj[a.index])) for a in mol.atoms]), adj)
+    adj = [[(b, int(order) * n) for b, order in row] for row in neighbor_lists(mol)]
+    colors = _ref_refine(_ref_dense([(atom_label(a), len(adj[a.index])) for a in mol.atoms]), adj)
     if max(colors) == n - 1:
         return colors
     labels, bonds = _ref_graph(mol)
@@ -1093,7 +1108,7 @@ def canonical_smiles_reference(mol: Molecule) -> str:
     if n == 0:
         return ""
     ranks = canonical_ranks_reference(mol)
-    adj: list[list[tuple[int, BondOrder]]] = mol.neighbors()
+    adj: list[list[tuple[int, BondOrder]]] = neighbor_lists(mol)
     for row in adj:
         row.sort(key=lambda pair: ranks[pair[0]])
 
@@ -1560,6 +1575,18 @@ def ring_bonds_reference(mol: Molecule) -> list[bool]:
             for e in block:
                 flags[e] = True
     return flags
+
+
+def count_fused_rings_reference(mol: Molecule) -> int:
+    """Fused rings from the block pass: the sum of ``mu(B) = |E(B)| - |V(B)| + 1``
+    over the blocks that hold two or more rings."""
+    fused = 0
+    for block in _ref_blocks(mol):
+        atoms = {x for e in block for x in mol.bonds[e][:2]}
+        mu = len(block) - len(atoms) + 1
+        if mu >= 2:
+            fused += mu
+    return fused
 
 
 def grow_chain_reference(b, rng, anchor: int, length: int) -> None:

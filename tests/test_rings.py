@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,15 +19,18 @@ from molchord.molgraph.rings import ring_bonds
 from .oracles import (
     all_simple_cycles,
     component_count,
+    count_fused_rings_reference,
     cyclomatic_number,
     fused_among,
     fused_ring_count_oracle,
     greedy_min_cycle_basis,
     perceive_rings_oracle,
     permute_atoms,
+    ring_bonds_reference,
     ring_edges,
 )
 from .strategies import NAMED_RING_SYSTEMS, ring_assemblies
+from .test_reference_identity import INPUTS
 
 
 def _edges(mol):
@@ -188,3 +194,47 @@ def test_block_sum_matches_fused_count_oracle():
     assert fused["K4"] == 3 and fused["K5"] == 6 and fused["K3,3"] == 4
     assert fused["prism"] == 4 and fused["C12C3C4C1C5C2C3C45"] == 5
     assert fused["C1CCC2(CC1)CCCC2"] == fused["C1CC2(C1)CC21CC1"] == 0
+
+
+def _assert_one_search_matches_block_pass(mol):
+    # the one search's block step gives what the block pass and the cycle
+    # basis give, and its bridge test what the block pass gives
+    fused = count_fused_rings(mol)
+    assert fused == count_fused_rings_reference(mol)
+    assert fused == fused_ring_count_oracle(len(mol.atoms), _edges(mol))
+    assert ring_bonds(mol) == ring_bonds_reference(mol)
+
+
+def test_fused_count_matches_block_pass_on_corpus_and_named_systems(large_corpus):
+    for smiles in large_corpus + list(NAMED_RING_SYSTEMS):
+        _assert_one_search_matches_block_pass(parse_smiles(smiles))
+
+
+@given(ring_assemblies())
+def test_fused_count_matches_block_pass_on_ring_assemblies(mol):
+    _assert_one_search_matches_block_pass(mol)
+
+
+def test_fused_count_matches_block_pass_on_import_eval_strings(tmp_path):
+    subprocess.run([sys.executable, str(INPUTS), str(tmp_path), "--seed", "7"], check=True,
+                   capture_output=True)
+    texts = [json.loads(line)["smiles"] for line in open(tmp_path / "generations.jsonl")]
+    texts += [s for line in open(tmp_path / "complexes.jsonl") for s in json.loads(line)["ligand_smiles"]]
+    for text in dict.fromkeys(texts):
+        _assert_one_search_matches_block_pass(parse_smiles(text))
+
+
+@pytest.mark.parametrize(
+    "smiles, fused",
+    [
+        ("C1CC2(CC1)CC2", 0),  # spiro: the rings share only an atom
+        ("C1CC2CCC1C2", 2),  # norbornane
+        ("C12CC3CC(C1)CC(C3)C2", 3),  # adamantane
+        ("C12C3C4C1C5C2C3C45", 5),  # cubane
+        ("C1CC1.C1CC1C2CC2", 0),  # disconnected, rings joined by a bridge
+    ],
+)
+def test_fused_count_of_named_ring_systems(smiles, fused):
+    mol = parse_smiles(smiles)
+    assert count_fused_rings(mol) == fused
+    _assert_one_search_matches_block_pass(mol)

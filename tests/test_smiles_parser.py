@@ -214,7 +214,7 @@ def test_atoms_and_bonds_are_light_immutable_records():
     assert atom == Atom(element="C", aromatic=True, charge=1, explicit_h=2, index=3, offset=4)
     assert Atom("N") == Atom("N", False, 0, 0, -1, -1)
     assert hash(atom) == hash(Atom("C", True, 1, 2, 3, 4)) and len({atom, atom._replace()}) == 1
-    assert atom.label() == ("C", True, 1, 2)
+    assert atom[:4] == ("C", True, 1, 2)
     assert Bond(3, 1).order == BondOrder.SINGLE and Bond(3, 1).key() == (1, 3)
     assert Bond(a=1, b=3, order=BondOrder.DOUBLE) == Bond(1, 3, BondOrder.DOUBLE)
     with pytest.raises(AttributeError):
