@@ -18,22 +18,12 @@ labeled graphs are isomorphic.
 from __future__ import annotations
 
 import heapq
-import json
 import os
-import signal
 import threading
 import warnings
-from dataclasses import astuple
 from typing import Callable, Iterable, Sequence
 
-from . import errors
-from .errors import (
-    CanonicalizationLimit,
-    SmilesError,
-    SmilesFeatureWarning,
-    ValenceIssue,
-    ValenceViolation,
-)
+from .errors import CanonicalizationLimit, SmilesError, SmilesFeatureWarning
 from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Molecule
 from .parser import parse_smiles
 
@@ -452,11 +442,9 @@ def _ring_text(
 # goes first). ``_memo`` holds the strings known to canonicalize with no error
 # and no warning: those ``prefetch_canonical`` computed or ``seed_canonical``
 # was given. ``_called`` holds the ones ``canonicalize`` computed itself,
-# which may have warned. ``_failed`` keeps the exception of each string the
-# last prefetch saw raise, for the next ``canonicalize`` call of that string.
+# which may have warned. A string that raised is in neither.
 _memo: dict[str, str] = {}
 _called: dict[str, str] = {}
-_failed: dict[str, SmilesError] = {}
 _memo_lock = threading.Lock()
 
 
@@ -475,15 +463,11 @@ def canonicalize(text: str) -> str:
     canonicalize each distinct string once. ``prefetch_canonical`` and
     ``seed_canonical`` may fill the memo ahead of the calls, and
     ``canonicalize.cache_clear()`` empties it. Only results are kept: an
-    invalid string raises its ``SmilesError`` on every call (the first one
-    after a prefetch raises the exception the prefetch computed), and a
-    ``SmilesFeatureWarning`` is emitted by the first call only.
+    invalid string is computed again and raises its ``SmilesError`` on every
+    call, and a ``SmilesFeatureWarning`` is emitted by the first call only.
     """
     canon = _memo.get(text) or _called.get(text)
     if canon is None:
-        failure = _failed.pop(text, None)
-        if failure is not None:
-            raise failure
         canon = canonical_smiles(parse_smiles(text))
         _remember(_called, text, canon)
     return canon
@@ -492,7 +476,6 @@ def canonicalize(text: str) -> str:
 def _cache_clear() -> None:
     _memo.clear()
     _called.clear()
-    _failed.clear()
 
 
 canonicalize.cache_clear = _cache_clear
@@ -510,36 +493,18 @@ def try_canonicalize(text: str) -> str | None:
             return None
 
 
-def _clean_canonical(texts: list[str]) -> list[str | list | None]:
-    """Each string's canonical form; for one that raised, its error as
-    ``_error_record`` gives it; None where it warned. The results are JSON
-    values, so a forked child can send them back."""
-    out: list[str | list | None] = []
+def _clean_canonical(texts: list[str]) -> list[str | None]:
+    """Each string's canonical form, or None where it raised or warned: the
+    caller's own ``canonicalize`` call computes it again and raises or warns."""
+    out: list[str | None] = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", SmilesFeatureWarning)
         for text in texts:
             try:
                 out.append(canonical_smiles(parse_smiles(text)))
-            except SmilesError as exc:
-                out.append(_error_record(exc))
-            except Exception:  # a warning: the caller's own ``canonicalize`` warns
+            except Exception:  # any error or warning, met again in line order
                 out.append(None)
     return out
-
-
-def _error_record(exc: SmilesError) -> list:
-    """``exc`` as JSON values: its class name and the arguments it was built from."""
-    if isinstance(exc, ValenceViolation):
-        return [type(exc).__name__, *astuple(exc.issue)]
-    return [type(exc).__name__, exc.message, exc.offset]
-
-
-def _from_record(record: list) -> SmilesError:
-    """The exception ``_error_record`` describes, built again."""
-    cls = getattr(errors, record[0])
-    if cls is ValenceViolation:
-        return cls(ValenceIssue(*record[1:]))
-    return cls(*record[1:])
 
 
 def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
@@ -548,20 +513,15 @@ def prefetch_canonical(texts: Iterable[str]) -> dict[str, str]:
     and return the canonical form of every distinct string of ``texts``
     known to canonicalize with no error and no warning.
 
-    A string that warns is left out, so its first ``canonicalize`` call warns
-    exactly as it would have without the prefetch. One that raises is left
-    out too, and its exception, rebuilt in this process when a forked child
-    computed it, is kept for the next ``canonicalize`` call of the string,
-    which raises it without computing it again.
+    A string that warns or raises is left out: as ``fan_out`` does with a
+    child's share that did not finish cleanly, its ``canonicalize`` call
+    computes it again and warns or raises as it would have without this.
     """
     distinct = list(dict.fromkeys(texts))
     todo = [text for text in distinct if text not in _memo][:_MEMO_SIZE]
-    _failed.clear()
     for text, result in zip(todo, fan_out(_clean_canonical, todo, len(todo) * _CANONICALIZE_S)):
-        if isinstance(result, str):
+        if result is not None:
             _remember(_memo, text, result)
-        elif result is not None:
-            _failed[text] = _from_record(result)
     return {text: _memo[text] for text in distinct if text in _memo}
 
 
@@ -605,6 +565,8 @@ def fan_out(work: Callable[[list], list], items: Sequence, seconds: float) -> li
         or seconds * (1 - 1 / n) < _FORK_PAYOFF * _FORK_S
     ):
         return work(items)
+    import signal  # here, so a process that never forks starts without it
+
     bounds = [len(items) * i // n for i in range(n + 1)]
     shares = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children: dict[int, tuple[int, int] | None] = {}
@@ -629,6 +591,7 @@ def fan_out(work: Callable[[list], list], items: Sequence, seconds: float) -> li
 def _fork(work: Callable[[list], list], share: list) -> tuple[int, int] | None:
     """Start a child that writes ``work(share)`` as JSON to a pipe; its pid and
     the pipe's read end, or None when no process could be started."""
+    import json  # before the fork, so the child inherits it
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -653,6 +616,7 @@ def _fork(work: Callable[[list], list], share: list) -> tuple[int, int] | None:
 
 def _collect(pid: int, read_fd: int) -> list | None:
     """Read a child's results and reap it; None unless it exited 0."""
+    import json
     try:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()

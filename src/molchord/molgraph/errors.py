@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SmilesError(ValueError):
@@ -38,8 +38,7 @@ class AromaticityError(SmilesError):
     """Aromatic atom or bond that lies on no ring (no cycle of bonds)."""
 
 
-@dataclass(frozen=True)
-class ValenceIssue:
+class ValenceIssue(NamedTuple):
     """One over-valent atom, returned as data by validate_valence."""
 
     atom_index: int

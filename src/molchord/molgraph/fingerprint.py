@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from hashlib import blake2b
+from typing import NamedTuple
 
 from ..hashutil import encode_part, stable_hash64
 from .model import BondOrder, Molecule
@@ -17,8 +17,7 @@ class WidthMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     bits: int  # bitset packed into a Python int
     nbits: int = DEFAULT_NBITS
     radius: int = DEFAULT_RADIUS

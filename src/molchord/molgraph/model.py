@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -57,8 +56,7 @@ class Bond(NamedTuple):
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
-@dataclass
-class Molecule:
+class Molecule(NamedTuple):
     """Parsed molecular graph."""
 
     atoms: list[Atom]

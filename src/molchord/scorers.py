@@ -7,9 +7,9 @@ the per-process ``molgraph.canonicalize`` memo, so files that share strings
 parse each of them once. Before its line loop, ``load_records`` seeds that
 memo with every string of the file, in shares across the usable CPUs when the
 file is large enough (``molgraph.prefetch_canonical``); the line loop then
-hits the memo. A string that warns is computed there again, and one that
-raised raises the prefetch's exception (a forked child hands it back), so
-errors and warnings come in line order as before. Given a cache directory,
+hits the memo. The prefetch keeps results only, so a string that warns or
+raises is computed there again, and errors and warnings come in line order
+as before. Given a cache directory,
 the loader also keeps each file's raw -> canonical map under ``canonical/``
 there, so a later stage that loads the same bytes skips the
 canonicalization. The docking adapter shells out to a user-supplied command

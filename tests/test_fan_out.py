@@ -20,7 +20,20 @@ import pytest
 
 from molchord import metrics
 from molchord.cli import ValidationFailure, _load
-from molchord.molgraph import SmilesFeatureWarning, canon, canonicalize, fan_out
+from molchord.molgraph import (
+    AromaticityError,
+    CanonicalizationLimit,
+    EmptyInput,
+    SmilesFeatureWarning,
+    SmilesSyntaxError,
+    UnclosedBranch,
+    UnknownElement,
+    UnmatchedRingBond,
+    ValenceViolation,
+    canon,
+    canonicalize,
+    fan_out,
+)
 from molchord.scorers import SchemaViolation, load_records
 from molchord.synthetic import smiles_corpus
 
@@ -90,11 +103,27 @@ def test_forked_load_equals_serial_load(tmp_path, corpus, forks, monkeypatch):
     assert canon._memo == serial_memo
 
 
+# One string per error class a load can meet.
+BAD_SMILES = [
+    ("", EmptyInput),
+    ("C(C", UnclosedBranch),
+    ("C1CC", UnmatchedRingBond),
+    ("C=", SmilesSyntaxError),
+    ("[Xx]", UnknownElement),
+    ("c", AromaticityError),
+    ("C(C)(C)(C)(C)C", ValenceViolation),
+    (".".join(["C"] * 100), CanonicalizationLimit),
+]
+
+
+@pytest.mark.parametrize("bad, error", BAD_SMILES, ids=[e.__name__ for _, e in BAD_SMILES])
 def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
-    tmp_path, corpus, forks, monkeypatch
+    tmp_path, corpus, forks, monkeypatch, bad, error
 ):
+    """The child leaves a string that raised to the parent's line loop, which
+    computes it again and raises the serial run's exception."""
     smiles = list(corpus)
-    smiles[len(smiles) - 5] = "C1CC"  # unclosed ring, in the second (child's) share
+    smiles[len(smiles) - 5] = bad  # in the second (child's) share
     smiles[len(smiles) - 2] = "not a molecule"
     path = _generations(tmp_path / "generations.jsonl", smiles)
     with monkeypatch.context() as patch:
@@ -103,45 +132,30 @@ def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
             _load(path, "generations", "generations")
     canonicalize.cache_clear()
     assert not forks
-    with pytest.raises(ValidationFailure) as forked:
-        _load(path, "generations", "generations")
-    assert len(forks) == 1 and _reaped(forks[0])
-    assert str(forked.value) == str(serial.value)
-    assert forked.value.exit_code == serial.value.exit_code == 2
-    assert f"line {len(smiles) - 4}," in str(forked.value)
-    assert isinstance(forked.value.__cause__, SchemaViolation)
-
-
-@pytest.mark.parametrize("bad", ["C1CC", "C(C)(C)(C)(C)C"], ids=["unclosed-ring", "valence"])
-def test_a_failing_string_in_the_child_share_is_canonicalized_once(
-    tmp_path, corpus, forks, monkeypatch, bad
-):
-    """The child hands its error back, so the parent's line loop raises the
-    serial run's exception without computing the string again."""
-    with pytest.raises(SchemaViolation) as serial:
-        _serial_load(monkeypatch, _generations(tmp_path / "one.jsonl", [bad]))
     log = tmp_path / "parsed.log"
     real = canon.parse_smiles
 
     def logging_parse(text):
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {text}\n")
+            handle.write(f"{os.getpid()} {text!r}\n")
         return real(text)
 
     monkeypatch.setattr(canon, "parse_smiles", logging_parse)
-    smiles = list(corpus)
-    smiles[len(smiles) - 5] = bad  # in the second (child's) share
-    path = _generations(tmp_path / "generations.jsonl", smiles)
-    with pytest.raises(SchemaViolation) as forked:
-        load_records(path, "generations")
+    with pytest.raises(ValidationFailure) as forked:
+        _load(path, "generations", "generations")
     assert len(forks) == 1 and _reaped(forks[0])
-    parsed = [line.split(" ", 1) for line in log.read_text().splitlines()]
-    assert [pid for pid, text in parsed if text == bad] == [str(forks[0])]
-    assert forked.value.line_no == len(smiles) - 4
-    cause, expected = forked.value.__cause__, serial.value.__cause__
-    assert type(cause) is type(expected)
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.exit_code == serial.value.exit_code == 2
+    violation = forked.value.__cause__
+    assert isinstance(violation, SchemaViolation)
+    assert (violation.line_no, violation.field) == (len(smiles) - 4, "smiles")
+    cause, expected = violation.__cause__, serial.value.__cause__.__cause__
+    assert type(cause) is type(expected) is error
     assert (str(cause), cause.offset) == (str(expected), expected.offset)
     assert getattr(cause, "issue", None) == getattr(expected, "issue", None)
+    # computed twice: by the prefetch in the child, then by the parent's line loop
+    parsed = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert [pid for pid, text in parsed if text == repr(bad)] == [str(forks[0]), str(os.getpid())]
 
 
 def _feature_warnings(load):

@@ -146,17 +146,20 @@ def canonicalized(monkeypatch):
 @pytest.mark.parametrize(
     "bad", ["C1CC", "C" * 400 + ".C" * 300], ids=["unclosed-ring", "chain-and-methanes"]
 )
-def test_a_failing_string_is_canonicalized_once_per_load(tmp_path, canonicalized, bad):
+def test_a_failing_string_is_canonicalized_twice_per_load(tmp_path, canonicalized, bad):
+    """Once by the prefetch, which keeps results only, and once by the line
+    loop, which raises."""
     path = tmp_path / "generations.jsonl"
     _write(path, [{"pocket_id": "p1", "smiles": "CCO"}, {"pocket_id": "p2", "smiles": bad}])
     with pytest.raises(SchemaViolation) as excinfo:
         load_records(path, "generations")
     assert (excinfo.value.line_no, excinfo.value.field) == (2, "smiles")
-    assert canonicalized.count(bad) == 1
+    assert canonicalized.count(bad) == 2
     with pytest.raises(SchemaViolation) as again:  # the next load computes it again
         load_records(path, "generations")
     assert str(again.value) == str(excinfo.value)
-    assert canonicalized.count(bad) == 2
+    assert type(again.value.__cause__) is type(excinfo.value.__cause__)
+    assert canonicalized.count(bad) == 4
 
 
 def test_records_of_two_files_share_the_canonical_string_object(tmp_path):

@@ -17,7 +17,6 @@ import pytest
 from molchord import metrics
 from molchord.hashutil import stable_hash64
 from molchord.molgraph import canon, canonical_smiles, parse_smiles
-from molchord.scorers import surrogate_vina
 from molchord.synthetic import smiles_corpus
 
 SURROGATE = Path(__file__).resolve().parents[1] / "scripts" / "surrogate_dock.py"
@@ -30,17 +29,17 @@ RUN_SURROGATE_WITHOUT_NUMPY = (
 SMILES = ["OCC", "c1ccccc1O", "CC(=O)Nc1ccc(O)cc1", "NC(=O)C1CC1", "C(C)(C)(C)CCCCCCCCCCCCCCN"]
 
 
-def _surrogate(env: dict, smiles: str, mode: str) -> subprocess.CompletedProcess:
+def _surrogate(env: dict, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", RUN_SURROGATE_WITHOUT_NUMPY, str(SURROGATE), smiles, "--mode", mode],
+        [sys.executable, "-c", RUN_SURROGATE_WITHOUT_NUMPY, str(SURROGATE), *args],
         env=env,
         capture_output=True,
         text=True,
     )
 
 
-def _score(env: dict, smiles: str, mode: str) -> str:
-    proc = _surrogate(env, smiles, mode)
+def _score(env: dict, smiles: str) -> str:
+    proc = _surrogate(env, smiles)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -88,26 +87,54 @@ def test_surrogate_dock_hash_mode_without_numpy(child_env):
     for smiles in SMILES:
         canon = canonical_smiles(parse_smiles(smiles))
         expected = -4 - stable_hash64("surrogate-dock", canon) % 800 / 100
-        assert _score(child_env, smiles, "hash") == f"{expected:.2f}"
+        assert _score(child_env, smiles) == f"{expected:.2f}"
 
 
-def test_surrogate_dock_heavy_mode_matches_experiment_surrogate(child_env):
-    for smiles in SMILES:
-        expected = surrogate_vina(parse_smiles(smiles))
-        assert _score(child_env, smiles, "heavy") == f"{expected:.2f}"
-
-
-@pytest.mark.parametrize("mode", ["hash", "heavy"])
-def test_surrogate_dock_rejects_unparseable(child_env, mode):
-    cases = [("C1CC", "unparseable")]
-    if mode == "hash":
-        # parses, but its 100 alike components exhaust the canonical search,
-        # which heavy mode does not need
-        cases.append((".".join(["C"] * 100), "uncanonicalizable"))
-    for smiles, reason in cases:
-        proc = _surrogate(child_env, smiles, mode)
+def test_surrogate_dock_rejects_unparseable(child_env):
+    # the second parses, but its 100 alike components exhaust the canonical search
+    for smiles, reason in [("C1CC", "unparseable"), (".".join(["C"] * 100), "uncanonicalizable")]:
+        proc = _surrogate(child_env, smiles)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and reason in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["CCO", "CCN"], ["CCO", "--mode", "heavy"]], ids=["none", "two", "mode"]
+)
+def test_surrogate_dock_takes_exactly_one_argument(child_env, args):
+    proc = _surrogate(child_env, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usage:"), proc.stderr
+
+
+# What the stand-in has no use for: an argument parser, and what dataclasses,
+# JSON and the fork plumbing would load on the way.
+UNUSED_BY_SURROGATE = ("argparse", "dataclasses", "json", "signal")
+LIST_UNUSED = f"import sys\nprint(sorted(m for m in {UNUSED_BY_SURROGATE!r} if m in sys.modules))\n"
+RUN_SURROGATE_AND_LIST = (
+    "import runpy, sys\n"
+    "sys.argv = sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+) + LIST_UNUSED
+
+
+def test_surrogate_dock_loads_only_what_it_uses(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_SURROGATE_AND_LIST, str(SURROGATE), "c1ccccc1O"],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    score, loaded = proc.stdout.strip().splitlines()
+    assert score == _score(child_env, "c1ccccc1O")
+    # what a bare interpreter loads (site and its .pth files) does not count
+    bare = subprocess.run(
+        [sys.executable, "-c", LIST_UNUSED], env=child_env, capture_output=True, text=True
+    )
+    assert loaded == bare.stdout.strip()
 
 
 # Each costs about 1 MB of peak RSS on top of ``import molchord.cli``; the
