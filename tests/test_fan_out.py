@@ -116,12 +116,32 @@ BAD_SMILES = [
 ]
 
 
-@pytest.mark.parametrize("bad, error", BAD_SMILES, ids=[e.__name__ for _, e in BAD_SMILES])
 def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
+    tmp_path, corpus, forks, monkeypatch
+):
+    smiles = list(corpus)
+    smiles[len(smiles) - 5] = "C1CC"  # unclosed ring, in the second (child's) share
+    smiles[len(smiles) - 2] = "not a molecule"
+    path = _generations(tmp_path / "generations.jsonl", smiles)
+    with monkeypatch.context() as patch:
+        patch.setattr(canon, "_usable_cpus", lambda: 1)
+        with pytest.raises(ValidationFailure) as serial:
+            _load(path, "generations", "generations")
+    canonicalize.cache_clear()
+    assert not forks
+    with pytest.raises(ValidationFailure) as forked:
+        _load(path, "generations", "generations")
+    assert len(forks) == 1 and _reaped(forks[0])
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.exit_code == serial.value.exit_code == 2
+    assert f"line {len(smiles) - 4}," in str(forked.value)
+    assert isinstance(forked.value.__cause__, SchemaViolation)
+
+
+@pytest.mark.parametrize("bad, error", BAD_SMILES, ids=[e.__name__ for _, e in BAD_SMILES])
+def test_each_error_class_in_the_child_share_is_the_serial_exception(
     tmp_path, corpus, forks, monkeypatch, bad, error
 ):
-    """The child leaves a string that raised to the parent's line loop, which
-    computes it again and raises the serial run's exception."""
     smiles = list(corpus)
     smiles[len(smiles) - 5] = bad  # in the second (child's) share
     smiles[len(smiles) - 2] = "not a molecule"
@@ -132,15 +152,6 @@ def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
             _load(path, "generations", "generations")
     canonicalize.cache_clear()
     assert not forks
-    log = tmp_path / "parsed.log"
-    real = canon.parse_smiles
-
-    def logging_parse(text):
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {text!r}\n")
-        return real(text)
-
-    monkeypatch.setattr(canon, "parse_smiles", logging_parse)
     with pytest.raises(ValidationFailure) as forked:
         _load(path, "generations", "generations")
     assert len(forks) == 1 and _reaped(forks[0])
@@ -153,7 +164,31 @@ def test_bad_smiles_in_the_child_share_fails_on_the_serial_line(
     assert type(cause) is type(expected) is error
     assert (str(cause), cause.offset) == (str(expected), expected.offset)
     assert getattr(cause, "issue", None) == getattr(expected, "issue", None)
-    # computed twice: by the prefetch in the child, then by the parent's line loop
+
+
+@pytest.mark.parametrize("bad", ["C1CC", "C(C)(C)(C)(C)C"], ids=["unclosed-ring", "valence"])
+def test_a_failing_string_in_the_child_share_is_canonicalized_once(
+    tmp_path, corpus, forks, monkeypatch, bad
+):
+    """The child computes a failing string of its share once, however often it
+    occurs there, and hands back no result for it; the parent's line loop
+    computes it once more and raises at its first line."""
+    log = tmp_path / "parsed.log"
+    real = canon.parse_smiles
+
+    def logging_parse(text):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {text!r}\n")
+        return real(text)
+
+    monkeypatch.setattr(canon, "parse_smiles", logging_parse)
+    smiles = list(corpus)
+    smiles[len(smiles) - 5] = smiles[len(smiles) - 3] = bad  # twice in the child's share
+    path = _generations(tmp_path / "generations.jsonl", smiles)
+    with pytest.raises(SchemaViolation) as forked:
+        load_records(path, "generations")
+    assert len(forks) == 1 and _reaped(forks[0])
+    assert forked.value.line_no == len(smiles) - 4
     parsed = [line.split(" ", 1) for line in log.read_text().splitlines()]
     assert [pid for pid, text in parsed if text == repr(bad)] == [str(forks[0]), str(os.getpid())]
 
