@@ -7,6 +7,7 @@ Subpackages:
   genmodel  -- small conditional autoregressive SMILES generator
   training  -- losses with exact gradients, optimizer, train loops
   scorers   -- record file schemas and the external docking adapter
+  store     -- the cache directory's entries, and whole-file replacement
   cli       -- the `molchord` command
 """
 

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from . import __version__, curation, metrics, scorers
+from . import __version__, curation, metrics, scorers, store
 from .hashutil import derive_seed, sha256_file
 
 if TYPE_CHECKING:
@@ -287,7 +287,7 @@ def _output(path: Path) -> Path:
 
 
 def _write_text(path: Path, text: str) -> Path:
-    with scorers.atomic_write(_output(path)) as handle:
+    with store.atomic_write(_output(path)) as handle:
         handle.write(text)
     return path
 
@@ -297,9 +297,7 @@ def _write_json(path: Path, payload) -> Path:
 
 
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    with scorers.atomic_write(_output(path)) as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def write_manifest(cfg: RunConfig, extra: dict | None = None, name: str | None = None) -> None:
@@ -325,7 +323,7 @@ def write_manifest(cfg: RunConfig, extra: dict | None = None, name: str | None =
 def _cache_dir(cfg: RunConfig) -> Path:
     """``[dock] cache_dir``, else ``$MOLCHORD_CACHE_DIR``, else ``.molchord_cache``:
     where dock results and the canonical SMILES of record files are kept."""
-    return scorers.resolve_cache_dir(cfg.typed["dock"]["cache_dir"] or None)
+    return store.resolve_cache_dir(cfg.typed["dock"]["cache_dir"] or None)
 
 
 def _load(path: Path | None, schema: str, what: str, cache_dir: Path | None = None) -> list:
@@ -422,7 +420,7 @@ def _dock(
         requests.append((pocket_id, smiles, pocket_file, center))
     try:
         return scorers.dock_many(command, requests, cache_dir=_cache_dir(cfg))
-    except scorers.CacheUnavailable as exc:
+    except store.CacheUnavailable as exc:
         raise MissingArtifact(str(exc)) from exc
 
 

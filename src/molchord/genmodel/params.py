@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..scorers import atomic_write
+from ..store import atomic_write
 from .features import PocketFeatures, featurize_pocket
 from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
 

@@ -4,7 +4,8 @@ Supports the organic subset, bracket atoms with charge and explicit hydrogen
 counts, branches, ring-closure digits (including %nn), dot disconnection and
 explicit bond symbols. Stereo marks, isotopes and atom classes are parsed and
 dropped with a warning. Aromaticity is syntactic: lowercase atoms and ':'
-bonds are accepted and must lie on a ring (a cycle of bonds).
+bonds are accepted and must lie on a ring (a cycle of bonds). SMILES is
+ASCII: any other character, a non-ASCII digit too, is a syntax error.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def parse_smiles(text: str) -> Molecule:
         raise EmptyInput("empty SMILES", 0)
     if len(text) > MAX_INPUT_LENGTH:
         raise SmilesSyntaxError(f"input longer than {MAX_INPUT_LENGTH} characters", MAX_INPUT_LENGTH)
+    if not text.isascii():  # OpenSMILES grammar: ring bonds and counts are ASCII digits
+        offset = next(i for i, ch in enumerate(text) if ch > "\x7f")
+        raise SmilesSyntaxError(f"non-ASCII character {text[offset]!r}", offset)
 
     atoms: list[Atom] = []
     bonds: list[Bond] = []
@@ -150,10 +154,10 @@ def parse_smiles(text: str) -> Molecule:
                 raise SmilesSyntaxError("dangling bond symbol before ')'", pending_offset)
             prev = branch_stack.pop()[0]
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif "0" <= ch <= "9" or ch == "%":
             offset = i
             if ch == "%":
-                if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                if i + 2 >= n or not ("0" <= text[i + 1] <= "9" and "0" <= text[i + 2] <= "9"):
                     raise SmilesSyntaxError("'%' must be followed by two digits", i)
                 num = int(text[i + 1 : i + 3])
                 i += 3
@@ -222,6 +226,15 @@ def try_parse(text: str) -> Molecule | None:
             return None
 
 
+def _number(body: str, i: int) -> tuple[int | None, int]:
+    """The number the ASCII digits at ``body[i]`` spell (None when there are
+    none), and the index after them."""
+    j = i
+    while j < len(body) and "0" <= body[j] <= "9":
+        j += 1
+    return (int(body[i:j]) if j > i else None), j
+
+
 def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
     """Parse one bracket atom starting at ``text[start] == '['``; it becomes
     atom ``index``."""
@@ -229,13 +242,9 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
     if end < 0:
         raise SmilesSyntaxError("unterminated bracket atom", start)
     body = text[start + 1 : end]
-    i = 0
     n = len(body)
 
-    isotope = 0
-    while i < n and body[i].isdigit():
-        isotope = isotope * 10 + int(body[i])
-        i += 1
+    isotope, i = _number(body, 0)
     if isotope:
         warnings.warn(
             f"isotope label at offset {start} ignored", SmilesFeatureWarning, stacklevel=3
@@ -268,38 +277,24 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
 
     explicit_h = 0
     if i < n and body[i] == "H":
-        i += 1
-        if i < n and body[i].isdigit():
-            explicit_h = 0
-            while i < n and body[i].isdigit():
-                explicit_h = explicit_h * 10 + int(body[i])
-                i += 1
-        else:
-            explicit_h = 1
+        explicit_h, i = _number(body, i + 1)
+        explicit_h = 1 if explicit_h is None else explicit_h
 
     charge = 0
     if i < n and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
         symbol = body[i]
-        i += 1
-        if i < n and body[i].isdigit():
-            magnitude = 0
-            while i < n and body[i].isdigit():
-                magnitude = magnitude * 10 + int(body[i])
-                i += 1
-        else:
+        magnitude, i = _number(body, i + 1)
+        if magnitude is None:
             magnitude = 1
             while i < n and body[i] == symbol:
                 magnitude += 1
                 i += 1
-        charge = sign * magnitude
+        charge = magnitude if symbol == "+" else -magnitude
 
     if i < n and body[i] == ":":
-        i += 1
-        if i >= n or not body[i].isdigit():
+        atom_class, i = _number(body, i + 1)
+        if atom_class is None:
             raise SmilesSyntaxError("atom class ':' without digits", start + 1 + i)
-        while i < n and body[i].isdigit():
-            i += 1
         warnings.warn(
             f"atom class at offset {start} ignored", SmilesFeatureWarning, stacklevel=3
         )

@@ -9,14 +9,15 @@ memo with every string of the file, in shares across the usable CPUs when the
 file is large enough (``molgraph.prefetch_canonical``); the line loop then
 hits the memo. The prefetch keeps results only, so a string that warns or
 raises is computed there again, and errors and warnings come in line order
-as before. Given a cache directory,
-the loader also keeps each file's raw -> canonical map under ``canonical/``
-there, so a later stage that loads the same bytes skips the
-canonicalization. The docking adapter shells out to a user-supplied command
+as before. The docking adapter shells out to a user-supplied command
 that must print one finite number as the last non-empty line of its stdout.
 The fully substituted command line is the identity of a result:
-``dock_many`` runs each distinct line once, results are cached under the
-line's SHA-256, and a cache hit skips execution.
+``dock_many`` runs each distinct line once, and a cache hit skips execution.
+
+Both kinds of entry in the cache directory, a dock score keyed by its
+command line and a record file's raw -> canonical map keyed by the file,
+go through ``store.get`` and ``store.put``; ``store`` owns their format and
+this module only says what each kind's value must be.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ import signal
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
-from . import molgraph
+from . import molgraph, store
 from .curation import ComplexRecord, PreferencePair
 from .hashutil import sha256_file
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
 from .molgraph import Molecule, canonicalize, prefetch_canonical, seed_canonical
-
-CACHE_DIR_ENV = "MOLCHORD_CACHE_DIR"
-DEFAULT_CACHE_DIR = ".molchord_cache"
 
 SCHEMAS = ("complexes", "scores", "pairs", "generations")
 
@@ -179,18 +177,12 @@ def _parse_generations(obj: dict, line_no: int) -> GenerationRecord:
     )
 
 
-_SMILES_FIELDS = {
-    "complexes": ("ligand_smiles",),
-    "scores": ("smiles",),
-    "pairs": ("chosen", "rejected"),
-    "generations": ("smiles",),
-}
-
+# per schema: the line parser, the record's key, and the SMILES fields
 _PARSERS = {
-    "complexes": (_parse_complexes, lambda r: r.pocket_id),
-    "scores": (_parse_scores, lambda r: (r.pocket_id, r.smiles)),
-    "pairs": (_parse_pairs, lambda r: r.pocket_id),
-    "generations": (_parse_generations, lambda r: (r.pocket_id, r.smiles)),
+    "complexes": (_parse_complexes, lambda r: r.pocket_id, ("ligand_smiles",)),
+    "scores": (_parse_scores, lambda r: (r.pocket_id, r.smiles), ("smiles",)),
+    "pairs": (_parse_pairs, lambda r: r.pocket_id, ("chosen", "rejected")),
+    "generations": (_parse_generations, lambda r: (r.pocket_id, r.smiles), ("smiles",)),
 }
 
 
@@ -201,14 +193,12 @@ def load_records(path: str | Path, schema: str, cache_dir: str | Path | None = N
     canonicalizes with no error and no warning to its canonical form is kept
     in ``<cache_dir>/canonical/<key>.json``. The key is the SHA-256 of the
     ``molgraph`` source and the file's bytes, so a load of the same bytes by
-    the same code seeds the memo from the entry and skips the prefetch. An
-    entry that does not record its own key and a string -> string map is
-    rewritten; a directory that cannot be made or written keeps no entry.
+    the same code seeds the memo from the entry and skips the prefetch.
     Records, errors and warnings are the same with or without an entry.
     """
     if schema not in _PARSERS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
-    parser, key_fn = _PARSERS[schema]
+    parser, key_fn, _ = _PARSERS[schema]
     _seed_memo(path, schema, cache_dir)
     records = []
     seen = set()
@@ -237,15 +227,20 @@ def load_records(path: str | Path, schema: str, cache_dir: str | Path | None = N
 def _seed_memo(path: str | Path, schema: str, cache_dir: str | Path | None) -> None:
     """Seed the ``canonicalize`` memo with the file's strings: from its
     canonical entry when one counts, else by ``prefetch_canonical``, whose
-    result becomes the entry."""
-    entry = _canonical_entry(path, cache_dir) if cache_dir is not None else None
-    known = _read_canonical(*entry) if entry is not None else None
+    result becomes the entry unless the directory cannot be written."""
+    entry = None
+    if cache_dir is not None:
+        with contextlib.suppress(OSError):  # unreadable: the line loop says so
+            key = sha256_file(path, _molgraph_digest())
+            entry = (Path(cache_dir) / "canonical" / f"{key}.json", key)
+    known = store.get(_CANONICAL, *entry) if entry is not None else None
     if known is not None:
         seed_canonical(known)
         return
     known = prefetch_canonical(_smiles_strings(path, schema))
     if entry is not None:
-        _write_canonical(*entry, known)
+        with contextlib.suppress(OSError):
+            store.put(_CANONICAL, *entry, known)
 
 
 def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
@@ -260,7 +255,7 @@ def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
                     continue
                 if not isinstance(obj, dict):
                     continue
-                for field in _SMILES_FIELDS[schema]:
+                for field in _PARSERS[schema][2]:
                     value = obj.get(field)
                     for text in value if isinstance(value, list) else [value]:
                         if isinstance(text, str):
@@ -279,64 +274,19 @@ def _molgraph_digest() -> bytes:
     return digest.digest()
 
 
-def _canonical_entry(path: str | Path, cache_dir: str | Path) -> tuple[Path, str] | None:
-    """The canonical entry file of a record file and its key, hashed in
-    chunks; None when the file cannot be read (the line loop says so)."""
-    try:
-        key = sha256_file(path, _molgraph_digest())
-    except OSError:
-        return None
-    return Path(cache_dir) / "canonical" / f"{key}.json", key
+def _string_map(value) -> dict[str, str] | None:
+    ok = isinstance(value, dict) and all(isinstance(c, str) for c in value.values())
+    return value if ok else None
 
 
-def _read_canonical(entry: Path, key: str) -> dict[str, str] | None:
-    """The raw -> canonical map an entry holds, or None unless it records
-    ``key`` and maps strings to strings."""
-    try:
-        with open(entry, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(data, dict) or data.get("key") != key:
-        return None
-    known = data.get("canonical")
-    if not isinstance(known, dict) or not all(isinstance(c, str) for c in known.values()):
-        return None
-    return known
-
-
-def _write_canonical(entry: Path, key: str, known: dict[str, str]) -> None:
-    """Keep ``known`` as the entry; when the directory cannot be made or
-    written, the load goes on without one."""
-    with contextlib.suppress(OSError):
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write(entry) as handle:
-            json.dump({"key": key, "canonical": known}, handle)
-
-
-@contextlib.contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """A text handle whose contents replace ``path`` when the block ends
-    without an exception; on an exception the temp file is removed. Every
-    artifact is written this way, so a stage that fails or is killed
-    mid-write leaves the previous file (or none), never a truncated one."""
-    path = Path(path)
-    # a name of this writer's own, created with the usual permissions
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+# ``<cache_dir>/canonical/<key>.json``: {"key": key, "canonical": {raw: canonical}}
+_CANONICAL = store.Kind("key", "canonical", _string_map)
 
 
 def dump_records(path: str | Path, records: Iterable) -> None:
     """Write records as sorted-key JSON lines (stable bytes for fixed input).
     Unset optional fields are left out."""
-    with atomic_write(path) as handle:
+    with store.atomic_write(path) as handle:
         for record in records:
             row = {k: v for k, v in asdict(record).items() if v is not None}
             handle.write(json.dumps(row, sort_keys=True) + "\n")
@@ -411,29 +361,6 @@ class ConflictingScore(DockError):
     pass
 
 
-class CacheUnavailable(OSError):
-    """The dock cache directory cannot be created or written."""
-
-
-def resolve_cache_dir(explicit: str | Path | None) -> Path:
-    """``explicit``, else ``$MOLCHORD_CACHE_DIR``, else ``.molchord_cache``."""
-    if explicit is not None:
-        return Path(explicit)
-    return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
-
-
-def _make_cache_dir(directory: Path) -> None:
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CacheUnavailable(f"cannot create dock cache directory {directory}: {exc}") from exc
-    if not os.access(directory, os.W_OK | os.X_OK):
-        raise CacheUnavailable(f"cannot write to dock cache directory {directory}")
-
-
-_cache_lock = threading.Lock()
-
-
 def _command_line(
     template: str, pocket_id: str, smiles: str, pocket_file: str | None, center_source: str | None
 ) -> str:
@@ -454,24 +381,16 @@ def _command_line(
     return command
 
 
-def _read_cached(cache_file: Path, command: str) -> float | None:
-    """The score a cache entry holds for this command line, or None when the
-    entry is missing or is not what fresh output would have written: JSON
-    that records exactly this line and a finite number."""
+def _finite_score(vina) -> float | None:
+    """A dock entry's score, as a record file's ``vina`` would pass."""
     try:
-        entry = json.loads(cache_file.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):
+        return _typed({"vina": vina}, 0, "vina", float)
+    except SchemaViolation:
         return None
-    if not isinstance(entry, dict) or entry.get("command") != command:
-        return None
-    vina = entry.get("vina")
-    if isinstance(vina, bool) or not isinstance(vina, (int, float)):
-        return None
-    try:
-        vina = float(vina)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return vina if math.isfinite(vina) else None
+
+
+# ``<cache_dir>/<sha256(line)>.json``: {"command": line, "vina": score}
+_SCORE = store.Kind("command", "vina", _finite_score)
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
@@ -557,18 +476,20 @@ def external_dock(
     for it. The cache key is the SHA-256 of the fully substituted command
     line, so a changed pocket file or reference ligand never reuses another
     command's score. An entry counts only as fresh output would (see
-    ``_read_cached``); any other entry is a miss, and the command's result
-    replaces it. A timeout kills the command's whole process group.
+    ``_finite_score``); any other entry is a miss, and the command's result
+    replaces it. An entry that another writer filled with a different score
+    meanwhile raises ``ConflictingScore``. A timeout kills the command's
+    whole process group.
     """
     canon = canonicalize(smiles)
     command = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
-    directory = resolve_cache_dir(cache_dir)
+    directory = store.resolve_cache_dir(cache_dir)
     cache_file = directory / f"{hashlib.sha256(command.encode('utf-8')).hexdigest()}.json"
-    cached = _read_cached(cache_file, command)
+    cached = store.get(_SCORE, cache_file, command)
     if cached is not None:
         return cached
 
-    _make_cache_dir(directory)
+    store.make_cache_dir(directory)
     code, stdout, stderr = _run(command, cmd.timeout)
     if code != 0:
         raise NonZeroExit(code, stderr)
@@ -582,18 +503,9 @@ def external_dock(
     if not math.isfinite(score):
         raise UnparseableOutput(f"non-finite score {score}")
 
-    with _cache_lock:
-        existing = _read_cached(cache_file, command)
-        if existing is not None:
-            if existing != score:
-                raise ConflictingScore(
-                    f"cache holds {existing} but command produced {score}: {command}"
-                )
-            return existing
-        # through a temp file of this writer's own: processes that share the
-        # cache dir must never rename each other's half-written files
-        with atomic_write(cache_file) as handle:
-            json.dump({"command": command, "vina": score}, handle)
+    held = store.put(_SCORE, cache_file, command, score)
+    if held != score:
+        raise ConflictingScore(f"cache holds {held} but command produced {score}: {command}")
     return score
 
 
@@ -627,8 +539,8 @@ def dock_many(
     without an input its template names, fails alone and is never docked.
     The cache directory is made before any command runs. An interrupt while
     waiting cancels the queued calls and kills the running ones' groups."""
-    directory = resolve_cache_dir(cache_dir)
-    _make_cache_dir(directory)
+    directory = store.resolve_cache_dir(cache_dir)
+    store.make_cache_dir(directory)
     identities: list[tuple[str, str] | Exception] = []  # per request: (line, canonical)
     first: dict[str, tuple] = {}  # line -> the request its call is made with
     for request in requests:

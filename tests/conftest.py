@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 
 import molchord
 from molchord.molgraph import SmilesFeatureWarning, canonicalize
-from molchord.scorers import CACHE_DIR_ENV
+from molchord.store import CACHE_DIR_ENV
 from molchord.synthetic import smiles_corpus
 
 settings.register_profile(

@@ -4,7 +4,7 @@ file as it was and no temp file beside it."""
 import numpy as np
 import pytest
 
-from molchord import cli, scorers
+from molchord import cli, store
 from molchord.genmodel import ModelConfig, init_params, save_params
 from molchord.scorers import GenerationRecord, dump_records
 
@@ -49,7 +49,7 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monke
     path = tmp_path / "artifact"
     WRITERS[writer](path, 1)
     old = path.read_bytes()
-    monkeypatch.setattr(scorers, "open", _failing_open, raising=False)
+    monkeypatch.setattr(store, "open", _failing_open, raising=False)
     with pytest.raises(_DiskFull):
         WRITERS[writer](path, 2)
     assert path.read_bytes() == old

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molchord.cli import SCHEMA, ValidationFailure, build_parser, load_config, main
-from molchord import scorers
-from molchord.molgraph import canonicalize, parse_smiles
-from molchord.scorers import CACHE_DIR_ENV, dump_records, load_records
+from molchord import molgraph, scorers
+from molchord.molgraph import canonical_smiles, canonicalize, parse_smiles
+from molchord.scorers import dump_records, load_records
+from molchord.store import CACHE_DIR_ENV
 from molchord.synthetic import synthetic_complexes
 
 # deterministic pseudo-binding score from a checksum of the molecule text
@@ -1318,7 +1319,7 @@ def clean_evaluate(pipeline, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("clean-evaluate")
     config, out = _run_after(pipeline, tmp_path, ("generations.jsonl", "scores.jsonl"))
     assert main(["--config", str(config), "evaluate"]) == 0
-    entries = [scorers._canonical_entry(out / name, tmp_path / "dock_cache")[0]
+    entries = [tmp_path / "dock_cache" / "canonical" / f"{_canonical_key(out / name)}.json"
                for name in ("generations.jsonl", "scores.jsonl")]
     return config, _evaluated(out), entries[0], entries[0].read_bytes(), entries[1].read_bytes()
 
@@ -1409,3 +1410,124 @@ def test_canonical_entries_live_where_dock_results_do(tmp_path, monkeypatch):
     names = [sorted(p.name for p in (tmp_path / d / "canonical").iterdir())
              for d in ("dock_cache", "env", ".molchord_cache")]
     assert len(names[0]) == 1 and names[0] == names[1] == names[2]
+
+
+# --- the cache directory's layout, and processes that share it -----------------
+
+
+def _canonical_key(path: Path) -> str:
+    """A record file's canonical entry key: the SHA-256 of a digest of the
+    ``molgraph`` source files, then the file's bytes."""
+    digest = hashlib.sha256()
+    for source in sorted(Path(molgraph.__file__).parent.glob("*.py")):
+        digest.update(hashlib.sha256(source.read_bytes()).digest() + source.name.encode() + b"\0")
+    return hashlib.sha256(digest.digest() + path.read_bytes()).hexdigest()
+
+
+def _clean_canonical_map(path: Path, fields: tuple[str, ...]) -> dict[str, str]:
+    """Each distinct SMILES string of a record file, in file order, that
+    canonicalizes with no error and no warning, mapped to its canonical form."""
+    texts = []
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        for field in fields:
+            texts += row[field] if isinstance(row[field], list) else [row[field]]
+    known = {}
+    for text in dict.fromkeys(texts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                known[text] = canonical_smiles(parse_smiles(text))
+            except (ValueError, Warning):
+                pass
+    return known
+
+
+def _expected_cache(scores: list[Path], record_files: dict[Path, tuple[str, ...]]) -> dict:
+    """Every file of a cache directory, by relative path, with its bytes:
+    ``<sha256(line)>.json`` per docked line and ``canonical/<key>.json`` per
+    loaded record file."""
+    expected = {}
+    for path in scores:
+        for row in map(json.loads, path.read_text().splitlines()):
+            line = DOCK_STUB.replace("{smiles}", row["smiles"])
+            name = hashlib.sha256(line.encode()).hexdigest() + ".json"
+            expected[name] = json.dumps({"command": line, "vina": row["vina"]}).encode()
+    for path, fields in record_files.items():
+        key = _canonical_key(path)
+        entry = {"key": key, "canonical": _clean_canonical_map(path, fields)}
+        expected[f"canonical/{key}.json"] = json.dumps(entry).encode()
+    return expected
+
+
+def _cache_files(cache: Path) -> dict:
+    return {str(p.relative_to(cache)): p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+
+
+def test_a_cold_dock_and_evaluate_leave_this_cache_layout(pipeline, tmp_path):
+    config, out = _run_after(pipeline, tmp_path, ("generations.jsonl",))
+    for step in ("dock", "evaluate"):
+        assert main(["--config", str(config), step]) == 0
+    complexes = pipeline[0] / "complexes.jsonl"
+    assert _cache_files(tmp_path / "dock_cache") == _expected_cache([out / "scores.jsonl"], {
+        complexes: ("ligand_smiles",),
+        out / "generations.jsonl": ("smiles",),
+        out / "scores.jsonl": ("smiles",),
+    })
+
+
+RUN_MAIN = "import sys\nfrom molchord.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def _two_at_once(configs: list[Path], step: str, env: dict) -> None:
+    procs = [subprocess.Popen([sys.executable, "-c", RUN_MAIN, "--config", str(c), step], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for c in configs]
+    for proc in procs:
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+
+
+def test_two_dock_processes_share_one_cache_dir(pipeline, tmp_path, child_env):
+    # overlapping thirds of the generations, docked at once into one cache
+    generations = (pipeline[2] / "generations.jsonl").read_text().splitlines(keepends=True)
+    scores = (pipeline[2] / "scores.jsonl").read_text().splitlines(keepends=True)
+    assert len(scores) == len(generations) >= 6
+    third = len(generations) // 3
+    shares = [slice(0, 2 * third), slice(third, None)]
+    configs = []
+    for i, share in enumerate(shares):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        configs.append(_write_config(run, pipeline[0] / "complexes.jsonl",
+                                     {"dock": {"cache_dir": str(tmp_path / "cache")}}))
+        (run / "out").mkdir()
+        (run / "out" / "generations.jsonl").write_text("".join(generations[share]))
+    _two_at_once(configs, "dock", child_env)
+    outs = [c.parent / "out" for c in configs]
+    for out, share in zip(outs, shares):
+        assert (out / "scores.jsonl").read_text() == "".join(scores[share])
+    assert _cache_files(tmp_path / "cache") == _expected_cache(
+        [out / "scores.jsonl" for out in outs],
+        {pipeline[0] / "complexes.jsonl": ("ligand_smiles",),
+         **{out / "generations.jsonl": ("smiles",) for out in outs}},
+    )
+
+
+def test_two_evaluate_processes_write_one_canonical_entry(pipeline, tmp_path, child_env):
+    configs = []
+    for i in range(2):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        config, _ = _run_after(pipeline, run, ("generations.jsonl", "scores.jsonl"),
+                               {"dock": {"cache_dir": str(tmp_path / "cache")}})
+        configs.append(config)
+    _two_at_once(configs, "evaluate", child_env)
+    artifacts = [_evaluated(c.parent / "out") for c in configs]
+    assert artifacts[0] == artifacts[1] == _evaluated(pipeline[2])
+    out = configs[0].parent / "out"
+    assert _cache_files(tmp_path / "cache") == _expected_cache([], {
+        pipeline[0] / "complexes.jsonl": ("ligand_smiles",),
+        out / "generations.jsonl": ("smiles",),
+        out / "scores.jsonl": ("smiles",),
+    })

@@ -24,6 +24,7 @@ from molchord.molgraph import (
     Bond,
     BondOrder,
     Molecule,
+    SmilesSyntaxError,
     canonical_ranks,
     canonical_smiles,
     make_molecule,
@@ -43,7 +44,8 @@ from .test_canonical import symmetric_graphs
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 # Every character the parser treats specially, letters it does not know, and
-# two non-ASCII digits (one that int() reads, one that it does not).
+# two non-ASCII digits (one that int() reads, one that it does not), which the
+# parser rejects and the reference, as first written, reads as digits.
 MUTANT_ALPHABET = "CNOSPFIBrlcnospH[]()=#:-/\\.%0123456789+@X$ ²٣"
 
 
@@ -53,7 +55,7 @@ def _outcome(parse, text: str):
         warnings.simplefilter("always")
         try:
             result = parse(text)
-        except Exception as exc:  # int() of a non-ASCII digit raises ValueError
+        except Exception as exc:
             result = (type(exc), str(exc), getattr(exc, "offset", None))
     return result, [(w.category, str(w.message)) for w in caught]
 
@@ -79,6 +81,13 @@ def test_one_character_mutants_parse_as_the_reference(large_corpus):
         ch = rnd.choice(MUTANT_ALPHABET)
         edit = rnd.randrange(3)  # substitute, insert, delete
         mutant = (text[:i] + ch + text[i + 1 :], text[:i] + ch + text[i:], text[:i] + text[i + 1 :])[edit]
+        if not mutant.isascii():
+            # the reference reads any Unicode digit; the parser rejects the character
+            (result, caught), offset = _outcome(parse_smiles, mutant), mutant.index(ch)
+            assert result == (SmilesSyntaxError, f"non-ASCII character {ch!r} (offset {offset})",
+                              offset) and caught == [], mutant
+            outcomes.add("non-ASCII")
+            continue
         expected = _outcome(parse_smiles_reference, mutant)
         assert _outcome(parse_smiles, mutant) == expected, mutant
         if isinstance(expected[0], Molecule):
@@ -89,7 +98,7 @@ def test_one_character_mutants_parse_as_the_reference(large_corpus):
     # the mutants reach every failure the parser reports
     assert outcomes >= {
         "parsed", "AromaticityError", "SmilesSyntaxError", "UnclosedBranch", "UnknownElement",
-        "UnmatchedRingBond", "ValenceViolation", "ValueError",
+        "UnmatchedRingBond", "ValenceViolation", "non-ASCII",
     }
 
 

@@ -12,7 +12,6 @@ import pytest
 from molchord import scorers
 from molchord.curation import ComplexRecord, PreferencePair
 from molchord.scorers import (
-    CACHE_DIR_ENV,
     DockCommand,
     DuplicateKey,
     GenerationRecord,
@@ -29,6 +28,7 @@ from molchord.scorers import (
     external_dock,
     load_records,
 )
+from molchord.store import CACHE_DIR_ENV
 
 
 def _write(path, lines):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from molchord.molgraph import (
     AromaticityError,
@@ -6,15 +8,19 @@ from molchord.molgraph import (
     Bond,
     BondOrder,
     EmptyInput,
+    SmilesError,
     SmilesFeatureWarning,
     SmilesSyntaxError,
     UnclosedBranch,
     UnknownElement,
     UnmatchedRingBond,
     ValenceViolation,
+    canonicalize,
     count_fused_rings,
     make_molecule,
+    morgan_fingerprint,
     parse_smiles,
+    try_canonicalize,
     try_parse,
     validate_valence,
 )
@@ -219,3 +225,32 @@ def test_atoms_and_bonds_are_light_immutable_records():
     assert Bond(a=1, b=3, order=BondOrder.DOUBLE) == Bond(1, 3, BondOrder.DOUBLE)
     with pytest.raises(AttributeError):
         atom.index = 0
+
+
+# Non-ASCII digits: superscript two, Arabic-Indic three, Bengali one, fullwidth five.
+NON_ASCII_DIGITS = "²٣১５"
+SMILES_TEXT = st.text(alphabet="CNOScn()[]=#%+-@H:." + "0123456789" + NON_ASCII_DIGITS, max_size=24)
+
+
+@given(st.one_of(st.text(), SMILES_TEXT))
+@settings(max_examples=500)
+@example("C²CC")
+@example("[²CH4]")
+@example("[CH²]")
+@example("C%²²CC%²²")
+@example("C১CC১")
+def test_any_string_gives_a_molecule_or_a_smiles_error(text):
+    try:
+        mol = parse_smiles(text)
+    except SmilesError:
+        mol = None
+    else:
+        assert text.isascii()  # SMILES is ASCII: no other digit closes a ring
+        morgan_fingerprint(mol)
+        count_fused_rings(mol)
+    try:
+        canon = canonicalize(text)
+    except SmilesError:
+        canon = None
+    assert (try_parse(text) is None) == (mol is None)
+    assert try_canonicalize(text) == canon

@@ -44,6 +44,15 @@ def _score(env: dict, smiles: str) -> str:
     return proc.stdout.strip()
 
 
+def test_genmodel_import_loads_no_record_dock_or_metric_code(child_env):
+    # a checkpoint is written through ``store.atomic_write`` alone
+    modules = ("molchord.scorers", "molchord.curation", "molchord.metrics")
+    code = f"import sys\nimport molchord.genmodel\nprint([m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_numpy_unloaded(child_env):
     code = "import sys\nimport molchord.cli\nprint('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
@@ -91,8 +100,9 @@ def test_surrogate_dock_hash_mode_without_numpy(child_env):
 
 
 def test_surrogate_dock_rejects_unparseable(child_env):
-    # the second parses, but its 100 alike components exhaust the canonical search
-    for smiles, reason in [("C1CC", "unparseable"), (".".join(["C"] * 100), "uncanonicalizable")]:
+    # the third parses, but its 100 alike components exhaust the canonical search
+    for smiles, reason in [("C1CC", "unparseable"), ("C²CC", "unparseable"),
+                           (".".join(["C"] * 100), "uncanonicalizable")]:
         proc = _surrogate(child_env, smiles)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and reason in proc.stderr, proc.stderr
