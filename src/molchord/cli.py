@@ -635,49 +635,38 @@ def _assemble_pockets(cfg: RunConfig) -> list[metrics.PocketEval]:
     generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations", cache)
     scores = _load(cfg.outdir / "scores.jsonl", "scores", "scores", cache)
 
-    coverage = scorers.coverage_check(generations, scores)
-    if coverage.missing:
+    pockets, missing = metrics.join_scores(records, generations, scores)
+    if missing:
         report_path = _write_json(cfg.outdir / "coverage_report.json", {
-            "missing": [{"pocket_id": g.pocket_id, "smiles": g.smiles} for g in coverage.missing],
-            "covered": len(coverage.covered),
+            "missing": [{"pocket_id": g.pocket_id, "smiles": g.smiles} for g in missing],
+            "covered": len(generations) - len(missing),
         })
         if not cfg.allow_partial:
             raise ValidationFailure(
-                f"{len(coverage.missing)} generations lack scores "
+                f"{len(missing)} generations lack scores "
                 f"(see {report_path}; use --allow-partial to evaluate anyway)"
             )
-
-    score_map = {(s.pocket_id, s.smiles): s for s in scores}
-    by_pocket: dict[str, list[metrics.Generation]] = {}
-    for gen in coverage.covered:
-        score = score_map[(gen.pocket_id, gen.smiles)]
-        by_pocket.setdefault(gen.pocket_id, []).append(
-            metrics.Generation(
-                smiles=gen.smiles, vina=score.vina, qed=score.qed, sa_origin=score.sa_origin
-            )
-        )
-    pockets = []
-    for record in sorted(records, key=lambda r: r.pocket_id):
-        gens = by_pocket.get(record.pocket_id)
-        if not gens:
-            continue
-        pockets.append(
-            metrics.PocketEval(
-                pocket_id=record.pocket_id,
-                generations=tuple(gens),
-                reference_vina=record.reference_vina,
-                homology=record.homology or metrics.UNKNOWN,
-            )
-        )
     if not pockets:
         raise ValidationFailure("no pockets with scored generations")
     return pockets
 
 
-def _fmt(value, width: int = 9) -> str:
-    if value is None:
-        return "-".rjust(width)
-    return f"{value:.3f}".rjust(width)
+# report.txt's metric columns after pocket and n: (header, field of a
+# PocketRow and of the MetricReport aggregate)
+_REPORT_COLUMNS = (
+    ("vina", "mean_vina"),
+    ("high_aff", "high_affinity"),
+    ("qed", "mean_qed"),
+    ("sa", "mean_sa"),
+    ("divers", "diversity"),
+    ("success", "success_rate"),
+    ("fused", "fused_ring_mean"),
+)
+
+
+def _fmt_columns(row) -> str:
+    values = (getattr(row, field) for _, field in _REPORT_COLUMNS)
+    return "".join("-".rjust(9) if v is None else f"{v:.3f}".rjust(9) for v in values)
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -692,21 +681,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     del aggregate["per_pocket"]
     _write_jsonl(cfg.outdir / "report.jsonl", [*rows, aggregate])
 
-    lines = [
-        f"{'pocket':<14}{'n':>5}{'vina':>9}{'high_aff':>9}{'qed':>9}"
-        f"{'sa':>9}{'divers':>9}{'success':>9}{'fused':>9}"
-    ]
-    for row in report.per_pocket:
-        lines.append(
-            f"{row.pocket_id:<14}{row.n:>5}{_fmt(row.mean_vina)}{_fmt(row.high_affinity)}"
-            f"{_fmt(row.mean_qed)}{_fmt(row.mean_sa)}{_fmt(row.diversity)}"
-            f"{_fmt(row.success_rate)}{_fmt(row.fused_ring_mean)}"
-        )
-    lines.append(
-        f"{'AGGREGATE':<14}{sum(r.n for r in report.per_pocket):>5}{_fmt(report.mean_vina)}"
-        f"{_fmt(report.high_affinity)}{_fmt(report.mean_qed)}{_fmt(report.mean_sa)}"
-        f"{_fmt(report.diversity)}{_fmt(report.success_rate)}{_fmt(report.fused_ring_mean)}"
-    )
+    lines = [f"{'pocket':<14}{'n':>5}" + "".join(f"{h:>9}" for h, _ in _REPORT_COLUMNS)]
+    lines += [f"{r.pocket_id:<14}{r.n:>5}{_fmt_columns(r)}" for r in report.per_pocket]
+    n = sum(r.n for r in report.per_pocket)
+    lines.append(f"{'AGGREGATE':<14}{n:>5}{_fmt_columns(report)}")
     _write_text(cfg.outdir / "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     write_manifest(cfg)

@@ -19,8 +19,7 @@ import numpy as np
 from .curation import CurateConfig, curate, reward
 from .genmodel import ModelConfig, ModelParams, PocketFeatures, sample_many
 from .hashutil import derive_seed
-from .molgraph import count_fused_rings, parse_smiles, try_parse
-from .scorers import surrogate_vina
+from .molgraph import Molecule, count_fused_rings, parse_smiles, try_parse
 from .synthetic import smiles_corpus
 from .training import (
     TrainConfig,
@@ -30,6 +29,15 @@ from .training import (
     train_dpo,
     train_sft,
 )
+
+
+SURROGATE_HEAVY_CAP = 15
+
+
+def surrogate_vina(mol: Molecule) -> float:
+    """Deterministic pseudo-binding score: heavier molecules bind better,
+    saturating at the cap. Lower is better, like a docking energy."""
+    return -float(min(mol.heavy_atom_count(), SURROGATE_HEAVY_CAP))
 
 
 def surrogate_reward(smiles: str, fused_penalty: float) -> float | None:

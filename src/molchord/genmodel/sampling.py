@@ -239,17 +239,12 @@ def sample_many(
     temperature: float = 1.5,
     top_p: float = 0.95,
     max_len: int = 256,
-    start_index: int = 0,
 ) -> list[list[SampleResult]]:
     """n independent draws for each pocket, all stepped as one batch;
-    returns each pocket's draws in stream order.
-
-    ``start_index`` offsets the per-sample stream keys so callers can extend
-    a run (resampling duplicates) without repeating earlier draws.
-    """
+    returns each pocket's draws in stream order."""
 
     def one_request() -> Job:
-        return (yield start_index, n)
+        return (yield 0, n)
 
     return _run_jobs(
         params,

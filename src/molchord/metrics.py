@@ -1,8 +1,10 @@
 """Evaluation suite over scored generations.
 
-Per-pocket metrics are computed first and then averaged unweighted across
-pockets. Binding scores are in kcal/mol with lower meaning better; "no worse
-than the reference" therefore means less than or equal. QED and the raw
+``join_scores`` matches each generation to its ``ScoreRecord`` by (pocket_id,
+smiles), once, and the pockets it returns hold those records. Per-pocket
+metrics are computed first and then averaged unweighted across pockets.
+Binding scores are in kcal/mol with lower meaning better; "no worse than the
+reference" therefore means less than or equal. QED and the raw
 synthesizability score are ingested (they come from external property
 calculators), while the gates and the [1,10] -> [0,1] renormalization are
 computed here.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .molgraph import (
     DEFAULT_NBITS,
@@ -25,6 +27,10 @@ from .molgraph import (
     parse_smiles,
     tanimoto,
 )
+
+if TYPE_CHECKING:
+    from .curation import ComplexRecord
+    from .scorers import GenerationRecord
 
 QED_THRESHOLD = 0.25
 SA_THRESHOLD = 0.59
@@ -76,11 +82,12 @@ class EmptyGroup(ValueError):
 
 
 @dataclass(frozen=True)
-class Generation:
-    """One generated molecule with its ingested scores."""
+class ScoreRecord:
+    """One generated molecule with its ingested scores (a ``scores`` line)."""
 
+    pocket_id: str
     smiles: str
-    vina: float | None
+    vina: float
     qed: float | None = None
     sa_origin: float | None = None
 
@@ -88,7 +95,7 @@ class Generation:
 @dataclass(frozen=True)
 class PocketEval:
     pocket_id: str
-    generations: tuple[Generation, ...]
+    generations: tuple[ScoreRecord, ...]
     reference_vina: float | None = None
     homology: str = UNKNOWN
 
@@ -132,6 +139,35 @@ class MetricReport:
     fused_ring_mean: float
     per_pocket: tuple[PocketRow, ...]
     ood: OodSummary | None = None
+
+
+def join_scores(
+    complexes: Iterable[ComplexRecord],
+    generations: Iterable[GenerationRecord],
+    scores: Iterable[ScoreRecord],
+) -> tuple[list[PocketEval], list[GenerationRecord]]:
+    """Each generation matched to its score by (pocket_id, smiles).
+
+    Returns the pockets of ``complexes`` that have a scored generation, in
+    pocket-id order, each holding its scores in generation order, and the
+    generations that have no score, in input order.
+    """
+    index = {(s.pocket_id, s.smiles): s for s in scores}
+    by_pocket: dict[str, list[ScoreRecord]] = {}
+    missing = []
+    for gen in generations:
+        score = index.get((gen.pocket_id, gen.smiles))
+        if score is None:
+            missing.append(gen)
+        else:
+            by_pocket.setdefault(gen.pocket_id, []).append(score)
+    pockets = [
+        PocketEval(c.pocket_id, tuple(by_pocket[c.pocket_id]), c.reference_vina,
+                   c.homology or UNKNOWN)
+        for c in sorted(complexes, key=lambda c: c.pocket_id)
+        if c.pocket_id in by_pocket
+    ]
+    return pockets, missing
 
 
 def diversity(fingerprints: Sequence[Fingerprint]) -> float:
@@ -184,7 +220,7 @@ def _parse_all(pocket: PocketEval) -> list[Molecule]:
     return [parse_smiles(g.smiles) for g in pocket.generations]
 
 
-def _sorted_generations(pocket: PocketEval) -> tuple[Generation, ...]:
+def _sorted_generations(pocket: PocketEval) -> tuple[ScoreRecord, ...]:
     return tuple(
         sorted(
             pocket.generations,
@@ -259,26 +295,18 @@ def evaluate(
     )
     rows = sorted((PocketRow(**row) for row in rows), key=lambda r: r.pocket_id)
 
-    def column(name: str) -> float | None:
-        values = [getattr(r, name) for r in rows if getattr(r, name) is not None]
-        return _mean(values) if values else None
-
     ood = None
     labels = {p.homology for p in pockets}
     if labels <= {HOMOLOGOUS, NON_HOMOLOGOUS} and len(labels) == 2:
         ood = ood_report(pockets)
 
-    return MetricReport(
-        mean_vina=_mean([r.mean_vina for r in rows]),
-        high_affinity=column("high_affinity"),
-        mean_qed=column("mean_qed"),
-        mean_sa=column("mean_sa"),
-        diversity=column("diversity"),
-        success_rate=column("success_rate"),
-        fused_ring_mean=_mean([r.fused_ring_mean for r in rows]),
-        per_pocket=tuple(rows),
-        ood=ood,
-    )
+    columns = ("mean_vina", "high_affinity", "mean_qed", "mean_sa", "diversity",
+               "success_rate", "fused_ring_mean")
+    means = {
+        name: _mean_or_none([v for r in rows if (v := getattr(r, name)) is not None])
+        for name in columns
+    }
+    return MetricReport(**means, per_pocket=tuple(rows), ood=ood)
 
 
 def fused_ring_report(pockets: Sequence[PocketEval], top_k: int = 10) -> FusedRingSummary:

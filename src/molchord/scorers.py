@@ -37,8 +37,8 @@ from typing import Iterable, Iterator, Sequence
 from . import molgraph, store
 from .curation import ComplexRecord, PreferencePair
 from .hashutil import sha256_file
-from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS
-from .molgraph import Molecule, canonicalize, prefetch_canonical, seed_canonical
+from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS, ScoreRecord
+from .molgraph import canonicalize, prefetch_canonical, seed_canonical
 
 SCHEMAS = ("complexes", "scores", "pairs", "generations")
 
@@ -61,15 +61,6 @@ class DuplicateKey(ValueError):
         super().__init__(f"line {line_no}: duplicate key {key!r}")
         self.line_no = line_no
         self.key = key
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    pocket_id: str
-    smiles: str
-    vina: float
-    qed: float | None = None
-    sa_origin: float | None = None
 
 
 @dataclass(frozen=True)
@@ -290,31 +281,6 @@ def dump_records(path: str | Path, records: Iterable) -> None:
         for record in records:
             row = {k: v for k, v in asdict(record).items() if v is not None}
             handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    covered: tuple[GenerationRecord, ...]
-    missing: tuple[GenerationRecord, ...]
-
-
-def coverage_check(
-    generations: Sequence[GenerationRecord], scores: Sequence[ScoreRecord]
-) -> CoverageReport:
-    scored = {(s.pocket_id, s.smiles) for s in scores}
-    covered, missing = [], []
-    for gen in generations:
-        (covered if (gen.pocket_id, gen.smiles) in scored else missing).append(gen)
-    return CoverageReport(covered=tuple(covered), missing=tuple(missing))
-
-
-SURROGATE_HEAVY_CAP = 15
-
-
-def surrogate_vina(mol: Molecule) -> float:
-    """Deterministic pseudo-binding score: heavier molecules bind better,
-    saturating at the cap. Lower is better, like a docking energy."""
-    return -float(min(mol.heavy_atom_count(), SURROGATE_HEAVY_CAP))
 
 
 @dataclass(frozen=True)

@@ -150,13 +150,12 @@ def train_sft(
     examples: list[SftExample],
     model_config: ModelConfig,
     config: TrainConfig,
-    params: ModelParams | None = None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Supervised stage; keeps the parameters with the lowest validation loss."""
     if not examples:
         raise EmptyBatch("no training examples")
     vocab = model_config.vocabulary()
-    params = params if params is not None else init_params(model_config)
+    params = init_params(model_config)
 
     val = [ex for ex in examples if is_validation_pocket(ex.pocket_id)]
     train = [ex for ex in examples if not is_validation_pocket(ex.pocket_id)]

@@ -345,9 +345,9 @@ def sample_unique_oracle(params, features, n_wanted: int, base_seed: int, *, tem
     budget = n_wanted * retry_factor
     while len(collected) < n_wanted and index < budget:
         chunk = min(max(n_wanted - len(collected), 8), budget - index)
-        (results,) = sample_many(params, [features], vocab, chunk, base_seed=base_seed,
-                                 temperature=temperature, top_p=top_p, max_len=max_len,
-                                 start_index=index)
+        (drawn,) = sample_many(params, [features], vocab, index + chunk, base_seed=base_seed,
+                               temperature=temperature, top_p=top_p, max_len=max_len)
+        results = drawn[index:]
         index += chunk
         for res in results:
             if len(collected) >= n_wanted:

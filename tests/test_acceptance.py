@@ -104,10 +104,10 @@ def test_acceptance_1_published_constants():
         assert abs(loss - math.log(2.0)) < tol
 
         homologous = metrics.PocketEval(
-            "h", (metrics.Generation("CCO", vina=-8.49),), homology="homologous"
+            "h", (metrics.ScoreRecord("h", "CCO", vina=-8.49),), homology="homologous"
         )
         non_homologous = metrics.PocketEval(
-            "n", (metrics.Generation("CCO", vina=-8.66),), homology="non_homologous"
+            "n", (metrics.ScoreRecord("n", "CCO", vina=-8.66),), homology="non_homologous"
         )
         summary = metrics.ood_report([homologous, non_homologous])
         assert abs(summary.delta - 0.17) < tol

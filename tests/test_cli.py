@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molchord.cli import SCHEMA, ValidationFailure, build_parser, load_config, main
-from molchord import molgraph, scorers
+from molchord import curation, molgraph, scorers
 from molchord.molgraph import canonical_smiles, canonicalize, parse_smiles
 from molchord.scorers import dump_records, load_records
 from molchord.store import CACHE_DIR_ENV
@@ -1052,6 +1052,45 @@ def test_readme_config_reference_matches_cli_defaults():
     assert _readme_config_reference() == defaults
 
 
+def test_cli_defaults_match_the_library_defaults():
+    """Each default is written once in the library and once in ``SCHEMA``."""
+    import dataclasses
+    import inspect
+
+    from molchord.curation import CurateConfig
+    from molchord.genmodel import ModelConfig, sample_many
+    from molchord.metrics import fused_ring_report
+    from molchord.molgraph import DEFAULT_NBITS, DEFAULT_RADIUS
+    from molchord.training import TrainConfig
+
+    def parameters(function, *names):
+        signature = inspect.signature(function).parameters
+        return {name: signature[name].default for name in names}
+
+    dock = {f.name: f.default for f in dataclasses.fields(scorers.DockCommand)}
+    model = dataclasses.asdict(ModelConfig())
+    del model["vocab_tokens"]  # not a config key
+    curate = dataclasses.asdict(CurateConfig())
+    train = dataclasses.asdict(TrainConfig())
+    for name in ("epochs", "beta_dpo", "seed"):  # [train_dpo] keys, and the [model] seed
+        del train[name]
+    library = {
+        "model": {"n_struct": model.pop("n_struct_tokens"), **model},
+        "curate": {"lambda": curate.pop("lam"), **curate},
+        "train_sft": train,
+        "dock": {name: dock[name] for name in ("timeout", "max_parallel")},
+        "sample": parameters(sample_many, "temperature", "top_p", "max_len"),
+        "metrics": {"radius": DEFAULT_RADIUS, "nbits": DEFAULT_NBITS,
+                    **parameters(fused_ring_report, "top_k")},
+    }
+    for section in ("model", "curate", "train_sft"):  # every key of the section
+        assert set(library[section]) == {k.name for k in SCHEMA if k.section == section}
+    defaults = {(k.section, k.name): k.parse(k.default) for k in SCHEMA}
+    for section, settings in library.items():
+        for name, value in settings.items():
+            assert defaults[section, name] == value, (section, name)
+
+
 # --- contract: any record line ends in a documented exit code -----------------
 
 _CONTRACT_RECORDS = {
@@ -1511,6 +1550,71 @@ def test_two_dock_processes_share_one_cache_dir(pipeline, tmp_path, child_env):
         [out / "scores.jsonl" for out in outs],
         {pipeline[0] / "complexes.jsonl": ("ligand_smiles",),
          **{out / "generations.jsonl": ("smiles",) for out in outs}},
+    )
+
+
+DISAGREEING_ENGINE = """\
+import glob, os, sys, time
+
+markers, cache = sys.argv[1:3]
+
+
+def wait_for(pattern):
+    end = time.monotonic() + 20
+    while not glob.glob(pattern) and time.monotonic() < end:
+        time.sleep(0.01)
+
+
+try:
+    os.mkdir(os.path.join(markers, "first"))
+except FileExistsError:
+    os.mkdir(os.path.join(markers, "second"))
+    wait_for(os.path.join(cache, "*.json"))  # the first score's entry
+    print(-8.0)
+else:
+    wait_for(os.path.join(markers, "second"))  # the other run missed the cache too
+    print(-7.0)
+"""
+
+
+def test_two_dock_processes_that_disagree_fail_one_molecule_by_name(tmp_path, child_env):
+    """An engine that gives one command line two scores, in two ``dock``
+    processes on one cache directory: the second score is a named
+    per-molecule failure (exit 4), and the entry keeps the first score."""
+    import shlex
+
+    engine, markers, cache = tmp_path / "engine.py", tmp_path / "markers", tmp_path / "cache"
+    engine.write_text(DISAGREEING_ENGINE)
+    markers.mkdir()
+    complexes = tmp_path / "complexes.jsonl"
+    dump_records(complexes, [curation.ComplexRecord("p0", ("CCO",))])
+    template = " ".join(map(shlex.quote, (sys.executable, str(engine), str(markers), str(cache))))
+    template += " '{smiles}'"
+    configs = []
+    for i in range(2):
+        run = tmp_path / f"run{i}"
+        (run / "out").mkdir(parents=True)
+        dump_records(run / "out" / "generations.jsonl", [scorers.GenerationRecord("p0", "CCO")])
+        configs.append(_write_config(run, complexes, {
+            "dock": {"command": template, "cache_dir": str(cache)}}))
+    procs = [subprocess.Popen([sys.executable, "-c", RUN_MAIN, "--config", str(c), "dock"],
+                              env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True)
+             for c in configs]
+    stderr = [proc.communicate(timeout=120)[1] for proc in procs]
+    codes = [proc.returncode for proc in procs]
+    assert sorted(codes) == [0, 4], stderr
+    first, second = (configs[codes.index(code)].parent / "out" for code in (0, 4))
+    assert (first / "scores.jsonl").read_text() == (
+        '{"pocket_id": "p0", "smiles": "CCO", "vina": -7.0}\n'
+    )
+    (failure,) = json.loads((second / "dock.manifest.json").read_text())["extra"]["failures"]
+    assert (failure["pocket_id"], failure["smiles"]) == ("p0", "CCO")
+    assert failure["error"].startswith("cache holds -7.0 but command produced -8.0: ")
+    assert (second / "scores.jsonl").read_text() == ""
+    line = template.replace("{smiles}", "CCO")
+    assert _cache_files(cache)[hashlib.sha256(line.encode()).hexdigest() + ".json"] == (
+        json.dumps({"command": line, "vina": -7.0}).encode()
     )
 
 

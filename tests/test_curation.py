@@ -379,9 +379,8 @@ def test_pair_set_two_spellings_are_one_candidate():
 
 
 def test_pair_set_with_the_experiment_scorer_pairs_canonical_smiles():
-    from molchord.experiment import surrogate_scores
+    from molchord.experiment import surrogate_scores, surrogate_vina
     from molchord.molgraph import canonical_smiles, count_fused_rings, parse_smiles
-    from molchord.scorers import surrogate_vina
 
     # every molecule has 3 heavy atoms, so the surrogate ties them all and
     # the pair is decided by the canonical strings alone

@@ -221,11 +221,12 @@ def test_a_feature_warning_in_the_child_share_warns_once_in_the_parent(
 def _pockets(smiles, per_pocket=20):
     pockets = []
     for start in range(0, len(smiles) - per_pocket + 1, per_pocket):
+        pocket_id = f"p{start:04d}"
         gens = tuple(
-            metrics.Generation(smiles=s, vina=-5.0 - (i % 9) / 4, qed=0.5, sa_origin=3.0)
+            metrics.ScoreRecord(pocket_id, s, vina=-5.0 - (i % 9) / 4, qed=0.5, sa_origin=3.0)
             for i, s in enumerate(smiles[start : start + per_pocket])
         )
-        pockets.append(metrics.PocketEval(f"p{start:04d}", gens, reference_vina=-6.0))
+        pockets.append(metrics.PocketEval(pocket_id, gens, reference_vina=-6.0))
     return pockets
 
 

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from molchord import metrics
 from molchord.metrics import (
     EmptyGroup,
-    Generation,
     MissingReference,
     OutOfRange,
     PocketEval,
     ScoreCoverageGap,
+    ScoreRecord,
     TooFewGenerations,
     TooFewItems,
     UnlabeledPocket,
@@ -97,8 +97,8 @@ def test_high_affinity_fraction():
 
 def _pocket(pocket_id="p1", gens=None, ref=-8.0, homology="unknown"):
     gens = gens or [
-        Generation("CCO", vina=-9.0, qed=0.3, sa_origin=4.6),   # sa -> 0.6
-        Generation("CCN", vina=-7.0, qed=0.2, sa_origin=3.7),   # sa -> 0.7
+        ScoreRecord(pocket_id, "CCO", vina=-9.0, qed=0.3, sa_origin=4.6),   # sa -> 0.6
+        ScoreRecord(pocket_id, "CCN", vina=-7.0, qed=0.2, sa_origin=3.7),   # sa -> 0.7
     ]
     return PocketEval(pocket_id=pocket_id, generations=tuple(gens), reference_vina=ref,
                       homology=homology)
@@ -131,7 +131,7 @@ def test_evaluate_missing_reference_excluded():
 
 
 def test_evaluate_absent_properties_stay_absent():
-    gens = [Generation("CCO", vina=-9.0), Generation("CCN", vina=-7.0)]
+    gens = [ScoreRecord("p1", "CCO", vina=-9.0), ScoreRecord("p1", "CCN", vina=-7.0)]
     report = evaluate([_pocket(gens=gens)])
     assert report.mean_qed is None
     assert report.mean_sa is None
@@ -141,9 +141,9 @@ def test_evaluate_absent_properties_stay_absent():
 
 def test_evaluate_permutation_invariant():
     gens = [
-        Generation("c1ccccc1", -10.0, 0.5, 2.0),
-        Generation("CCCC", -6.0, 0.4, 3.0),
-        Generation("CCO", -7.5, 0.3, 4.0),
+        ScoreRecord("b", "c1ccccc1", -10.0, 0.5, 2.0),
+        ScoreRecord("b", "CCCC", -6.0, 0.4, 3.0),
+        ScoreRecord("b", "CCO", -7.5, 0.3, 4.0),
     ]
     pockets = [_pocket("a"), _pocket("b", gens=gens)]
     fwd = evaluate(pockets)
@@ -153,7 +153,7 @@ def test_evaluate_permutation_invariant():
 
 
 def test_evaluate_coverage_gap():
-    gens = [Generation("CCO", vina=None)]
+    gens = [ScoreRecord("p1", "CCO", vina=None)]
     with pytest.raises(ScoreCoverageGap):
         evaluate([_pocket(gens=gens)])
 
@@ -166,9 +166,9 @@ def test_evaluate_empty():
 def test_success_implies_high_affinity_when_reference_weak():
     # reference above the binding gate: every success is also high affinity
     gens = [
-        Generation("CCO", vina=-9.0, qed=0.5, sa_origin=2.0),
-        Generation("CCN", vina=-8.0, qed=0.5, sa_origin=2.0),
-        Generation("CCC", vina=-7.0, qed=0.5, sa_origin=2.0),
+        ScoreRecord("p1", "CCO", vina=-9.0, qed=0.5, sa_origin=2.0),
+        ScoreRecord("p1", "CCN", vina=-8.0, qed=0.5, sa_origin=2.0),
+        ScoreRecord("p1", "CCC", vina=-7.0, qed=0.5, sa_origin=2.0),
     ]
     report = evaluate([_pocket(gens=gens, ref=-8.0)])
     row = report.per_pocket[0]
@@ -176,8 +176,8 @@ def test_success_implies_high_affinity_when_reference_weak():
 
 
 def test_fused_ring_report_values():
-    benzenes = [Generation("c1ccccc1", vina=-8.0 - i * 0.1) for i in range(4)]
-    naphthalenes = [Generation("c1ccc2ccccc2c1", vina=-9.0 - i * 0.1) for i in range(4)]
+    benzenes = [ScoreRecord("a", "c1ccccc1", vina=-8.0 - i * 0.1) for i in range(4)]
+    naphthalenes = [ScoreRecord("b", "c1ccc2ccccc2c1", vina=-9.0 - i * 0.1) for i in range(4)]
     all_benzene = PocketEval("a", tuple(benzenes), reference_vina=None)
     assert fused_ring_report([all_benzene], top_k=4).mean == 0.0
     all_naph = PocketEval("b", tuple(naphthalenes), reference_vina=None)
@@ -189,14 +189,14 @@ def test_fused_ring_report_values():
 
 
 def test_fused_ring_report_top_k_selects_best_scores():
-    gens = [Generation("c1ccc2ccccc2c1", vina=-10.0), Generation("c1ccccc1", vina=-5.0)]
+    gens = [ScoreRecord("a", "c1ccc2ccccc2c1", vina=-10.0), ScoreRecord("a", "c1ccccc1", vina=-5.0)]
     summary = fused_ring_report([PocketEval("a", tuple(gens))], top_k=1)
     assert summary.mean == 2.0  # only the best-scoring compound counts
 
 
 def test_fused_ring_report_full_equals_unfiltered_mean(small_corpus):
     gens = tuple(
-        Generation(s, vina=-5.0 - i * 0.01) for i, s in enumerate(small_corpus[:20])
+        ScoreRecord("a", s, vina=-5.0 - i * 0.01) for i, s in enumerate(small_corpus[:20])
     )
     pocket = PocketEval("a", gens)
     full = fused_ring_report([pocket], top_k=len(gens))
@@ -220,10 +220,10 @@ def test_fused_ring_report_rejects_top_k_below_one(top_k):
 
 def test_ood_report_reproduces_published_row():
     homologous = PocketEval(
-        "h", (Generation("CCO", vina=-8.49),), homology="homologous"
+        "h", (ScoreRecord("h", "CCO", vina=-8.49),), homology="homologous"
     )
     non_homologous = PocketEval(
-        "n", (Generation("CCO", vina=-8.66),), homology="non_homologous"
+        "n", (ScoreRecord("n", "CCO", vina=-8.66),), homology="non_homologous"
     )
     summary = ood_report([homologous, non_homologous])
     assert summary.delta == pytest.approx(0.17, abs=1e-9)
@@ -231,8 +231,8 @@ def test_ood_report_reproduces_published_row():
 
 def test_ood_report_identical_groups_delta_zero():
     pockets = [
-        PocketEval("h", (Generation("CCO", vina=-8.0),), homology="homologous"),
-        PocketEval("n", (Generation("CCO", vina=-8.0),), homology="non_homologous"),
+        PocketEval("h", (ScoreRecord("h", "CCO", vina=-8.0),), homology="homologous"),
+        PocketEval("n", (ScoreRecord("n", "CCO", vina=-8.0),), homology="non_homologous"),
     ]
     assert ood_report(pockets).delta == 0.0
 
@@ -241,7 +241,7 @@ def test_ood_report_errors():
     with pytest.raises(UnlabeledPocket):
         ood_report([_pocket()])
     with pytest.raises(EmptyGroup):
-        ood_report([PocketEval("h", (Generation("CCO", vina=-8.0),),
+        ood_report([PocketEval("h", (ScoreRecord("h", "CCO", vina=-8.0),),
                                homology="homologous")])
 
 

@@ -102,8 +102,8 @@ def test_nucleus_validates_top_p():
 
 def test_same_seed_identical_output(setup):
     params, vocab, feats = setup
-    a = sample_many(params, [feats], vocab, 1, base_seed=9, start_index=4, max_len=30)
-    b = sample_many(params, [feats], vocab, 1, base_seed=9, start_index=4, max_len=30)
+    a = sample_many(params, [feats], vocab, 5, base_seed=9, max_len=30)
+    b = sample_many(params, [feats], vocab, 5, base_seed=9, max_len=30)
     assert a == b
 
 
@@ -121,13 +121,13 @@ def test_batch_matches_single_draws(setup):
         assert b.logprob == pytest.approx(s.logprob, abs=1e-9)
 
 
-def _replay_ended_draws(params, vocab, feats, base_seed, start_index, results):
+def _replay_ended_draws(params, vocab, feats, base_seed, results):
     """Check each draw that ended at EOS against the model log-probability of
     its sequence under the noise recomputed from its stream: the first
     standard-normal draw of ``sample_seed``, before any token. Returns how
     many draws were replayed."""
     replayed = 0
-    for i, res in enumerate(results, start=start_index):
+    for i, res in enumerate(results):
         if res.token_ids[-1] != vocab.eos_id:  # stopped at max_len
             continue
         seq = build_interleaved(feats, res.token_ids[:-1], vocab)
@@ -142,18 +142,23 @@ def _replay_ended_draws(params, vocab, feats, base_seed, start_index, results):
 
 def test_each_draw_is_conditioned_on_the_first_draw_of_its_stream(setup):
     """Each sample's conditioning noise is the first standard-normal draw of
-    its own stream, before any token, also for draws after ``start_index``."""
+    its own stream, before any token, at every draw index."""
     params, vocab, feats = setup
-    (results,) = sample_many(params, [feats], vocab, 6, temperature=1.0, top_p=1.0, base_seed=9,
-                             start_index=2, max_len=40)
-    assert _replay_ended_draws(params, vocab, feats, 9, 2, results) > 0
+    (results,) = sample_many(params, [feats], vocab, 8, temperature=1.0, top_p=1.0, base_seed=9,
+                             max_len=40)
+    assert _replay_ended_draws(params, vocab, feats, 9, results) > 0
 
 
-def test_start_index_extends_stream(setup):
+def test_a_longer_request_extends_each_stream(setup):
+    """Draw i depends only on the base seed, the pocket id and i: a longer
+    request repeats a shorter one's draws and continues with the next streams."""
     params, vocab, feats = setup
     (full,) = sample_many(params, [feats], vocab, 8, base_seed=9, max_len=20)
-    (tail,) = sample_many(params, [feats], vocab, 4, base_seed=9, max_len=20, start_index=4)
-    assert full[4:] == tail
+    (head,) = sample_many(params, [feats], vocab, 4, base_seed=9, max_len=20)
+    assert full[:4] == head
+    for i, res in enumerate(full[4:], start=4):
+        alone = unbatched_sample(params, feats, vocab, base_seed=9, index=i, max_len=20)
+        assert res.token_ids == alone.token_ids
 
 
 def test_max_len_respected(setup):
@@ -177,7 +182,7 @@ def test_logprob_replay_equivalence(setup):
     params, vocab, feats = setup
     (results,) = sample_many(params, [feats], vocab, 10, temperature=1.0, top_p=1.0,
                              base_seed=33, max_len=40)
-    assert _replay_ended_draws(params, vocab, feats, 33, 0, results) > 0
+    assert _replay_ended_draws(params, vocab, feats, 33, results) > 0
 
 
 def test_truncated_logprob_sums_only_kept_mass(setup):
@@ -214,8 +219,8 @@ def test_draws_of_several_pockets_step_together(setup, monkeypatch):
     for pocket, requests, results in zip(pockets, plan, done):
         assert len(results) == len(requests)
         for (start, n), got in zip(requests, results):
-            (alone,) = sample_many(params, [pocket], vocab, n, base_seed=9, max_len=30,
-                                   start_index=start)
+            (drawn,) = sample_many(params, [pocket], vocab, start + n, base_seed=9, max_len=30)
+            alone = drawn[start:]
             assert len(got) == n
             for a, b in zip(got, alone):
                 assert a.token_ids == b.token_ids

@@ -11,6 +11,7 @@ import pytest
 
 from molchord import scorers
 from molchord.curation import ComplexRecord, PreferencePair
+from molchord.metrics import join_scores
 from molchord.scorers import (
     DockCommand,
     DuplicateKey,
@@ -22,7 +23,6 @@ from molchord.scorers import (
     ScoreRecord,
     Timeout,
     UnparseableOutput,
-    coverage_check,
     dock_many,
     dump_records,
     external_dock,
@@ -376,31 +376,59 @@ def _score(pid, smiles, vina=-8.0):
     return ScoreRecord(pid, smiles, vina)
 
 
+def _complexes(*pids):
+    return [ComplexRecord(pid, ("C",)) for pid in pids]
+
+
+def _scored(pockets):
+    return [(s.pocket_id, s.smiles) for p in pockets for s in p.generations]
+
+
 def test_coverage_exact_match():
     gens = [_gen("p1", "CCO"), _gen("p1", "CCN")]
     scores = [_score("p1", "CCO"), _score("p1", "CCN")]
-    report = coverage_check(gens, scores)
-    assert not report.missing and len(report.covered) == 2
+    pockets, missing = join_scores(_complexes("p1"), gens, scores)
+    assert not missing and _scored(pockets) == [("p1", "CCO"), ("p1", "CCN")]
 
 
 def test_coverage_one_missing():
     gens = [_gen("p1", "CCO"), _gen("p1", "CCN")]
-    report = coverage_check(gens, [_score("p1", "CCO")])
-    assert report.missing
-    assert [g.smiles for g in report.missing] == ["CCN"]
+    _, missing = join_scores(_complexes("p1"), gens, [_score("p1", "CCO")])
+    assert missing
+    assert [g.smiles for g in missing] == ["CCN"]
 
 
 def test_coverage_superset_scores_ok():
     gens = [_gen("p1", "CCO")]
     scores = [_score("p1", "CCO"), _score("p1", "CCN"), _score("p2", "CCO")]
-    assert not coverage_check(gens, scores).missing
+    assert not join_scores(_complexes("p1", "p2"), gens, scores)[1]
 
 
 def test_coverage_partitions_generations():
     gens = [_gen("p1", "CCO"), _gen("p1", "CCN"), _gen("p2", "C")]
-    report = coverage_check(gens, [_score("p1", "CCO")])
-    assert set(report.covered) | set(report.missing) == set(gens)
-    assert not set(report.covered) & set(report.missing)
+    pockets, missing = join_scores(_complexes("p1", "p2"), gens, [_score("p1", "CCO")])
+    covered = set(_scored(pockets))
+    missed = {(g.pocket_id, g.smiles) for g in missing}
+    assert covered | missed == {(g.pocket_id, g.smiles) for g in gens}
+    assert not covered & missed
+
+
+def test_join_keeps_pocket_id_order_generation_order_and_the_loaded_scores():
+    complexes = [
+        ComplexRecord("p2", ("C",), None, None, "non_homologous"),
+        ComplexRecord("p1", ("C",), -7.5, None, None),
+        ComplexRecord("p3", ("C",)),  # no scored generation: left out
+    ]
+    scores = [_score("p1", "CCO", -9.0), _score("p2", "C"), _score("p1", "CCN", -6.0),
+              _score("p4", "C")]
+    gens = [_gen("p1", "CCN"), _gen("p4", "C"), _gen("p2", "C"), _gen("p1", "CCO")]
+    pockets, missing = join_scores(complexes, gens, scores)
+    assert missing == []
+    assert [(p.pocket_id, p.reference_vina, p.homology) for p in pockets] == [
+        ("p1", -7.5, "unknown"), ("p2", None, "non_homologous")
+    ]
+    assert pockets[0].generations == (scores[2], scores[0])
+    assert all(a is b for a, b in zip(pockets[0].generations, (scores[2], scores[0])))
 
 
 # --- external docking -------------------------------------------------------------
