@@ -33,7 +33,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
@@ -104,8 +103,7 @@ _DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template wi
 _POCKET_FILE = Rule(_formats_with_pocket_id, "a pattern of {pocket_id} alone")
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One config key: where it lives, its type, its default (the INI
     string), the range of its value, and the flag that overrides it."""
 
@@ -175,14 +173,19 @@ SCHEMA = (
 )
 
 
-@dataclass
 class RunConfig:
     """Checked settings. ``values`` holds each key's INI string, which the
     digest hashes and manifests record; ``typed`` holds the parsed values."""
 
-    values: dict[str, dict[str, str]]
-    typed: dict[str, dict[str, Any]]
-    allow_partial: bool = False
+    def __init__(
+        self,
+        values: dict[str, dict[str, str]],
+        typed: dict[str, dict[str, Any]],
+        allow_partial: bool = False,
+    ):
+        self.values = values
+        self.typed = typed
+        self.allow_partial = allow_partial
 
     @property
     def outdir(self) -> Path:
@@ -257,15 +260,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(values, typed, allow_partial=args.allow_partial)
 
 
-@dataclass
 class _Record:
     """The running command: its name, its start, and the paths it read and
     wrote, each once and in order (a dict is an ordered set)."""
 
-    command: str = ""
-    started: float = 0.0
-    inputs: dict[Path, None] = field(default_factory=dict)
-    outputs: dict[Path, None] = field(default_factory=dict)
+    def __init__(self, command: str = "", started: float = 0.0):
+        self.command = command
+        self.started = started
+        self.inputs: dict[Path, None] = {}
+        self.outputs: dict[Path, None] = {}
 
 
 _record = _Record()
@@ -523,7 +526,7 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
     scorers.dump_records(_output(cfg.outdir / "pairs.jsonl"), pairs)
     audit_path = _write_json(cfg.outdir / "d_dpo.json", {
         "selected": list(filtered.selected),
-        "audit": [asdict(row) for row in filtered.audit],
+        "audit": [row._asdict() for row in filtered.audit],
         "pairs": pair_log,
     })
     write_manifest(cfg, extra={"selected": len(filtered.selected), "pairs": len(pairs)})
@@ -619,7 +622,7 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
     scorers.dump_records(_output(cfg.outdir / "scores.jsonl"), result.scores)
     write_manifest(cfg, extra={
         "scored": len(result.scores),
-        "failures": [asdict(f) for f in result.failures],
+        "failures": [f._asdict() for f in result.failures],
     })
     print(f"dock: scored {len(result.scores)}, {len(result.failures)} failures")
     if result.failures and not cfg.allow_partial:
@@ -676,9 +679,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         pockets, radius=cfg.typed["metrics"]["radius"], nbits=cfg.typed["metrics"]["nbits"]
     )
 
-    rows = [{"kind": "pocket", **asdict(row)} for row in report.per_pocket]
-    aggregate = {"kind": "aggregate", **asdict(report)}
+    rows = [{"kind": "pocket", **row._asdict()} for row in report.per_pocket]
+    aggregate = {"kind": "aggregate", **report._asdict()}
     del aggregate["per_pocket"]
+    aggregate["ood"] = None if report.ood is None else report.ood._asdict()  # a JSON object
     _write_jsonl(cfg.outdir / "report.jsonl", [*rows, aggregate])
 
     lines = [f"{'pocket':<14}{'n':>5}" + "".join(f"{h:>9}" for h, _ in _REPORT_COLUMNS)]
@@ -726,7 +730,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             ood = metrics.ood_report(pockets)
         except (metrics.UnlabeledPocket, metrics.EmptyGroup) as exc:
             raise ValidationFailure(str(exc)) from exc
-        _write_json(cfg.outdir / "ood_report.json", asdict(ood))
+        _write_json(cfg.outdir / "ood_report.json", ood._asdict())
         write_manifest(cfg, name="report-ood")
         print(
             f"ood: homologous {ood.homologous_mean:.3f}, "

@@ -13,9 +13,8 @@ a surrogate. Each phase asks its sampler once for every pocket's draws, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .metrics import diversity
 from .molgraph import (
@@ -58,8 +57,7 @@ class DegeneratePool(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexRecord:
+class ComplexRecord(NamedTuple):
     """One pocket with its ligands and optional side information."""
 
     pocket_id: str
@@ -69,42 +67,44 @@ class ComplexRecord:
     homology: str | None = None
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     sft_pool: tuple[str, ...]
     dpo_pool: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PreferencePair:
+class _PairFields(NamedTuple):
     pocket_id: str
     chosen: str
     rejected: str
     reward_chosen: float
     reward_rejected: float
 
-    def __post_init__(self):
-        if self.chosen == self.rejected:
+
+class PreferencePair(_PairFields):
+    # a NamedTuple body cannot define __new__, so the check lives in a subclass
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        pair = super().__new__(cls, *args, **kwargs)
+        if pair.chosen == pair.rejected:
             raise ValueError("chosen and rejected molecules must differ")
-        if self.reward_chosen < self.reward_rejected:
+        if pair.reward_chosen < pair.reward_rejected:
             raise ValueError("chosen reward below rejected reward")
+        return pair
 
 
-@dataclass(frozen=True)
-class ScoredMolecule:
+class ScoredMolecule(NamedTuple):
     smiles: str
     vina: float
     fused_count: int
 
 
-@dataclass(frozen=True)
-class FilterDecision:
+class FilterDecision(NamedTuple):
     keep: bool
     diversity: float
 
 
-@dataclass(frozen=True)
-class CurationAudit:
+class CurationAudit(NamedTuple):
     pocket_id: str
     kept: bool
     diversity: float | None
@@ -112,8 +112,7 @@ class CurationAudit:
     reason: str
 
 
-@dataclass(frozen=True)
-class CurationResult:
+class CurationResult(NamedTuple):
     selected: tuple[str, ...]
     audit: tuple[CurationAudit, ...]
 
@@ -123,15 +122,7 @@ def _check_penalty_weight(lam: float) -> None:
         raise ValueError(f"penalty weight must be finite and >= 0, got {lam}")
 
 
-@dataclass(frozen=True)
-class CurateConfig:
-    """The ``[curate]`` settings (``lam`` is the ``lambda`` key).
-
-    The ``online`` flow scores the first ``pair_docked`` valid molecules of
-    ``pair_candidates`` fresh draws per kept pocket; ``offline`` scores every
-    valid molecule of ``filter_samples`` draws.
-    """
-
+class _CurateFields(NamedTuple):
     filter_samples: int = DEFAULT_FILTER_SAMPLES
     pair_candidates: int = 32
     pair_docked: int = 5
@@ -139,10 +130,23 @@ class CurateConfig:
     lam: float = DEFAULT_FUSED_PENALTY_WEIGHT
     flow: str = "online"
 
-    def __post_init__(self):
-        if self.flow not in FLOWS:
-            raise ValueError(f"unknown curate flow {self.flow!r}")
-        _check_penalty_weight(self.lam)
+
+class CurateConfig(_CurateFields):
+    """The ``[curate]`` settings (``lam`` is the ``lambda`` key).
+
+    The ``online`` flow scores the first ``pair_docked`` valid molecules of
+    ``pair_candidates`` fresh draws per kept pocket; ``offline`` scores every
+    valid molecule of ``filter_samples`` draws.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.flow not in FLOWS:
+            raise ValueError(f"unknown curate flow {config.flow!r}")
+        _check_penalty_weight(config.lam)
+        return config
 
 
 def partition_dataset(records: Sequence[ComplexRecord]) -> Partition:

@@ -13,8 +13,7 @@ computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .molgraph import (
     DEFAULT_NBITS,
@@ -81,8 +80,7 @@ class EmptyGroup(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(NamedTuple):
     """One generated molecule with its ingested scores (a ``scores`` line)."""
 
     pocket_id: str
@@ -92,16 +90,14 @@ class ScoreRecord:
     sa_origin: float | None = None
 
 
-@dataclass(frozen=True)
-class PocketEval:
+class PocketEval(NamedTuple):
     pocket_id: str
     generations: tuple[ScoreRecord, ...]
     reference_vina: float | None = None
     homology: str = UNKNOWN
 
 
-@dataclass(frozen=True)
-class PocketRow:
+class PocketRow(NamedTuple):
     pocket_id: str
     n: int
     mean_vina: float
@@ -113,23 +109,20 @@ class PocketRow:
     fused_ring_mean: float
 
 
-@dataclass(frozen=True)
-class OodSummary:
+class OodSummary(NamedTuple):
     homologous_mean: float
     non_homologous_mean: float
     delta: float  # homologous - non-homologous; positive when the model does
     # better (lower scores) on non-homologous pockets
 
 
-@dataclass(frozen=True)
-class FusedRingSummary:
+class FusedRingSummary(NamedTuple):
     mean: float
     histogram: dict[int, int]
     n_compounds: int
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     mean_vina: float
     high_affinity: float | None
     mean_qed: float | None
@@ -174,16 +167,24 @@ def diversity(fingerprints: Sequence[Fingerprint]) -> float:
     """1 minus the mean pairwise Tanimoto similarity over all n(n-1)/2 pairs.
 
     Pairs are summed in a canonical order so the result is bit-identical
-    under any permutation of the input.
+    under any permutation of the input. Each pair's similarity is
+    ``tanimoto``'s, from one popcount per fingerprint and one per pair.
     """
     n = len(fingerprints)
     if n < 2:
         raise TooFewItems("diversity needs at least two fingerprints")
     ordered = sorted(fingerprints, key=lambda f: (f.nbits, f.bits))
+    for f in ordered:
+        if f.nbits != ordered[0].nbits:  # raises for the first pair in order that tanimoto rejects
+            tanimoto(ordered[0], f)
+    bits = [f.bits for f in ordered]
+    counts = [b.bit_count() for b in bits]
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += tanimoto(ordered[i], ordered[j])
+    for i, (a, count_a) in enumerate(zip(bits, counts)):
+        for b, count_b in zip(bits[i + 1:], counts[i + 1:]):
+            inter = (a & b).bit_count()
+            union = count_a + count_b - inter  # the popcount of a | b
+            total += inter / union if union else 1.0
     return 1.0 - total / (n * (n - 1) / 2)
 
 
@@ -289,11 +290,11 @@ def evaluate(
     if not pockets:
         raise EmptyInput("no pockets to evaluate")
     rows = fan_out(
-        lambda share: [asdict(_pocket_row(p, radius, nbits)) for p in share],
+        lambda share: [_pocket_row(p, radius, nbits) for p in share],
         pockets,
         sum(len(p.generations) for p in pockets) * _ROW_GENERATION_S,
-    )
-    rows = sorted((PocketRow(**row) for row in rows), key=lambda r: r.pocket_id)
+    )  # a forked child's rows come back as JSON lists
+    rows = sorted((PocketRow._make(row) for row in rows), key=lambda r: r.pocket_id)
 
     ood = None
     labels = {p.homology for p in pockets}

@@ -30,9 +30,8 @@ import math
 import os
 import signal
 import threading
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import molgraph, store
 from .curation import ComplexRecord, PreferencePair
@@ -63,8 +62,7 @@ class DuplicateKey(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     pocket_id: str
     smiles: str
     logprob: float | None = None
@@ -279,26 +277,31 @@ def dump_records(path: str | Path, records: Iterable) -> None:
     Unset optional fields are left out."""
     with store.atomic_write(path) as handle:
         for record in records:
-            row = {k: v for k, v in asdict(record).items() if v is not None}
+            row = {k: v for k, v in record._asdict().items() if v is not None}
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class DockCommand:
-    """Shell template with {smiles} plus optional {pocket_file} / {center_source};
-    ``max_parallel`` bounds how many copies ``dock_many`` runs at once."""
-
+class _DockFields(NamedTuple):
     template: str
     timeout: float = 300.0
     max_parallel: int = 4
 
-    def __post_init__(self):
-        if "{smiles}" not in self.template:
+
+class DockCommand(_DockFields):
+    """Shell template with {smiles} plus optional {pocket_file} / {center_source};
+    ``max_parallel`` bounds how many copies ``dock_many`` runs at once."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        command = super().__new__(cls, *args, **kwargs)
+        if "{smiles}" not in command.template:
             raise ValueError("dock command template must contain {smiles}")
-        if not 0 < self.timeout < math.inf:  # rejects NaN as well
+        if not 0 < command.timeout < math.inf:  # rejects NaN as well
             raise ValueError("timeout must be finite and > 0")
-        if self.max_parallel < 1:
+        if command.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        return command
 
 
 class DockError(RuntimeError):
@@ -475,15 +478,14 @@ def external_dock(
     return score
 
 
-@dataclass(frozen=True)
-class DockFailure:
+class DockFailure(NamedTuple):
     pocket_id: str
     smiles: str
     error: str
+    kind: str  # the exception's class name: ``Timeout``, ``NonZeroExit``, a SMILES error...
 
 
-@dataclass(frozen=True)
-class DockRunResult:
+class DockRunResult(NamedTuple):
     scores: tuple[ScoreRecord, ...]
     failures: tuple[DockFailure, ...]
 
@@ -501,8 +503,9 @@ def dock_many(
     template that names no pocket input docks a molecule once across
     pockets. Up to ``cmd.max_parallel`` calls run at once. Every request
     gets its line's outcome, in request order; a failure carries the
-    request's own SMILES. A SMILES that does not canonicalize, or a request
-    without an input its template names, fails alone and is never docked.
+    request's own SMILES and its error's class name as ``kind``. A SMILES
+    that does not canonicalize, or a request without an input its template
+    names, fails alone and is never docked.
     The cache directory is made before any command runs. An interrupt while
     waiting cancels the queued calls and kills the running ones' groups."""
     directory = store.resolve_cache_dir(cache_dir)
@@ -547,7 +550,7 @@ def dock_many(
     for (pocket_id, smiles, _, _), identity in zip(requests, identities):
         result = outcome[identity[0]] if isinstance(identity, tuple) else identity
         if isinstance(result, Exception):
-            failures.append(DockFailure(pocket_id=pocket_id, smiles=smiles, error=str(result)))
+            failures.append(DockFailure(pocket_id, smiles, str(result), type(result).__name__))
         else:
             scores.append(ScoreRecord(pocket_id=pocket_id, smiles=identity[1], vina=result))
     return DockRunResult(scores=tuple(scores), failures=tuple(failures))

@@ -376,8 +376,6 @@ def curate_per_pocket_oracle(pockets, draw, dock, config, radius: int, nbits: in
     gives one pocket's ((smiles, score) rows, error messages). Returns the
     ``d_dpo.json`` document and the pairs.
     """
-    from dataclasses import asdict
-
     from molchord.curation import (
         CurationAudit,
         ScoredMolecule,
@@ -421,7 +419,7 @@ def curate_per_pocket_oracle(pockets, draw, dock, config, radius: int, nbits: in
             continue
         pairs.append(build_preference_pairs(pocket_id, scored, lam=config.lam))
         log.append({"pocket_id": pocket_id, "status": "paired"})
-    document = {"selected": selected, "audit": [asdict(row) for row in audit], "pairs": log}
+    document = {"selected": selected, "audit": [row._asdict() for row in audit], "pairs": log}
     return document, pairs
 
 

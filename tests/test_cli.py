@@ -584,8 +584,6 @@ def test_flag_overrides_config(tmp_path, capsys):
 
 
 def test_sample_counts_strings_over_the_leaf_cap_as_invalid(pipeline, tmp_path, monkeypatch):
-    from dataclasses import replace
-
     from molchord.molgraph import canon, canonicalize
 
     src_tmp, _, outdir = pipeline
@@ -593,7 +591,7 @@ def test_sample_counts_strings_over_the_leaf_cap_as_invalid(pipeline, tmp_path, 
     # ligands without ties, so that only sampled strings meet the leaf cap
     eval_complexes = tmp_path / "eval_complexes.jsonl"
     dump_records(eval_complexes, [
-        replace(r, ligand_smiles=("CCO",)) for r in load_records(complexes, "complexes")
+        r._replace(ligand_smiles=("CCO",)) for r in load_records(complexes, "complexes")
     ])
     config = _write_config(tmp_path, complexes, {"paths": {"eval_complexes": str(eval_complexes)}})
     monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
@@ -1067,10 +1065,10 @@ def test_cli_defaults_match_the_library_defaults():
         signature = inspect.signature(function).parameters
         return {name: signature[name].default for name in names}
 
-    dock = {f.name: f.default for f in dataclasses.fields(scorers.DockCommand)}
+    dock = scorers.DockCommand._field_defaults
     model = dataclasses.asdict(ModelConfig())
     del model["vocab_tokens"]  # not a config key
-    curate = dataclasses.asdict(CurateConfig())
+    curate = CurateConfig()._asdict()
     train = dataclasses.asdict(TrainConfig())
     for name in ("epochs", "beta_dpo", "seed"):  # [train_dpo] keys, and the [model] seed
         del train[name]
@@ -1611,6 +1609,7 @@ def test_two_dock_processes_that_disagree_fail_one_molecule_by_name(tmp_path, ch
     (failure,) = json.loads((second / "dock.manifest.json").read_text())["extra"]["failures"]
     assert (failure["pocket_id"], failure["smiles"]) == ("p0", "CCO")
     assert failure["error"].startswith("cache holds -7.0 but command produced -8.0: ")
+    assert failure["kind"] == "ConflictingScore"
     assert (second / "scores.jsonl").read_text() == ""
     line = template.replace("{smiles}", "CCO")
     assert _cache_files(cache)[hashlib.sha256(line.encode()).hexdigest() + ".json"] == (

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,9 +26,18 @@ from molchord.metrics import (
     sa_normalize,
     success_gate,
 )
-from molchord.molgraph import parse_smiles
+from molchord.molgraph import (
+    Fingerprint,
+    WidthMismatch,
+    morgan_fingerprint,
+    parse_smiles,
+    tanimoto,
+)
 
 from .oracles import brute_diversity, fingerprint_from_bits
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _fp(bits):
@@ -60,6 +73,45 @@ def test_diversity_too_few():
 def test_diversity_matches_brute_force(sets):
     fps = [_fp(s) for s in sets]
     assert diversity(fps) == pytest.approx(brute_diversity(sets), abs=1e-12)
+
+
+def _pairwise_tanimoto_diversity(fps):
+    """``diversity`` as one ``tanimoto`` call per pair, in the same pair order."""
+    ordered = sorted(fps, key=lambda f: (f.nbits, f.bits))
+    n = len(ordered)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += tanimoto(ordered[i], ordered[j])
+    return 1.0 - total / (n * (n - 1) / 2)
+
+
+def test_diversity_is_the_pairwise_tanimoto_sum_bit_for_bit():
+    rows = (DATA / "generations.jsonl").read_text().splitlines()
+    by_pocket: dict[str, list[Fingerprint]] = {}
+    for row in map(json.loads, rows):
+        fp = morgan_fingerprint(parse_smiles(row["smiles"]))
+        by_pocket.setdefault(row["pocket_id"], []).append(fp)
+    every = [fp for fps in by_pocket.values() for fp in fps]
+    empty = Fingerprint(0)
+    cases = [*by_pocket.values(), every, [empty, empty], [empty, *every[:7], empty],
+             [every[0]] * 3]
+    for fps in cases:
+        assert diversity(fps) == _pairwise_tanimoto_diversity(fps)  # ==, not approx
+
+
+@pytest.mark.parametrize("widths", [(1024, 2048, 4096), (4096, 2048, 2048), (512, 512, 1024)])
+def test_diversity_raises_the_width_mismatch_of_the_first_pair(widths):
+    smiles = [row["smiles"] for row in map(json.loads, (DATA / "generations.jsonl").open())]
+    fps = [morgan_fingerprint(parse_smiles(s), nbits=nbits)
+           for nbits in widths for s in smiles[:3]]
+    fps.append(Fingerprint(0, widths[-1]))
+    with pytest.raises(WidthMismatch) as pairwise:
+        _pairwise_tanimoto_diversity(fps)
+    with pytest.raises(WidthMismatch, match=f"^{re.escape(str(pairwise.value))}$"):
+        diversity(fps)
+    with pytest.raises(WidthMismatch, match=f"^{re.escape(str(pairwise.value))}$"):
+        diversity(fps[::-1])
 
 
 def test_sa_normalize_endpoints():

@@ -707,17 +707,20 @@ def test_dock_many_docks_each_molecule_once_per_pocket_file(tmp_path):
 def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
     log = tmp_path / "runs.log"
     script = _script(
-        tmp_path / "dock.sh", f'echo "$1" >> {log}\ncase "$1" in *N*) exit 3;; esac\necho -6.5\n'
+        tmp_path / "dock.sh",
+        f'echo "$1" >> {log}\ncase "$1" in *N*) exit 3;; *S*) sleep 30;; esac\necho -6.5\n',
     )
-    cmd = _cmd(f"{script} {{smiles}}", max_parallel=2)
+    cmd = _cmd(f"{script} {{smiles}}", max_parallel=2, timeout=1.5)
     requests = [("p1", "CCN", None, None), ("p1", "CCO", None, None),
-                ("p1", "NCC", None, None)]
+                ("p1", "NCC", None, None), ("p1", "CCS", None, None)]
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO"]
-    assert [f.smiles for f in result.failures] == ["CCN", "NCC"]
+    assert [f.smiles for f in result.failures] == ["CCN", "NCC", "CCS"]
     assert result.failures[0].error == result.failures[1].error
     assert "exited 3" in result.failures[0].error
-    assert sorted(log.read_text().split()) == ["CCN", "CCO"]  # one run per molecule
+    # each failure names its error's class
+    assert [f.kind for f in result.failures] == ["NonZeroExit", "NonZeroExit", "Timeout"]
+    assert sorted(log.read_text().split()) == ["CCN", "CCO", "CCS"]  # one run per molecule
 
 
 def test_dock_many_fails_an_invalid_smiles_alone(tmp_path):
@@ -726,7 +729,7 @@ def test_dock_many_fails_an_invalid_smiles_alone(tmp_path):
     requests = [("p1", "C1CC", None, None), ("p1", "CCO", None, None)]
     result = dock_many(_cmd(f"{script} {{smiles}}"), requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO"]
-    assert [f.smiles for f in result.failures] == ["C1CC"]
+    assert [(f.smiles, f.kind) for f in result.failures] == [("C1CC", "UnmatchedRingBond")]
     assert log.read_text().split() == ["CCO"]
 
 
@@ -790,6 +793,7 @@ def test_dock_many_runs_once_per_distinct_pocket_input(tmp_path, template, runs)
     # a request without an input its template names fails alone
     assert [(f.pocket_id, f.smiles) for f in result.failures] == [("p5", "CCO")]
     assert "pocket p5" in result.failures[0].error
+    assert result.failures[0].kind == "MissingDockInput"
 
 
 def test_a_later_dock_many_call_hits_the_entry_of_an_earlier_one(tmp_path):

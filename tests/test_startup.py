@@ -75,7 +75,9 @@ RUN_STEPS = (
 )
 
 
-def test_evaluation_stages_leave_the_dock_modules_unloaded(tmp_path, child_env):
+def _evaluation_stages_load(tmp_path: Path, env: dict, modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` are loaded after each of evaluate, report and
+    verify, run in turn on ``tests/data`` in one fresh interpreter."""
     out = tmp_path / "out"
     out.mkdir()
     for name in ("generations.jsonl", "scores.jsonl"):
@@ -85,11 +87,32 @@ def test_evaluation_stages_leave_the_dock_modules_unloaded(tmp_path, child_env):
     )
     steps = [["evaluate"], ["--allow-partial", "report", "--fused", "--ood"], ["verify"]]
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_STEPS.format(steps=steps, modules=DOCK_ONLY_MODULES)],
-        cwd=tmp_path, env=child_env, capture_output=True, text=True,
+        [sys.executable, "-c", RUN_STEPS.format(steps=steps, modules=modules)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[[], [], []]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_evaluation_stages_leave_the_dock_modules_unloaded(tmp_path, child_env):
+    assert _evaluation_stages_load(tmp_path, child_env, DOCK_ONLY_MODULES) == "[[], [], []]"
+
+
+# ``dataclasses`` and what it loads on the way: records and results are
+# NamedTuples, so no stage that runs without numpy needs them.
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(child_env):
+    code = (f"import sys\nimport molchord.cli\n"
+            f"print([m for m in {INTROSPECTION_MODULES!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_evaluation_stages_leave_dataclasses_and_inspect_unloaded(tmp_path, child_env):
+    assert _evaluation_stages_load(tmp_path, child_env, INTROSPECTION_MODULES) == "[[], [], []]"
 
 
 def test_surrogate_dock_hash_mode_without_numpy(child_env):
