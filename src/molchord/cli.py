@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import sys
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import __version__, curation, metrics, scorers, store
-from .hashutil import derive_seed, sha256_file
+from .hashutil import derive_seed, sha256, sha256_file
 
 if TYPE_CHECKING:
     from .genmodel import ModelConfig, ModelParams, PocketFeatures, Vocabulary
@@ -224,7 +223,7 @@ class RunConfig:
             k: v for k, v in values["dock"].items() if k not in ("cache_dir", "max_parallel")
         }
         payload = json.dumps(values, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:

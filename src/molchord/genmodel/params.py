@@ -11,7 +11,6 @@ a reload reproduces every value bit for bit, on any platform), free-form
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..hashutil import sha256
 from ..store import atomic_write
 from .features import PocketFeatures, featurize_pocket
 from .vocab import SMILES_CHARS, Vocabulary, make_vocabulary
@@ -142,9 +142,9 @@ def _payload_digest(payload: dict) -> str:
     """SHA-256 of the payload's canonical JSON text, in which a params string
     stands as its own SHA-256: hashing that text costs less than escaping it."""
     if isinstance(payload.get("params"), str):
-        payload = {**payload, "params": hashlib.sha256(payload["params"].encode()).hexdigest()}
+        payload = {**payload, "params": sha256(payload["params"].encode()).hexdigest()}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def save_params(path: str | Path, params: ModelParams, extra: dict | None = None) -> None:

@@ -1,15 +1,35 @@
-"""Stable hashing shared across modules.
+"""Stable hashing shared across modules, and the only place hashes are built.
 
 Python's builtin ``hash`` is salted per process, so everything that must be
 reproducible (fingerprint bits, featurizer seeds, validation splits, cache
 keys) goes through blake2b here. Files are identified by their SHA-256
 (``sha256_file``): manifest hashes and canonical-entry keys.
+
+``blake2b`` and ``sha256`` come from CPython's built-in ``_blake2`` and
+``_sha2`` (``_sha256`` before Python 3.12) modules, as ``random`` takes its
+``_sha512``, and ``hashlib`` is only the fallback. Importing ``hashlib``
+loads OpenSSL's libcrypto, about 3.5 MB of resident memory in each stage
+that runs without numpy and in each dock stand-in run, none of which needs
+more than these two hashes. So no other module imports ``hashlib``; each
+takes its constructor from here, and the digests are the same bits. The
+price is speed: the built-in SHA-256 hashes about 0.2 GB/s against
+OpenSSL's 1.5 GB/s, about 5 ms more per MB, which the model stages pay on
+the checkpoints they hash (they load OpenSSL anyway, through
+``numpy.random``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
+
+try:
+    from _blake2 import blake2b
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:  # an interpreter built without them
+    from hashlib import blake2b, sha256
 
 
 def encode_part(part: int | str | bytes) -> bytes:
@@ -29,7 +49,7 @@ def encode_part(part: int | str | bytes) -> bytes:
 
 def digest64(data: bytes) -> int:
     """64-bit blake2b digest of ``data`` as a little-endian integer."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 def stable_hash64(*parts: int | str | bytes) -> int:
@@ -44,7 +64,7 @@ def derive_seed(*parts: int | str | bytes) -> int:
 
 def sha256_file(path: str | Path, prefix: bytes = b"") -> str:
     """Hex SHA-256 of ``prefix`` followed by the file's bytes, read in chunks."""
-    digest = hashlib.sha256(prefix)
+    digest = sha256(prefix)
     with open(path, "rb") as handle:
         while chunk := handle.read(1 << 16):
             digest.update(chunk)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import functools
-from hashlib import blake2b
 from typing import NamedTuple
 
-from ..hashutil import encode_part, stable_hash64
+from ..hashutil import blake2b, encode_part, stable_hash64
 from .model import BondOrder, Molecule
 
 DEFAULT_RADIUS = 2

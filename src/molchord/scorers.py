@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -35,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import molgraph, store
 from .curation import ComplexRecord, PreferencePair
-from .hashutil import sha256_file
+from .hashutil import sha256, sha256_file
 from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS, ScoreRecord
 from .molgraph import canonicalize, prefetch_canonical, seed_canonical
 
@@ -257,9 +256,9 @@ def _smiles_strings(path: str | Path, schema: str) -> Iterator[str]:
 def _molgraph_digest() -> bytes:
     """SHA-256 over the ``molgraph`` source files, read once per process: a
     canonical entry made by other canonicalization code never counts."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for source in sorted(Path(molgraph.__file__).parent.glob("*.py")):
-        digest.update(hashlib.sha256(source.read_bytes()).digest() + source.name.encode() + b"\0")
+        digest.update(sha256(source.read_bytes()).digest() + source.name.encode() + b"\0")
     return digest.digest()
 
 
@@ -412,7 +411,8 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
         shell=True,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
+        encoding="utf-8",
+        errors="replace",  # a stray byte must not hide the score or the exit code
         start_new_session=True,
     )
     groups = getattr(_worker, "groups", None)
@@ -453,7 +453,7 @@ def external_dock(
     canon = canonicalize(smiles)
     command = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
     directory = store.resolve_cache_dir(cache_dir)
-    cache_file = directory / f"{hashlib.sha256(command.encode('utf-8')).hexdigest()}.json"
+    cache_file = directory / f"{sha256(command.encode('utf-8')).hexdigest()}.json"
     cached = store.get(_SCORE, cache_file, command)
     if cached is not None:
         return cached

@@ -469,6 +469,26 @@ def test_external_dock_unparseable(tmp_path):
         external_dock(_cmd("true # {smiles}"), "p1", "CCN", cache_dir=tmp_path)
 
 
+# Output that is not UTF-8 is read with replacement characters, so it ends in
+# the score or the error the command meant, never in a UnicodeDecodeError.
+def test_external_dock_reads_a_score_after_bytes_that_are_not_utf8(tmp_path):
+    cmd = _cmd(r"printf '\377banner\n-5.5\n' # {smiles}")
+    assert external_dock(cmd, "p1", "CCO", cache_dir=tmp_path) == -5.5
+
+
+def test_external_dock_stderr_that_is_not_utf8_keeps_the_exit_code(tmp_path):
+    cmd = _cmd(r"printf '\377' >&2; exit 3 # {smiles}")
+    with pytest.raises(NonZeroExit) as info:
+        external_dock(cmd, "p1", "CCO", cache_dir=tmp_path)
+    assert info.value.code == 3
+
+
+def test_external_dock_last_line_that_is_not_utf8_is_unparseable(tmp_path):
+    cmd = _cmd(r"printf -- '-5.5\n\377\n' # {smiles}")
+    with pytest.raises(UnparseableOutput):
+        external_dock(cmd, "p1", "CCO", cache_dir=tmp_path)
+
+
 def test_external_dock_timeout(tmp_path):
     cmd = _cmd("sleep 5 # {smiles}", timeout=0.2)
     with pytest.raises(Timeout):

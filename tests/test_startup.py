@@ -1,7 +1,12 @@
-"""Processes that neither train nor sample start without numpy.
+"""Processes that neither train nor sample start without numpy, and
+without what they have no use for.
 
 The dock command starts once per uncached molecule and every pipeline stage
-is its own process, so their start-up time is paid over and over. Each check
+is its own process, so their start-up time and memory are paid over and
+over. Besides numpy, these processes leave unloaded: the dock modules
+(``subprocess``, ``concurrent.futures``) outside ``dock``, ``dataclasses``
+and the introspection it loads, and ``hashlib`` with OpenSSL's ``_hashlib``
+(``hashutil`` takes its hashes from CPython's built-in modules). Each check
 runs in a fresh interpreter.
 """
 
@@ -103,16 +108,55 @@ def test_evaluation_stages_leave_the_dock_modules_unloaded(tmp_path, child_env):
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded(child_env):
-    code = (f"import sys\nimport molchord.cli\n"
-            f"print([m for m in {INTROSPECTION_MODULES!r} if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+def _cli_import_loads(env: dict, modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    ``import molchord.cli``."""
+    code = f"import sys\nimport molchord.cli\nprint([m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(child_env):
+    assert _cli_import_loads(child_env, INTROSPECTION_MODULES) == "[]"
 
 
 def test_evaluation_stages_leave_dataclasses_and_inspect_unloaded(tmp_path, child_env):
     assert _evaluation_stages_load(tmp_path, child_env, INTROSPECTION_MODULES) == "[[], [], []]"
+
+
+# Importing ``hashlib`` loads OpenSSL's libcrypto (about 3.5 MB); molchord
+# computes only BLAKE2b and SHA-256, which ``hashutil`` builds without it.
+OPENSSL_MODULES = ("hashlib", "_hashlib")
+
+
+def test_cli_import_leaves_hashlib_unloaded(child_env):
+    assert _cli_import_loads(child_env, OPENSSL_MODULES) == "[]"
+
+
+def test_evaluation_stages_leave_hashlib_unloaded(tmp_path, child_env):
+    assert _evaluation_stages_load(tmp_path, child_env, OPENSSL_MODULES) == "[[], [], []]"
+
+
+def test_dock_stage_through_the_stand_in_leaves_hashlib_unloaded(tmp_path, child_env):
+    # two workers, so the thread pool and what it loads are in the process too;
+    # ``concurrent.futures`` is listed to show that the pool ran
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (DATA / "generations.jsonl").read_text().splitlines(keepends=True)[:6]
+    (out / "generations.jsonl").write_text("".join(lines))
+    (tmp_path / "run.ini").write_text(
+        f"[paths]\ncomplexes = {DATA / 'complexes.jsonl'}\noutdir = out\n"
+        f"[dock]\ncommand = {sys.executable} {SURROGATE} '{{smiles}}'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_STEPS.format(
+            steps=[["--jobs", "2", "dock"]], modules=("concurrent.futures", *OPENSSL_MODULES))],
+        cwd=tmp_path, env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[['concurrent.futures']]"
+    assert len((out / "scores.jsonl").read_text().splitlines()) == len(lines)
 
 
 def test_surrogate_dock_hash_mode_without_numpy(child_env):
@@ -141,9 +185,9 @@ def test_surrogate_dock_takes_exactly_one_argument(child_env, args):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usage:"), proc.stderr
 
 
-# What the stand-in has no use for: an argument parser, and what dataclasses,
-# JSON and the fork plumbing would load on the way.
-UNUSED_BY_SURROGATE = ("argparse", "dataclasses", "json", "signal")
+# What the stand-in has no use for: an argument parser, what dataclasses,
+# JSON and the fork plumbing would load on the way, and OpenSSL's hashes.
+UNUSED_BY_SURROGATE = ("argparse", "dataclasses", "json", "signal", "_hashlib")
 LIST_UNUSED = f"import sys\nprint(sorted(m for m in {UNUSED_BY_SURROGATE!r} if m in sys.modules))\n"
 RUN_SURROGATE_AND_LIST = (
     "import runpy, sys\n"
