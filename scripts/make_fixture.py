@@ -6,13 +6,14 @@ reference scores, and homology labels.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from molchord.scorers import dump_records
 from molchord.synthetic import synthetic_complexes
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out", type=Path, help="output complexes.jsonl")
     parser.add_argument("--pockets", type=int, default=50)
@@ -21,17 +22,22 @@ def main() -> None:
     parser.add_argument("--with-sequences", action="store_true")
     args = parser.parse_args()
 
-    records = synthetic_complexes(
-        args.pockets,
-        seed=args.seed,
-        max_heavy=args.max_heavy,
-        with_sequences=args.with_sequences,
-    )
+    try:
+        records = synthetic_complexes(
+            args.pockets,
+            seed=args.seed,
+            max_heavy=args.max_heavy,
+            with_sequences=args.with_sequences,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args.out.parent.mkdir(parents=True, exist_ok=True)
     dump_records(args.out, records)
     n_ligands = sum(len(r.ligand_smiles) for r in records)
     print(f"wrote {len(records)} pockets / {n_ligands} ligands to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

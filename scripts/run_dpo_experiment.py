@@ -4,11 +4,14 @@
 Trains the small generator on synthetic pocket/ligand data, builds preference
 pairs under the deterministic heavy-atom surrogate score, runs one preference
 epoch, and reports how many pockets ended up with better mean sample rewards.
+A run whose curation leaves no pair to train on prints one ``error:`` line and
+exits 2.
 """
 
 import argparse
 import dataclasses
 import json
+import sys
 import time
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from molchord.experiment import ExperimentConfig, run_preference_experiment
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pockets", type=int, default=200)
     parser.add_argument("--corpus", type=int, default=10_000)
@@ -32,7 +35,11 @@ def main() -> None:
         seed=args.seed,
     )
     started = time.perf_counter()
-    result = run_preference_experiment(cfg)
+    try:
+        result = run_preference_experiment(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
 
     before = np.array(sorted(result.sft_mean_rewards.values()))
@@ -49,7 +56,7 @@ def main() -> None:
     }
     if args.json:
         print(json.dumps(summary, indent=1, sort_keys=True))
-        return
+        return 0
     print(f"done in {summary['elapsed_s']}s")
     print(f"supervised val loss {result.sft_val_start:.3f} -> {result.sft_val_best:.3f}")
     print(f"curation kept {result.n_selected_pockets}/{cfg.n_pockets} pockets")
@@ -57,7 +64,8 @@ def main() -> None:
     print(f"mean sample reward {before.mean():.3f} -> {after.mean():.3f}")
     print(f"pockets improved: {100 * result.fraction_improved:.1f}%")
     print(f"held-out preference margin: {result.mean_margin_held_out:+.4f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -434,10 +434,7 @@ def _dock(
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
     """split pockets into supervised/preference pools"""
     records = _load_complexes(cfg)
-    try:
-        partition = curation.partition_dataset(records)
-    except curation.DuplicatePocketId as exc:
-        raise ValidationFailure(f"duplicate pocket_id: {exc}") from exc
+    partition = curation.partition_dataset(records)
     _write_json(cfg.outdir / "partition.json", {
         "sft_pool": list(partition.sft_pool),
         "dpo_pool": list(partition.dpo_pool),

@@ -32,20 +32,22 @@ from .training import (
 
 
 SURROGATE_HEAVY_CAP = 15
+# The settings where the experiment departs from the library defaults
+# (``TrainConfig``, ``dpo_loss``, ``CurateConfig``, ``reward``,
+# ``smiles_corpus``), which supply all the others: the preference stage's
+# step and batch, the corpus molecules' size, and the plain sampling of both
+# the curation and the evaluation draws.
+DPO_LEARNING_RATE = 3e-3
+DPO_BATCH_SIZE = 8
+MAX_HEAVY = 8
+TEMPERATURE = 1.0
+TOP_P = 1.0
 
 
 def surrogate_vina(mol: Molecule) -> float:
     """Deterministic pseudo-binding score: heavier molecules bind better,
     saturating at the cap. Lower is better, like a docking energy."""
     return -float(min(mol.heavy_atom_count(), SURROGATE_HEAVY_CAP))
-
-
-def surrogate_reward(smiles: str, fused_penalty: float) -> float | None:
-    """Reward under the surrogate score; None for unparseable strings."""
-    mol = try_parse(smiles)
-    if mol is None:
-        return None
-    return reward(surrogate_vina(mol), count_fused_rings(mol), fused_penalty)
 
 
 def surrogate_scores(
@@ -64,23 +66,12 @@ class ExperimentConfig:
     eval_samples: int = 100
     filter_samples: int = 100
     diversity_threshold: float = 0.8
-    fused_penalty: float = 0.5
     sft_steps: int = 1500
-    sft_lr: float = 1e-3
-    sft_batch: int = 16
-    dpo_lr: float = 3e-3
-    dpo_batch: int = 8
-    beta_dpo: float = 0.1
-    beta_vae: float = 0.1
     d: int = 32
     d_feat: int = 32
     window: int = 8
     n_struct: int = 4
     max_len: int = 48
-    eval_temperature: float = 1.0
-    eval_top_p: float = 1.0
-    min_heavy: int = 3
-    max_heavy: int = 8
     seed: int = 0
 
 
@@ -97,8 +88,10 @@ class ExperimentResult:
     sft_val_best: float
 
 
-def _mean_reward(texts: list[str], fused_penalty: float) -> float | None:
-    rewards = [r for r in (surrogate_reward(t, fused_penalty) for t in texts) if r is not None]
+def _mean_reward(texts: list[str]) -> float | None:
+    """Mean reward under the surrogate score of the texts that parse."""
+    mols = [mol for mol in map(try_parse, texts) if mol is not None]
+    rewards = [reward(surrogate_vina(mol), count_fused_rings(mol)) for mol in mols]
     return float(np.mean(rewards)) if rewards else None
 
 
@@ -111,11 +104,9 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed=cfg.seed,
     )
     vocab = model_cfg.vocabulary()
-    sampling = dict(temperature=cfg.eval_temperature, top_p=cfg.eval_top_p, max_len=cfg.max_len)
 
     # --- supervised stage on synthetic pocket/ligand pairs ------------------
-    corpus = smiles_corpus(cfg.corpus_size, seed=cfg.seed, min_heavy=cfg.min_heavy,
-                           max_heavy=cfg.max_heavy)
+    corpus = smiles_corpus(cfg.corpus_size, seed=cfg.seed, max_heavy=MAX_HEAVY)
     per_pocket = max(1, cfg.corpus_size // cfg.sft_pockets)
     sft_features: dict[str, PocketFeatures] = {}
     sft_ligands: dict[str, list[str]] = {}
@@ -125,12 +116,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         sft_ligands[pocket_id] = corpus[i * per_pocket : (i + 1) * per_pocket]
     examples = build_sft_examples(sft_features, sft_ligands, vocab, seed=cfg.seed)
     sft_config = TrainConfig(
-        learning_rate=cfg.sft_lr,
-        batch_size=cfg.sft_batch,
-        steps=cfg.sft_steps,
-        beta_vae=cfg.beta_vae,
-        seed=cfg.seed,
-        eval_interval=max(1, cfg.sft_steps // 10),
+        steps=cfg.sft_steps, seed=cfg.seed, eval_interval=max(1, cfg.sft_steps // 10)
     )
     sft_checkpoint, sft_curve = train_sft(examples, model_cfg, sft_config)
 
@@ -144,7 +130,8 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def draw(params: ModelParams, label: str, n: int) -> dict[str, list[str]]:
         """The texts of n draws for every pocket, stepped together."""
         results = sample_many(params, [pref_features[p] for p in pref_ids], vocab, n,
-                              base_seed=derive_seed(label, cfg.seed), **sampling)
+                              base_seed=derive_seed(label, cfg.seed), temperature=TEMPERATURE,
+                              top_p=TOP_P, max_len=cfg.max_len)
         return {p: [r.text for r in draws] for p, draws in zip(pref_ids, results)}
 
     # The offline flow pairs the very draws that the diversity filter saw, so
@@ -162,10 +149,14 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         CurateConfig(
             filter_samples=cfg.filter_samples,
             diversity_threshold=cfg.diversity_threshold,
-            lam=cfg.fused_penalty,
             flow="offline",
         ),
     )
+    if len(pairs) <= cfg.held_out_pairs:
+        raise ValueError(
+            f"curation made {len(pairs)} preference pairs and held_out_pairs is "
+            f"{cfg.held_out_pairs}: no pair is left to train on"
+        )
 
     order = np.random.default_rng(derive_seed("experiment-split", cfg.seed)).permutation(len(pairs))
     held_out = [pairs[i] for i in order[: cfg.held_out_pairs]]
@@ -175,12 +166,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         train_pairs, pref_features, sft_checkpoint.params, vocab, seed=cfg.seed
     )
     dpo_config = TrainConfig(
-        learning_rate=cfg.dpo_lr,
-        batch_size=cfg.dpo_batch,
-        epochs=1,
-        beta_dpo=cfg.beta_dpo,
-        beta_vae=cfg.beta_vae,
-        seed=cfg.seed,
+        learning_rate=DPO_LEARNING_RATE, batch_size=DPO_BATCH_SIZE, seed=cfg.seed
     )
     dpo_checkpoint, _ = train_dpo(dpo_examples, sft_checkpoint.params, dpo_config)
 
@@ -189,7 +175,7 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         held_out, pref_features, sft_checkpoint.params, vocab, seed=cfg.seed
     )
     margins = [
-        dpo_loss(dpo_checkpoint.params, ex, vocab, beta_dpo=cfg.beta_dpo, beta_vae=cfg.beta_vae)[2]
+        dpo_loss(dpo_checkpoint.params, ex, vocab, compute_grads=False)[2]
         for ex in held_examples
     ]
 
@@ -199,8 +185,8 @@ def run_preference_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     before_texts = draw(sft_checkpoint.params, "experiment-eval", cfg.eval_samples)
     after_texts = draw(dpo_checkpoint.params, "experiment-eval", cfg.eval_samples)
     for pocket_id in pref_ids:
-        before = _mean_reward(before_texts[pocket_id], cfg.fused_penalty)
-        after = _mean_reward(after_texts[pocket_id], cfg.fused_penalty)
+        before = _mean_reward(before_texts[pocket_id])
+        after = _mean_reward(after_texts[pocket_id])
         if before is None or after is None:
             continue  # counts as not improved
         sft_means[pocket_id] = before

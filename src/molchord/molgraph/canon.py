@@ -27,10 +27,10 @@ from .errors import CanonicalizationLimit, SmilesError, SmilesFeatureWarning
 from .model import AROMATIC_ORGANIC, ORGANIC_SUBSET, Molecule
 from .parser import parse_smiles
 
-_MAX_LEAVES = 50_000
 # Search nodes times atoms: each node refines a coloring of every atom, and k
-# identical components cost about k**2 / 2 nodes, which no leaf cap counts. A
-# tert-butyl chain of 20 groups takes under 100,000 and 100 methanes 505,000.
+# identical components cost about k**2 / 2 nodes. A tert-butyl chain of 20
+# groups takes under 100,000 and 100 methanes 505,000. Every leaf is a node,
+# so the cap bounds the leaves too.
 _MAX_WORK = 300_000
 # More entries than the rows of a production-size record file, so a file and
 # every later file that repeats its strings parse each string once.
@@ -218,7 +218,7 @@ def canonical_ranks(mol: Molecule) -> list[int]:
 
     # The first leaf and the best leaf so far, as (signature, colors, path).
     first = best = None
-    leaves = work = 0
+    work = 0
     stack = [_Node(colors, [])]
     path: list[int] = []  # path[j] is the atom individualized below stack[j]
     while stack:
@@ -245,11 +245,6 @@ def canonical_ranks(mol: Molecule) -> list[int]:
             stack.append(_Node(colors, [g for g in node.generators if atom_idx not in g]))
             continue
 
-        leaves += 1
-        if leaves > _MAX_LEAVES:
-            raise CanonicalizationLimit(
-                f"canonical ordering searched over {_MAX_LEAVES} leaves", 0
-            )
         sig = _signature(labels, bonds, colors)
         ref = None
         if first is None:

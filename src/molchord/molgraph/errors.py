@@ -63,5 +63,5 @@ class SmilesFeatureWarning(UserWarning):
 
 
 class CanonicalizationLimit(SmilesError):
-    """The canonical-ordering search reached its leaf cap or its work cap, or
-    the canonical string would need more than 99 ring-closure digits open at once."""
+    """The canonical-ordering search reached its work cap, or the canonical
+    string would need more than 99 ring-closure digits open at once."""

@@ -137,7 +137,13 @@ def _decorate(b: _Builder, rng: np.random.Generator, n_substituents: int) -> Non
 def random_molecule(
     rng: np.random.Generator, min_heavy: int = 3, max_heavy: int = 12
 ) -> Molecule:
-    """One random valid molecule with a heavy-atom count in the given range."""
+    """One random valid molecule with a heavy-atom count in the given range.
+
+    Every molecule has at least two heavy atoms, so a range that holds no
+    count of two or more raises ``ValueError`` instead of retrying forever.
+    """
+    if max_heavy < max(2, min_heavy):
+        raise ValueError(f"no molecule has {min_heavy} to {max_heavy} heavy atoms")
     while True:
         b = _Builder()
         roll = rng.random()

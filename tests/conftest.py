@@ -33,7 +33,7 @@ def _quiet_feature_warnings():
 @pytest.fixture(autouse=True)
 def _fresh_canonicalize_memo():
     """Start every test with an empty ``canonicalize`` memo, so a test that
-    patches the leaf cap or ``canonical_smiles`` sees its patch whatever ran
+    patches the work cap or ``canonical_smiles`` sees its patch whatever ran
     before it."""
     canonicalize.cache_clear()
     yield

@@ -583,18 +583,18 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert manifest["config"]["model"]["seed"] == "7"
 
 
-def test_sample_counts_strings_over_the_leaf_cap_as_invalid(pipeline, tmp_path, monkeypatch):
+def test_sample_counts_strings_over_the_work_cap_as_invalid(pipeline, tmp_path, monkeypatch):
     from molchord.molgraph import canon, canonicalize
 
     src_tmp, _, outdir = pipeline
     complexes = src_tmp / "complexes.jsonl"
-    # ligands without ties, so that only sampled strings meet the leaf cap
+    # ligands without ties, so that only sampled strings meet the work cap
     eval_complexes = tmp_path / "eval_complexes.jsonl"
     dump_records(eval_complexes, [
         r._replace(ligand_smiles=("CCO",)) for r in load_records(complexes, "complexes")
     ])
     config = _write_config(tmp_path, complexes, {"paths": {"eval_complexes": str(eval_complexes)}})
-    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    monkeypatch.setattr(canon, "_MAX_WORK", 0)
     canonicalize.cache_clear()
     code = main([
         "--config", str(config), "sample", "--checkpoint", str(outdir / "dpo_checkpoint.json"),
@@ -1055,11 +1055,11 @@ def test_cli_defaults_match_the_library_defaults():
     import dataclasses
     import inspect
 
-    from molchord.curation import CurateConfig
+    from molchord.curation import CurateConfig, reward
     from molchord.genmodel import ModelConfig, sample_many
     from molchord.metrics import fused_ring_report
     from molchord.molgraph import DEFAULT_NBITS, DEFAULT_RADIUS
-    from molchord.training import TrainConfig
+    from molchord.training import TrainConfig, dpo_loss
 
     def parameters(function, *names):
         signature = inspect.signature(function).parameters
@@ -1070,12 +1070,15 @@ def test_cli_defaults_match_the_library_defaults():
     del model["vocab_tokens"]  # not a config key
     curate = CurateConfig()._asdict()
     train = dataclasses.asdict(TrainConfig())
+    # [train_dpo] keys whose default the preference stage shares with TrainConfig
+    train_dpo = {name: train[name] for name in ("epochs", "beta_dpo", "beta_vae", "clip_norm")}
     for name in ("epochs", "beta_dpo", "seed"):  # [train_dpo] keys, and the [model] seed
         del train[name]
     library = {
         "model": {"n_struct": model.pop("n_struct_tokens"), **model},
         "curate": {"lambda": curate.pop("lam"), **curate},
         "train_sft": train,
+        "train_dpo": train_dpo,
         "dock": {name: dock[name] for name in ("timeout", "max_parallel")},
         "sample": parameters(sample_many, "temperature", "top_p", "max_len"),
         "metrics": {"radius": DEFAULT_RADIUS, "nbits": DEFAULT_NBITS,
@@ -1083,8 +1086,14 @@ def test_cli_defaults_match_the_library_defaults():
     }
     for section in ("model", "curate", "train_sft"):  # every key of the section
         assert set(library[section]) == {k.name for k in SCHEMA if k.section == section}
+    # keyword defaults that callers without a config, such as the preference
+    # experiment, take in place of the config keys
+    keywords = [
+        ("train_dpo", parameters(dpo_loss, "beta_dpo", "beta_vae")),
+        ("curate", {"lambda": parameters(reward, "lam")["lam"]}),
+    ]
     defaults = {(k.section, k.name): k.parse(k.default) for k in SCHEMA}
-    for section, settings in library.items():
+    for section, settings in [*library.items(), *keywords]:
         for name, value in settings.items():
             assert defaults[section, name] == value, (section, name)
 

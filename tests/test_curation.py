@@ -399,10 +399,10 @@ def test_pair_set_with_the_experiment_scorer_pairs_canonical_smiles():
     assert {pairs[0].chosen, pairs[0].rejected} <= set(canon)
 
 
-def test_pair_set_counts_a_string_over_the_leaf_cap_as_invalid(monkeypatch):
+def test_pair_set_counts_a_string_over_the_work_cap_as_invalid(monkeypatch):
     from molchord.molgraph import canon
 
-    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    monkeypatch.setattr(canon, "_MAX_WORK", 0)
     calls = []
     pairs, log = build_pair_set(
         ["p", "q"],
@@ -418,6 +418,14 @@ def test_pair_set_counts_a_string_over_the_leaf_cap_as_invalid(monkeypatch):
     assert pairs == [PreferencePair("p", "CCCN", "CCO", 4.0, 3.0)]
 
 
+# a 6-pocket experiment that curates 4 pairs and trains on 3 of them
+_SIX_POCKETS = dict(
+    n_pockets=6, corpus_size=60, sft_pockets=6, held_out_pairs=1, eval_samples=4,
+    filter_samples=24, sft_steps=200, d=8, d_feat=8, window=4, n_struct=2, max_len=24,
+    diversity_threshold=0.0,
+)
+
+
 def test_preference_experiment_samples_each_pocket_once(monkeypatch):
     from molchord import experiment
 
@@ -429,11 +437,7 @@ def test_preference_experiment_samples_each_pocket_once(monkeypatch):
         return real(params, pockets, vocab, n, **kwargs)
 
     monkeypatch.setattr(experiment, "sample_many", counting)
-    cfg = experiment.ExperimentConfig(
-        n_pockets=6, corpus_size=60, sft_pockets=6, held_out_pairs=1, eval_samples=4,
-        filter_samples=24, sft_steps=200, d=8, d_feat=8, window=4, n_struct=2, max_len=24,
-        diversity_threshold=0.0,
-    )
+    cfg = experiment.ExperimentConfig(**_SIX_POCKETS)
     result = experiment.run_preference_experiment(cfg)
     pockets = [f"pref{i:05d}" for i in range(6)]
     curate_seed = experiment.derive_seed("experiment-curate", cfg.seed)
@@ -442,3 +446,12 @@ def test_preference_experiment_samples_each_pocket_once(monkeypatch):
     # the evaluation before and after training draws every pocket in one call each
     assert result.n_selected_pockets >= 2
     assert draws == [(pockets, 24, curate_seed), (pockets, 4, eval_seed), (pockets, 4, eval_seed)]
+
+
+def test_preference_experiment_without_a_training_pair_raises():
+    # 4 pairs, every one of them held out: train_dpo would get none
+    from molchord.experiment import ExperimentConfig, run_preference_experiment
+
+    cfg = ExperimentConfig(**{**_SIX_POCKETS, "held_out_pairs": 6})
+    with pytest.raises(ValueError, match="made 4 preference pairs and held_out_pairs is 6"):
+        run_preference_experiment(cfg)

@@ -67,7 +67,7 @@ def test_load_rejects_bad_vina(tmp_path):
 def test_load_reports_canonicalization_limit_as_schema_violation(tmp_path, monkeypatch):
     from molchord.molgraph import CanonicalizationLimit, canon
 
-    monkeypatch.setattr(canon, "_MAX_LEAVES", 1)
+    monkeypatch.setattr(canon, "_MAX_WORK", 0)
     path = tmp_path / "scores.jsonl"
     _write(path, [{"pocket_id": "p1", "smiles": "CC(C)(C)C", "vina": -5.0}])
     with pytest.raises(SchemaViolation) as excinfo:

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from molchord import synthetic
 from molchord.molgraph import parse_smiles, validate_valence
@@ -21,6 +22,16 @@ def test_generated_molecules_are_valid_and_bounded():
         assert 3 <= len(mol.atoms) <= 12
         assert validate_valence(mol) == []
         assert component_count(mol) == 1
+
+
+def test_an_empty_heavy_atom_range_raises_instead_of_retrying(deadline):
+    # every generated molecule has at least two heavy atoms
+    with deadline(5):
+        with pytest.raises(ValueError, match="4 to 3 heavy atoms"):
+            smiles_corpus(5, seed=0, min_heavy=4, max_heavy=3)
+        with pytest.raises(ValueError, match="1 to 1 heavy atoms"):
+            random_molecule(np.random.default_rng(0), 1, 1)
+        assert len(random_molecule(np.random.default_rng(0), 2, 2).atoms) == 2
 
 
 def test_corpus_deterministic_and_parseable():
