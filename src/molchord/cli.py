@@ -88,6 +88,7 @@ _COUNT = Rule(lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = Rule(lambda v: v >= 0, ">= 0")
 _POSITIVE = Rule(lambda v: v > 0, "> 0")
 _FRACTION = Rule(lambda v: 0 < v <= 1, "in (0, 1]")
+_TIMEOUT = Rule(lambda v: 0 < v <= scorers.MAX_TIMEOUT, f"in (0, {scorers.MAX_TIMEOUT}]")
 # A fingerprint is an nbits-bit integer refined radius times: cap both.
 _NBITS = Rule(lambda v: 64 <= v <= 65536 and not v & (v - 1), "a power of two in [64, 65536]")
 _RADIUS = _between(0, 8)
@@ -166,7 +167,7 @@ SCHEMA = (
     Key("metrics", "radius", int, "2", _RADIUS),
     Key("metrics", "nbits", int, "2048", _NBITS),
     Key("dock", "command", str, "", _DOCK_COMMAND),
-    Key("dock", "timeout", float, "300", _POSITIVE),
+    Key("dock", "timeout", float, "300", _TIMEOUT),
     Key("dock", "max_parallel", int, "4", _COUNT, "--jobs"),
     Key("dock", "cache_dir", str, ""),
 )
@@ -771,8 +772,10 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
                 print(f"MISSING  {command:<12} {role:<7} {path}")
                 bad += 1
                 continue
-            actual = sha256_file(path)
-            status = "ok" if actual == expected else "CHANGED"
+            try:
+                status = "ok" if sha256_file(path) == expected else "CHANGED"
+            except OSError:
+                status = "UNREADABLE"
             if status != "ok":
                 bad += 1
             print(f"{status:<8} {command:<12} {role:<7} {path}")

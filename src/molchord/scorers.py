@@ -2,17 +2,17 @@
 
 All datasets are line-delimited JSON, one object per line, UTF-8. SMILES keys
 are canonicalized at load time, and only the canonical string is kept, so
-joins between files are exact; the conversion goes through
-the per-process ``molgraph.canonicalize`` memo, so files that share strings
-parse each of them once. Before its line loop, ``load_records`` seeds that
-memo with every string of the file, in shares across the usable CPUs when the
-file is large enough (``molgraph.prefetch_canonical``); the line loop then
-hits the memo. The prefetch keeps results only, so a string that warns or
-raises is computed there again, and errors and warnings come in line order
-as before. The docking adapter shells out to a user-supplied command
-that must print one finite number as the last non-empty line of its stdout.
-The fully substituted command line is the identity of a result:
-``dock_many`` runs each distinct line once, and a cache hit skips execution.
+joins between files are exact; the conversion goes through the per-process
+``molgraph.canonicalize`` memo, so files that share strings parse each of them
+once. Before its line loop, ``load_records`` seeds that memo with every string
+of the file, in shares across the usable CPUs when the file is large enough
+(``molgraph.prefetch_canonical``); the line loop then hits the memo. The
+prefetch keeps results only, so a string that warns or raises is computed
+there again, and errors and warnings come in line order as before. The docking
+adapter shells out to a user-supplied command that must print one finite
+number as the last non-empty line of its stdout. The fully substituted command
+line is the identity of a result: ``dock_many`` runs each distinct line once,
+on plain worker threads, and a cache hit skips execution.
 
 Both kinds of entry in the cache directory, a dock score keyed by its
 command line and a record file's raw -> canonical map keyed by the file,
@@ -39,6 +39,7 @@ from .metrics import HOMOLOGOUS, NON_HOMOLOGOUS, ScoreRecord
 from .molgraph import canonicalize, prefetch_canonical, seed_canonical
 
 SCHEMAS = ("complexes", "scores", "pairs", "generations")
+MAX_TIMEOUT = 1_000_000  # seconds: a wait for a command takes at most 2**31 - 1 ms
 
 
 class MalformedLine(ValueError):
@@ -296,8 +297,8 @@ class DockCommand(_DockFields):
         command = super().__new__(cls, *args, **kwargs)
         if "{smiles}" not in command.template:
             raise ValueError("dock command template must contain {smiles}")
-        if not 0 < command.timeout < math.inf:  # rejects NaN as well
-            raise ValueError("timeout must be finite and > 0")
+        if not 0 < command.timeout <= MAX_TIMEOUT:  # rejects NaN as well
+            raise ValueError(f"timeout must be in (0, {MAX_TIMEOUT}]")
         if command.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         return command
@@ -366,65 +367,46 @@ def _kill_group(proc: subprocess.Popen) -> None:
         os.killpg(proc.pid, signal.SIGKILL)
 
 
-class _Groups:
-    """The process groups that the workers of one ``dock_many`` call have
-    running. The terminal's interrupt does not reach a group of its own, so
-    an interrupted ``dock_many`` kills them through ``stop``; a group that
-    registers after that is killed at once."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._running: set[subprocess.Popen] = set()
-        self._stopped = False
-
-    @contextlib.contextmanager
-    def running(self, proc: subprocess.Popen) -> Iterator[None]:
-        with self._lock:
-            self._running.add(proc)
-            if self._stopped:
-                _kill_group(proc)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._running.discard(proc)
-
-    def stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            for proc in self._running:
-                _kill_group(proc)
-
-
-_worker = threading.local()  # .groups of the dock_many call a pool thread serves
+# The process groups that ``_run`` has running: the terminal's interrupt does
+# not reach a group of its own, so an interrupted ``dock_many`` kills them,
+# and while ``_stopped`` is set, a group that registers is killed at once.
+_groups_lock = threading.Lock()
+_groups: set[subprocess.Popen] = set()
+_stopped = threading.Event()
 
 
 def _run(command: str, timeout: float) -> tuple[int, str, str]:
-    """Run one command line in a process group of its own and return its
-    exit code, stdout and stderr. A timeout, or anything else that ends the
-    wait, kills the whole group: killing the shell alone would leave what it
-    started running."""
+    """Run one command line, stdin ``/dev/null``, in a process group of its
+    own and return its exit code, stdout and stderr. A timeout, or anything
+    else that ends the wait, kills the whole group: killing the shell alone
+    would leave what it started running."""
     import subprocess  # here, so the stages that run no command start without it
 
     proc = subprocess.Popen(
         command,
         shell=True,
+        stdin=subprocess.DEVNULL,  # a command that reads must not wait on the CLI's stdin
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         encoding="utf-8",
         errors="replace",  # a stray byte must not hide the score or the exit code
         start_new_session=True,
     )
-    groups = getattr(_worker, "groups", None)
+    with _groups_lock:
+        _groups.add(proc)
+        if _stopped.is_set():
+            _kill_group(proc)
     try:
-        with groups.running(proc) if groups else contextlib.nullcontext():
-            stdout, stderr = proc.communicate(timeout=timeout)
+        stdout, stderr = proc.communicate(timeout=timeout)
     except BaseException as exc:
         _kill_group(proc)
         proc.communicate()
         if isinstance(exc, subprocess.TimeoutExpired):
             raise Timeout(f"dock command timed out after {timeout}s: {command}") from exc
         raise
+    finally:
+        with _groups_lock:
+            _groups.discard(proc)
     return proc.returncode, stdout, stderr
 
 
@@ -501,13 +483,13 @@ def dock_many(
     public ``external_dock`` (so whatever wraps that function sees one call
     per line, and two threads never race to fill one cache entry); a
     template that names no pocket input docks a molecule once across
-    pockets. Up to ``cmd.max_parallel`` calls run at once. Every request
-    gets its line's outcome, in request order; a failure carries the
-    request's own SMILES and its error's class name as ``kind``. A SMILES
-    that does not canonicalize, or a request without an input its template
-    names, fails alone and is never docked.
-    The cache directory is made before any command runs. An interrupt while
-    waiting cancels the queued calls and kills the running ones' groups."""
+    pockets. ``min(cmd.max_parallel, lines)`` threads take lines from one
+    iterator. Each request gets its line's outcome, in request order; a
+    failure carries the request's own SMILES and its error's class name as
+    ``kind``. A SMILES that does not canonicalize, or a request without an
+    input its template names, fails alone and is never docked. The cache
+    directory is made first. After an interrupt, which kills the running
+    groups, or any other error, no line starts; it is raised once all end."""
     directory = store.resolve_cache_dir(cache_dir)
     store.make_cache_dir(directory)
     identities: list[tuple[str, str] | Exception] = []  # per request: (line, canonical)
@@ -523,28 +505,45 @@ def dock_many(
         first.setdefault(line, request)
         identities.append((line, canon))
 
-    def run_one(line):
-        try:
-            return external_dock(cmd, *first[line], cache_dir=directory)
-        except (DockError, ValueError) as exc:
-            return exc
+    outcome: dict[str, float | Exception] = {}
+    raised: list[BaseException] = []  # by a worker or the wait: no new line starts after it
+    lines, lock = iter(first), threading.Lock()
 
-    workers = min(cmd.max_parallel, len(first))
-    if workers <= 1:
-        outcome = {line: run_one(line) for line in first}
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # and logging, which it loads
-
-        groups = _Groups()
-        with ThreadPoolExecutor(
-            max_workers=workers, initializer=setattr, initargs=(_worker, "groups", groups)
-        ) as pool:
+    def work() -> None:
+        while True:
+            with lock:
+                line = None if raised else next(lines, None)
+            if line is None:
+                return
             try:
-                outcome = dict(zip(first, pool.map(run_one, first)))
-            except BaseException:  # interrupted while waiting
-                pool.shutdown(wait=False, cancel_futures=True)
-                groups.stop()
-                raise
+                outcome[line] = external_dock(cmd, *first[line], cache_dir=directory)
+            except (DockError, ValueError) as exc:
+                outcome[line] = exc
+            except BaseException as exc:
+                raised.append(exc)
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(cmd.max_parallel, len(first)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # interrupted while waiting
+        raised.append(exc)
+        _stopped.set()
+        with _groups_lock:
+            for proc in _groups:
+                _kill_group(proc)
+        try:
+            for thread in threads:
+                if thread.is_alive():  # an unstarted one starts no line
+                    thread.join()
+        finally:
+            _stopped.clear()
+        raise
+    if raised:
+        raise raised[0]
 
     scores, failures = [], []
     for (pocket_id, smiles, _, _), identity in zip(requests, identities):

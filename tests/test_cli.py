@@ -535,6 +535,28 @@ def test_verify_detects_modified_artifact(pipeline):
     assert main(["--config", str(config), "verify"]) == 0
 
 
+def test_verify_reports_a_listed_file_it_cannot_read_and_exits_two(
+    pipeline, monkeypatch, capsys
+):
+    # a listed /proc/self/mem ended in exit 1, "OSError: [Errno 5] Input/output error"
+    from molchord import cli
+
+    _, config, outdir = pipeline
+    target, real = outdir / "partition.json", cli.sha256_file
+
+    def unreadable(path, *rest):
+        if Path(path) == target:
+            raise OSError(5, "Input/output error")
+        return real(path, *rest)
+
+    monkeypatch.setattr(cli, "sha256_file", unreadable)
+    capsys.readouterr()
+    assert main(["--config", str(config), "verify"]) == 2
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(str(target))]
+    assert _verify_line("UNREADABLE", "partition", "output", target) in rows
+    assert all(row.startswith("UNREADABLE ") for row in rows)
+
+
 def test_sample_with_explicit_checkpoint(pipeline):
     tmp_path, config, outdir = pipeline
     generations_path = outdir / "generations.jsonl"
@@ -755,6 +777,8 @@ _UPSTREAM = {
     # molecule, and a million refinement rounds
     ("metrics", "nbits", "1099511627776", ["curate"]),
     ("metrics", "radius", "1000000", ["curate"]),
+    # and this in exit 1 (OverflowError): the wait for a command takes at most 2**31 - 1 ms
+    ("dock", "timeout", "3e6", ["dock"]),
 ])
 def test_out_of_range_config_value_exits_two_before_any_artifact(
     pipeline, tmp_path, section, key, value, step

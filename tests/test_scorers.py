@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -548,6 +550,7 @@ def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
         raise KeyboardInterrupt
 
     requests = [("p1", "C" * k, None, None) for k in range(1, 6)]
+    threads = threading.active_count()
     previous = signal.signal(signal.SIGALRM, interrupt)
     started = time.monotonic()
     signal.setitimer(signal.ITIMER_REAL, 0.5)
@@ -560,6 +563,8 @@ def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - started < 2.0
     assert dock_processes() == 0
+    # a leaked worker would keep fan_out from forking
+    assert threading.active_count() == threads
 
 
 def test_external_dock_cache_hits_skip_execution(tmp_path):
@@ -647,6 +652,34 @@ def _script(path, body):
     return path
 
 
+def test_dock_command_bounds_its_timeout():
+    # a wait above 2**31 - 1 ms ended a dock stage in OverflowError (exit 1)
+    assert DockCommand(template="echo -8.5 # {smiles}", timeout=1e6).timeout == 1e6
+    for timeout in (3e6, 0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="timeout"):
+            DockCommand(template="echo -8.5 # {smiles}", timeout=timeout)
+
+
+def test_external_dock_commands_read_dev_null_not_the_callers_stdin(tmp_path, child_env):
+    # stdin an open pipe that nobody writes: a command that reads it waited
+    # for its whole timeout, then failed
+    code = (
+        "import sys\n"
+        "from molchord.scorers import DockCommand, external_dock\n"
+        "cmd = DockCommand('read x; echo -5 # {smiles}', timeout=2)\n"
+        "print(external_dock(cmd, 'p', 'CCO', cache_dir=sys.argv[1]))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code, str(tmp_path / "cache")], env=child_env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        try:  # not communicate(), which would close the child's stdin
+            assert proc.wait(timeout=30) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+        assert proc.stdout.read().strip() == "-5.0"
+
+
 def test_dock_command_requires_at_least_one_worker():
     with pytest.raises(ValueError, match="max_parallel"):
         DockCommand(template="echo -8.5 # {smiles}", max_parallel=0)
@@ -657,10 +690,37 @@ def test_dock_many_collects_failures(tmp_path):
     cmd = _cmd(f"{script} {{smiles}}", max_parallel=3)
     requests = [("p1", "CCO", None, None), ("p1", "CCN", None, None),
                 ("p2", "CCC", None, None)]
+    threads = threading.active_count()
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
+    assert threading.active_count() == threads
     assert [s.smiles for s in result.scores] == ["CCO", "CCC"]
     assert len(result.failures) == 1
     assert result.failures[0].smiles == "CCN"
+
+
+def test_dock_many_raises_a_workers_other_error_once_every_worker_has_ended(
+    tmp_path, monkeypatch
+):
+    # not a DockError or ValueError: a fault, so it is raised, not recorded
+    calls, all_three_running = [], threading.Barrier(3, timeout=5)
+
+    def faulty(cmd, pocket_id, smiles, *rest, **kwargs):
+        calls.append(smiles)
+        all_three_running.wait()
+        if smiles == "CCN":
+            raise RuntimeError("fault on CCN")
+        time.sleep(0.2)
+        return -5.0
+
+    monkeypatch.setattr(scorers, "external_dock", faulty)
+    requests = [("p1", "C" * k + "N", None, None) for k in range(1, 9)]
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="fault on CCN"):
+        dock_many(_cmd("echo -5 # {smiles}", max_parallel=3), requests,
+                  cache_dir=tmp_path / "cache")
+    assert threading.active_count() == threads
+    # the three lines taken at the start run; no line starts after the fault
+    assert sorted(calls) == ["CCCN", "CCN", "CN"]
 
 
 def _barrier_dock(tmp_path, count):

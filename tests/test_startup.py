@@ -3,8 +3,8 @@ without what they have no use for.
 
 The dock command starts once per uncached molecule and every pipeline stage
 is its own process, so their start-up time and memory are paid over and
-over. Besides numpy, these processes leave unloaded: the dock modules
-(``subprocess``, ``concurrent.futures``) outside ``dock``, ``dataclasses``
+over. Besides numpy, these processes leave unloaded: ``subprocess`` outside
+``dock``, ``concurrent.futures`` with the ``logging`` it loads, ``dataclasses``
 and the introspection it loads, and ``hashlib`` with OpenSSL's ``_hashlib``
 (``hashutil`` takes its hashes from CPython's built-in modules). Each check
 runs in a fresh interpreter.
@@ -65,9 +65,10 @@ def test_cli_import_leaves_numpy_unloaded(child_env):
     assert proc.stdout.strip() == "False"
 
 
-# Needed only to run dock commands: subprocess for a command, and
-# concurrent.futures (with the logging it loads) for several at once.
-DOCK_ONLY_MODULES = ("subprocess", "concurrent.futures", "logging")
+# ``dock`` runs its commands on plain threads, so no stage needs a thread pool
+# or the logging it loads; only ``dock`` needs subprocess, to run a command.
+POOL_MODULES = ("concurrent.futures", "logging")
+DOCK_ONLY_MODULES = ("subprocess", *POOL_MODULES)
 DATA = Path(__file__).parent / "data"
 RUN_STEPS = (
     "import sys\n"
@@ -139,8 +140,8 @@ def test_evaluation_stages_leave_hashlib_unloaded(tmp_path, child_env):
 
 
 def test_dock_stage_through_the_stand_in_leaves_hashlib_unloaded(tmp_path, child_env):
-    # two workers, so the thread pool and what it loads are in the process too;
-    # ``concurrent.futures`` is listed to show that the pool ran
+    # two workers, which run at once (the barrier tests of test_scorers show
+    # that) on plain threads: no pool, no logging, no OpenSSL
     out = tmp_path / "out"
     out.mkdir()
     lines = (DATA / "generations.jsonl").read_text().splitlines(keepends=True)[:6]
@@ -151,11 +152,11 @@ def test_dock_stage_through_the_stand_in_leaves_hashlib_unloaded(tmp_path, child
     )
     proc = subprocess.run(
         [sys.executable, "-c", RUN_STEPS.format(
-            steps=[["--jobs", "2", "dock"]], modules=("concurrent.futures", *OPENSSL_MODULES))],
+            steps=[["--jobs", "2", "dock"]], modules=(*POOL_MODULES, *OPENSSL_MODULES))],
         cwd=tmp_path, env=child_env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[['concurrent.futures']]"
+    assert proc.stdout.strip().splitlines()[-1] == "[[]]"
     assert len((out / "scores.jsonl").read_text().splitlines()) == len(lines)
 
 
