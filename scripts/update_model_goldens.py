@@ -3,8 +3,8 @@
 The file holds the SHA-256s of the model-dependent artifacts (checkpoints,
 curves, pairs, generations, scores) of the pipeline run in tests/test_cli.py,
 for the online and the offline curation flow, and the environment they were
-computed in (numpy, its BLAS, the CPU flags). Tier-1 compares them only in
-that environment. Run this from the repository root after a change that
+computed in (numpy, its BLAS, the kernel that the BLAS runs, the CPU
+flags). Tier-1 compares them only in that environment. Run this from the repository root after a change that
 alters those artifacts on purpose, and name each changed hash in CHANGES.md:
 
     python scripts/update_model_goldens.py

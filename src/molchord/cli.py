@@ -72,14 +72,6 @@ class Rule(NamedTuple):
     text: str
 
 
-def _formats_with_pocket_id(pattern: str) -> bool:
-    try:
-        pattern.format(pocket_id="pocket")
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-        return False
-    return True
-
-
 def _between(low: int, high: int) -> Rule:
     return Rule(lambda v: low <= v <= high, f"in [{low}, {high}]")
 
@@ -100,7 +92,6 @@ _SEED = _between(0, 2**63 - 1)
 _FLOW = Rule(lambda v: v in curation.FLOWS, " or ".join(curation.FLOWS))
 # an empty command is fine for the commands that do not dock; dock and curate exit 2
 _DOCK_COMMAND = Rule(lambda v: not v or "{smiles}" in v, "empty or a template with {smiles}")
-_POCKET_FILE = Rule(_formats_with_pocket_id, "a pattern of {pocket_id} alone")
 
 
 class Key(NamedTuple):
@@ -133,7 +124,6 @@ SCHEMA = (
     Key("paths", "complexes", str, ""),
     Key("paths", "outdir", str, "out"),
     Key("paths", "eval_complexes", str, ""),
-    Key("paths", "pocket_file_pattern", str, "", _POCKET_FILE),
     Key("model", "d", int, "64", _WIDTH),
     Key("model", "d_feat", int, "64", _WIDTH),
     Key("model", "window", int, "8", _between(0, 32)),
@@ -334,7 +324,7 @@ def _load(path: Path | None, schema: str, what: str, cache_dir: Path | None = No
     try:
         return scorers.load_records(_input(path, what), schema, cache_dir)
     except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+        raise ValidationFailure(f"{what} {path}: {exc}") from exc
     except OSError as exc:
         raise MissingArtifact(f"cannot read {what} {path}: {exc.strerror}") from exc
 
@@ -406,21 +396,10 @@ def _dock_command(cfg: RunConfig) -> scorers.DockCommand:
 
 
 def _dock(
-    cfg: RunConfig,
-    command: scorers.DockCommand,
-    by_id: dict[str, curation.ComplexRecord],
-    molecules: Iterable[tuple[str, str]],
+    cfg: RunConfig, command: scorers.DockCommand, requests: list[tuple[str, str]]
 ) -> scorers.DockRunResult:
-    """Dock (pocket_id, smiles) molecules; a pocket's first ligand is its
-    center source and ``[paths] pocket_file_pattern`` names its file. A
-    cache directory that cannot be made or written exits 3."""
-    pattern = cfg.typed["paths"]["pocket_file_pattern"]
-    requests = []
-    for pocket_id, smiles in molecules:
-        record = by_id.get(pocket_id)
-        center = record.ligand_smiles[0] if record and record.ligand_smiles else None
-        pocket_file = pattern.format(pocket_id=pocket_id) if pattern else None
-        requests.append((pocket_id, smiles, pocket_file, center))
+    """Dock (pocket_id, smiles) requests; a cache directory that cannot be
+    made or written exits 3."""
     try:
         return scorers.dock_many(command, requests, cache_dir=_cache_dir(cfg))
     except store.CacheUnavailable as exc:
@@ -506,7 +485,7 @@ def cmd_curate(cfg: RunConfig, args: argparse.Namespace) -> int:
         return [[r.text for r in draws] for draws in results]
 
     def scorer(requests: list[tuple[str, str]]):
-        result = _dock(cfg, dock_cmd, by_id, requests)
+        result = _dock(cfg, dock_cmd, requests)
         return ([(s.pocket_id, s.smiles, s.vina) for s in result.scores],
                 [(f.pocket_id, f.error) for f in result.failures])
 
@@ -613,8 +592,7 @@ def cmd_dock(cfg: RunConfig, args: argparse.Namespace) -> int:
     """score generations with the external dock command"""
     cache = _cache_dir(cfg)
     generations = _load(cfg.outdir / "generations.jsonl", "generations", "generations", cache)
-    by_id = {r.pocket_id: r for r in _load_complexes(cfg, "eval_complexes")}
-    result = _dock(cfg, _dock_command(cfg), by_id, ((g.pocket_id, g.smiles) for g in generations))
+    result = _dock(cfg, _dock_command(cfg), [(g.pocket_id, g.smiles) for g in generations])
 
     scorers.dump_records(_output(cfg.outdir / "scores.jsonl"), result.scores)
     write_manifest(cfg, extra={

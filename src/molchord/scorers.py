@@ -10,9 +10,11 @@ of the file, in shares across the usable CPUs when the file is large enough
 prefetch keeps results only, so a string that warns or raises is computed
 there again, and errors and warnings come in line order as before. The docking
 adapter shells out to a user-supplied command that must print one finite
-number as the last non-empty line of its stdout. The fully substituted command
-line is the identity of a result: ``dock_many`` runs each distinct line once,
-on plain worker threads, and a cache hit skips execution.
+number as the last non-empty line of its stdout. A request is a pocket id and
+a SMILES, and the template names them as ``{smiles}`` and ``{pocket_id}``. The
+fully substituted command line is the identity of a result: ``dock_many`` runs
+each distinct line once, on plain worker threads, and a cache hit skips
+execution.
 
 Both kinds of entry in the cache directory, a dock score keyed by its
 command line and a record file's raw -> canonical map keyed by the file,
@@ -27,6 +29,7 @@ import functools
 import json
 import math
 import os
+import re
 import signal
 import threading
 from pathlib import Path
@@ -288,7 +291,7 @@ class _DockFields(NamedTuple):
 
 
 class DockCommand(_DockFields):
-    """Shell template with {smiles} plus optional {pocket_file} / {center_source};
+    """Shell template with {smiles} and, optionally, {pocket_id};
     ``max_parallel`` bounds how many copies ``dock_many`` runs at once."""
 
     __slots__ = ()
@@ -322,31 +325,32 @@ class UnparseableOutput(DockError):
     pass
 
 
-class MissingDockInput(DockError):
-    """Template references an input (pocket file / center) that was not provided."""
+class UnsafePocketId(DockError):
+    """A pocket id with a character that a shell may read as more than text."""
 
 
 class ConflictingScore(DockError):
     pass
 
 
-def _command_line(
-    template: str, pocket_id: str, smiles: str, pocket_file: str | None, center_source: str | None
-) -> str:
+# A canonical SMILES has no quote, ``$``, backtick, ``;``, ``&``, ``|``, ``<``,
+# ``>`` or whitespace. A pocket id, the one free-text value in a command line,
+# is substituted only when it has none of them either: each of its characters
+# must be a letter, a digit or one of ``_ . : / + @ , = -``.
+_SHELL_INERT = re.compile(r"[A-Za-z0-9_.:/+@,=-]*")
+
+
+def _command_line(template: str, pocket_id: str, smiles: str) -> str:
     """The template with one request's values in place: the identity of its
-    dock result. Only the known placeholders are substituted; other braces
-    (awk scripts, shell expansions) pass through untouched."""
+    dock result. Only ``{smiles}`` and ``{pocket_id}`` are substituted; other
+    braces (awk scripts, shell expansions) pass through untouched."""
     command = template.replace("{smiles}", smiles)
-    if "{pocket_file}" in command:
-        if pocket_file is None:
-            raise MissingDockInput(f"pocket {pocket_id}: no pocket file available")
-        command = command.replace("{pocket_file}", pocket_file)
-    if "{center_source}" in command:
-        if center_source is None:
-            raise MissingDockInput(
-                f"pocket {pocket_id}: no reference ligand to define the pocket center"
+    if "{pocket_id}" in command:
+        if not _SHELL_INERT.fullmatch(pocket_id):
+            raise UnsafePocketId(
+                f"pocket id {pocket_id!r} has a character outside [A-Za-z0-9_.:/+@,=-]"
             )
-        command = command.replace("{center_source}", center_source)
+        command = command.replace("{pocket_id}", pocket_id)
     return command
 
 
@@ -379,7 +383,9 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
     """Run one command line, stdin ``/dev/null``, in a process group of its
     own and return its exit code, stdout and stderr. A timeout, or anything
     else that ends the wait, kills the whole group: killing the shell alone
-    would leave what it started running."""
+    would leave what it started running. The pipes are then closed rather
+    than read to their end, which a process that left the group can hold
+    off for as long as it runs."""
     import subprocess  # here, so the stages that run no command start without it
 
     proc = subprocess.Popen(
@@ -400,7 +406,9 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
         stdout, stderr = proc.communicate(timeout=timeout)
     except BaseException as exc:
         _kill_group(proc)
-        proc.communicate()
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
         if isinstance(exc, subprocess.TimeoutExpired):
             raise Timeout(f"dock command timed out after {timeout}s: {command}") from exc
         raise
@@ -411,29 +419,23 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
 
 
 def external_dock(
-    cmd: DockCommand,
-    pocket_id: str,
-    smiles: str,
-    pocket_file: str | None = None,
-    center_source: str | None = None,
-    cache_dir: str | Path | None = None,
+    cmd: DockCommand, pocket_id: str, smiles: str, cache_dir: str | Path | None = None
 ) -> float:
     """Run the docking command for one molecule and return its score.
 
     The command must print exactly one finite decimal number as the final
-    non-empty stdout line. ``center_source`` is whatever the wrapped tool
-    needs to locate the pocket center (typically the reference ligand);
-    pockets that cannot provide one are rejected here when the template asks
-    for it. The cache key is the SHA-256 of the fully substituted command
-    line, so a changed pocket file or reference ligand never reuses another
-    command's score. An entry counts only as fresh output would (see
-    ``_finite_score``); any other entry is a miss, and the command's result
-    replaces it. An entry that another writer filled with a different score
-    meanwhile raises ``ConflictingScore``. A timeout kills the command's
-    whole process group.
+    non-empty stdout line. A template that names ``{pocket_id}`` docks per
+    pocket; the command finds the pocket's files and docking box from its id,
+    which must be shell-inert (``UnsafePocketId`` otherwise, and no shell
+    starts). The cache key is the SHA-256 of the fully substituted command
+    line, so another pocket's line never reuses this one's score. An entry
+    counts only as fresh output would (see ``_finite_score``); any other
+    entry is a miss, and the command's result replaces it. An entry that
+    another writer filled with a different score meanwhile raises
+    ``ConflictingScore``. A timeout kills the command's whole process group.
     """
     canon = canonicalize(smiles)
-    command = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
+    command = _command_line(cmd.template, pocket_id, canon)
     directory = store.resolve_cache_dir(cache_dir)
     cache_file = directory / f"{sha256(command.encode('utf-8')).hexdigest()}.json"
     cached = store.get(_SCORE, cache_file, command)
@@ -474,20 +476,20 @@ class DockRunResult(NamedTuple):
 
 def dock_many(
     cmd: DockCommand,
-    requests: Sequence[tuple[str, str, str | None, str | None]],
+    requests: Sequence[tuple[str, str]],
     cache_dir: str | Path | None = None,
 ) -> DockRunResult:
-    """Dock (pocket_id, smiles, pocket_file, center_source) requests.
+    """Dock (pocket_id, smiles) requests.
 
     Requests whose substituted command lines are equal share one call of the
     public ``external_dock`` (so whatever wraps that function sees one call
     per line, and two threads never race to fill one cache entry); a
-    template that names no pocket input docks a molecule once across
-    pockets. ``min(cmd.max_parallel, lines)`` threads take lines from one
-    iterator. Each request gets its line's outcome, in request order; a
-    failure carries the request's own SMILES and its error's class name as
-    ``kind``. A SMILES that does not canonicalize, or a request without an
-    input its template names, fails alone and is never docked. The cache
+    template without ``{pocket_id}`` docks a molecule once across pockets.
+    ``min(cmd.max_parallel, lines)`` threads take lines from one iterator.
+    Each request gets its line's outcome, in request order; a failure
+    carries the request's own SMILES and its error's class name as ``kind``.
+    A SMILES that does not canonicalize, or a pocket id the template names
+    that is not shell-inert, fails alone and is never docked. The cache
     directory is made first. After an interrupt, which kills the running
     groups, or any other error, no line starts; it is raised once all end."""
     directory = store.resolve_cache_dir(cache_dir)
@@ -495,10 +497,10 @@ def dock_many(
     identities: list[tuple[str, str] | Exception] = []  # per request: (line, canonical)
     first: dict[str, tuple] = {}  # line -> the request its call is made with
     for request in requests:
-        pocket_id, smiles, pocket_file, center_source = request
+        pocket_id, smiles = request
         try:
             canon = canonicalize(smiles)
-            line = _command_line(cmd.template, pocket_id, canon, pocket_file, center_source)
+            line = _command_line(cmd.template, pocket_id, canon)
         except (DockError, ValueError) as exc:
             identities.append(exc)
             continue
@@ -546,7 +548,7 @@ def dock_many(
         raise raised[0]
 
     scores, failures = [], []
-    for (pocket_id, smiles, _, _), identity in zip(requests, identities):
+    for (pocket_id, smiles), identity in zip(requests, identities):
         result = outcome[identity[0]] if isinstance(identity, tuple) else identity
         if isinstance(result, Exception):
             failures.append(DockFailure(pocket_id, smiles, str(result), type(result).__name__))

@@ -129,9 +129,24 @@ _MODEL_ARTIFACTS = {
 }
 
 
-def _environment() -> dict[str, str]:
-    """What the bits of a matrix product depend on: numpy, its BLAS, and the
-    CPU features that choose the BLAS kernels."""
+def _blas_kernel() -> str | None:
+    """The kernel that the loaded OpenBLAS runs (``OPENBLAS_CORETYPE`` can
+    choose another one than the CPU would), or None where it does not say."""
+    import ctypes
+
+    import numpy as np
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def _environment() -> dict[str, str | None]:
+    """What the bits of a matrix product depend on: numpy, its BLAS, the CPU
+    features that choose the BLAS kernels, and the kernel chosen."""
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -142,7 +157,7 @@ def _environment() -> dict[str, str]:
     flags = next((line.split(":", 1)[1].split() for line in cpuinfo.splitlines()
                   if line.startswith("flags")), [])
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "cpu_flags": " ".join(sorted(flags))}
+            "blas_kernel": _blas_kernel(), "cpu_flags": " ".join(sorted(flags))}
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +210,7 @@ _MANIFESTS = {
     "train-dpo": ({"complexes.jsonl", "out/pairs.jsonl", "out/sft_checkpoint.json"},
                   {"out/dpo_checkpoint.json", "out/dpo_curve.jsonl"}),
     "sample": ({"complexes.jsonl", "out/dpo_checkpoint.json"}, {"out/generations.jsonl"}),
-    "dock": ({"complexes.jsonl", "out/generations.jsonl"}, {"out/scores.jsonl"}),
+    "dock": ({"out/generations.jsonl"}, {"out/scores.jsonl"}),
     "evaluate": (_EVALUATED, {"out/report.jsonl", "out/report.txt"}),
     "report-fused": (_EVALUATED, {"out/fused_report.json"}),
     "report-ood": (_EVALUATED, {"out/ood_report.json"}),
@@ -759,6 +774,7 @@ _UPSTREAM = {
     ("metrics", "radius", "-1", ["evaluate"]),
     ("metrics", "top_k", "0", ["report", "--fused"]),
     ("dock", "timeout", "inf", ["dock"]),
+    # an unknown key since the dock template names {pocket_id} itself
     ("paths", "pocket_file_pattern", "x/{pocket}.pdb", ["dock"]),
     # and these in exit 0 with meaningless artifacts
     ("model", "d", "0", ["train-sft"]),
@@ -779,6 +795,9 @@ _UPSTREAM = {
     ("metrics", "radius", "1000000", ["curate"]),
     # and this in exit 1 (OverflowError): the wait for a command takes at most 2**31 - 1 ms
     ("dock", "timeout", "3e6", ["dock"]),
+    # and this in exit 1 (MemoryError) at load, in every command: the pattern
+    # went through str.format, and now the key is unknown
+    ("paths", "pocket_file_pattern", "x/{pocket_id:>1000000000000}.pdb", ["evaluate"]),
 ])
 def test_out_of_range_config_value_exits_two_before_any_artifact(
     pipeline, tmp_path, section, key, value, step
@@ -830,7 +849,7 @@ def test_malformed_config_file_exits_two(pipeline, tmp_path, edit):
 # each key's boundary cases, and strings for the string keys
 _EDGE_VALUES = [
     "0", "-1", "1", "0.5", "1.5", "63", "64", "nan", "inf", "-inf", "", "x", "online",
-    "echo {smiles}", "x/{pocket}.pdb", "x/{pocket_id}.pdb",
+    "echo {smiles}", "echo {smiles} # {pocket_id}", "echo {pocket_id}",
 ]
 
 
@@ -865,7 +884,6 @@ def _assert_library_accepts(cfg) -> None:
         _dock_command(cfg)
     metrics = cfg.typed["metrics"]
     morgan_fingerprint(parse_smiles("c1ccccc1O"), metrics["radius"], metrics["nbits"])
-    cfg.typed["paths"]["pocket_file_pattern"].format(pocket_id="pocket00001")
 
 
 def test_every_edge_value_the_config_accepts_passes_the_library_checks(tmp_path):
@@ -916,7 +934,7 @@ def test_offline_flow_scores_every_valid_filter_candidate(pipeline, tmp_path, mo
     real_dock = scorers.dock_many
 
     def recording_dock(cmd, requests, **kwargs):
-        for pocket_id, smiles, _, _ in requests:
+        for pocket_id, smiles in requests:
             docked.setdefault(pocket_id, []).append(smiles)
         return real_dock(cmd, requests, **kwargs)
 
@@ -994,10 +1012,9 @@ def test_curate_pairs_every_pocket_as_a_per_pocket_loop_would(pipeline, tmp_path
         return [r.text for r in results]
 
     def dock(pocket_id, smiles):
-        center = by_id[pocket_id].ligand_smiles[0]
         result = scorers.dock_many(
             scorers.DockCommand(FAILING_STUB, timeout=30),
-            [(pocket_id, s, None, center) for s in smiles],
+            [(pocket_id, s) for s in smiles],
             cache_dir=tmp_path / "dock_cache",
         )
         return [(r.smiles, r.vina) for r in result.scores], [f.error for f in result.failures]
@@ -1024,18 +1041,17 @@ def test_warm_curate_and_dock_send_every_line_through_external_dock(pipeline, tm
     real_many, real_one = scorers.dock_many, scorers.external_dock
     real_init = subprocess.Popen.__init__
 
-    def line(pocket_id, smiles, pocket_file, center):
-        return scorers._command_line(DOCK_STUB, pocket_id, canonicalize(smiles), pocket_file,
-                                     center)
+    def line(pocket_id, smiles):
+        return scorers._command_line(DOCK_STUB, pocket_id, canonicalize(smiles))
 
     def recording_many(cmd, requests, **kwargs):
         requested.append({line(*request) for request in requests})
         passed.append([])
         return real_many(cmd, requests, **kwargs)
 
-    def recording_one(cmd, pocket_id, smiles, pocket_file=None, center_source=None, **kwargs):
-        passed[-1].append(line(pocket_id, smiles, pocket_file, center_source))
-        return real_one(cmd, pocket_id, smiles, pocket_file, center_source, **kwargs)
+    def recording_one(cmd, pocket_id, smiles, **kwargs):
+        passed[-1].append(line(pocket_id, smiles))
+        return real_one(cmd, pocket_id, smiles, **kwargs)
 
     def counting_init(popen, *args, **kwargs):
         started.append(args)
@@ -1050,6 +1066,74 @@ def test_warm_curate_and_dock_send_every_line_through_external_dock(pipeline, tm
     assert [sorted(lines) for lines in passed] == [sorted(lines) for lines in requested]
     assert started == []
     assert {name: (out / name).read_bytes() for name in artifacts} == cold
+
+
+# a pocket id that ends a single-quoted shell word and runs a command
+_INJECTION = "p1'; touch PWNED; echo '"
+
+
+def _dock_run(tmp_path: Path, overrides: dict) -> Path:
+    """A run directory with only ``generations.jsonl``: CCO for the
+    injection pocket and CCN for p2, both pockets in the complexes file;
+    returns the config path."""
+    complexes = tmp_path / "complexes.jsonl"
+    complexes.write_text("".join(json.dumps({"pocket_id": p, "ligand_smiles": ["CCO"]}) + "\n"
+                                 for p in (_INJECTION, "p2")))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "generations.jsonl").write_text(
+        json.dumps({"pocket_id": _INJECTION, "smiles": "CCO"}) + "\n"
+        + json.dumps({"pocket_id": "p2", "smiles": "CCN"}) + "\n"
+    )
+    return _write_config(tmp_path, complexes, overrides)
+
+
+def test_a_config_that_sets_pocket_file_pattern_exits_two_before_any_artifact(
+    tmp_path, monkeypatch, capsys
+):
+    # the pattern went through str.format: with a template that quoted
+    # '{pocket_file}', dock ran the injection pocket id's `touch PWNED` and
+    # exited 0
+    monkeypatch.chdir(tmp_path)
+    config = _dock_run(tmp_path, {
+        "paths": {"pocket_file_pattern": "pockets/{pocket_id}.pdb"},
+        "dock": {"command": "test -n '{pocket_file}' && echo -5 # {smiles}"},
+    })
+    assert main(["--config", str(config), "--allow-partial", "dock"]) == 2
+    assert "unknown config key 'pocket_file_pattern' in [paths]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["complexes.jsonl", "out", "run.ini"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["generations.jsonl"]
+
+
+def test_dock_fails_a_pocket_id_that_is_not_shell_inert_alone_and_creates_no_file(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    config = _dock_run(tmp_path, {
+        "dock": {"command": "test -n '{pocket_id}' && echo -5 # {smiles}"},
+    })
+    assert main(["--config", str(config), "--allow-partial", "dock"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "complexes.jsonl", "dock_cache", "out", "run.ini"
+    ]
+    manifest = json.loads((tmp_path / "out" / "dock.manifest.json").read_text())
+    assert [(f["pocket_id"], f["smiles"], f["kind"]) for f in manifest["extra"]["failures"]] == [
+        (_INJECTION, "CCO", "UnsafePocketId")
+    ]
+    scores = load_records(tmp_path / "out" / "scores.jsonl", "scores")
+    assert [(s.pocket_id, s.smiles, s.vina) for s in scores] == [("p2", "CCN", -5.0)]
+
+
+def test_a_record_file_that_does_not_load_is_named_in_the_error(tmp_path, capsys):
+    # the error said only "line 3, field 'vina': ...", not which of the
+    # three files evaluate reads it was in
+    scores = [*_CONTRACT_RECORDS["scores"][:2], {**_CONTRACT_RECORDS["scores"][2], "vina": "x"}]
+    config = _contract_run(tmp_path, _contract_texts(scores=scores))
+    assert main(["--config", str(config), "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert "scores.jsonl" in err and "line 3" in err
+    (tmp_path / "out" / "generations.jsonl").write_bytes(b'{"pocket_id": "\xff"}\n')
+    assert main(["--config", str(config), "evaluate"]) == 2
+    assert "generations.jsonl" in capsys.readouterr().err
 
 
 def _readme_config_reference() -> dict[str, dict[str, str]]:
@@ -1579,8 +1663,7 @@ def test_two_dock_processes_share_one_cache_dir(pipeline, tmp_path, child_env):
         assert (out / "scores.jsonl").read_text() == "".join(scores[share])
     assert _cache_files(tmp_path / "cache") == _expected_cache(
         [out / "scores.jsonl" for out in outs],
-        {pipeline[0] / "complexes.jsonl": ("ligand_smiles",),
-         **{out / "generations.jsonl": ("smiles",) for out in outs}},
+        {out / "generations.jsonl": ("smiles",) for out in outs},
     )
 
 

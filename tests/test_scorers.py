@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -19,12 +20,12 @@ from molchord.scorers import (
     DuplicateKey,
     GenerationRecord,
     MalformedLine,
-    MissingDockInput,
     NonZeroExit,
     SchemaViolation,
     ScoreRecord,
     Timeout,
     UnparseableOutput,
+    UnsafePocketId,
     dock_many,
     dump_records,
     external_dock,
@@ -501,21 +502,30 @@ def test_external_dock_timeout(tmp_path):
 def dock_processes(monkeypatch):
     """Gives every command this test starts an environment entry of its own;
     returns a function that waits up to 2 s for the last live process that
-    carries it to end, and returns how many are left."""
+    carries it to end, and returns how many are left. With ``kill=True`` it
+    first kills every such process."""
     entry = f"MOLCHORD_TEST_DOCK={os.getpid()}.{time.monotonic_ns()}"
     monkeypatch.setenv(*entry.split("="))
 
-    def left() -> int:
+    def carriers() -> list[int]:
+        pids = []
+        for environ in Path("/proc").glob("[0-9]*/environ"):
+            try:  # a zombie's environment reads empty
+                if entry.encode() in environ.read_bytes().split(b"\0"):
+                    pids.append(int(environ.parent.name))
+            except OSError:
+                continue
+        return pids
+
+    def left(kill: bool = False) -> int:
         deadline = time.monotonic() + 2.0
         while True:
-            count = 0
-            for environ in Path("/proc").glob("[0-9]*/environ"):
-                try:  # a zombie's environment reads empty
-                    count += entry.encode() in environ.read_bytes().split(b"\0")
-                except OSError:
-                    continue
-            if count == 0 or time.monotonic() > deadline:
-                return count
+            pids = carriers()
+            for pid in pids if kill else ():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            if not pids or time.monotonic() > deadline:
+                return len(pids)
             time.sleep(0.05)
 
     return left
@@ -540,6 +550,21 @@ def test_external_dock_timeout_kills_everything_the_command_started(
     assert dock_processes() == 0
 
 
+def test_a_dock_timeout_does_not_wait_for_a_process_that_left_the_group(
+    tmp_path, dock_processes
+):
+    # a process in a session of its own outlives the group's kill and holds
+    # stdout open: reading the pipes to their end waited for it (8 s)
+    cmd = _cmd("setsid sleep 8 & sleep 5; echo -5 # {smiles}", timeout=1)
+    started = time.monotonic()
+    try:
+        with pytest.raises(Timeout):
+            external_dock(cmd, "p1", "CCO", cache_dir=tmp_path)
+        assert time.monotonic() - started < 3.0
+    finally:
+        assert dock_processes(kill=True) == 0
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
     tmp_path, dock_processes, workers
@@ -549,7 +574,7 @@ def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    requests = [("p1", "C" * k, None, None) for k in range(1, 6)]
+    requests = [("p1", "C" * k) for k in range(1, 6)]
     threads = threading.active_count()
     previous = signal.signal(signal.SIGALRM, interrupt)
     started = time.monotonic()
@@ -638,14 +663,6 @@ def test_external_dock_redocks_a_cache_entry_fresh_output_would_not_give(tmp_pat
     assert counter.read_text().count("x") == 2
 
 
-def test_external_dock_center_source_required(tmp_path):
-    cmd = _cmd("echo {center_source} >/dev/null; echo -5 # {smiles}")
-    with pytest.raises(MissingDockInput):
-        external_dock(cmd, "p1", "CCO", center_source=None, cache_dir=tmp_path)
-    score = external_dock(cmd, "p1", "CCO", center_source="CCN", cache_dir=tmp_path)
-    assert score == -5.0
-
-
 def _script(path, body):
     path.write_text("#!/bin/sh\n" + body)
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
@@ -688,8 +705,8 @@ def test_dock_command_requires_at_least_one_worker():
 def test_dock_many_collects_failures(tmp_path):
     script = _script(tmp_path / "dock.sh", 'case "$1" in *N*) exit 3;; esac\necho -6.5\n')
     cmd = _cmd(f"{script} {{smiles}}", max_parallel=3)
-    requests = [("p1", "CCO", None, None), ("p1", "CCN", None, None),
-                ("p2", "CCC", None, None)]
+    requests = [("p1", "CCO"), ("p1", "CCN"),
+                ("p2", "CCC")]
     threads = threading.active_count()
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert threading.active_count() == threads
@@ -704,7 +721,7 @@ def test_dock_many_raises_a_workers_other_error_once_every_worker_has_ended(
     # not a DockError or ValueError: a fault, so it is raised, not recorded
     calls, all_three_running = [], threading.Barrier(3, timeout=5)
 
-    def faulty(cmd, pocket_id, smiles, *rest, **kwargs):
+    def faulty(cmd, pocket_id, smiles, **kwargs):
         calls.append(smiles)
         all_three_running.wait()
         if smiles == "CCN":
@@ -713,7 +730,7 @@ def test_dock_many_raises_a_workers_other_error_once_every_worker_has_ended(
         return -5.0
 
     monkeypatch.setattr(scorers, "external_dock", faulty)
-    requests = [("p1", "C" * k + "N", None, None) for k in range(1, 9)]
+    requests = [("p1", "C" * k + "N") for k in range(1, 9)]
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="fault on CCN"):
         dock_many(_cmd("echo -5 # {smiles}", max_parallel=3), requests,
@@ -744,7 +761,7 @@ def _barrier_dock(tmp_path, count):
 def test_dock_many_runs_distinct_requests_at_once(tmp_path):
     script, log = _barrier_dock(tmp_path, 2)
     cmd = _cmd(f"{script} {{smiles}}", max_parallel=2)
-    requests = [("p1", "CCO", None, None), ("p1", "CCN", None, None)]
+    requests = [("p1", "CCO"), ("p1", "CCN")]
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert result.failures == ()
     assert [s.smiles for s in result.scores] == ["CCO", "CCN"]
@@ -752,17 +769,15 @@ def test_dock_many_runs_distinct_requests_at_once(tmp_path):
 
 
 def _dock_each_line_once(tmp_path, template, runs):
-    """Dock six requests over pockets p1 (file a.pdb) and p2 (b.pdb), where
-    ``runs`` groups the request indices that share one command line. Every
+    """Dock six requests over pockets p1 and p2, where ``runs`` groups the
+    request indices that share one command line. Every
     line must start one run although all runs overlap: duplicates running
     side by side would each miss the cache and start the command, and with
     this command's changing answers also conflict."""
     script, log = _barrier_dock(tmp_path, len(runs))
     cmd = _cmd(template.format(script=script), max_parallel=4)
-    files = {"p1": "a.pdb", "p2": "b.pdb"}
-    molecules = [("p1", "CCO"), ("p1", "OCC"), ("p2", "CCO"), ("p1", "C(O)C"), ("p2", "OCC"),
-                 ("p1", "CCN")]
-    requests = [(pocket, smiles, files[pocket], None) for pocket, smiles in molecules]
+    requests = [("p1", "CCO"), ("p1", "OCC"), ("p2", "CCO"), ("p1", "C(O)C"), ("p2", "OCC"),
+                ("p1", "CCN")]
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert result.failures == ()
     assert len(log.read_text().splitlines()) == len(runs)
@@ -781,7 +796,10 @@ def test_dock_many_docks_each_distinct_request_once(tmp_path):
 
 
 def test_dock_many_docks_each_molecule_once_per_pocket_file(tmp_path):
-    _dock_each_line_once(tmp_path, "{script} {{smiles}} {{pocket_file}}", [[0, 1, 3], [2, 4], [5]])
+    # the pocket file named by the pocket id, as a template names it
+    _dock_each_line_once(
+        tmp_path, "{script} {{smiles}} pockets/{{pocket_id}}.pdb", [[0, 1, 3], [2, 4], [5]]
+    )
 
 
 def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
@@ -791,8 +809,8 @@ def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
         f'echo "$1" >> {log}\ncase "$1" in *N*) exit 3;; *S*) sleep 30;; esac\necho -6.5\n',
     )
     cmd = _cmd(f"{script} {{smiles}}", max_parallel=2, timeout=1.5)
-    requests = [("p1", "CCN", None, None), ("p1", "CCO", None, None),
-                ("p1", "NCC", None, None), ("p1", "CCS", None, None)]
+    requests = [("p1", "CCN"), ("p1", "CCO"),
+                ("p1", "NCC"), ("p1", "CCS")]
     result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO"]
     assert [f.smiles for f in result.failures] == ["CCN", "NCC", "CCS"]
@@ -806,7 +824,7 @@ def test_dock_many_fails_each_duplicate_with_its_own_smiles(tmp_path):
 def test_dock_many_fails_an_invalid_smiles_alone(tmp_path):
     log = tmp_path / "runs.log"
     script = _script(tmp_path / "dock.sh", f'echo "$1" >> {log}\necho -6.5\n')
-    requests = [("p1", "C1CC", None, None), ("p1", "CCO", None, None)]
+    requests = [("p1", "C1CC"), ("p1", "CCO")]
     result = dock_many(_cmd(f"{script} {{smiles}}"), requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO"]
     assert [(f.smiles, f.kind) for f in result.failures] == [("C1CC", "UnmatchedRingBond")]
@@ -821,8 +839,7 @@ def _dock_under_thread_pressure(tmp_path, template, runs, line_of):
     log = tmp_path / "runs.log"
     script = _script(tmp_path / "dock.sh", f'echo "$*" >> {log}\nwc -l < {log}\n')
     molecules = ["C" * k for k in range(1, 9)]
-    requests = [(f"p{i % 2}", smiles, f"p{i % 2}.pdb", None)
-                for i in range(5) for smiles in molecules]
+    requests = [(f"p{i % 2}", smiles) for i in range(5) for smiles in molecules]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -835,7 +852,7 @@ def _dock_under_thread_pressure(tmp_path, template, runs, line_of):
     assert result.failures == ()
     assert len(log.read_text().splitlines()) == runs
     assert {(s.pocket_id, s.smiles) for s in result.scores} == {
-        (pocket, smiles) for pocket, smiles, _, _ in requests
+        (pocket, smiles) for pocket, smiles in requests
     }
     by_line: dict[object, set[float]] = {}
     for score in result.scores:
@@ -849,31 +866,61 @@ def test_dock_many_under_thread_pressure_starts_one_run_per_key(tmp_path):
 
 def test_dock_many_under_thread_pressure_starts_one_run_per_pocket_file(tmp_path):
     _dock_under_thread_pressure(
-        tmp_path, "{script} {{smiles}} {{pocket_file}}", 16, lambda s: (s.pocket_id, s.smiles)
+        tmp_path, "{script} {{smiles}} pockets/{{pocket_id}}.pdb", 16,
+        lambda s: (s.pocket_id, s.smiles),
     )
 
 
 @pytest.mark.parametrize(
     "template, runs",
     [
-        ("echo {pocket_file} >> LOG; echo -5 # {smiles}", ["a", "b"]),
-        ("echo {center_source} >> LOG; echo -5 # {smiles}", ["X", "Y"]),
-        ("echo {pocket_file} {center_source} >> LOG; echo -5 # {smiles}", ["a X", "a Y", "b X"]),
+        ("echo pockets/{pocket_id}.pdb >> LOG; echo -5 # {smiles}",
+         ["pockets/p1.pdb", "pockets/p2.pdb", "pockets/p3.pdb"]),
+        ("echo {smiles} centers/{pocket_id}.xyz >> LOG; echo -5",
+         ["CCO centers/p1.xyz", "CCO centers/p2.xyz", "CCO centers/p3.xyz"]),
+        ("echo pockets/{pocket_id}.pdb centers/{pocket_id}.xyz >> LOG; echo -5 # {smiles}",
+         ["pockets/p1.pdb centers/p1.xyz", "pockets/p2.pdb centers/p2.xyz",
+          "pockets/p3.pdb centers/p3.xyz"]),
     ],
     ids=["pocket-file", "center-source", "both"],
 )
 def test_dock_many_runs_once_per_distinct_pocket_input(tmp_path, template, runs):
+    # the pocket's file and docking-box center, which a template finds from
+    # the pocket id: one run per molecule and pocket
     log = tmp_path / "runs.log"
-    requests = [("p1", "CCO", "a", "X"), ("p2", "OCC", "a", "X"), ("p3", "CCO", "b", "X"),
-                ("p4", "CCO", "a", "Y"), ("p5", "CCO", None, None)]
+    requests = [("p1", "CCO"), ("p2", "OCC"), ("p1", "OCC"), ("p3", "CCO"), ("p 4", "CCO")]
     result = dock_many(_cmd(template.replace("LOG", str(log))), requests,
                        cache_dir=tmp_path / "cache")
     assert sorted(log.read_text().splitlines()) == runs
-    assert [s.pocket_id for s in result.scores] == ["p1", "p2", "p3", "p4"]
-    # a request without an input its template names fails alone
-    assert [(f.pocket_id, f.smiles) for f in result.failures] == [("p5", "CCO")]
-    assert "pocket p5" in result.failures[0].error
-    assert result.failures[0].kind == "MissingDockInput"
+    assert [s.pocket_id for s in result.scores] == ["p1", "p2", "p1", "p3"]
+    # a pocket id that is not shell-inert fails alone
+    assert [(f.pocket_id, f.smiles) for f in result.failures] == [("p 4", "CCO")]
+    assert "'p 4'" in result.failures[0].error
+    assert result.failures[0].kind == "UnsafePocketId"
+
+
+def test_a_pocket_id_that_is_not_shell_inert_fails_alone_and_starts_no_shell(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "runs.log"
+    cmd = _cmd(f"echo '{{pocket_id}}' >> {log}; echo -5 # {{smiles}}")
+    inert = "Pocket_9.a-b:c/d+e@f,g=h"
+    unsafe = ["p1'; touch PWNED; echo '", "p$(touch PWNED)", "p`touch PWNED`", "p;1", "p&1",
+              "p|1", "p<1", "p>PWNED", "p 1", "p\t1", "p\n1", 'p"1', "p\\1", "p*", "pé", "p{}"]
+    requests = [(pocket_id, "CCO") for pocket_id in [*unsafe, inert]]
+    result = dock_many(cmd, requests, cache_dir=tmp_path / "cache")
+    assert [(s.pocket_id, s.vina) for s in result.scores] == [(inert, -5.0)]
+    assert [(f.pocket_id, f.kind) for f in result.failures] == [
+        (pocket_id, "UnsafePocketId") for pocket_id in unsafe
+    ]
+    assert log.read_text() == inert + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "runs.log"]
+    with pytest.raises(UnsafePocketId):
+        external_dock(cmd, unsafe[0], "CCO", cache_dir=tmp_path / "cache")
+    # a template that does not name the pocket id docks any pocket
+    plain = dock_many(_cmd("echo -6 # {smiles}"), requests[:1], cache_dir=tmp_path / "cache")
+    assert [(s.pocket_id, s.vina) for s in plain.scores] == [(unsafe[0], -6.0)]
 
 
 def test_a_later_dock_many_call_hits_the_entry_of_an_earlier_one(tmp_path):
@@ -882,9 +929,8 @@ def test_a_later_dock_many_call_hits_the_entry_of_an_earlier_one(tmp_path):
     log = tmp_path / "runs.log"
     cmd = _cmd(f"{_script(tmp_path / 'dock.sh', f'echo $1 >> {log}; echo -4.5')} {{smiles}}")
     cache = tmp_path / "cache"
-    assert dock_many(cmd, [("p1", "CCO", None, None)], cache_dir=cache).failures == ()
-    result = dock_many(cmd, [("p2", "OCC", None, None), ("p3", "C(C)O", "p3.pdb", "CCN")],
-                       cache_dir=cache)
+    assert dock_many(cmd, [("p1", "CCO")], cache_dir=cache).failures == ()
+    result = dock_many(cmd, [("p2", "OCC"), ("p3", "C(C)O")], cache_dir=cache)
     assert [(s.pocket_id, s.smiles, s.vina) for s in result.scores] == [
         ("p2", "CCO", -4.5), ("p3", "CCO", -4.5)
     ]
@@ -892,18 +938,16 @@ def test_a_later_dock_many_call_hits_the_entry_of_an_earlier_one(tmp_path):
 
 
 def test_external_dock_cache_key_covers_substituted_inputs(tmp_path):
-    # the same template with another pocket file or reference ligand is
-    # another command, so it must not reuse the first command's score
+    # the same template and molecule for another pocket is another command,
+    # so it must not reuse the first pocket's score
     cache = tmp_path / "cache"
-    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    first.write_text("-5.0\n")
-    second.write_text("-7.0\n")
-    by_pocket = _cmd("cat {pocket_file} # {smiles}")
-    assert external_dock(by_pocket, "p1", "CCO", pocket_file=str(first), cache_dir=cache) == -5.0
-    assert external_dock(by_pocket, "p1", "CCO", pocket_file=str(second), cache_dir=cache) == -7.0
-    by_center = _cmd("cat {center_source} # {smiles}")
-    assert external_dock(by_center, "p1", "CCO", center_source=str(first), cache_dir=cache) == -5.0
-    assert external_dock(by_center, "p1", "CCO", center_source=str(second), cache_dir=cache) == -7.0
+    (tmp_path / "a.txt").write_text("-5.0\n")
+    (tmp_path / "b.txt").write_text("-7.0\n")
+    by_pocket = _cmd(f"cat '{tmp_path}'/{{pocket_id}}.txt # {{smiles}}")
+    assert external_dock(by_pocket, "a", "CCO", cache_dir=cache) == -5.0
+    assert external_dock(by_pocket, "b", "CCO", cache_dir=cache) == -7.0
+    assert external_dock(by_pocket, "a", "OCC", cache_dir=cache) == -5.0  # a hit
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 def test_external_dock_concurrent_writers_of_one_key(tmp_path, monkeypatch, child_env):
@@ -948,7 +992,7 @@ def test_dock_many_canonicalizes_each_request_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(canon, "canonical_smiles", counting)
     canonicalize.cache_clear()
-    requests = [("p1", "OCC", None, None), ("p1", "C(C)N", None, None)]
+    requests = [("p1", "OCC"), ("p1", "C(C)N")]
     result = dock_many(_cmd("echo -3 # {smiles}"), requests, cache_dir=tmp_path / "cache")
     assert [s.smiles for s in result.scores] == ["CCO", "CCN"]
     assert len(calls) == 2
