@@ -805,6 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     global _record
+    # ``numpy.random`` imports ``secrets``, whose ``hmac`` imports OpenSSL's
+    # ``_hashlib``: about 3.3 MB of libcrypto in each model stage, which uses
+    # only ``secrets.randbits`` and ``hashutil``'s built-in hashes. Blocked
+    # before anything imports it, ``hashlib`` and ``hmac`` take CPython's
+    # built-in fallback, as on an interpreter built without OpenSSL; a
+    # process that has already loaded it keeps it.
+    sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     _record = _Record(args.command, time.time())
     try:

@@ -12,10 +12,11 @@ loads OpenSSL's libcrypto, about 3.5 MB of resident memory in each stage
 that runs without numpy and in each dock stand-in run, none of which needs
 more than these two hashes. So no other module imports ``hashlib``; each
 takes its constructor from here, and the digests are the same bits. The
-price is speed: the built-in SHA-256 hashes about 0.2 GB/s against
-OpenSSL's 1.5 GB/s, about 5 ms more per MB, which the model stages pay on
-the checkpoints they hash (they load OpenSSL anyway, through
-``numpy.random``).
+model stages import ``hashlib`` through ``numpy.random`` (``secrets``,
+``hmac``); ``cli.main`` blocks OpenSSL's ``_hashlib`` before that, so they
+run on the built-in hashes as well. The price is speed: the built-in
+SHA-256 hashes about 0.2 GB/s against OpenSSL's 1.5 GB/s, about 5 ms more
+per MB, which the model stages pay on the checkpoints they hash.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ _FORK_PAYOFF = 10
 _CANONICALIZE_S = 0.0002
 
 
-def _cells(keys: list) -> list[int]:
-    """Each atom's color for its key: the number of atoms with a smaller key,
+def _starts(keys: list) -> dict:
+    """Each distinct key's cell start: the number of atoms with a smaller key,
     i.e. where its cell starts when the atoms are listed by key."""
     start: dict = {}
     for key in keys:
@@ -54,6 +54,12 @@ def _cells(keys: list) -> list[int]:
     total = 0
     for key in sorted(start):  # the distinct keys, few
         start[key], total = total, total + start[key]
+    return start
+
+
+def _cells(keys: list) -> list[int]:
+    """Each atom's color for its key: where its cell starts (``_starts``)."""
+    start = _starts(keys)
     return [start[key] for key in keys]
 
 
@@ -198,15 +204,25 @@ class _Node:
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
-    """Assign each atom a unique rank in 0..n-1, independent of input order.
-
-    Atom labels are numbered once, in sorted order, so every comparison of
-    labels below is one of integers that sort as the labels do.
-    """
-    n = len(mol.atoms)
-    if n == 0:
+    """Assign each atom a unique rank in 0..n-1, independent of input order."""
+    if not mol.atoms:
         return []
-    labels = _cells([atom[:4] for atom in mol.atoms])  # element, aromatic, charge, explicit_h
+    return _ranks(mol, _number_labels(mol)[1])
+
+
+def _number_labels(mol: Molecule) -> tuple[dict[tuple, int], list[int]]:
+    """The number of each distinct atom label (element, aromatic, charge,
+    explicit_h) and each atom's label number. A number is its label's cell
+    start (``_starts``), so numbers sort as the labels do."""
+    keys = [atom[:4] for atom in mol.atoms]
+    start = _starts(keys)
+    return start, [start[key] for key in keys]
+
+
+def _ranks(mol: Molecule, labels: list[int]) -> list[int]:
+    """``canonical_ranks`` of a molecule of one or more atoms, given its label
+    numbers: every comparison of labels below is one of integers."""
+    n = len(mol.atoms)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b, order in mol.bonds:
         adj[a].append((b, order * n))
@@ -322,18 +338,25 @@ def canonical_smiles(mol: Molecule) -> str:
 
     Works on atoms by canonical rank: each atom's neighbors are one sorted
     list of ``rank * 8 + bond order`` integers, so a depth-first search in
-    rank order visits them by rank.
+    rank order visits them by rank. The atom labels are numbered once, for
+    the ranking and the writer both, and each distinct label's token is
+    looked up once.
     """
     n = len(mol.atoms)
     if n == 0:
         return ""
-    ranks = canonical_ranks(mol)
+    start, labels = _number_labels(mol)
+    ranks = _ranks(mol, labels)
+    token_at = [""] * n  # by label number
+    aromatic_at = [False] * n
+    for label, number in start.items():
+        token_at[number] = _ATOM_TOKENS.get(label) or _atom_token(label)
+        aromatic_at[number] = label[1]
     tokens = [""] * n
     aromatic = [False] * n
-    for atom, r in zip(mol.atoms, ranks):
-        label = atom[:4]
-        tokens[r] = _ATOM_TOKENS.get(label) or _atom_token(label)
-        aromatic[r] = atom.aromatic
+    for number, r in zip(labels, ranks):
+        tokens[r] = token_at[number]
+        aromatic[r] = aromatic_at[number]
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b, order in mol.bonds:
         ra, rb = ranks[a], ranks[b]

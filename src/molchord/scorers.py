@@ -32,6 +32,7 @@ import os
 import re
 import signal
 import threading
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -379,13 +380,24 @@ _groups: set[subprocess.Popen] = set()
 _stopped = threading.Event()
 
 
+# ``_run`` looks whether the shell has exited after each read and after each
+# wait that read nothing. Such waits double from 0.5 ms up to this; a read
+# starts them over, since a shell that closed its output is about to exit.
+_POLL_S = 0.05
+
+
 def _run(command: str, timeout: float) -> tuple[int, str, str]:
     """Run one command line, stdin ``/dev/null``, in a process group of its
-    own and return its exit code, stdout and stderr. A timeout, or anything
-    else that ends the wait, kills the whole group: killing the shell alone
-    would leave what it started running. The pipes are then closed rather
-    than read to their end, which a process that left the group can hold
-    off for as long as it runs."""
+    own and return its exit code, stdout and stderr.
+
+    The result is final when the shell exits, not when its pipes reach end
+    of file, which a process that it left running can hold off for as long
+    as it runs: ``_run`` then takes what the pipes hold, kills what is left
+    of the group and closes the pipes. A timeout, or anything else that ends
+    the wait, kills the whole group too: killing the shell alone would leave
+    what it started running. The shell is reaped only after the kill, so its
+    group id cannot have passed to another process."""
+    import selectors
     import subprocess  # here, so the stages that run no command start without it
 
     proc = subprocess.Popen(
@@ -394,28 +406,64 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
         stdin=subprocess.DEVNULL,  # a command that reads must not wait on the CLI's stdin
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        encoding="utf-8",
-        errors="replace",  # a stray byte must not hide the score or the exit code
         start_new_session=True,
     )
     with _groups_lock:
         _groups.add(proc)
         if _stopped.is_set():
             _kill_group(proc)
+    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+    deadline, delay = time.monotonic() + timeout, 0.0005
     try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-    except BaseException as exc:
+        with selectors.DefaultSelector() as selector:
+            for fd in chunks:
+                selector.register(fd, selectors.EVENT_READ)
+            while not _exited(proc.pid):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise Timeout(f"dock command timed out after {timeout}s: {command}")
+                if selector.get_map():
+                    ready = selector.select(min(remaining, delay))
+                else:  # both pipes closed
+                    time.sleep(min(remaining, delay))
+                    ready = []
+                for key, _ in ready:
+                    if not _read_into(chunks[key.fd], key.fd):
+                        selector.unregister(key.fd)
+                delay = 0.0005 if ready else min(2 * delay, _POLL_S)
+            for fd in selector.get_map():  # the shell has exited: what the pipes hold
+                os.set_blocking(fd, False)
+                with contextlib.suppress(BlockingIOError):
+                    while _read_into(chunks[fd], fd):
+                        pass
+    finally:
         _kill_group(proc)
         proc.stdout.close()
         proc.stderr.close()
         proc.wait()
-        if isinstance(exc, subprocess.TimeoutExpired):
-            raise Timeout(f"dock command timed out after {timeout}s: {command}") from exc
-        raise
-    finally:
         with _groups_lock:
             _groups.discard(proc)
+    stdout, stderr = (_text(parts) for parts in chunks.values())
     return proc.returncode, stdout, stderr
+
+
+def _exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited, left unreaped."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
+def _read_into(parts: list[bytes], fd: int) -> bool:
+    """Append one read of ``fd`` to ``parts``; False at end of file."""
+    data = os.read(fd, 1 << 16)
+    parts.append(data)
+    return bool(data)
+
+
+def _text(parts: list[bytes]) -> str:
+    """A pipe's bytes as text with universal newlines, as ``subprocess``
+    decodes them; a stray byte must not hide the score or the exit code."""
+    text = b"".join(parts).decode("utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def external_dock(
@@ -511,26 +559,33 @@ def dock_many(
     raised: list[BaseException] = []  # by a worker or the wait: no new line starts after it
     lines, lock = iter(first), threading.Lock()
 
-    def work() -> None:
-        while True:
-            with lock:
-                line = None if raised else next(lines, None)
-            if line is None:
-                return
-            try:
-                outcome[line] = external_dock(cmd, *first[line], cache_dir=directory)
-            except (DockError, ValueError) as exc:
-                outcome[line] = exc
-            except BaseException as exc:
-                raised.append(exc)
+    def work(done: threading.Event) -> None:
+        try:
+            while True:
+                with lock:
+                    line = None if raised else next(lines, None)
+                if line is None:
+                    return
+                try:
+                    outcome[line] = external_dock(cmd, *first[line], cache_dir=directory)
+                except (DockError, ValueError) as exc:
+                    outcome[line] = exc
+                except BaseException as exc:
+                    raised.append(exc)
+        finally:
+            done.set()
 
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(cmd.max_parallel, len(first)))]
+    # Each worker's own ``done`` says when it has ended. The wait is on it and
+    # not in ``Thread.join``: on CPython 3.11 and 3.12 an interrupted ``join``
+    # marks a thread that still runs as stopped, and ``is_alive`` then says
+    # False. ``join`` follows once ``done`` is set, when it returns at once.
+    ended = [threading.Event() for _ in range(min(cmd.max_parallel, len(first)))]
+    threads = [threading.Thread(target=work, args=(done,), daemon=True) for done in ended]
     try:
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        for done in ended:
+            done.wait()
     except BaseException as exc:  # interrupted while waiting
         raised.append(exc)
         _stopped.set()
@@ -538,12 +593,16 @@ def dock_many(
             for proc in _groups:
                 _kill_group(proc)
         try:
-            for thread in threads:
-                if thread.is_alive():  # an unstarted one starts no line
-                    thread.join()
+            for thread, done in zip(threads, ended):
+                if thread.ident is not None:  # one that never ran starts no line
+                    done.wait()
         finally:
             _stopped.clear()
         raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     if raised:
         raise raised[0]
 

@@ -565,30 +565,82 @@ def test_a_dock_timeout_does_not_wait_for_a_process_that_left_the_group(
         assert dock_processes(kill=True) == 0
 
 
+def test_a_dock_command_ends_when_its_shell_exits(tmp_path, dock_processes):
+    # a process in a session of its own holds stdout open after the shell
+    # printed its score and exited; the score must not wait for it
+    cmd = _cmd("setsid sleep 3 & echo -5 # {smiles}", timeout=2)
+    started = time.monotonic()
+    try:
+        assert external_dock(cmd, "p1", "CCO", cache_dir=tmp_path) == -5.0
+        assert time.monotonic() - started < 1.0
+    finally:
+        assert dock_processes(kill=True) == 0
+
+
+def test_what_a_dock_command_left_in_its_group_is_killed_when_its_shell_exits(
+    tmp_path, dock_processes
+):
+    cmd = _cmd("sleep 8 & echo -5 # {smiles}", timeout=5)
+    started = time.monotonic()
+    assert external_dock(cmd, "p1", "CCO", cache_dir=tmp_path) == -5.0
+    assert time.monotonic() - started < 1.0
+    assert dock_processes() == 0
+
+
+@contextlib.contextmanager
+def _interrupted_after(seconds):
+    """Raise ``KeyboardInterrupt`` in the main thread after ``seconds``, as
+    the terminal's interrupt would."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_interrupted_dock_many_returns_at_once_and_leaves_no_process(
     tmp_path, dock_processes, workers
 ):
     # a command in a process group of its own does not get the terminal's
     # interrupt, so dock_many must stop what it started itself
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
     requests = [("p1", "C" * k) for k in range(1, 6)]
     threads = threading.active_count()
-    previous = signal.signal(signal.SIGALRM, interrupt)
     started = time.monotonic()
-    signal.setitimer(signal.ITIMER_REAL, 0.5)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            dock_many(_cmd("sleep 8; echo -5 # {smiles}", max_parallel=workers), requests,
-                      cache_dir=tmp_path / "cache")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with _interrupted_after(0.5):
+        dock_many(_cmd("sleep 8; echo -5 # {smiles}", max_parallel=workers), requests,
+                  cache_dir=tmp_path / "cache")
     assert time.monotonic() - started < 2.0
     assert dock_processes() == 0
     # a leaked worker would keep fan_out from forking
+    assert threading.active_count() == threads
+
+
+def test_an_interrupted_dock_many_returns_only_once_its_worker_has_ended(
+    tmp_path, monkeypatch
+):
+    # the kill does not reach a worker outside a command, and on CPython 3.11
+    # and 3.12 an interrupted ``Thread.join`` marks a thread that still runs
+    # as stopped; dock_many must still return only once the worker has ended
+    ended = threading.Event()
+
+    def slow(cmd, pocket_id, smiles, **kwargs):
+        time.sleep(0.5)
+        ended.set()
+        return -5.0
+
+    monkeypatch.setattr(scorers, "external_dock", slow)
+    threads = threading.active_count()
+    with _interrupted_after(0.1):
+        dock_many(_cmd("echo -5 # {smiles}", max_parallel=1), [("p1", "CCO"), ("p1", "CCN")],
+                  cache_dir=tmp_path / "cache")
+    assert ended.is_set()
     assert threading.active_count() == threads
 
 

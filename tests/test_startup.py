@@ -1,13 +1,18 @@
 """Processes that neither train nor sample start without numpy, and
-without what they have no use for.
+without what they have no use for; no stage maps OpenSSL.
 
 The dock command starts once per uncached molecule and every pipeline stage
 is its own process, so their start-up time and memory are paid over and
 over. Besides numpy, these processes leave unloaded: ``subprocess`` outside
 ``dock``, ``concurrent.futures`` with the ``logging`` it loads, ``dataclasses``
 and the introspection it loads, and ``hashlib`` with OpenSSL's ``_hashlib``
-(``hashutil`` takes its hashes from CPython's built-in modules). Each check
-runs in a fresh interpreter.
+(``hashutil`` takes its hashes from CPython's built-in modules). The model
+stages load numpy, whose ``numpy.random`` imports ``hashlib`` through
+``secrets``; ``cli.main`` blocks ``_hashlib`` first (``sys.modules`` maps it
+to None), so they take the built-in hashes too and never map libcrypto. A
+module counts as loaded when ``sys.modules`` holds it and not None. Each
+check runs in a fresh interpreter, except the one that ``main`` leaves a
+loaded ``_hashlib`` in place.
 """
 
 import json
@@ -20,9 +25,13 @@ from pathlib import Path
 import pytest
 
 from molchord import metrics
+from molchord.cli import main
 from molchord.hashutil import stable_hash64
 from molchord.molgraph import canon, canonical_smiles, parse_smiles
-from molchord.synthetic import smiles_corpus
+from molchord.scorers import dump_records
+from molchord.synthetic import smiles_corpus, synthetic_complexes
+
+from .test_cli import _write_config
 
 SURROGATE = Path(__file__).resolve().parents[1] / "scripts" / "surrogate_dock.py"
 RUN_SURROGATE_WITHOUT_NUMPY = (
@@ -76,7 +85,7 @@ RUN_STEPS = (
     "loaded = []\n"
     "for step in {steps!r}:\n"
     "    assert main(['--config', 'run.ini', *step]) == 0, step\n"
-    "    loaded.append([m for m in {modules!r} if m in sys.modules])\n"
+    "    loaded.append([m for m in {modules!r} if sys.modules.get(m) is not None])\n"
     "print(loaded)\n"
 )
 
@@ -158,6 +167,60 @@ def test_dock_stage_through_the_stand_in_leaves_hashlib_unloaded(tmp_path, child
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[[]]"
     assert len((out / "scores.jsonl").read_text().splitlines()) == len(lines)
+
+
+# The model stages: ``main`` blocks ``_hashlib`` before ``numpy.random``
+# imports it, so ``hashlib`` and ``hmac`` take CPython's built-in hashes, and
+# what the stages write is the same as in a process that loaded OpenSSL.
+MODEL_STAGES = ("train-sft", "curate", "train-dpo", "sample")
+MODEL_ARTIFACTS = ("sft_checkpoint.json", "sft_curve.jsonl", "pairs.jsonl", "d_dpo.json",
+                   "dpo_checkpoint.json", "dpo_curve.jsonl", "generations.jsonl")
+RUN_STAGE_AND_LIST_OPENSSL = (
+    "import json, sys\n"
+    "from molchord.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/maps') as maps:\n"
+    "    crypto = [line for line in maps if 'libcrypto' in line]\n"
+    "print(json.dumps([code, repr(sys.modules.get('_hashlib')), crypto]))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="lists mappings in /proc")
+def test_model_stages_map_no_openssl_and_write_what_an_openssl_process_writes(
+    tmp_path, child_env
+):
+    # the model-golden pipeline's data and config, once for each side
+    complexes = tmp_path / "complexes.jsonl"
+    dump_records(complexes, synthetic_complexes(18, seed=4, max_heavy=7))
+    configs = []
+    for side in ("in-process", "fresh"):
+        (tmp_path / side).mkdir()
+        configs.append(_write_config(tmp_path / side, complexes))
+    in_process, fresh = configs
+    assert sys.modules.get("_hashlib") is not None  # this process loaded OpenSSL
+    for step in ("partition", *MODEL_STAGES):
+        assert main(["--config", str(in_process), step]) == 0, step
+    assert main(["--config", str(fresh), "partition"]) == 0
+    for step in MODEL_STAGES:
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_STAGE_AND_LIST_OPENSSL, "--config", str(fresh), step],
+            env=child_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, "None", []], step
+    for name in MODEL_ARTIFACTS:
+        expected = (in_process.parent / "out" / name).read_bytes()
+        assert (fresh.parent / "out" / name).read_bytes() == expected, name
+
+
+def test_main_leaves_a_loaded_openssl_in_place(tmp_path):
+    # a program that embeds molchord keeps the hashes it already has
+    openssl = pytest.importorskip("_hashlib")
+    (tmp_path / "run.ini").write_text(
+        f"[paths]\ncomplexes = {DATA / 'complexes.jsonl'}\noutdir = {tmp_path / 'out'}\n"
+    )
+    assert main(["--config", str(tmp_path / "run.ini"), "partition"]) == 0
+    assert sys.modules["_hashlib"] is openssl
 
 
 def test_surrogate_dock_hash_mode_without_numpy(child_env):
