@@ -14,7 +14,9 @@ number as the last non-empty line of its stdout. A request is a pocket id and
 a SMILES, and the template names them as ``{smiles}`` and ``{pocket_id}``. The
 fully substituted command line is the identity of a result: ``dock_many`` runs
 each distinct line once, on plain worker threads, and a cache hit skips
-execution.
+execution. A command writes its stdout and stderr to memory files, and its
+result is final when its shell exits (``_run``); a command that the system
+cannot start fails its molecule as ``NotStarted``.
 
 Both kinds of entry in the cache directory, a dock score keyed by its
 command line and a record file's raw -> canonical map keyed by the file,
@@ -32,7 +34,6 @@ import os
 import re
 import signal
 import threading
-import time
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -326,6 +327,11 @@ class UnparseableOutput(DockError):
     pass
 
 
+class NotStarted(DockError):
+    """The system could not provide what a command needs to run: a file
+    descriptor or a process (EMFILE, EAGAIN)."""
+
+
 class UnsafePocketId(DockError):
     """A pocket id with a character that a shell may read as more than text."""
 
@@ -380,89 +386,66 @@ _groups: set[subprocess.Popen] = set()
 _stopped = threading.Event()
 
 
-# ``_run`` looks whether the shell has exited after each read and after each
-# wait that read nothing. Such waits double from 0.5 ms up to this; a read
-# starts them over, since a shell that closed its output is about to exit.
-_POLL_S = 0.05
-
-
 def _run(command: str, timeout: float) -> tuple[int, str, str]:
     """Run one command line, stdin ``/dev/null``, in a process group of its
     own and return its exit code, stdout and stderr.
 
-    The result is final when the shell exits, not when its pipes reach end
-    of file, which a process that it left running can hold off for as long
-    as it runs: ``_run`` then takes what the pipes hold, kills what is left
-    of the group and closes the pipes. A timeout, or anything else that ends
-    the wait, kills the whole group too: killing the shell alone would leave
-    what it started running. The shell is reaped only after the kill, so its
-    group id cannot have passed to another process."""
-    import selectors
+    Output goes to two memory files, which never fill as pipes do, and the
+    result is final when the shell exits, awaited on its pidfd: a process
+    that the shell left running delays nothing, even one that left the group
+    and holds the files open. Whatever ends the wait (the exit, a timeout or
+    an interrupt's kill) kills the whole group, since killing the shell alone
+    would leave what it started running; the shell is reaped only after the
+    kill, so its group id cannot have passed to another process. A file
+    descriptor or process that the system cannot provide raises
+    ``NotStarted``."""
+    import select
     import subprocess  # here, so the stages that run no command start without it
 
-    proc = subprocess.Popen(
-        command,
-        shell=True,
-        stdin=subprocess.DEVNULL,  # a command that reads must not wait on the CLI's stdin
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-    )
-    with _groups_lock:
-        _groups.add(proc)
-        if _stopped.is_set():
-            _kill_group(proc)
-    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    deadline, delay = time.monotonic() + timeout, 0.0005
+    files: list[int] = []
     try:
-        with selectors.DefaultSelector() as selector:
-            for fd in chunks:
-                selector.register(fd, selectors.EVENT_READ)
-            while not _exited(proc.pid):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise Timeout(f"dock command timed out after {timeout}s: {command}")
-                if selector.get_map():
-                    ready = selector.select(min(remaining, delay))
-                else:  # both pipes closed
-                    time.sleep(min(remaining, delay))
-                    ready = []
-                for key, _ in ready:
-                    if not _read_into(chunks[key.fd], key.fd):
-                        selector.unregister(key.fd)
-                delay = 0.0005 if ready else min(2 * delay, _POLL_S)
-            for fd in selector.get_map():  # the shell has exited: what the pipes hold
-                os.set_blocking(fd, False)
-                with contextlib.suppress(BlockingIOError):
-                    while _read_into(chunks[fd], fd):
-                        pass
+        try:
+            for name in ("stdout", "stderr"):
+                files.append(os.memfd_create(name))
+            proc = subprocess.Popen(
+                command,
+                shell=True,
+                stdin=subprocess.DEVNULL,  # a command that reads must not wait on the CLI's stdin
+                stdout=files[0],
+                stderr=files[1],
+                start_new_session=True,
+            )
+        except OSError as exc:
+            raise NotStarted(f"dock command did not start ({exc}): {command}") from exc
+        try:
+            with _groups_lock:
+                _groups.add(proc)
+                if _stopped.is_set():
+                    _kill_group(proc)
+            try:
+                files.append(os.pidfd_open(proc.pid))
+            except OSError as exc:
+                raise NotStarted(f"dock command cannot be awaited ({exc}): {command}") from exc
+            exit_wait = select.poll()  # unlike select.select, takes any fd number
+            exit_wait.register(files[2], select.POLLIN)
+            if not exit_wait.poll(timeout * 1000):
+                raise Timeout(f"dock command timed out after {timeout}s: {command}")
+        finally:
+            _kill_group(proc)
+            proc.wait()
+            with _groups_lock:
+                _groups.discard(proc)
+        return proc.returncode, _text(files[0]), _text(files[1])
     finally:
-        _kill_group(proc)
-        proc.stdout.close()
-        proc.stderr.close()
-        proc.wait()
-        with _groups_lock:
-            _groups.discard(proc)
-    stdout, stderr = (_text(parts) for parts in chunks.values())
-    return proc.returncode, stdout, stderr
+        for fd in files:
+            os.close(fd)
 
 
-def _exited(pid: int) -> bool:
-    """Whether the child ``pid`` has exited, left unreaped."""
-    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
-
-
-def _read_into(parts: list[bytes], fd: int) -> bool:
-    """Append one read of ``fd`` to ``parts``; False at end of file."""
-    data = os.read(fd, 1 << 16)
-    parts.append(data)
-    return bool(data)
-
-
-def _text(parts: list[bytes]) -> str:
-    """A pipe's bytes as text with universal newlines, as ``subprocess``
-    decodes them; a stray byte must not hide the score or the exit code."""
-    text = b"".join(parts).decode("utf-8", errors="replace")
+def _text(fd: int) -> str:
+    """A memory file's bytes as text with universal newlines, as
+    ``subprocess`` decodes a pipe's; a stray byte must not hide the score or
+    the exit code. ``pread`` leaves the offset that the command shares."""
+    text = os.pread(fd, os.fstat(fd).st_size, 0).decode("utf-8", errors="replace")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

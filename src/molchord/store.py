@@ -21,7 +21,7 @@ _lock = threading.Lock()  # held by ``put``: one writer per process at a time
 
 
 class CacheUnavailable(OSError):
-    """The dock cache directory cannot be created or written."""
+    """The cache directory, or an entry in it, cannot be created or written."""
 
 
 class Kind(NamedTuple):
@@ -82,12 +82,17 @@ def get(kind: Kind, path: Path, identity: str):
 
 def put(kind: Kind, path: Path, identity: str, value):
     """Write ``value`` unless the entry already counts; return what it holds.
-    The re-read and the write share one lock, so threads never race."""
+    The re-read and the write share one lock, so threads never race. A write
+    that fails (a full disk, a directory at ``path``) raises
+    ``CacheUnavailable``."""
     with _lock:
         held = get(kind, path, identity)
         if held is not None:
             return held
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write(path) as handle:
-            json.dump({kind.identity: identity, kind.value: value}, handle)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_write(path) as handle:
+                json.dump({kind.identity: identity, kind.value: value}, handle)
+        except OSError as exc:
+            raise CacheUnavailable(f"cannot write cache entry {path}: {exc}") from exc
     return value

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -1121,6 +1122,32 @@ def test_dock_fails_a_pocket_id_that_is_not_shell_inert_alone_and_creates_no_fil
     ]
     scores = load_records(tmp_path / "out" / "scores.jsonl", "scores")
     assert [(s.pocket_id, s.smiles, s.vina) for s in scores] == [("p2", "CCN", -5.0)]
+
+
+def test_a_dock_command_that_cannot_start_fails_its_molecule_and_exits_four(
+    tmp_path, monkeypatch
+):
+    # an OSError from Popen (EMFILE, or EAGAIN on fork) ended dock in
+    # "internal error", exit 1
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    config = _dock_run(tmp_path, {"dock": {"command": "echo -5 # {smiles}"}})
+    assert main(["--config", str(config), "dock"]) == 4
+    manifest = json.loads((tmp_path / "out" / "dock.manifest.json").read_text())
+    assert [f["kind"] for f in manifest["extra"]["failures"]] == ["NotStarted", "NotStarted"]
+
+
+def test_a_dock_cache_entry_that_cannot_be_written_exits_three(tmp_path, capsys):
+    # a directory at the entry's path ended dock in "internal error:
+    # IsADirectoryError", exit 1
+    config = _dock_run(tmp_path, {"dock": {"command": "echo -5 # {smiles}"}})
+    entry = tmp_path / "dock_cache" / f"{hashlib.sha256(b'echo -5 # CCO').hexdigest()}.json"
+    entry.mkdir(parents=True)
+    assert main(["--config", str(config), "dock"]) == 3
+    assert str(entry) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.jsonl").exists()
 
 
 def test_a_record_file_that_does_not_load_is_named_in_the_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from molchord.scorers import (
     GenerationRecord,
     MalformedLine,
     NonZeroExit,
+    NotStarted,
     SchemaViolation,
     ScoreRecord,
     Timeout,
@@ -642,6 +644,105 @@ def test_an_interrupted_dock_many_returns_only_once_its_worker_has_ended(
                   cache_dir=tmp_path / "cache")
     assert ended.is_set()
     assert threading.active_count() == threads
+
+
+def test_external_dock_reads_its_score_after_output_larger_than_a_pipe_buffer(tmp_path):
+    # a pipe holds 64 KiB; each stream here carries 1 MiB before the score
+    template = "yes | head -c 1048576; yes | head -c 1048576 >&2; echo -5 # {smiles}"
+    assert external_dock(_cmd(template, timeout=10), "p1", "CCO", cache_dir=tmp_path) == -5.0
+    code, stdout, stderr = scorers._run(template, 10)
+    assert (code, len(stdout), len(stderr)) == (0, (1 << 20) + 3, 1 << 20)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _zombie_children() -> list[int]:
+    """This process's children that have exited and are not reaped."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if state == "Z" and int(ppid) == os.getpid():
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _refuse(*args, **kwargs):
+    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+@pytest.mark.parametrize(
+    "template, refused, raised",
+    [
+        ("echo -5 # {smiles}", None, None),
+        ("exit 3 # {smiles}", None, NonZeroExit),
+        ("sleep 5 # {smiles}", None, Timeout),
+        ("echo -5 # {smiles}", (subprocess, "Popen"), NotStarted),
+        ("sleep 5; echo -5 # {smiles}", (os, "pidfd_open"), NotStarted),
+    ],
+    ids=["score", "NonZeroExit", "Timeout", "NotStarted-Popen", "NotStarted-pidfd"],
+)
+def test_a_dock_call_leaves_no_file_descriptor_or_process_behind(
+    tmp_path, monkeypatch, dock_processes, template, refused, raised
+):
+    # each call makes two memory files and a pidfd, however it ends; a shell
+    # that cannot be awaited is killed and reaped all the same
+    cmd = _cmd(template, timeout=0.3)
+    if refused:
+        monkeypatch.setattr(*refused, _refuse)
+    fds = _open_fds()
+    for smiles in ("CCO", "CCN"):
+        started = time.monotonic()
+        if raised is None:
+            assert external_dock(cmd, "p1", smiles, cache_dir=tmp_path) == -5.0
+        else:
+            with pytest.raises(raised):
+                external_dock(cmd, "p1", smiles, cache_dir=tmp_path)
+        assert time.monotonic() - started < 2.0
+    assert _open_fds() == fds
+    assert dock_processes() == 0
+    assert _zombie_children() == []
+
+
+def test_a_dock_command_the_system_cannot_start_fails_as_not_started(tmp_path, child_env):
+    # with the descriptor table full, memfd_create and Popen raised OSError
+    # (EMFILE), which ended dock and curate as an internal error (exit 1).
+    # The child imports what ``_run`` imports, fills its table of 64 and
+    # frees one descriptor per call until a call docks.
+    code = (
+        "import json, os, resource, select, subprocess, sys\n"
+        "from molchord.scorers import DockCommand, dock_many\n"
+        "cmd = DockCommand('echo -5 # {smiles}', max_parallel=1)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+        "held = []\n"
+        "try:\n"
+        "    while True:\n"
+        "        held.append(os.open(os.devnull, os.O_RDONLY))\n"
+        "except OSError:\n"
+        "    pass\n"
+        "ends = []\n"
+        "for k in range(1, 12):\n"
+        "    result = dock_many(cmd, [('p1', 'C' * k)], cache_dir=sys.argv[1])\n"
+        "    ends += [[f.kind, f.error] for f in result.failures] + [s.vina for s in result.scores]\n"
+        "    if result.scores:\n"
+        "        break\n"
+        "    os.close(held.pop())\n"
+        "for fd in held:\n"
+        "    os.close(fd)\n"
+        "print(json.dumps(ends))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *failures, score = json.loads(done.stdout)
+    assert score == -5.0
+    assert failures and all(kind == "NotStarted" for kind, _ in failures)
+    assert all("Too many open files" in error for _, error in failures)
 
 
 def test_external_dock_cache_hits_skip_execution(tmp_path):
