@@ -399,11 +399,13 @@ def _dock(
     cfg: RunConfig, command: scorers.DockCommand, requests: list[tuple[str, str]]
 ) -> scorers.DockRunResult:
     """Dock (pocket_id, smiles) requests; a cache directory that cannot be
-    made or written exits 3."""
+    made or written exits 3, and a kernel that cannot run commands exits 4."""
     try:
         return scorers.dock_many(command, requests, cache_dir=_cache_dir(cfg))
     except store.CacheUnavailable as exc:
         raise MissingArtifact(str(exc)) from exc
+    except scorers.DockUnsupported as exc:
+        raise ExternalCommandFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

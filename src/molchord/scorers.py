@@ -27,6 +27,7 @@ this module only says what each kind's value must be.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -332,6 +333,10 @@ class NotStarted(DockError):
     descriptor or a process (EMFILE, EAGAIN)."""
 
 
+class DockUnsupported(RuntimeError):
+    """The kernel refuses a call that every command needs: none can run."""
+
+
 class UnsafePocketId(DockError):
     """A pocket id with a character that a shell may read as more than text."""
 
@@ -390,23 +395,26 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
     """Run one command line, stdin ``/dev/null``, in a process group of its
     own and return its exit code, stdout and stderr.
 
-    Output goes to two memory files, which never fill as pipes do, and the
-    result is final when the shell exits, awaited on its pidfd: a process
-    that the shell left running delays nothing, even one that left the group
-    and holds the files open. Whatever ends the wait (the exit, a timeout or
-    an interrupt's kill) kills the whole group, since killing the shell alone
-    would leave what it started running; the shell is reaped only after the
-    kill, so its group id cannot have passed to another process. A file
-    descriptor or process that the system cannot provide raises
-    ``NotStarted``."""
+    Output goes to two memory files opened for appending, which never fill
+    as pipes do; the result is final when the shell exits, awaited on its
+    pidfd, and the files are then emptied and sealed against growth, so a
+    process that left the group delays nothing and can write nothing more.
+    Whatever ends the wait (the exit, a timeout or an interrupt's kill)
+    kills the whole group; the shell is reaped only after the kill, so its
+    group id cannot have passed to another process. A file descriptor or
+    process that the system cannot provide raises ``NotStarted``, a call
+    that the kernel refuses (ENOSYS, EPERM) ``DockUnsupported``."""
+    import fcntl
     import select
     import subprocess  # here, so the stages that run no command start without it
 
-    files: list[int] = []
+    files: list[int] = []  # stdout, stderr, then the shell's pidfd
     try:
         try:
             for name in ("stdout", "stderr"):
-                files.append(os.memfd_create(name))
+                files.append(os.memfd_create(name, os.MFD_CLOEXEC | os.MFD_ALLOW_SEALING))
+                fcntl.fcntl(files[-1], fcntl.F_SETFL, os.O_APPEND)  # as a pipe takes writes
+            os.close(os.pidfd_open(os.getpid()))  # so that a kernel without it starts nothing
             proc = subprocess.Popen(
                 command,
                 shell=True,
@@ -416,6 +424,8 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
                 start_new_session=True,
             )
         except OSError as exc:
+            if exc.errno in (errno.ENOSYS, errno.EPERM):  # refused by the kernel or seccomp
+                raise DockUnsupported(f"dock needs memfd_create and pidfd_open: {exc}") from exc
             raise NotStarted(f"dock command did not start ({exc}): {command}") from exc
         try:
             with _groups_lock:
@@ -437,6 +447,9 @@ def _run(command: str, timeout: float) -> tuple[int, str, str]:
                 _groups.discard(proc)
         return proc.returncode, _text(files[0]), _text(files[1])
     finally:
+        for fd in files[:2]:
+            fcntl.fcntl(fd, fcntl.F_ADD_SEALS, fcntl.F_SEAL_GROW)
+            os.ftruncate(fd, 0)
         for fd in files:
             os.close(fd)
 

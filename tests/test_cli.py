@@ -1139,6 +1139,21 @@ def test_a_dock_command_that_cannot_start_fails_its_molecule_and_exits_four(
     assert [f["kind"] for f in manifest["extra"]["failures"]] == ["NotStarted", "NotStarted"]
 
 
+def test_a_kernel_without_pidfd_open_ends_dock_with_one_error_and_exit_four(
+    tmp_path, monkeypatch, capsys
+):
+    # each molecule failed as NotStarted, after its command had started
+    def refuse(*args):
+        raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+    monkeypatch.setattr(os, "pidfd_open", refuse)
+    config = _dock_run(tmp_path, {"dock": {"command": f"touch {tmp_path / 'ran'} # {{smiles}}"}})
+    assert main(["--config", str(config), "dock"]) == 4
+    assert capsys.readouterr().err.count("pidfd_open") == 1
+    assert not (tmp_path / "ran").exists()
+    assert not (tmp_path / "out" / "scores.jsonl").exists()
+
+
 def test_a_dock_cache_entry_that_cannot_be_written_exits_three(tmp_path, capsys):
     # a directory at the entry's path ended dock in "internal error:
     # IsADirectoryError", exit 1

@@ -18,6 +18,7 @@ from molchord.curation import ComplexRecord, PreferencePair
 from molchord.metrics import join_scores
 from molchord.scorers import (
     DockCommand,
+    DockUnsupported,
     DuplicateKey,
     GenerationRecord,
     MalformedLine,
@@ -675,14 +676,20 @@ def _refuse(*args, **kwargs):
     raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
 
+def _refuse_a_child(pid, *args, _pidfd_open=os.pidfd_open):
+    """``os.pidfd_open`` that opens one of this process only, so the refusal
+    meets a shell that has started."""
+    return _pidfd_open(pid, *args) if pid == os.getpid() else _refuse()
+
+
 @pytest.mark.parametrize(
     "template, refused, raised",
     [
         ("echo -5 # {smiles}", None, None),
         ("exit 3 # {smiles}", None, NonZeroExit),
         ("sleep 5 # {smiles}", None, Timeout),
-        ("echo -5 # {smiles}", (subprocess, "Popen"), NotStarted),
-        ("sleep 5; echo -5 # {smiles}", (os, "pidfd_open"), NotStarted),
+        ("echo -5 # {smiles}", (subprocess, "Popen", _refuse), NotStarted),
+        ("sleep 5; echo -5 # {smiles}", (os, "pidfd_open", _refuse_a_child), NotStarted),
     ],
     ids=["score", "NonZeroExit", "Timeout", "NotStarted-Popen", "NotStarted-pidfd"],
 )
@@ -693,7 +700,7 @@ def test_a_dock_call_leaves_no_file_descriptor_or_process_behind(
     # that cannot be awaited is killed and reaped all the same
     cmd = _cmd(template, timeout=0.3)
     if refused:
-        monkeypatch.setattr(*refused, _refuse)
+        monkeypatch.setattr(*refused)
     fds = _open_fds()
     for smiles in ("CCO", "CCN"):
         started = time.monotonic()
@@ -706,6 +713,52 @@ def test_a_dock_call_leaves_no_file_descriptor_or_process_behind(
     assert _open_fds() == fds
     assert dock_processes() == 0
     assert _zombie_children() == []
+
+
+def test_a_dock_command_that_reopens_its_stdout_by_path_keeps_its_last_line(tmp_path):
+    # the memory file is a regular file: the path's open starts at offset 0
+    # and truncates, and fd 1's later write landed over it, so "-9" came back
+    template = r"printf 'log\n-9\n' > /dev/stdout; echo -5 # {smiles}"
+    assert external_dock(_cmd(template), "p1", "CCO", cache_dir=tmp_path) == -5.0
+
+
+def test_a_process_that_left_the_group_cannot_write_once_the_shell_has_exited(
+    tmp_path, dock_processes
+):
+    # its stdout is the call's memory file, which nothing reads any more;
+    # writes that succeeded there filled memory for as long as it ran
+    ready, refused = tmp_path / "ready", tmp_path / "refused"
+    template = (
+        f"setsid sh -c 'touch {ready}; sleep 0.2; echo late || touch {refused}' & "
+        f"while [ ! -e {ready} ]; do sleep 0.01; done; echo -5 # {{smiles}}"
+    )
+    try:
+        assert external_dock(_cmd(template), "p1", "CCO", cache_dir=tmp_path) == -5.0
+        deadline = time.monotonic() + 5.0
+        while not refused.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert refused.exists()
+    finally:
+        assert dock_processes(kill=True) == 0
+
+
+@pytest.mark.parametrize("denied", [errno.ENOSYS, errno.EPERM])
+def test_a_kernel_without_pidfd_open_ends_docking_before_any_command_starts(
+    tmp_path, monkeypatch, denied
+):
+    # an old kernel or seccomp profile failed every molecule as NotStarted,
+    # each after its command had started and been killed
+    def refuse(*args):
+        raise OSError(denied, os.strerror(denied))
+
+    monkeypatch.setattr(os, "pidfd_open", refuse)
+    ran = tmp_path / "ran"
+    cmd = _cmd(f"touch {ran}; echo -5 # {{smiles}}", max_parallel=2)
+    with pytest.raises(DockUnsupported, match="pidfd_open"):
+        external_dock(cmd, "p1", "CCO", cache_dir=tmp_path)
+    with pytest.raises(DockUnsupported):
+        dock_many(cmd, [("p1", "CCO"), ("p1", "CCN")], cache_dir=tmp_path)
+    assert not ran.exists()
 
 
 def test_a_dock_command_the_system_cannot_start_fails_as_not_started(tmp_path, child_env):
